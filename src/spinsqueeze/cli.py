@@ -15,12 +15,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import verify as verify_mod
-from .dicke import collective_moments, make_dicke_state
+from .dicke import make_dicke_state
 from .errors import MeanSpinDegenerateError, NumericalError
 from .evolution import trajectory
 from .hamiltonians import HamiltonianSpec
-from .pairwise import concurrence_x_form, reduced_two_qubit
-from .squeezing import squeezing_even_odd, squeezing_general
+from .pairwise import analyse_state
+from .squeezing import squeezing_general
 
 MODELS = ("one-axis", "one-axis-field", "two-axis", "general")
 
@@ -60,7 +60,7 @@ class RunConfig:
             return HamiltonianSpec.two_axis(self.gamma)
         if self.model == "general":
             return HamiltonianSpec(
-                mu=self.mu, chi=self.chi, gamma_sym=self.gamma, f_coeffs=self.f_coeffs
+                mu=self.mu, chi=self.chi, gamma=self.gamma, f_coeffs=self.f_coeffs
             )
         raise ValueError(f"unknown model {self.model!r}")
 
@@ -76,20 +76,17 @@ def evolve_rows(cfg: RunConfig):
     traj = trajectory(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt)
     rows = []
     for t, state in zip(traj.times, traj.states):
-        m = collective_moments(state)
-        closed = squeezing_even_odd(m)
+        m, xi2_closed, r, conc = analyse_state(state)
         try:
             xi2_general = squeezing_general(m).xi2
             degenerate = 0
         except MeanSpinDegenerateError:
             xi2_general = math.nan
             degenerate = 1
-        r = reduced_two_qubit(m)
-        conc = concurrence_x_form(r)
         rows.append(
             {
                 "t": float(t),
-                "xi2_closed": closed.xi2,
+                "xi2_closed": xi2_closed,
                 "xi2_general": xi2_general,
                 "mean_spin_norm": m.mean_spin_norm,
                 "degenerate_flag": degenerate,
@@ -189,11 +186,7 @@ def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list,
 
 
 def cmd_dicke(n_qubits: int, n_excited: int) -> int:
-    state = make_dicke_state(n_qubits, n_excited)
-    m = collective_moments(state)
-    xi2 = squeezing_even_odd(m).xi2
-    r = reduced_two_qubit(m)
-    conc = concurrence_x_form(r)
+    _, xi2, r, conc = analyse_state(make_dicke_state(n_qubits, n_excited))
     print(f"Dicke state: N = {n_qubits}, excitations = {n_excited}")
     print(f"xi2          = {xi2:.17g}")
     print(f"concurrence  = {conc.concurrence:.17g}  (branch: {conc.branch})")
@@ -317,55 +310,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _value(args, name, default):
-    v = getattr(args, name, None)
-    return default if v is None else v
+# Flag name -> RunConfig field; a flag given neither on the command line nor
+# in the config file keeps the RunConfig default.
+_RUN_FIELDS = {
+    "model": "model", "n": "n_qubits", "mu": "mu", "chi": "chi", "gamma": "gamma",
+    "omega": "omega", "f_coeffs": "f_coeffs", "t_max": "t_max", "dt": "dt",
+    "out": "output_path", "precision": "precision",
+}
+
+
+def _run_config(args) -> RunConfig:
+    return RunConfig(**{
+        field: getattr(args, flag)
+        for flag, field in _RUN_FIELDS.items()
+        if getattr(args, flag, None) is not None
+    })
+
+
+def _as_tuple(value):
+    return value if isinstance(value, tuple) else (value,)
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "evolve":
-            _apply_config(args, parser)
-            cfg = RunConfig(
-                model=_value(args, "model", "one-axis"),
-                n_qubits=_value(args, "n", 6),
-                mu=_value(args, "mu", 1.0),
-                chi=_value(args, "chi", 0.0),
-                gamma=_value(args, "gamma", 1.0),
-                omega=_value(args, "omega", 0.0),
-                f_coeffs=_value(args, "f_coeffs", ()),
-                t_max=_value(args, "t_max", 10.0),
-                dt=_value(args, "dt", 0.01),
-                output_path=_value(args, "out", ""),
-                precision=_value(args, "precision", 17),
-            )
-            return cmd_evolve(cfg)
-        if args.command == "scan":
-            _apply_config(args, parser)
-
-            def as_tuple(v):
-                return v if isinstance(v, tuple) else (v,)
-
-            return cmd_scan(
-                model=_value(args, "model", "one-axis"),
-                n_list=as_tuple(_value(args, "n", tuple(range(2, 11)))),
-                mu_list=as_tuple(_value(args, "mu", (1.0,))),
-                chi_list=as_tuple(_value(args, "chi", (0.0,))),
-                gamma_list=as_tuple(_value(args, "gamma", (1.0,))),
-                omega_list=as_tuple(_value(args, "omega", (0.0,))),
-                t_max=_value(args, "t_max", 10.0),
-                dt=_value(args, "dt", 0.01),
-                output_path=_value(args, "out", ""),
-                precision=_value(args, "precision", 17),
-                workers=_value(args, "workers", 1),
-            )
         if args.command == "dicke":
             return cmd_dicke(args.n, args.excitations)
         if args.command == "verify":
             return cmd_verify(args.suite, args.seed)
-        raise ValueError(f"unknown command {args.command!r}")
+        _apply_config(args, parser)
+        cfg = _run_config(args)
+        if args.command == "evolve":
+            return cmd_evolve(cfg)
+        # scan: the coefficient fields hold a comma list or a scalar default
+        return cmd_scan(
+            model=cfg.model,
+            n_list=tuple(range(2, 11)) if args.n is None else _as_tuple(args.n),
+            mu_list=_as_tuple(cfg.mu),
+            chi_list=_as_tuple(cfg.chi),
+            gamma_list=_as_tuple(cfg.gamma),
+            omega_list=_as_tuple(cfg.omega),
+            t_max=cfg.t_max,
+            dt=cfg.dt,
+            output_path=cfg.output_path,
+            precision=cfg.precision,
+            workers=args.workers or 1,
+        )
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

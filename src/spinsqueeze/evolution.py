@@ -53,22 +53,23 @@ def hermitian_eigen(h: HermitianMatrix) -> Propagator:
 
 def evolve_to(prop: Propagator, initial: SymmetricState, t: float) -> SymmetricState:
     """Apply exp(-iHt) to a state."""
-    c0 = initial.amplitudes
-    if c0.shape != (prop.dim,):
-        raise ValueError(f"dimension mismatch: state {c0.shape}, propagator {prop.dim}")
-    v = prop.eigenvectors
-    c_t = v @ (np.exp(-1j * prop.eigenvalues * t) * (v.conj().T @ c0))
-    return SymmetricState(initial.n_qubits, c_t)
+    return evolve_grid(prop, initial, [t])[0]
 
 
 def evolve_grid(prop: Propagator, initial: SymmetricState, times) -> list:
     """States at many times from one decomposition (vectorized over the grid)."""
+    c0 = initial.amplitudes
+    if c0.shape != (prop.dim,):
+        raise ValueError(f"dimension mismatch: state {c0.shape}, propagator {prop.dim}")
     times = np.asarray(times, dtype=float)
     v = prop.eigenvectors
-    modes = v.conj().T @ initial.amplitudes
+    modes = v.conj().T @ c0
     phases = np.exp(-1j * np.outer(prop.eigenvalues, times))
     amps = v @ (phases * modes[:, None])
-    return [SymmetricState(initial.n_qubits, amps[:, k]) for k in range(times.size)]
+    try:
+        return [SymmetricState(initial.n_qubits, amps[:, k]) for k in range(times.size)]
+    except ValueError as exc:  # exact propagation is unitary: a lost norm is numerical
+        raise NumericalError(f"propagated state lost its norm: {exc}") from exc
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:

@@ -2,10 +2,9 @@
 
 The general form is
 
-    H = mu Sx^2 + chi Sy^2 + gamma_sym (Sx Sy + Sy Sx)
-        + gamma_twist (S+^2 - S-^2)/(2i) + f(Sz)
+    H = mu Sx^2 + chi Sy^2 + gamma (S+^2 - S-^2)/(2i) + f(Sz)
 
-with f a polynomial. The named models are:
+with f a polynomial; (S+^2 - S-^2)/(2i) = Sx Sy + Sy Sx. The named models are:
   one_axis(mu)            - twisting about a single axis, mu Sx^2
   one_axis_field(mu, om)  - same plus a transverse field om Sz
   two_axis(gamma)         - counter-twisting, (gamma/2i)(S+^2 - S-^2)
@@ -27,14 +26,13 @@ HERMITICITY_TOL = 1e-14
 class HamiltonianSpec:
     mu: float = 0.0
     chi: float = 0.0
-    gamma_sym: float = 0.0
-    gamma_twist: float = 0.0
+    gamma: float = 0.0
     f_coeffs: tuple = ()  # polynomial in Sz, ascending powers
 
     def __post_init__(self):
         coeffs = tuple(float(c) for c in self.f_coeffs)
         object.__setattr__(self, "f_coeffs", coeffs)
-        values = (self.mu, self.chi, self.gamma_sym, self.gamma_twist) + coeffs
+        values = (self.mu, self.chi, self.gamma) + coeffs
         if not all(math.isfinite(v) for v in values):
             raise ValueError("non-finite Hamiltonian coefficient")
 
@@ -48,7 +46,7 @@ class HamiltonianSpec:
 
     @classmethod
     def two_axis(cls, gamma: float) -> "HamiltonianSpec":
-        return cls(gamma_twist=gamma)
+        return cls(gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -78,18 +76,11 @@ def build_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> HermitianMatrix:
         h += spec.mu * (sx @ sx)
     if spec.chi:
         h += spec.chi * (sy @ sy)
-    if spec.gamma_sym:
-        h += spec.gamma_sym * (sx @ sy + sy @ sx)
-    if spec.gamma_twist:
-        twist = (sp @ sp - sm @ sm) / 2j
-        # self-check: the two-axis form is the same operator as SxSy + SySx
-        alt = sx @ sy + sy @ sx
-        assert np.max(np.abs(twist - alt)) <= 1e-12 * max(1.0, n_qubits**2)
-        h += spec.gamma_twist * twist
+    if spec.gamma:
+        h += spec.gamma * ((sp @ sp - sm @ sm) / 2j)
     if spec.f_coeffs:
         m = np.arange(dim) - n_qubits / 2.0
         h += np.diag(np.polynomial.polynomial.polyval(m, spec.f_coeffs))
-    h = 0.5 * (h + h.conj().T)
     return HermitianMatrix(dim, h)
 
 

@@ -106,12 +106,10 @@ def collective_pauli_sums(n_qubits: int):
 def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
     sx, sy, sz = collective_pauli_sums(n_qubits)
     h = spec.mu * (sx @ sx) + spec.chi * (sy @ sy)
-    if spec.gamma_sym:
-        h = h + spec.gamma_sym * (sx @ sy + sy @ sx)
-    if spec.gamma_twist:
+    if spec.gamma:
         sp = sx + 1j * sy
         sm = sx - 1j * sy
-        h = h + spec.gamma_twist * (sp @ sp - sm @ sm) / 2j
+        h = h + spec.gamma * (sp @ sp - sm @ sm) / 2j
     for power, coeff in enumerate(spec.f_coeffs):
         if coeff:
             h = h + coeff * np.linalg.matrix_power(sz, power)

@@ -15,8 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import CollectiveMoments
+from .dicke import CollectiveMoments, SymmetricState, collective_moments
 from .errors import NotXFormError, NumericalError
+from .squeezing import squeezing_even_odd
 
 X_FORM_TOL = 1e-8
 
@@ -82,6 +83,13 @@ class SqueezingCondition(NamedTuple):
     satisfied: bool
     margin: float
     xi2: float
+
+
+class StateAnalysis(NamedTuple):
+    moments: CollectiveMoments
+    xi2: float  # even/odd closed form
+    reduced: TwoQubitReduced
+    concurrence: ConcurrenceResult  # X form
 
 
 def reduced_two_qubit(m: CollectiveMoments) -> TwoQubitReduced:
@@ -152,6 +160,15 @@ def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
     lambdas = np.sort(np.clip(lambdas, 0.0, None))[::-1]
     concurrence = lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]
     return ConcurrenceResult(concurrence=concurrence, lambdas=lambdas, branch=SPECTRAL)
+
+
+def analyse_state(state: SymmetricState) -> StateAnalysis:
+    """Moments, closed-form xi^2, pair reduction and X-form concurrence of an
+    even/odd state: the quantities every relation of the paper compares."""
+    m = collective_moments(state)
+    xi2 = squeezing_even_odd(m).xi2
+    r = reduced_two_qubit(m)
+    return StateAnalysis(m, xi2, r, concurrence_x_form(r))
 
 
 def squeezing_condition(r: TwoQubitReduced) -> SqueezingCondition:

@@ -33,19 +33,6 @@ class SqueezingResult:
     method: str
 
 
-def _perpendicular_frame(mean_spin: np.ndarray):
-    """Deterministic orthonormal (n1, n2) spanning the plane normal to mean_spin."""
-    transverse = math.hypot(mean_spin[0], mean_spin[1])
-    if transverse < MEAN_SPIN_TOL:
-        n1 = np.array([1.0, 0.0, 0.0])
-    else:
-        n1 = np.cross([0.0, 0.0, 1.0], mean_spin)
-        n1 /= np.linalg.norm(n1)
-    n2 = np.cross(mean_spin, n1)
-    n2 /= np.linalg.norm(n2)
-    return n1, n2
-
-
 def _min_eig_2x2(g11: float, g22: float, g12: float):
     """Smallest eigenvalue and its direction angle for [[g11,g12],[g12,g22]]."""
     half_gap = math.sqrt((g11 - g22) ** 2 + 4.0 * g12**2) / 2.0
@@ -57,6 +44,23 @@ def _min_eig_2x2(g11: float, g22: float, g12: float):
     return lam, theta % (2.0 * math.pi)
 
 
+def _perpendicular_min(mean_spin: np.ndarray, cov: np.ndarray):
+    """Deterministic orthonormal frame (n1, n2) of the plane normal to
+    mean_spin, the smallest covariance eigenvalue in that plane and its angle."""
+    transverse = math.hypot(mean_spin[0], mean_spin[1])
+    if transverse < MEAN_SPIN_TOL:
+        n1 = np.array([1.0, 0.0, 0.0])
+    else:
+        n1 = np.cross([0.0, 0.0, 1.0], mean_spin)
+        n1 /= np.linalg.norm(n1)
+    n2 = np.cross(mean_spin, n1)
+    n2 /= np.linalg.norm(n2)
+    g11 = float(n1 @ cov @ n1)
+    g22 = float(n2 @ cov @ n2)
+    g12 = float(n1 @ cov @ n2)
+    return (n1, n2, *_min_eig_2x2(g11, g22, g12))
+
+
 def squeezing_general(m: CollectiveMoments) -> SqueezingResult:
     """4/N times the minimal variance perpendicular to the mean spin."""
     mean_spin = m.mean_spin
@@ -65,12 +69,7 @@ def squeezing_general(m: CollectiveMoments) -> SqueezingResult:
             f"mean spin norm {m.mean_spin_norm:.3e} below {MEAN_SPIN_TOL}; "
             "no perpendicular plane is defined"
         )
-    n1, n2 = _perpendicular_frame(mean_spin)
-    cov = m.covariance
-    g11 = float(n1 @ cov @ n1)
-    g22 = float(n2 @ cov @ n2)
-    g12 = float(n1 @ cov @ n2)
-    lam, theta = _min_eig_2x2(g11, g22, g12)
+    n1, n2, lam, theta = _perpendicular_min(mean_spin, m.covariance)
     n_perp = math.cos(theta) * n1 + math.sin(theta) * n2
     return SqueezingResult(
         xi2=max(4.0 * lam / m.n_qubits, 0.0),
@@ -128,14 +127,9 @@ def perpendicular_correlation_min(m: CollectiveMoments) -> float:
     (the separability bound corr >= 0 holds direction by direction).
     """
     n = m.n_qubits
-    cov = m.covariance
     if m.mean_spin_norm >= MEAN_SPIN_TOL:
-        n1, n2 = _perpendicular_frame(m.mean_spin)
-        g11 = float(n1 @ cov @ n1)
-        g22 = float(n2 @ cov @ n2)
-        g12 = float(n1 @ cov @ n2)
-        lam, _ = _min_eig_2x2(g11, g22, g12)
+        _, _, lam, _ = _perpendicular_min(m.mean_spin, m.covariance)
     else:
-        lam = float(np.linalg.eigvalsh(cov)[0])
+        lam = float(np.linalg.eigvalsh(m.covariance)[0])
     # <S_n^2> = (N + N(N-1) corr) / 4
     return (4.0 * lam - n) / (n * (n - 1))

@@ -17,20 +17,16 @@ from spinsqueeze.dicke import (
 from spinsqueeze.evolution import evolve_grid, hermitian_eigen, trajectory
 from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian
 from spinsqueeze.oracle import embed_symmetric, partial_trace_pair
-from spinsqueeze.pairwise import (
-    concurrence_spectral,
-    concurrence_x_form,
-    prop3_residual,
-    reduced_two_qubit,
-    squeezing_condition,
-)
+from spinsqueeze.pairwise import concurrence_spectral, concurrence_x_form, reduced_two_qubit
 from spinsqueeze.squeezing import squeezing_even_odd, squeezing_lower_bound
 from spinsqueeze.verify import (
+    _trajectory_worst,
     suite_lemma1,
     suite_lemma2,
     suite_lemma3,
     suite_oracle,
     suite_parity,
+    suite_prop4,
 )
 
 SEED = 42
@@ -42,18 +38,14 @@ def report(number, description, ok):
 
 
 def test_criterion_1_analytic_n2_benchmark():
-    traj = trajectory(HamiltonianSpec.one_axis(1.0), 2, np.pi, np.pi / 200)
-    worst = 0.0
-    for t, state in zip(traj.times, traj.states):
-        m = collective_moments(state)
-        xi2 = squeezing_even_odd(m).xi2
-        conc = concurrence_x_form(reduced_two_qubit(m)).concurrence
-        worst = max(
-            worst,
-            abs(xi2 - (1 - abs(np.sin(t)))),
-            abs(conc - abs(np.sin(t))),
-            abs(prop3_residual(xi2, conc, 2)),
-        )
+    grid = dict(t_max=np.pi, dt=np.pi / 200)
+    rows = cli.evolve_rows(cli.RunConfig(model="one-axis", n_qubits=2, mu=1.0, **grid))
+    t, xi2, conc = (np.array([r[c] for r in rows]) for c in ("t", "xi2_closed", "concurrence"))
+    worst = max(
+        np.max(np.abs(xi2 - (1 - np.abs(np.sin(t))))),
+        np.max(np.abs(conc - np.abs(np.sin(t)))),
+        _trajectory_worst(HamiltonianSpec.one_axis(1.0), 2, **grid).prop3_all,
+    )
     report(1, f"N=2 one-axis analytic profile, residual {worst:.2e}", worst <= 1e-10)
 
 
@@ -65,55 +57,30 @@ def test_criterion_2_lemma3_moments():
 
 
 def test_criterion_3_prop4_corollary():
-    worst_margin = 0.0
-    worst_xi2 = 0.0
-    worst_residual = 0.0
-    for n in (2, 3, 5, 10, 25, 50, 100):
-        traj = trajectory(HamiltonianSpec.one_axis(1.0), n, 10.0, 0.01)
-        for state in traj.states:
-            m = collective_moments(state)
-            r = reduced_two_qubit(m)
-            xi2 = squeezing_even_odd(m).xi2
-            conc = concurrence_x_form(r).concurrence
-            worst_margin = max(worst_margin, -squeezing_condition(r).margin)
-            worst_xi2 = max(worst_xi2, xi2 - 1.0)
-            worst_residual = max(worst_residual, abs(prop3_residual(xi2, conc, n)))
-    ok = worst_margin <= 1e-12 and worst_xi2 <= 1e-12 and worst_residual <= 1e-9
-    report(3, "one-axis trajectories: |u| >= y, xi2 <= 1, identity holds "
-              f"(margins {worst_margin:.2e}, {worst_xi2:.2e}, {worst_residual:.2e})", ok)
+    checks = suite_prop4(n_values=(2, 3, 5, 10, 25, 50, 100))
+    worst = max(c.residual for c in checks)
+    report(3, f"one-axis trajectories: |u| >= y, xi2 <= 1, identity holds (worst {worst:.2e})",
+           all(c.passed for c in checks))
 
 
 def test_criterion_4_transverse_field_inequality():
-    worst_xi2 = 0.0
-    worst_residual = 0.0
-    n_values = tuple(range(2, 21)) + (50, 100)
-    for omega in (0.1, 0.5, 1.0, 2.0, 5.0):
-        spec = HamiltonianSpec.one_axis_field(1.0, omega)
-        for n in n_values:
-            traj = trajectory(spec, n, 10.0, 0.01)
-            for state in traj.states:
-                m = collective_moments(state)
-                xi2 = squeezing_even_odd(m).xi2
-                worst_xi2 = max(worst_xi2, xi2 - 1.0)
-                if xi2 <= 1.0:
-                    conc = concurrence_x_form(reduced_two_qubit(m)).concurrence
-                    worst_residual = max(
-                        worst_residual, abs(prop3_residual(xi2, conc, n))
-                    )
+    worst = [
+        _trajectory_worst(HamiltonianSpec.one_axis_field(1.0, omega), n)
+        for omega in (0.1, 0.5, 1.0, 2.0, 5.0)
+        for n in tuple(range(2, 21)) + (50, 100)
+    ]
+    worst_xi2 = max(w.xi2_excess for w in worst)
+    worst_residual = max(w.prop3_squeezed for w in worst)
     ok = worst_xi2 <= 1e-9 and worst_residual <= 1e-9
     report(4, "transverse-field model: xi2 <= 1 and identity where applicable "
               f"(excess {worst_xi2:.2e}, residual {worst_residual:.2e})", ok)
 
 
 def test_criterion_5_two_axis_even_n_relation():
-    worst_residual = 0.0
-    for n in (2, 4, 6, 8, 10, 20):
-        traj = trajectory(HamiltonianSpec.two_axis(1.0), n, 3.0, 0.01)
-        for state in traj.states:
-            m = collective_moments(state)
-            xi2 = squeezing_even_odd(m).xi2
-            conc = concurrence_x_form(reduced_two_qubit(m)).concurrence
-            worst_residual = max(worst_residual, abs(prop3_residual(xi2, conc, n)))
+    worst_residual = max(
+        _trajectory_worst(HamiltonianSpec.two_axis(1.0), n, 3.0, 0.01).prop3_all
+        for n in (2, 4, 6, 8, 10, 20)
+    )
     rows = cli.evolve_rows(
         cli.RunConfig(model="two-axis", n_qubits=6, gamma=1.0, t_max=3.0, dt=0.01)
     )

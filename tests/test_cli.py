@@ -1,9 +1,11 @@
 """CLI surface: CSV emission, scans, reports, verify suites, exit codes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from spinsqueeze import cli, pairwise, verify
+from spinsqueeze import cli, evolution, pairwise, verify
 from spinsqueeze.dicke import CollectiveMoments
 
 
@@ -48,6 +50,18 @@ class TestEvolve:
 
     def test_zero_dt_is_usage_error(self, tmp_path):
         assert run_cli(["evolve", "--n", "2", "--dt", "0", "--t-max", "1"]) == 2
+
+    def test_lost_norm_is_numerical_error(self, monkeypatch):
+        # eigenvectors scaled by 1+1e-6 after the decomposition checks leave
+        # every propagated state unnormalized: a numerical failure
+        original = evolution.hermitian_eigen
+
+        def leaky(h):
+            prop = original(h)
+            return dataclasses.replace(prop, eigenvectors=prop.eigenvectors * (1 + 1e-6))
+
+        monkeypatch.setattr(evolution, "hermitian_eigen", leaky)
+        assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
 
     def test_unwritable_output(self):
         assert run_cli(

@@ -56,7 +56,7 @@ def test_one_axis_n2_analytic_amplitudes():
 
 
 def test_forward_backward_roundtrip():
-    spec = HamiltonianSpec(mu=0.4, chi=-0.9, gamma_twist=1.3, f_coeffs=(0, 0.7))
+    spec = HamiltonianSpec(mu=0.4, chi=-0.9, gamma=1.3, f_coeffs=(0, 0.7))
     prop = hermitian_eigen(build_hamiltonian(spec, 7))
     initial = make_all_down(7)
     back = evolve_to(prop, evolve_to(prop, initial, 2.3), -2.3)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spinsqueeze.dicke import collective_operators
 from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian, parity_check
 
 
@@ -21,6 +22,14 @@ def test_two_axis_n2_matrix():
     np.testing.assert_allclose(h.entries, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 50, 200])
+def test_twist_is_symmetrized_product(n):
+    # (S+^2 - S-^2)/2i = Sx Sy + Sy Sx, so a single gamma carries both forms
+    sx, sy, _, sp, sm = collective_operators(n)
+    twist = (sp @ sp - sm @ sm) / 2j
+    assert np.max(np.abs(twist - (sx @ sy + sy @ sx))) <= 1e-12 * max(1.0, n**2)
+
+
 def test_constant_f_gives_identity():
     h = build_hamiltonian(HamiltonianSpec(f_coeffs=(2.5,)), 4)
     np.testing.assert_allclose(h.entries, 2.5 * np.eye(5), atol=1e-14)
@@ -36,7 +45,7 @@ def test_named_constructors():
     assert HamiltonianSpec.one_axis_field(1.0, 2.0) == HamiltonianSpec(
         mu=1.0, f_coeffs=(0.0, 2.0)
     )
-    assert HamiltonianSpec.two_axis(0.7) == HamiltonianSpec(gamma_twist=0.7)
+    assert HamiltonianSpec.two_axis(0.7) == HamiltonianSpec(gamma=0.7)
 
 
 def test_rejects_non_finite_coefficients():
@@ -48,12 +57,9 @@ def test_rejects_non_finite_coefficients():
 def test_pentadiagonal_and_hermitian(n):
     rng = np.random.default_rng(5)
     for _ in range(20):
-        mu, chi, gsym, gtw = rng.uniform(-10, 10, size=4)
+        mu, chi, gamma = rng.uniform(-10, 10, size=3)
         f = tuple(rng.uniform(-10, 10, size=3))
-        h = build_hamiltonian(
-            HamiltonianSpec(mu=mu, chi=chi, gamma_sym=gsym, gamma_twist=gtw, f_coeffs=f),
-            n,
-        ).entries
+        h = build_hamiltonian(HamiltonianSpec(mu=mu, chi=chi, gamma=gamma, f_coeffs=f), n).entries
         assert np.max(np.abs(h - h.conj().T)) <= 1e-14
         i, j = np.indices(h.shape)
         assert np.all(h[np.abs(i - j) > 2] == 0)
@@ -65,7 +71,7 @@ def test_pentadiagonal_and_hermitian(n):
         HamiltonianSpec.one_axis(1.0),
         HamiltonianSpec.two_axis(1.0),
         HamiltonianSpec.one_axis_field(1.0, 2.0),
-        HamiltonianSpec(mu=0.3, chi=-1.2, gamma_sym=0.8, f_coeffs=(1.0, -2.0, 0.5)),
+        HamiltonianSpec(mu=0.3, chi=-1.2, gamma=0.8, f_coeffs=(1.0, -2.0, 0.5)),
     ],
 )
 def test_parity_commutes(spec):
