@@ -9,18 +9,21 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import verify as verify_mod
-from .dicke import make_dicke_state
-from .errors import MeanSpinDegenerateError, NumericalError
+from .dicke import collective_moments, make_dicke_state
+from .errors import NumericalError
 from .evolution import trajectory
 from .hamiltonians import HamiltonianSpec
-from .pairwise import analyse_state
-from .squeezing import squeezing_general
+from .pairwise import concurrence_x_form, reduced_two_qubit
+from .squeezing import squeezing_even_odd, squeezing_general
 
 MODELS = ("one-axis", "one-axis-field", "two-axis", "general")
 
@@ -71,42 +74,35 @@ def fmt(value: float, precision: int) -> str:
     return format(value, f".{precision}g")
 
 
-def evolve_rows(cfg: RunConfig):
-    """One dict per grid point with every CSV column."""
+def evolve_rows(cfg: RunConfig) -> dict:
+    """Every CSV column over the trajectory: column name -> array, one value per time."""
     traj = trajectory(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt)
-    rows = []
-    for t, state in zip(traj.times, traj.states):
-        m, xi2_closed, r, conc = analyse_state(state)
-        try:
-            xi2_general = squeezing_general(m).xi2
-            degenerate = 0
-        except MeanSpinDegenerateError:
-            xi2_general = math.nan
-            degenerate = 1
-        rows.append(
-            {
-                "t": float(t),
-                "xi2_closed": xi2_closed,
-                "xi2_general": xi2_general,
-                "mean_spin_norm": m.mean_spin_norm,
-                "degenerate_flag": degenerate,
-                "concurrence": conc.concurrence,
-                "branch": conc.branch,
-                "u_re": r.u.real,
-                "u_im": r.u.imag,
-                "y": r.y,
-                "v_plus": r.v_plus,
-                "v_minus": r.v_minus,
-                "sz_mean": m.mean_sz,
-                "sz2": m.sz2,
-                "sp2_re": m.sp2.real,
-                "sp2_im": m.sp2.imag,
-            }
-        )
-    return rows
+    m = collective_moments(traj.states)
+    xi2_general = squeezing_general(m).xi2
+    r = reduced_two_qubit(m)
+    conc = concurrence_x_form(r)
+    return {
+        "t": traj.times,
+        "xi2_closed": squeezing_even_odd(m).xi2,
+        "xi2_general": xi2_general,
+        "mean_spin_norm": m.mean_spin_norm,
+        "degenerate_flag": np.isnan(xi2_general).astype(int),
+        "concurrence": conc.concurrence,
+        "branch": conc.branch,
+        "u_re": r.u.real,
+        "u_im": r.u.imag,
+        "y": r.y,
+        "v_plus": r.v_plus,
+        "v_minus": r.v_minus,
+        "sz_mean": m.mean_sz,
+        "sz2": m.sz2,
+        "sp2_re": m.sp2.real,
+        "sp2_im": m.sp2.imag,
+    }
 
 
-def write_csv(path, columns, rows, precision: int):
+def write_csv(path, columns, table, precision: int):
+    """`table` maps every column name to its values, one per row."""
     def render(value):
         if isinstance(value, str):
             return value
@@ -114,24 +110,24 @@ def write_csv(path, columns, rows, precision: int):
             return str(value)
         return fmt(value, precision)
 
-    lines = [",".join(columns)]
-    lines.extend(",".join(render(row[c]) for c in columns) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path in ("", "-"):
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="\n") as handle:
-            handle.write(text)
+    values = [np.asarray(table[c]).tolist() for c in columns]
+    lines = (",".join(map(render, row)) + "\n" for row in zip(*values))
+    to_stdout = path in ("", "-")
+    with contextlib.nullcontext(sys.stdout) if to_stdout else open(
+        path, "w", newline="\n"
+    ) as handle:
+        handle.write(",".join(columns) + "\n")
+        handle.writelines(lines)
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    rows = evolve_rows(cfg)
-    write_csv(cfg.output_path, EVOLVE_COLUMNS, rows, cfg.precision)
-    best = min(rows, key=lambda r: r["xi2_closed"])
-    peak = max(rows, key=lambda r: r["concurrence"])
+    cols = evolve_rows(cfg)
+    write_csv(cfg.output_path, EVOLVE_COLUMNS, cols, cfg.precision)
+    best = np.argmin(cols["xi2_closed"])
+    peak = np.argmax(cols["concurrence"])
     print(
-        f"min xi2 = {best['xi2_closed']:.6g} at t = {best['t']:.6g}; "
-        f"max concurrence = {peak['concurrence']:.6g} at t = {peak['t']:.6g}",
+        f"min xi2 = {cols['xi2_closed'][best]:.6g} at t = {cols['t'][best]:.6g}; "
+        f"max concurrence = {cols['concurrence'][peak]:.6g} at t = {cols['t'][peak]:.6g}",
         file=sys.stderr,
     )
     return 0
@@ -143,10 +139,10 @@ def _scan_point(args):
         model=model, n_qubits=n, mu=mu, chi=chi, gamma=gamma, omega=omega,
         t_max=t_max, dt=dt,
     )
-    rows = evolve_rows(cfg)
-    best = min(rows, key=lambda r: r["xi2_closed"])
-    peak = max(rows, key=lambda r: r["concurrence"])
-    max_xi2 = max(r["xi2_closed"] for r in rows)
+    cols = evolve_rows(cfg)
+    best = np.argmin(cols["xi2_closed"])
+    peak = np.argmax(cols["concurrence"])
+    max_xi2 = np.max(cols["xi2_closed"])
     return {
         "model": model,
         "n": n,
@@ -154,11 +150,11 @@ def _scan_point(args):
         "chi": chi,
         "gamma": gamma,
         "omega": omega,
-        "min_xi2": best["xi2_closed"],
-        "t_min_xi2": best["t"],
-        "mubar_min_xi2": 2.0 * mu * best["t"],
-        "max_concurrence": peak["concurrence"],
-        "t_max_concurrence": peak["t"],
+        "min_xi2": cols["xi2_closed"][best],
+        "t_min_xi2": cols["t"][best],
+        "mubar_min_xi2": 2.0 * mu * cols["t"][best],
+        "max_concurrence": cols["concurrence"][peak],
+        "t_max_concurrence": cols["t"][peak],
         "max_xi2": max_xi2,
         "max_xi2_exceeds_one": int(max_xi2 > 1.0 + 1e-9),
     }
@@ -176,17 +172,24 @@ def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list,
     )
     if not grid:
         raise ValueError("empty scan grid")
+    if workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {workers}")
+    workers = min(workers, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, grid))
     else:
         rows = [_scan_point(point) for point in grid]
-    write_csv(output_path, SCAN_COLUMNS, rows, precision)
+    write_csv(output_path, SCAN_COLUMNS, {c: [row[c] for row in rows] for c in SCAN_COLUMNS},
+              precision)
     return 0
 
 
 def cmd_dicke(n_qubits: int, n_excited: int) -> int:
-    _, xi2, r, conc = analyse_state(make_dicke_state(n_qubits, n_excited))
+    m = collective_moments(make_dicke_state(n_qubits, n_excited))
+    xi2 = squeezing_even_odd(m).xi2
+    r = reduced_two_qubit(m)
+    conc = concurrence_x_form(r)
     print(f"Dicke state: N = {n_qubits}, excitations = {n_excited}")
     print(f"xi2          = {xi2:.17g}")
     print(f"concurrence  = {conc.concurrence:.17g}  (branch: {conc.branch})")
@@ -219,9 +222,10 @@ def _parse_floats(text: str):
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
-def load_config_file(path: str) -> dict:
-    """Flat `key = value` file; keys match the CLI flag names."""
-    values = {}
+def load_config_file(path: str) -> list:
+    """Flat `key = value` file; keys match the CLI flag names. Returns the
+    entries as `--key=value` arguments for the subcommand's own parser."""
+    flags = []
     with open(path) as handle:
         for raw in handle:
             line = raw.split("#", 1)[0].strip()
@@ -230,39 +234,8 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"bad config line: {raw.rstrip()}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
-    return values
-
-
-_CONFIG_PARSERS = {
-    "model": str,
-    "n": int,
-    "mu": float,
-    "chi": float,
-    "gamma": float,
-    "omega": float,
-    "f_coeffs": _parse_floats,
-    "t_max": float,
-    "dt": float,
-    "out": str,
-    "seed": int,
-    "workers": int,
-    "precision": int,
-}
-
-
-def _apply_config(args, parser):
-    if not getattr(args, "config", None):
-        return
-    try:
-        file_values = load_config_file(args.config)
-    except OSError as exc:
-        parser.error(str(exc))
-    for key, raw in file_values.items():
-        if key not in _CONFIG_PARSERS:
-            parser.error(f"unknown config key {key!r}")
-        if getattr(args, key, None) is None and hasattr(args, key):
-            setattr(args, key, _CONFIG_PARSERS[key](raw))
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,6 +305,7 @@ def _as_tuple(value):
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -339,7 +313,10 @@ def main(argv=None) -> int:
             return cmd_dicke(args.n, args.excitations)
         if args.command == "verify":
             return cmd_verify(args.suite, args.seed)
-        _apply_config(args, parser)
+        if args.config:
+            # file entries go before the command-line flags, which therefore win
+            rest = argv[argv.index(args.command) + 1:]
+            args = parser.parse_args([args.command, *load_config_file(args.config), *rest])
         cfg = _run_config(args)
         if args.command == "evolve":
             return cmd_evolve(cfg)
@@ -355,7 +332,7 @@ def main(argv=None) -> int:
             dt=cfg.dt,
             output_path=cfg.output_path,
             precision=cfg.precision,
-            workers=args.workers or 1,
+            workers=1 if args.workers is None else args.workers,
         )
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

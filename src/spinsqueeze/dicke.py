@@ -14,6 +14,7 @@ import numpy as np
 
 NORM_TOL = 1e-12
 PARITY_TOL = 1e-12
+BLOCK_ELEMENTS = 2**16  # amplitudes per pass when a stack's moments are taken
 
 
 class Parity(enum.Enum):
@@ -24,7 +25,8 @@ class Parity(enum.Enum):
 
 @dataclass(frozen=True)
 class SymmetricState:
-    """Normalized amplitudes c_0..c_N over the Dicke basis."""
+    """Normalized amplitudes c_0..c_N over the Dicke basis: one state of
+    shape (N+1,), or a stack of shape (T, N+1) with one state per row."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -32,8 +34,8 @@ class SymmetricState:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.n_qubits + 1,):
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        if amps.ndim not in (1, 2) or amps.shape[-1] != self.n_qubits + 1:
             raise ValueError(
                 f"expected {self.n_qubits + 1} amplitudes, got shape {amps.shape}"
             )
@@ -42,10 +44,12 @@ class SymmetricState:
         self.validate()
 
     def validate(self):
-        """Re-check normalization on demand."""
-        norm2 = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm2 - 1.0) > 10 * NORM_TOL:
-            raise ValueError(f"state not normalized: sum |c_n|^2 = {norm2!r}")
+        """Re-check normalization on demand, every state of a stack at once."""
+        c = self.amplitudes
+        norm2 = dot(c.real, c.real) + dot(c.imag, c.imag)
+        worst = np.ravel(norm2)[np.argmax(np.abs(norm2 - 1.0))]
+        if abs(worst - 1.0) > 10 * NORM_TOL:
+            raise ValueError(f"state not normalized: sum |c_n|^2 = {float(worst)!r}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +57,8 @@ class CollectiveMoments:
     """First and second moments of the collective spin operators.
 
     sp_mean, sp2 and anti_sp_sz are the complex expectations <S+>, <S+^2>
-    and <[S+, Sz]_+>; everything else is real.
+    and <[S+, Sz]_+>; everything else is real. Each field has shape () for
+    one state and (T,) for a stack.
     """
 
     n_qubits: int
@@ -70,25 +75,32 @@ class CollectiveMoments:
 
     @property
     def mean_spin(self) -> np.ndarray:
-        return np.array([self.mean_sx, self.mean_sy, self.mean_sz])
+        """<S>, shape (3,) or (T, 3)."""
+        return np.stack([self.mean_sx, self.mean_sy, self.mean_sz], axis=-1)
 
     @property
-    def mean_spin_norm(self) -> float:
-        return float(np.linalg.norm(self.mean_spin))
+    def mean_spin_norm(self):
+        return np.sqrt(dot(self.mean_spin, self.mean_spin))
 
     @property
     def covariance(self) -> np.ndarray:
-        """Symmetrized second-moment matrix <[S_a, S_b]_+>/2."""
+        """Symmetrized second-moment matrix <[S_a, S_b]_+>/2, (3, 3) or (T, 3, 3)."""
         cxy = 0.5 * self.anti_sx_sy
         cxz = 0.5 * self.anti_sp_sz.real
         cyz = 0.5 * self.anti_sp_sz.imag
-        return np.array(
-            [
-                [self.sx2, cxy, cxz],
-                [cxy, self.sy2, cyz],
-                [cxz, cyz, self.sz2],
-            ]
-        )
+        rows = [[self.sx2, cxy, cxz], [cxy, self.sy2, cyz], [cxz, cyz, self.sz2]]
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def dot(a, b):
+    """a . b over the last axis, row by row, through the BLAS dot that a
+    1-D `a @ b` calls, so a stack's rows equal the single-state values."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0][()]
+
+
+def modulus(z):
+    """|z| elementwise, by libm hypot as Python's abs(complex) computes it."""
+    return np.hypot(np.real(z), np.imag(z))
 
 
 def ladder_coefficients(n_qubits: int) -> np.ndarray:
@@ -156,20 +168,29 @@ def parity_class(state: SymmetricState) -> Parity:
     return Parity.MIXED
 
 
+def _moment_sums(c, n_qubits: int):
+    """<S+>, <S+^2>, <[S+, Sz]_+>, <Sz> and <Sz^2> of the states c."""
+    m = np.arange(n_qubits + 1) - n_qubits / 2.0
+    a = ladder_coefficients(n_qubits)
+    # <S+> couples n -> n+1, <S+^2> couples n -> n+2
+    sp_mean = np.sum(np.conj(c[..., 1:]) * a * c[..., :-1], axis=-1)
+    sp2 = np.sum(np.conj(c[..., 2:]) * a[1:] * a[:-1] * c[..., :-2], axis=-1)
+    anti_sp_sz = np.sum(np.conj(c[..., 1:]) * a * (m[:-1] + m[1:]) * c[..., :-1], axis=-1)
+    probs = np.abs(c) ** 2
+    return sp_mean, sp2, anti_sp_sz, dot(probs, m), dot(probs, m**2)
+
+
 def collective_moments(state: SymmetricState) -> CollectiveMoments:
     """All collective first/second moments, exact to floating precision."""
     n_qubits = state.n_qubits
     c = state.amplitudes
-    probs = np.abs(c) ** 2
-    m = np.arange(n_qubits + 1) - n_qubits / 2.0
-    a = ladder_coefficients(n_qubits)
-
-    mean_sz = float(probs @ m)
-    sz2 = float(probs @ m**2)
-    # <S+> couples n -> n+1, <S+^2> couples n -> n+2
-    sp_mean = complex(np.sum(np.conj(c[1:]) * a * c[:-1]))
-    sp2 = complex(np.sum(np.conj(c[2:]) * a[1:] * a[:-1] * c[:-2]))
-    anti_sp_sz = complex(np.sum(np.conj(c[1:]) * a * (m[:-1] + m[1:]) * c[:-1]))
+    if c.ndim == 1:
+        sums = _moment_sums(c, n_qubits)
+    else:  # a block of rows at a time: temporaries stay the size of one block
+        step = max(1, BLOCK_ELEMENTS // c.shape[1])
+        blocks = [_moment_sums(c[i:i + step], n_qubits) for i in range(0, len(c), step)]
+        sums = [np.concatenate(parts) for parts in zip(*blocks)]
+    sp_mean, sp2, anti_sp_sz, mean_sz, sz2 = sums
 
     # Sx^2 + Sy^2 = J(J+1) - Sz^2 and Sx^2 - Sy^2 + i[Sx,Sy]_+ = S+^2
     j = n_qubits / 2.0

@@ -32,7 +32,7 @@ class Propagator:
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
-    states: list
+    states: SymmetricState  # stack, amplitudes of shape (T, N+1)
 
     def __len__(self):
         return len(self.times)
@@ -53,28 +53,27 @@ def hermitian_eigen(h: HermitianMatrix) -> Propagator:
 
 def evolve_to(prop: Propagator, initial: SymmetricState, t: float) -> SymmetricState:
     """Apply exp(-iHt) to a state."""
-    return evolve_grid(prop, initial, [t])[0]
+    return SymmetricState(initial.n_qubits, evolve_grid(prop, initial, [t]).amplitudes[0])
 
 
-def evolve_grid(prop: Propagator, initial: SymmetricState, times) -> list:
-    """States at many times from one decomposition (vectorized over the grid)."""
+def evolve_grid(prop: Propagator, initial: SymmetricState, times) -> SymmetricState:
+    """The stack of states at many times from one decomposition, one row per time."""
     c0 = initial.amplitudes
     if c0.shape != (prop.dim,):
         raise ValueError(f"dimension mismatch: state {c0.shape}, propagator {prop.dim}")
     times = np.asarray(times, dtype=float)
     v = prop.eigenvectors
     modes = v.conj().T @ c0
-    phases = np.exp(-1j * np.outer(prop.eigenvalues, times))
-    amps = v @ (phases * modes[:, None])
+    amps = v @ (np.exp(-1j * np.outer(prop.eigenvalues, times)) * modes[:, None])
     try:
-        return [SymmetricState(initial.n_qubits, amps[:, k]) for k in range(times.size)]
+        return SymmetricState(initial.n_qubits, amps.T)
     except ValueError as exc:  # exact propagation is unitary: a lost norm is numerical
         raise NumericalError(f"propagated state lost its norm: {exc}") from exc
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
     """0, dt, 2dt, ... extended so the last point covers t_max."""
-    if not (t_max > 0 and 0 < dt <= t_max):
+    if not (t_max > 0 and 0 < dt <= t_max and math.isfinite(t_max / dt)):
         raise ValueError(f"invalid time grid: t_max={t_max}, dt={dt}")
     n_steps = math.ceil(t_max / dt - 1e-9)
     return dt * np.arange(n_steps + 1)

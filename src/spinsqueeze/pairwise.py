@@ -15,9 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import CollectiveMoments, SymmetricState, collective_moments
+from .dicke import CollectiveMoments, modulus
 from .errors import NotXFormError, NumericalError
-from .squeezing import squeezing_even_odd
 
 X_FORM_TOL = 1e-8
 
@@ -32,7 +31,8 @@ _SIGMA_YY = np.kron(
 
 @dataclass(frozen=True)
 class TwoQubitReduced:
-    """Parameters of the symmetric reduction in the basis {|00>,|01>,|10>,|11>}."""
+    """Parameters of the symmetric reduction in the basis {|00>,|01>,|10>,|11>};
+    each has shape () for one state and (T,) for a stack."""
 
     v_plus: float
     v_minus: float
@@ -44,14 +44,15 @@ class TwoQubitReduced:
 
     def __post_init__(self):
         trace = self.v_plus + self.v_minus + 2.0 * self.y
-        if abs(trace - 1.0) > 1e-10:
+        if np.any(np.abs(trace - 1.0) > 1e-10):
             raise ValueError(f"reduced matrix trace {trace!r} != 1")
-        if min(self.v_plus, self.v_minus, self.y) < -1e-12:
+        if np.any(np.minimum(np.minimum(self.v_plus, self.v_minus), self.y) < -1e-12):
             raise ValueError("negative population in reduced matrix")
-        if self.v_plus * self.v_minus < abs(self.u) ** 2 - 1e-10:
+        if np.any(self.v_plus * self.v_minus < modulus(self.u) ** 2 - 1e-10):
             raise ValueError("X-block positivity violated: v+ v- < |u|^2")
 
     def as_matrix(self) -> np.ndarray:
+        """The 4x4 matrix of one reduction."""
         xp, xm, u = self.x_plus, self.x_minus, self.u
         return np.array(
             [
@@ -66,7 +67,7 @@ class TwoQubitReduced:
 @dataclass(frozen=True)
 class ConcurrenceResult:
     concurrence: float
-    lambdas: np.ndarray  # square-root spectrum, descending
+    lambdas: np.ndarray  # square-root spectrum, descending, (4,) or (T, 4)
     branch: str
 
     def __post_init__(self):
@@ -85,13 +86,6 @@ class SqueezingCondition(NamedTuple):
     xi2: float
 
 
-class StateAnalysis(NamedTuple):
-    moments: CollectiveMoments
-    xi2: float  # even/odd closed form
-    reduced: TwoQubitReduced
-    concurrence: ConcurrenceResult  # X form
-
-
 def reduced_two_qubit(m: CollectiveMoments) -> TwoQubitReduced:
     """Reconstruct the pair reduction from collective moments (any pair; they
     are all equal by exchange symmetry)."""
@@ -104,9 +98,9 @@ def reduced_two_qubit(m: CollectiveMoments) -> TwoQubitReduced:
     v_plus = (base + shift) / denom
     v_minus = (base - shift) / denom
     y = (n * n - 4.0 * m.sz2) / denom
-    u = m.sp2 / (n * (n - 1))
-    x_plus = ((n - 1) * m.sp_mean + m.anti_sp_sz) / (2.0 * n * (n - 1))
-    x_minus = ((n - 1) * m.sp_mean - m.anti_sp_sz) / (2.0 * n * (n - 1))
+    u = _divide(m.sp2, n * (n - 1))
+    x_plus = _divide((n - 1) * m.sp_mean + m.anti_sp_sz, 2.0 * n * (n - 1))
+    x_minus = _divide((n - 1) * m.sp_mean - m.anti_sp_sz, 2.0 * n * (n - 1))
     return TwoQubitReduced(
         v_plus=v_plus,
         v_minus=v_minus,
@@ -118,21 +112,31 @@ def reduced_two_qubit(m: CollectiveMoments) -> TwoQubitReduced:
     )
 
 
+def _divide(z, k):
+    """z / k for a real k > 0, part by part, as Python divides a complex by a real."""
+    out = np.empty(np.shape(z), dtype=complex)
+    out.real = np.real(z) / k
+    out.imag = np.imag(z) / k
+    return out[()]
+
+
 def concurrence_x_form(r: TwoQubitReduced) -> ConcurrenceResult:
     """Closed-form concurrence for the X-shaped reduction (x+- = 0)."""
-    if max(abs(r.x_plus), abs(r.x_minus)) > X_FORM_TOL:
+    coherence = np.maximum(modulus(r.x_plus), modulus(r.x_minus))
+    if np.any(coherence > X_FORM_TOL):
         raise NotXFormError(
-            f"coherences |x+|={abs(r.x_plus):.3e}, |x-|={abs(r.x_minus):.3e} "
-            "too large for the X form"
+            f"coherences max(|x+|, |x-|) = {np.max(coherence):.3e} too large for the X form"
         )
-    root = np.sqrt(max(r.v_plus * r.v_minus, 0.0))
-    mod_u = abs(r.u)
+    root = np.sqrt(np.maximum(r.v_plus * r.v_minus, 0.0))
+    mod_u = modulus(r.u)
     two_y = 2.0 * r.y
-    lambdas = np.sort(np.array([root + mod_u, abs(root - mod_u), two_y, 0.0]))[::-1]
-    concurrence = lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]
+    zero = np.zeros_like(two_y)
+    lambdas = np.sort(np.stack([root + mod_u, abs(root - mod_u), two_y, zero], axis=-1))
+    lambdas = lambdas[..., ::-1]
+    concurrence = lambdas[..., 0] - lambdas[..., 1] - lambdas[..., 2] - lambdas[..., 3]
     # at exact equality both branches give the same value
-    branch = COHERENCE_DOMINATED if two_y <= root + mod_u else POPULATION_DOMINATED
-    return ConcurrenceResult(concurrence=concurrence, lambdas=lambdas, branch=branch)
+    branch = np.where(two_y <= root + mod_u, COHERENCE_DOMINATED, POPULATION_DOMINATED)[()]
+    return ConcurrenceResult(concurrence=concurrence[()], lambdas=lambdas, branch=branch)
 
 
 def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
@@ -162,18 +166,9 @@ def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
     return ConcurrenceResult(concurrence=concurrence, lambdas=lambdas, branch=SPECTRAL)
 
 
-def analyse_state(state: SymmetricState) -> StateAnalysis:
-    """Moments, closed-form xi^2, pair reduction and X-form concurrence of an
-    even/odd state: the quantities every relation of the paper compares."""
-    m = collective_moments(state)
-    xi2 = squeezing_even_odd(m).xi2
-    r = reduced_two_qubit(m)
-    return StateAnalysis(m, xi2, r, concurrence_x_form(r))
-
-
 def squeezing_condition(r: TwoQubitReduced) -> SqueezingCondition:
     """The even/odd squeezing criterion |u| - y > 0 and its xi^2 value."""
-    margin = abs(r.u) - r.y
+    margin = modulus(r.u) - r.y
     xi2 = 1.0 - 2.0 * (r.n_qubits - 1) * margin
     return SqueezingCondition(satisfied=margin > 0.0, margin=margin, xi2=xi2)
 

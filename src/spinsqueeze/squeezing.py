@@ -8,13 +8,12 @@ below 1 means the state is spin squeezed.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveMoments
+from .dicke import CollectiveMoments, dot, modulus
 from .errors import MeanSpinDegenerateError, NotEvenOddError
 
 MEAN_SPIN_TOL = 1e-8
@@ -26,6 +25,8 @@ EVEN_ODD = "even_odd_closed_form"
 
 @dataclass(frozen=True)
 class SqueezingResult:
+    """xi^2 and its minimizing axis; fields have a leading (T,) axis for a stack."""
+
     xi2: float
     optimal_angle: float  # angle of the minimizing axis in the perpendicular plane
     n_perp: np.ndarray
@@ -33,48 +34,64 @@ class SqueezingResult:
     method: str
 
 
-def _min_eig_2x2(g11: float, g22: float, g12: float):
+# Python's float ** 2 goes through libm pow, which is not always x * x;
+# squaring through it keeps xi^2 identical to scalar code, bit for bit.
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def _square(x):
+    return np.asarray(_pow(x, 2.0), dtype=float)[()]
+
+
+def _min_eig_2x2(g11, g22, g12):
     """Smallest eigenvalue and its direction angle for [[g11,g12],[g12,g22]]."""
-    half_gap = math.sqrt((g11 - g22) ** 2 + 4.0 * g12**2) / 2.0
+    half_gap = np.sqrt(_square(g11 - g22) + 4.0 * _square(g12)) / 2.0
     lam = (g11 + g22) / 2.0 - half_gap
-    if g12 == 0.0 and g11 == g22:
-        theta = 0.0  # fully degenerate: any axis minimizes
-    else:
-        theta = 0.5 * (math.pi + math.atan2(2.0 * g12, g11 - g22))
-    return lam, theta % (2.0 * math.pi)
+    # fully degenerate (g12 = 0, g11 = g22): any axis minimizes, take 0
+    theta = np.where(
+        (g12 == 0.0) & (g11 == g22), 0.0, 0.5 * (math.pi + np.arctan2(2.0 * g12, g11 - g22))
+    )
+    return lam, (theta % (2.0 * math.pi))[()]
+
+
+def _unit(v):
+    return v / np.sqrt(dot(v, v))[..., None]
 
 
 def _perpendicular_min(mean_spin: np.ndarray, cov: np.ndarray):
     """Deterministic orthonormal frame (n1, n2) of the plane normal to
     mean_spin, the smallest covariance eigenvalue in that plane and its angle."""
-    transverse = math.hypot(mean_spin[0], mean_spin[1])
-    if transverse < MEAN_SPIN_TOL:
-        n1 = np.array([1.0, 0.0, 0.0])
-    else:
-        n1 = np.cross([0.0, 0.0, 1.0], mean_spin)
-        n1 /= np.linalg.norm(n1)
-    n2 = np.cross(mean_spin, n1)
-    n2 /= np.linalg.norm(n2)
-    g11 = float(n1 @ cov @ n1)
-    g22 = float(n2 @ cov @ n2)
-    g12 = float(n1 @ cov @ n2)
-    return (n1, n2, *_min_eig_2x2(g11, g22, g12))
+    tilted = np.hypot(mean_spin[..., 0], mean_spin[..., 1]) >= MEAN_SPIN_TOL
+    n1 = _unit(np.where(tilted[..., None], np.cross([0.0, 0.0, 1.0], mean_spin), [1.0, 0.0, 0.0]))
+    n2 = _unit(np.cross(mean_spin, n1))
+
+    def form(a, b):  # a . cov . b, as (a @ cov) @ b
+        return dot(np.matmul(a[..., None, :], cov)[..., 0, :], b)
+
+    return (n1, n2, *_min_eig_2x2(form(n1, n1), form(n2, n2), form(n1, n2)))
 
 
 def squeezing_general(m: CollectiveMoments) -> SqueezingResult:
-    """4/N times the minimal variance perpendicular to the mean spin."""
+    """4/N times the minimal variance perpendicular to the mean spin.
+
+    A single state with a vanishing mean spin raises; in a stack such rows
+    read NaN.
+    """
     mean_spin = m.mean_spin
-    if m.mean_spin_norm < MEAN_SPIN_TOL:
+    norm = m.mean_spin_norm
+    degenerate = norm < MEAN_SPIN_TOL
+    if np.ndim(norm) == 0 and degenerate:
         raise MeanSpinDegenerateError(
-            f"mean spin norm {m.mean_spin_norm:.3e} below {MEAN_SPIN_TOL}; "
+            f"mean spin norm {norm:.3e} below {MEAN_SPIN_TOL}; "
             "no perpendicular plane is defined"
         )
-    n1, n2, lam, theta = _perpendicular_min(mean_spin, m.covariance)
-    n_perp = math.cos(theta) * n1 + math.sin(theta) * n2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        n1, n2, lam, theta = _perpendicular_min(mean_spin, m.covariance)
+    n_perp = np.cos(theta)[..., None] * n1 + np.sin(theta)[..., None] * n2
     return SqueezingResult(
-        xi2=max(4.0 * lam / m.n_qubits, 0.0),
-        optimal_angle=theta,
-        n_perp=n_perp,
+        xi2=np.where(degenerate, np.nan, np.maximum(4.0 * lam / m.n_qubits, 0.0))[()],
+        optimal_angle=np.where(degenerate, np.nan, theta)[()],
+        n_perp=np.where(degenerate[..., None], np.nan, n_perp),
         mean_spin=mean_spin,
         method=GENERAL,
     )
@@ -82,32 +99,29 @@ def squeezing_general(m: CollectiveMoments) -> SqueezingResult:
 
 def squeezing_even_odd(m: CollectiveMoments) -> SqueezingResult:
     """Closed form for states with vanishing transverse moments."""
-    if (
-        abs(m.mean_sx) > EVEN_ODD_TOL
-        or abs(m.mean_sy) > EVEN_ODD_TOL
-        or abs(m.sp_mean) > EVEN_ODD_TOL
-    ):
+    transverse = modulus(m.sp_mean)  # |<Sx> + i<Sy>|
+    if np.any(transverse > EVEN_ODD_TOL):
         raise NotEvenOddError(
             "transverse moments do not vanish; not an even/odd state "
-            f"(<Sx>={m.mean_sx:.3e}, <Sy>={m.mean_sy:.3e})"
+            f"(|<S+>| = {np.max(transverse):.3e})"
         )
     n = m.n_qubits
-    xi2 = 1.0 + n / 2.0 - (2.0 / n) * (m.sz2 + abs(m.sp2))
+    xi2 = 1.0 + n / 2.0 - (2.0 / n) * (m.sz2 + modulus(m.sp2))
     # minimizing axis: 2*theta = pi + arg<S+^2>
-    theta = ((math.pi + cmath.phase(m.sp2)) % (2.0 * math.pi)) / 2.0
-    n_perp = np.array([math.cos(theta), math.sin(theta), 0.0])
+    theta = ((math.pi + np.angle(m.sp2)) % (2.0 * math.pi)) / 2.0
+    zero = np.zeros_like(theta)
     return SqueezingResult(
-        xi2=max(xi2, 0.0),
+        xi2=np.maximum(xi2, 0.0),
         optimal_angle=theta,
-        n_perp=n_perp,
-        mean_spin=np.array([0.0, 0.0, m.mean_sz]),
+        n_perp=np.stack([np.cos(theta), np.sin(theta), zero], axis=-1),
+        mean_spin=np.stack([zero, zero, m.mean_sz], axis=-1),
         method=EVEN_ODD,
     )
 
 
 def squeezing_lower_bound(m: CollectiveMoments) -> float:
     """1 - (2/N)|<S+^2>|, from <Sz^2> <= N^2/4; never exceeds the closed form."""
-    return 1.0 - (2.0 / m.n_qubits) * abs(m.sp2)
+    return 1.0 - (2.0 / m.n_qubits) * modulus(m.sp2)
 
 
 def squeezing_from_correlation(corr: float, n_qubits: int) -> float:

@@ -9,6 +9,7 @@ import pytest
 
 from spinsqueeze import cli
 from spinsqueeze.dicke import (
+    SymmetricState,
     collective_moments,
     make_all_down,
     make_dicke_state,
@@ -39,8 +40,8 @@ def report(number, description, ok):
 
 def test_criterion_1_analytic_n2_benchmark():
     grid = dict(t_max=np.pi, dt=np.pi / 200)
-    rows = cli.evolve_rows(cli.RunConfig(model="one-axis", n_qubits=2, mu=1.0, **grid))
-    t, xi2, conc = (np.array([r[c] for r in rows]) for c in ("t", "xi2_closed", "concurrence"))
+    cols = cli.evolve_rows(cli.RunConfig(model="one-axis", n_qubits=2, mu=1.0, **grid))
+    t, xi2, conc = (cols[c] for c in ("t", "xi2_closed", "concurrence"))
     worst = max(
         np.max(np.abs(xi2 - (1 - np.abs(np.sin(t))))),
         np.max(np.abs(conc - np.abs(np.sin(t)))),
@@ -81,19 +82,20 @@ def test_criterion_5_two_axis_even_n_relation():
         _trajectory_worst(HamiltonianSpec.two_axis(1.0), n, 3.0, 0.01).prop3_all
         for n in (2, 4, 6, 8, 10, 20)
     )
-    rows = cli.evolve_rows(
+    cols = cli.evolve_rows(
         cli.RunConfig(model="two-axis", n_qubits=6, gamma=1.0, t_max=3.0, dt=0.01)
     )
+    xi2, conc = cols["xi2_closed"], cols["concurrence"]
     # boundary points with xi2 = 1 up to float noise are the C = 0 branch
-    squeezed = [r for r in rows if r["xi2_closed"] < 1.0 - 1e-9]
+    squeezed = xi2 < 1.0 - 1e-9
     ok = (
         worst_residual <= 1e-9
-        and len(squeezed) > 0
-        and all(r["concurrence"] > 0 for r in squeezed)
-        and any(r["xi2_closed"] > 1.0 + 1e-9 and r["concurrence"] < 0 for r in rows)
+        and squeezed.any()
+        and np.all(conc[squeezed] > 0)
+        and np.any((xi2 > 1.0 + 1e-9) & (conc < 0))
     )
     report(5, "two-axis even-N three-branch relation, residual "
-              f"{worst_residual:.2e}, {len(squeezed)} squeezed points", ok)
+              f"{worst_residual:.2e}, {squeezed.sum()} squeezed points", ok)
 
 
 def test_criterion_6_oracle_equivalence():
@@ -112,13 +114,14 @@ def test_criterion_6_oracle_equivalence():
         # literally traced matrix
         for spec in specs:
             prop = hermitian_eigen(build_hamiltonian(spec, n))
-            for state in evolve_grid(prop, make_all_down(n), (0.1, 0.5, 1.5)):
-                traced = partial_trace_pair(embed_symmetric(state), 0, 1)
-                closed = concurrence_x_form(
-                    reduced_two_qubit(collective_moments(state))
-                ).concurrence
+            states = evolve_grid(prop, make_all_down(n), (0.1, 0.5, 1.5))
+            closed = concurrence_x_form(
+                reduced_two_qubit(collective_moments(states))
+            ).concurrence
+            for amps, conc in zip(states.amplitudes, closed):
+                traced = partial_trace_pair(embed_symmetric(SymmetricState(n, amps)), 0, 1)
                 worst_conc = max(
-                    worst_conc, abs(closed - concurrence_spectral(traced).concurrence)
+                    worst_conc, abs(conc - concurrence_spectral(traced).concurrence)
                 )
         # generic states: the two reductions must give the same spectrum
         for _ in range(20):
@@ -175,21 +178,17 @@ def test_criterion_8_dicke_states():
 
 def test_criterion_9_structural_invariants():
     checks = suite_parity()
-    worst_rotation = 0.0
-    worst_bound = 0.0
-    traj = trajectory(HamiltonianSpec.two_axis(1.0), 6, 3.0, 0.05)
-    for state in traj.states:
-        m = collective_moments(state)
-        xi2 = squeezing_even_odd(m).xi2
-        worst_bound = max(worst_bound, squeezing_lower_bound(m) - xi2)
-        for theta in (0.7, 2.1):
-            rotated, _ = make_state(
-                6, state.amplitudes * np.exp(-1j * theta * np.arange(7))
-            )
-            worst_rotation = max(
-                worst_rotation,
-                abs(squeezing_even_odd(collective_moments(rotated)).xi2 - xi2),
-            )
+    states = trajectory(HamiltonianSpec.two_axis(1.0), 6, 3.0, 0.05).states
+    m = collective_moments(states)
+    xi2 = squeezing_even_odd(m).xi2
+    worst_bound = max(0.0, np.max(squeezing_lower_bound(m) - xi2))
+    worst_rotation = max(
+        np.max(np.abs(squeezing_even_odd(collective_moments(rotated)).xi2 - xi2))
+        for rotated in (
+            SymmetricState(6, states.amplitudes * np.exp(-1j * theta * np.arange(7)))
+            for theta in (0.7, 2.1)
+        )
+    )
     ok = all(c.passed for c in checks) and worst_rotation <= 1e-12 and worst_bound <= 1e-12
     report(9, "parity/unitarity/rotation-invariance/lower-bound invariants "
               f"(rotation {worst_rotation:.2e}, bound excess {worst_bound:.2e})", ok)

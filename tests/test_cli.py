@@ -51,6 +51,12 @@ class TestEvolve:
     def test_zero_dt_is_usage_error(self, tmp_path):
         assert run_cli(["evolve", "--n", "2", "--dt", "0", "--t-max", "1"]) == 2
 
+    @pytest.mark.parametrize("t_max, dt", [
+        ("inf", "0.1"), ("inf", "inf"), ("nan", "0.1"), ("1", "nan"), ("1e300", "1e-300"),
+    ])
+    def test_non_finite_grid_is_usage_error(self, t_max, dt):
+        assert run_cli(["evolve", "--n", "2", "--t-max", t_max, "--dt", dt]) == 2
+
     def test_lost_norm_is_numerical_error(self, monkeypatch):
         # eigenvectors scaled by 1+1e-6 after the decomposition checks leave
         # every propagated state unnormalized: a numerical failure
@@ -85,27 +91,25 @@ class TestEvolve:
             ["evolve", "--model", "one-axis", "--n", "5", "--t-max", "2",
              "--dt", "0.1", "--out", str(out)]
         ) == 0
-        rows = cli.evolve_rows(
+        text_rows = read_rows(out)
+        cols = cli.evolve_rows(
             cli.RunConfig(model="one-axis", n_qubits=5, mu=1.0, t_max=2, dt=0.1)
         )
-        for text_row, row in zip(read_rows(out), rows):
-            for key, value in row.items():
-                if isinstance(value, str) or (
-                    isinstance(value, float) and np.isnan(value)
-                ):
-                    continue
-                parsed = float(text_row[key])
-                assert parsed == pytest.approx(value, rel=1e-15, abs=0.0)
+        for key, values in cols.items():
+            if key == "branch":
+                continue
+            parsed = [float(row[key]) for row in text_rows]
+            np.testing.assert_allclose(parsed, values, rtol=1e-15, atol=0.0)
 
     def test_degenerate_flag_token(self):
         # H1 at N=2, t = pi/2 reaches the maximally entangled state with
         # vanishing mean spin; the general parameter must degrade gracefully
-        rows = cli.evolve_rows(
+        cols = cli.evolve_rows(
             cli.RunConfig(model="one-axis", n_qubits=2, t_max=np.pi, dt=np.pi / 2)
         )
-        degenerate = [r for r in rows if r["degenerate_flag"] == 1]
-        assert degenerate
-        assert all(np.isnan(r["xi2_general"]) for r in degenerate)
+        degenerate = cols["degenerate_flag"] == 1
+        assert degenerate.any()
+        assert np.all(np.isnan(cols["xi2_general"][degenerate]))
         assert cli.fmt(float("nan"), 17) == "nan"
 
     def test_config_file_with_flag_override(self, tmp_path):
@@ -148,6 +152,61 @@ class TestScan:
 
     def test_empty_grid_usage_error(self, tmp_path):
         assert run_cli(["scan", "--n", "", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_config_file_lists_match_flags(self, tmp_path):
+        config = tmp_path / "scan.cfg"
+        config.write_text(
+            "model = one-axis-field\nn = 2,4\nmu = 1\nomega = 0.5,2\n"
+            "t_max = 1\ndt = 0.1\n"
+        )
+        out_file = tmp_path / "file.csv"
+        out_flags = tmp_path / "flags.csv"
+        assert run_cli(["scan", "--config", str(config), "--out", str(out_file)]) == 0
+        assert run_cli(
+            ["scan", "--model", "one-axis-field", "--n", "2,4", "--mu", "1",
+             "--omega", "0.5,2", "--t-max", "1", "--dt", "0.1", "--out", str(out_flags)]
+        ) == 0
+        assert out_file.read_bytes() == out_flags.read_bytes()
+
+    def test_unknown_config_key_is_usage_error(self, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_text("seed = 3\n")
+        with pytest.raises(SystemExit) as err:
+            run_cli(["scan", "--config", str(config), "--n", "2"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, workers, tmp_path):
+        assert run_cli(
+            ["scan", "--n", "2", "--t-max", "1", "--dt", "0.5", "--workers", workers,
+             "--out", str(tmp_path / "x.csv")]
+        ) == 2
+
+    def test_workers_capped_at_grid_size(self, monkeypatch, tmp_path):
+        # a stub pool records the worker count and maps serially, so no
+        # process is started whatever the requested count
+        requested = []
+
+        class StubPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+        args = ["scan", "--n", "2,3", "--t-max", "1", "--dt", "0.5"]
+        assert run_cli(args + ["--workers", "1000", "--out", str(tmp_path / "a.csv")]) == 0
+        assert requested == [2]
+        assert run_cli(args + ["--out", str(tmp_path / "b.csv")]) == 0
+        assert requested == [2]  # the default runs serially
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestDicke:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spinsqueeze.dicke import collective_moments, make_all_down, parity_class, Parity
+from spinsqueeze.dicke import PARITY_TOL, collective_moments, make_all_down
 from spinsqueeze.evolution import (
     evolve_to,
     hermitian_eigen,
@@ -73,9 +73,11 @@ def test_trajectory_grid_and_parity():
     traj = trajectory(H1, 2, np.pi, np.pi / 100)
     assert len(traj) == 101
     assert traj.times[-1] == pytest.approx(np.pi)
-    for state in traj.states:
-        assert parity_class(state) is Parity.EVEN
-        assert abs(np.linalg.norm(state.amplitudes) - 1) <= 1e-12
+    amps = traj.states.amplitudes
+    assert amps.shape == (101, 3)
+    # every row is an even state: no weight on odd excitation numbers
+    assert np.all(np.sum(np.abs(amps[:, 1::2]) ** 2, axis=1) <= PARITY_TOL)
+    assert np.all(np.abs(np.linalg.norm(amps, axis=1) - 1) <= 1e-12)
 
 
 def test_trajectory_covers_t_max():
@@ -95,20 +97,17 @@ def test_invalid_grid():
 
 def test_transverse_means_vanish_with_field():
     traj = trajectory(HamiltonianSpec.one_axis_field(1.0, 2.0), 10, 5.0, 0.05)
-    for state in traj.states:
-        m = collective_moments(state)
-        assert abs(m.mean_sx) <= 1e-10
-        assert abs(m.mean_sy) <= 1e-10
+    m = collective_moments(traj.states)
+    assert np.max(np.abs(m.mean_sx)) <= 1e-10
+    assert np.max(np.abs(m.mean_sy)) <= 1e-10
 
 
 def test_energy_conservation():
     for spec in (H1, HamiltonianSpec.two_axis(1.0)):
         h = build_hamiltonian(spec, 8)
         traj = trajectory(spec, 8, 10.0, 0.25)
-        energies = [
-            float((s.amplitudes.conj() @ (h.entries @ s.amplitudes)).real)
-            for s in traj.states
-        ]
+        c = traj.states.amplitudes
+        energies = np.einsum("ti,ij,tj->t", c.conj(), h.entries, c).real
         assert max(energies) - min(energies) <= 1e-10
 
 

@@ -17,6 +17,10 @@ GRID = ["--t-max", "2", "--dt", "0.1"]
 
 CASES = {
     "evolve_one_axis": ["evolve", "--model", "one-axis", "--n", "6", "--mu", "1", *GRID],
+    # the only case found whose bytes change if the 2x2 eigenvalue squares
+    # with x*x instead of libm pow
+    "evolve_one_axis_long": ["evolve", "--model", "one-axis", "--n", "4", "--mu", "1",
+                             "--t-max", "20", "--dt", "0.1"],
     "evolve_one_axis_field": ["evolve", "--model", "one-axis-field", "--n", "5",
                               "--mu", "1", "--omega", "0.7", *GRID],
     "evolve_two_axis": ["evolve", "--model", "two-axis", "--n", "10", "--gamma", "0.3", *GRID],
