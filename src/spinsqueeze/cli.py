@@ -1,9 +1,9 @@
 """Command-line interface: evolve, scan, dicke, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-error. CSV output is deterministic (LF line endings, '.' decimal separator,
-fixed significant-digit formatting), so identical configs produce identical
-bytes.
+Exit codes: 0 success, 1 verification failure, 2 usage error (including a
+size too large for the available memory), 3 numerical error. CSV output is
+deterministic (LF line endings, '.' decimal separator, fixed
+significant-digit formatting), so identical configs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -135,14 +135,14 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 def _scan_point(args):
     model, n, mu, chi, gamma, omega, t_max, dt = args
-    cfg = RunConfig(
-        model=model, n_qubits=n, mu=mu, chi=chi, gamma=gamma, omega=omega,
-        t_max=t_max, dt=dt,
-    )
-    cols = evolve_rows(cfg)
-    best = np.argmin(cols["xi2_closed"])
-    peak = np.argmax(cols["concurrence"])
-    max_xi2 = np.max(cols["xi2_closed"])
+    spec = RunConfig(model=model, mu=mu, chi=chi, gamma=gamma, omega=omega).spec()
+    traj = trajectory(spec, n, t_max, dt)
+    m = collective_moments(traj.states)
+    xi2 = squeezing_even_odd(m).xi2
+    conc = concurrence_x_form(reduced_two_qubit(m)).concurrence
+    best = np.argmin(xi2)
+    peak = np.argmax(conc)
+    max_xi2 = np.max(xi2)
     return {
         "model": model,
         "n": n,
@@ -150,11 +150,11 @@ def _scan_point(args):
         "chi": chi,
         "gamma": gamma,
         "omega": omega,
-        "min_xi2": cols["xi2_closed"][best],
-        "t_min_xi2": cols["t"][best],
-        "mubar_min_xi2": 2.0 * mu * cols["t"][best],
-        "max_concurrence": cols["concurrence"][peak],
-        "t_max_concurrence": cols["t"][peak],
+        "min_xi2": xi2[best],
+        "t_min_xi2": traj.times[best],
+        "mubar_min_xi2": 2.0 * mu * traj.times[best],
+        "max_concurrence": conc[peak],
+        "t_max_concurrence": traj.times[peak],
         "max_xi2": max_xi2,
         "max_xi2_exceeds_one": int(max_xi2 > 1.0 + 1e-9),
     }
@@ -337,7 +337,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an --n too large
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

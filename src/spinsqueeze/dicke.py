@@ -8,7 +8,7 @@ All ladder coefficients follow S+|n> = sqrt((N-n)(n+1)) |n+1>.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,6 +90,9 @@ class CollectiveMoments:
         cyz = 0.5 * self.anti_sp_sz.imag
         rows = [[self.sx2, cxy, cxz], [cxy, self.sy2, cyz], [cxz, cyz, self.sz2]]
         return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+MOMENT_FIELDS = tuple(f.name for f in fields(CollectiveMoments) if f.name != "n_qubits")
 
 
 def dot(a, b):
@@ -219,30 +222,24 @@ def mix_moments(ensemble) -> CollectiveMoments:
     ensemble: iterable of (weight, CollectiveMoments) pairs.
     """
     ensemble = list(ensemble)
-    if not ensemble:
-        raise ValueError("empty ensemble")
     weights = np.array([w for w, _ in ensemble], dtype=float)
     if np.any(weights < 0):
         raise ValueError("negative weight in ensemble")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
-    n_qubits = ensemble[0][1].n_qubits
-    if any(m.n_qubits != n_qubits for _, m in ensemble):
-        raise ValueError("mixed qubit counts in ensemble")
+    stack = stack_moments(m for _, m in ensemble)
+    # builtin sum adds the weighted rows left to right, unlike np.sum's pairwise order
+    return CollectiveMoments(stack.n_qubits, **{
+        f: sum(weights * getattr(stack, f)) for f in MOMENT_FIELDS
+    })
 
-    def avg(attr):
-        return sum(w * getattr(m, attr) for w, m in ensemble)
 
-    return CollectiveMoments(
-        n_qubits=n_qubits,
-        mean_sx=avg("mean_sx"),
-        mean_sy=avg("mean_sy"),
-        mean_sz=avg("mean_sz"),
-        sz2=avg("sz2"),
-        sx2=avg("sx2"),
-        sy2=avg("sy2"),
-        sp_mean=avg("sp_mean"),
-        sp2=avg("sp2"),
-        anti_sp_sz=avg("anti_sp_sz"),
-        anti_sx_sy=avg("anti_sx_sy"),
-    )
+def stack_moments(moments) -> CollectiveMoments:
+    """One stack of moments whose row k is the k-th single-state moments."""
+    moments = list(moments)
+    n_qubits = moments[0].n_qubits
+    if any(m.n_qubits != n_qubits for m in moments):
+        raise ValueError("mixed qubit counts")
+    return CollectiveMoments(n_qubits, **{
+        f: np.array([getattr(m, f) for m in moments]) for f in MOMENT_FIELDS
+    })

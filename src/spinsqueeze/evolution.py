@@ -42,7 +42,7 @@ def hermitian_eigen(h: HermitianMatrix) -> Propagator:
     """Diagonalize, then verify the reconstruction and orthonormality contracts."""
     energies, vectors = np.linalg.eigh(h.entries)
     scale = max(1.0, float(np.max(np.abs(h.entries))))
-    residual = np.max(np.abs(vectors @ np.diag(energies) @ vectors.conj().T - h.entries))
+    residual = np.max(np.abs((vectors * energies) @ vectors.conj().T - h.entries))
     if residual > RECONSTRUCTION_TOL * scale:
         raise NumericalError(f"eigendecomposition residual {residual:.3e}")
     ortho = np.max(np.abs(vectors.conj().T @ vectors - np.eye(h.dim)))

@@ -10,6 +10,7 @@ equal-weight sum of the bitstrings with n zeros.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -89,7 +90,13 @@ def embed_symmetric(state: SymmetricState) -> FullState:
 
 
 def collective_pauli_sums(n_qubits: int):
-    """Full-space S_x, S_y, S_z as explicit sums of single-qubit Paulis / 2."""
+    """Full-space S_x, S_y, S_z as explicit sums of single-qubit Paulis / 2,
+    read-only and shared between calls for the same size."""
+    return _pauli_sums(n_qubits)
+
+
+@functools.lru_cache(maxsize=1)  # the suites ask for one size many times in a row
+def _pauli_sums(n_qubits: int):
     dim = 2**n_qubits
     ops = []
     for single in (_SX, _SY, _SZ):
@@ -99,6 +106,7 @@ def collective_pauli_sums(n_qubits: int):
             for q in range(n_qubits):
                 term = np.kron(term, single if q == site else np.eye(2, dtype=complex))
             total += 0.5 * term
+        total.flags.writeable = False
         ops.append(total)
     return tuple(ops)
 

@@ -58,6 +58,7 @@ def _unit(v):
     return v / np.sqrt(dot(v, v))[..., None]
 
 
+@np.errstate(invalid="ignore", divide="ignore")  # a vanishing mean spin has no frame
 def _perpendicular_min(mean_spin: np.ndarray, cov: np.ndarray):
     """Deterministic orthonormal frame (n1, n2) of the plane normal to
     mean_spin, the smallest covariance eigenvalue in that plane and its angle."""
@@ -85,8 +86,7 @@ def squeezing_general(m: CollectiveMoments) -> SqueezingResult:
             f"mean spin norm {norm:.3e} below {MEAN_SPIN_TOL}; "
             "no perpendicular plane is defined"
         )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        n1, n2, lam, theta = _perpendicular_min(mean_spin, m.covariance)
+    n1, n2, lam, theta = _perpendicular_min(mean_spin, m.covariance)
     n_perp = np.cos(theta)[..., None] * n1 + np.sin(theta)[..., None] * n2
     return SqueezingResult(
         xi2=np.where(degenerate, np.nan, np.maximum(4.0 * lam / m.n_qubits, 0.0))[()],
@@ -133,17 +133,17 @@ def squeezing_from_correlation(corr: float, n_qubits: int) -> float:
     return 1.0 + (n_qubits - 1) * corr
 
 
-def perpendicular_correlation_min(m: CollectiveMoments) -> float:
+def perpendicular_correlation_min(m: CollectiveMoments):
     """Smallest pairwise correlation <sigma_n sigma_n> over probe axes n.
 
     With a well-defined mean spin the probe axes are restricted to the
     perpendicular plane; otherwise all of the unit sphere is searched
     (the separability bound corr >= 0 holds direction by direction).
+    Shape () for one set of moments, (T,) for a stack.
     """
     n = m.n_qubits
-    if m.mean_spin_norm >= MEAN_SPIN_TOL:
-        _, _, lam, _ = _perpendicular_min(m.mean_spin, m.covariance)
-    else:
-        lam = float(np.linalg.eigvalsh(m.covariance)[0])
+    cov = m.covariance
+    _, _, lam, _ = _perpendicular_min(m.mean_spin, cov)
+    lam = np.where(m.mean_spin_norm >= MEAN_SPIN_TOL, lam, np.linalg.eigvalsh(cov)[..., 0])
     # <S_n^2> = (N + N(N-1) corr) / 4
-    return (4.0 * lam - n) / (n * (n - 1))
+    return ((4.0 * lam - n) / (n * (n - 1)))[()]

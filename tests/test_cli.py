@@ -69,6 +69,14 @@ class TestEvolve:
         monkeypatch.setattr(evolution, "hermitian_eigen", leaky)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
 
+    def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
+        def too_large(*args):
+            raise MemoryError("cannot hold the Hamiltonian")
+
+        monkeypatch.setattr(cli, "trajectory", too_large)
+        assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_unwritable_output(self):
         assert run_cli(
             ["evolve", "--n", "2", "--t-max", "1", "--dt", "0.5",

@@ -133,6 +133,8 @@ class TestMixMoments:
         m = collective_moments(make_all_down(4))
         with pytest.raises(ValueError):
             mix_moments([(0.5, m), (0.4, m)])
+        with pytest.raises(ValueError):  # an empty ensemble's weights sum to 0
+            mix_moments([])
 
     def test_rejects_negative_weights(self):
         m = collective_moments(make_all_down(4))

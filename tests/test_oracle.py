@@ -8,6 +8,7 @@ from spinsqueeze.errors import CapacityError
 from spinsqueeze.evolution import evolve_to, hermitian_eigen
 from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian
 from spinsqueeze.oracle import (
+    collective_pauli_sums,
     embed_symmetric,
     full_collective_moments,
     full_evolve,
@@ -38,6 +39,15 @@ class TestEmbedding:
     def test_capacity(self):
         with pytest.raises(CapacityError):
             embed_symmetric(make_all_down(13))
+
+
+def test_pauli_sums_are_shared_read_only():
+    first = collective_pauli_sums(3)
+    for op in first:
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+    for op, again in zip(first, collective_pauli_sums(3)):
+        assert np.array_equal(op, again)
 
 
 class TestFullEvolve:
@@ -154,8 +164,6 @@ class TestSeparableSampler:
             rho = np.eye(1)
             for _ in range(n):
                 rho = np.kron(rho, single)
-            from spinsqueeze.oracle import collective_pauli_sums
-
             sx, sy, sz = collective_pauli_sums(n)
             m = product_moments(bloch, n)
             assert np.trace(rho @ sz).real == pytest.approx(m.mean_sz, abs=1e-12)

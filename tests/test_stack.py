@@ -10,10 +10,15 @@ import numpy as np
 import pytest
 
 from spinsqueeze import dicke
-from spinsqueeze.dicke import SymmetricState, collective_moments
+from spinsqueeze.dicke import SymmetricState, collective_moments, make_dicke_state, stack_moments
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
+from spinsqueeze.oracle import sample_separable
 from spinsqueeze.pairwise import concurrence_x_form, reduced_two_qubit
-from spinsqueeze.squeezing import squeezing_even_odd, squeezing_general
+from spinsqueeze.squeezing import (
+    perpendicular_correlation_min,
+    squeezing_even_odd,
+    squeezing_general,
+)
 
 N_VALUES = (2, 3, 7, 20)
 ROWS = 50
@@ -43,6 +48,14 @@ def assert_rows_equal(stacked, singles, extra=()):
                 assert np.array_equal(column[k], value, equal_nan=True), (name, k)
 
 
+def assert_correlation_rows_equal(m, singles):
+    corr = perpendicular_correlation_min(m)
+    assert corr.shape == (len(singles),)
+    for k, single in enumerate(singles):
+        assert np.array_equal(corr[k], perpendicular_correlation_min(single)), k
+    return corr
+
+
 @pytest.mark.parametrize("block_rows", [None, 1, 7])
 @pytest.mark.parametrize("n", N_VALUES)
 def test_moments_reduction_and_general_xi2(n, block_rows, monkeypatch):
@@ -55,6 +68,30 @@ def test_moments_reduction_and_general_xi2(n, block_rows, monkeypatch):
     assert_rows_equal(m, singles, extra=("mean_spin", "mean_spin_norm", "covariance"))
     assert_rows_equal(reduced_two_qubit(m), [reduced_two_qubit(s) for s in singles])
     assert_rows_equal(squeezing_general(m), [squeezing_general(s) for s in singles])
+    assert_correlation_rows_equal(m, singles)
+
+
+@pytest.mark.parametrize("n", (2, 3, 6))
+def test_correlation_of_separable_moments(n):
+    rng = np.random.default_rng(300 + n)
+    singles = [
+        sample_separable(n, int(rng.integers(1, 9)), int(rng.integers(0, 2**63 - 1)))[1]
+        for _ in range(ROWS)
+    ]
+    corr = assert_correlation_rows_equal(stack_moments(singles), singles)
+    assert np.all(corr >= -1e-12)  # Lemma 1
+
+
+def test_correlation_of_zero_mean_spin_row_searches_the_sphere():
+    # the Dicke state |N=4, n=2> has no mean spin and <Sz^2> = 0: the
+    # full-sphere minimum is along z, corr = (0 - N) / (N (N - 1))
+    rng = np.random.default_rng(400)
+    amps = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    amps[0] = make_dicke_state(4, 2).amplitudes
+    stack = SymmetricState(4, amps / np.linalg.norm(amps, axis=1, keepdims=True))
+    singles = [collective_moments(state) for state in rows_of(stack)]
+    corr = assert_correlation_rows_equal(collective_moments(stack), singles)
+    assert corr[0] == pytest.approx(-1.0 / 3.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", N_VALUES)
