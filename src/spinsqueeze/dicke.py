@@ -8,6 +8,7 @@ All ladder coefficients follow S+|n> = sqrt((N-n)(n+1)) |n+1>.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -48,7 +49,7 @@ class SymmetricState:
         c = self.amplitudes
         norm2 = dot(c.real, c.real) + dot(c.imag, c.imag)
         worst = np.ravel(norm2)[np.argmax(np.abs(norm2 - 1.0))]
-        if abs(worst - 1.0) > 10 * NORM_TOL:
+        if not abs(worst - 1.0) <= 10 * NORM_TOL:  # a NaN row fails too
             raise ValueError(f"state not normalized: sum |c_n|^2 = {float(worst)!r}")
 
 
@@ -106,6 +107,16 @@ def modulus(z):
     return np.hypot(np.real(z), np.imag(z))
 
 
+# Python's float ** 2 goes through libm pow, which is not always x * x;
+# squaring through it keeps stacks identical to scalar code, bit for bit.
+_pow = np.frompyfunc(math.pow, 2, 1)
+
+
+def square(x):
+    """x ** 2 elementwise, by libm pow as Python's float ** 2 computes it."""
+    return np.asarray(_pow(x, 2.0), dtype=float)[()]
+
+
 def ladder_coefficients(n_qubits: int) -> np.ndarray:
     """a_n = sqrt((N-n)(n+1)) for n = 0..N-1, so S+|n> = a_n |n+1>."""
     n = np.arange(n_qubits)
@@ -154,8 +165,8 @@ def make_state(n_qubits, amplitudes):
             f"expected {n_qubits + 1} amplitudes, got shape {amps.shape}"
         )
     norm = float(np.linalg.norm(amps))
-    if norm <= NORM_TOL:
-        raise ValueError("amplitude vector has near-zero norm")
+    if not NORM_TOL < norm < math.inf:
+        raise ValueError(f"amplitude vector has near-zero or non-finite norm {norm!r}")
     return SymmetricState(n_qubits, amps / norm), norm
 
 
@@ -216,30 +227,21 @@ def collective_moments(state: SymmetricState) -> CollectiveMoments:
     )
 
 
-def mix_moments(ensemble) -> CollectiveMoments:
-    """Convex combination of moments; valid because moments are affine in rho.
+def mix_moments(weights, moments: CollectiveMoments) -> CollectiveMoments:
+    """Convex combination over the last axis; valid because moments are affine in rho.
 
-    ensemble: iterable of (weight, CollectiveMoments) pairs.
+    weights: shape (K,) for one ensemble or (S, K) for S of them; the fields
+    of moments hold one entry per component and broadcast against them.
     """
-    ensemble = list(ensemble)
-    weights = np.array([w for w, _ in ensemble], dtype=float)
-    if np.any(weights < 0):
-        raise ValueError("negative weight in ensemble")
-    if abs(weights.sum() - 1.0) > 1e-12:
-        raise ValueError(f"weights sum to {weights.sum()!r}, expected 1")
-    stack = stack_moments(m for _, m in ensemble)
-    # builtin sum adds the weighted rows left to right, unlike np.sum's pairwise order
-    return CollectiveMoments(stack.n_qubits, **{
-        f: sum(weights * getattr(stack, f)) for f in MOMENT_FIELDS
-    })
-
-
-def stack_moments(moments) -> CollectiveMoments:
-    """One stack of moments whose row k is the k-th single-state moments."""
-    moments = list(moments)
-    n_qubits = moments[0].n_qubits
-    if any(m.n_qubits != n_qubits for m in moments):
-        raise ValueError("mixed qubit counts")
-    return CollectiveMoments(n_qubits, **{
-        f: np.array([getattr(m, f) for m in moments]) for f in MOMENT_FIELDS
+    weights = np.asarray(weights, dtype=float)
+    if not np.all(weights >= 0):
+        raise ValueError("negative or NaN weight in ensemble")
+    total = np.sum(weights, axis=-1)
+    if not np.all(np.abs(total - 1.0) <= 1e-12):
+        raise ValueError(f"weights sum to {total!r}, expected 1")
+    # cumsum adds the weighted terms left to right as builtin sum does, unlike
+    # np.sum's pairwise order; + 0.0 is builtin sum's start, for an all -0.0 sum
+    return CollectiveMoments(moments.n_qubits, **{
+        f: np.cumsum(weights * getattr(moments, f), axis=-1)[..., -1] + 0.0
+        for f in MOMENT_FIELDS
     })

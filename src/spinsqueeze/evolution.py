@@ -43,10 +43,10 @@ def hermitian_eigen(h: HermitianMatrix) -> Propagator:
     energies, vectors = np.linalg.eigh(h.entries)
     scale = max(1.0, float(np.max(np.abs(h.entries))))
     residual = np.max(np.abs((vectors * energies) @ vectors.conj().T - h.entries))
-    if residual > RECONSTRUCTION_TOL * scale:
+    if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
         raise NumericalError(f"eigendecomposition residual {residual:.3e}")
     ortho = np.max(np.abs(vectors.conj().T @ vectors - np.eye(h.dim)))
-    if ortho > ORTHONORMALITY_TOL:
+    if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
     return Propagator(eigenvalues=energies, eigenvectors=vectors, dim=h.dim)
 
@@ -62,6 +62,8 @@ def evolve_grid(prop: Propagator, initial: SymmetricState, times) -> SymmetricSt
     if c0.shape != (prop.dim,):
         raise ValueError(f"dimension mismatch: state {c0.shape}, propagator {prop.dim}")
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("non-finite time in the grid")
     v = prop.eigenvectors
     modes = v.conj().T @ c0
     amps = v @ (np.exp(-1j * np.outer(prop.eigenvalues, times)) * modes[:, None])

@@ -59,7 +59,7 @@ class HermitianMatrix:
         if entries.shape != (self.dim, self.dim):
             raise ValueError(f"expected {self.dim}x{self.dim}, got {entries.shape}")
         residual = np.max(np.abs(entries - entries.conj().T))
-        if residual > HERMITICITY_TOL:
+        if not residual <= HERMITICITY_TOL:  # NaN entries fail too
             raise ValueError(f"matrix not Hermitian, residual {residual:.3e}")
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)

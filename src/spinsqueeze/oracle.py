@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the Dicke-basis shortcuts: Hamiltonians
 are explicit Pauli sums, reductions are literal partial traces, and the
-separable-state sampler works from single-qubit Bloch vectors. Convention:
+separable-state sampler works from single-qubit Bloch vectors: it returns
+the moments of a list of random ensembles as one stack, built by one
+`product_moments` call on every component's Bloch vector and one
+`mix_moments` call over the components. Convention:
 |1> is the single-qubit ground state, so the all-down state is the all-ones
 bitstring and has <Sz> = -N/2; a Dicke state with n excitations is the
 equal-weight sum of the bitstrings with n zeros.
@@ -16,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .dicke import CollectiveMoments, SymmetricState, mix_moments
+from .dicke import CollectiveMoments, SymmetricState, mix_moments, square
 from .errors import CapacityError
 from .hamiltonians import HamiltonianSpec
 
@@ -40,33 +43,10 @@ class FullState:
         if amps.shape != (2**self.n_qubits,):
             raise ValueError(f"expected 2^{self.n_qubits} amplitudes, got {amps.shape}")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:
             raise ValueError(f"full state norm {norm!r} != 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
-
-
-@dataclass(frozen=True)
-class SeparableEnsemble:
-    """Convex mixture of identical-qubit product states, one Bloch vector each."""
-
-    weights: np.ndarray
-    bloch_vectors: np.ndarray  # shape (K, 3), norms <= 1
-    n_qubits: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        b = np.asarray(self.bloch_vectors, dtype=float)
-        if abs(w.sum() - 1.0) > 1e-12 or np.any(w < 0):
-            raise ValueError("ensemble weights must be nonnegative and sum to 1")
-        if b.ndim != 2 or b.shape != (w.size, 3):
-            raise ValueError(f"expected {w.size} Bloch 3-vectors, got {b.shape}")
-        if np.any(np.linalg.norm(b, axis=1) > 1.0 + 1e-12):
-            raise ValueError("Bloch vector outside the unit ball")
-        w.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "bloch_vectors", b)
 
 
 def _excitation_counts(n_qubits: int) -> np.ndarray:
@@ -174,56 +154,69 @@ def partial_trace_pair(state: FullState, i: int, j: int) -> np.ndarray:
     return block @ block.conj().T
 
 
-def product_moments(bloch: np.ndarray, n_qubits: int) -> CollectiveMoments:
-    """Exact collective moments of rho^(x)N for a single-qubit Bloch vector.
+def _c_mul(a, b):
+    """Python's complex product of (real, imag) pairs, computed part by part."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _complex(parts):
+    z = np.empty(np.shape(parts[0]), dtype=complex)
+    z.real, z.imag = parts
+    return z[()]
+
+
+def product_moments(bloch, n_qubits: int) -> CollectiveMoments:
+    """Exact collective moments of rho^(x)N for a single-qubit Bloch vector (3,),
+    or for each vector of a stack (..., K, 3), with fields of shape (..., K).
 
     Cross-site correlators factorize; same-site terms use sigma_a^2 = 1 and
-    {sigma_+, sigma_z} = 0.
+    {sigma_+, sigma_z} = 0. The complex fields are formed from their parts
+    as Python's complex arithmetic forms them, so each entry of a stack
+    equals the scalar expression for its vector bit for bit.
     """
-    rx, ry, rz = (float(v) for v in bloch)
+    bloch = np.asarray(bloch, dtype=float)
+    rx, ry, rz = bloch[..., 0], bloch[..., 1], bloch[..., 2]
     n = n_qubits
     pairs = n * (n - 1)
-    sigma_p = 0.5 * (rx + 1j * ry)
-    sp_mean = n * sigma_p
-    sp2 = pairs * sigma_p**2
-    sz2 = 0.25 * (n + pairs * rz**2)
-    sx2 = 0.25 * (n + pairs * rx**2)
-    sy2 = 0.25 * (n + pairs * ry**2)
+    i_ry = _c_mul((0.0, 1.0), (ry, 0.0))
+    sigma_p = _c_mul((0.5, 0.0), (rx + i_ry[0], 0.0 + i_ry[1]))  # 0.5 * (rx + 1j * ry)
+    sigma_p2 = _c_mul((1.0, 0.0), _c_mul(sigma_p, sigma_p))  # sigma_p**2, as Python powers
     return CollectiveMoments(
         n_qubits=n,
         mean_sx=0.5 * n * rx,
         mean_sy=0.5 * n * ry,
         mean_sz=0.5 * n * rz,
-        sz2=sz2,
-        sx2=sx2,
-        sy2=sy2,
-        sp_mean=sp_mean,
-        sp2=sp2,
-        anti_sp_sz=pairs * sigma_p * rz,
+        sz2=0.25 * (n + pairs * square(rz)),
+        sx2=0.25 * (n + pairs * square(rx)),
+        sy2=0.25 * (n + pairs * square(ry)),
+        sp_mean=_complex(_c_mul((n, 0.0), sigma_p)),
+        sp2=_complex(_c_mul((pairs, 0.0), sigma_p2)),
+        anti_sp_sz=_complex(_c_mul(_c_mul((pairs, 0.0), sigma_p), (rz, 0.0))),
         anti_sx_sy=pairs * 0.5 * rx * ry,
     )
 
 
-def sample_separable(n_qubits: int, n_components: int, seed: int):
-    """Random symmetric separable ensemble with exact analytic moments.
+def sample_separable(n_qubits: int, draws) -> CollectiveMoments:
+    """Moments of random symmetric separable ensembles, one row per draw.
 
-    Bloch vectors are uniform in the unit ball (mixed single-qubit states
-    included), weights from a flat Dirichlet. Deterministic for fixed seed
-    (numpy PCG64).
+    Each draw (n_components, seed) is one ensemble: Bloch vectors uniform in
+    the unit ball (mixed single-qubit states included) and weights from a
+    flat Dirichlet, drawn from its own numpy PCG64 generator, so a row does
+    not depend on the other draws. Ensembles narrower than the widest are
+    padded with zero-weight components.
     """
-    if n_qubits < 2 or n_components < 1:
-        raise ValueError("need n_qubits >= 2 and n_components >= 1")
-    rng = np.random.default_rng(seed)
-    directions = rng.normal(size=(n_components, 3))
-    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-    radii = rng.random(n_components) ** (1.0 / 3.0)
-    bloch = directions * radii[:, None]
-    weights = rng.dirichlet(np.ones(n_components))
-    ensemble = SeparableEnsemble(weights=weights, bloch_vectors=bloch, n_qubits=n_qubits)
-    moments = mix_moments(
-        (w, product_moments(b, n_qubits)) for w, b in zip(weights, bloch)
-    )
-    return ensemble, moments
+    counts = [k for k, _ in draws]
+    if n_qubits < 2 or not counts or min(counts) < 1:
+        raise ValueError("need n_qubits >= 2 and at least one draw, each with n_components >= 1")
+    bloch = np.zeros((len(draws), max(counts), 3))
+    weights = np.zeros((len(draws), max(counts)))
+    for row, (k, seed) in enumerate(draws):
+        rng = np.random.default_rng(seed)
+        directions = rng.normal(size=(k, 3))
+        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+        bloch[row, :k] = directions * (rng.random(k) ** (1.0 / 3.0))[:, None]
+        weights[row, :k] = rng.dirichlet(np.ones(k))
+    return mix_moments(weights, product_moments(bloch, n_qubits))
 
 
 @dataclass(frozen=True)

@@ -44,11 +44,11 @@ class TwoQubitReduced:
 
     def __post_init__(self):
         trace = self.v_plus + self.v_minus + 2.0 * self.y
-        if np.any(np.abs(trace - 1.0) > 1e-10):
+        if not np.all(np.abs(trace - 1.0) <= 1e-10):
             raise ValueError(f"reduced matrix trace {trace!r} != 1")
-        if np.any(np.minimum(np.minimum(self.v_plus, self.v_minus), self.y) < -1e-12):
+        if not np.all(np.minimum(np.minimum(self.v_plus, self.v_minus), self.y) >= -1e-12):
             raise ValueError("negative population in reduced matrix")
-        if np.any(self.v_plus * self.v_minus < modulus(self.u) ** 2 - 1e-10):
+        if not np.all(self.v_plus * self.v_minus >= modulus(self.u) ** 2 - 1e-10):
             raise ValueError("X-block positivity violated: v+ v- < |u|^2")
 
     def as_matrix(self) -> np.ndarray:
@@ -123,7 +123,7 @@ def _divide(z, k):
 def concurrence_x_form(r: TwoQubitReduced) -> ConcurrenceResult:
     """Closed-form concurrence for the X-shaped reduction (x+- = 0)."""
     coherence = np.maximum(modulus(r.x_plus), modulus(r.x_minus))
-    if np.any(coherence > X_FORM_TOL):
+    if not np.all(coherence <= X_FORM_TOL):
         raise NotXFormError(
             f"coherences max(|x+|, |x-|) = {np.max(coherence):.3e} too large for the X form"
         )
@@ -144,7 +144,7 @@ def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
     rho4 = np.asarray(rho4, dtype=complex)
     if rho4.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {rho4.shape}")
-    if np.max(np.abs(rho4 - rho4.conj().T)) > 1e-10:
+    if not np.max(np.abs(rho4 - rho4.conj().T)) <= 1e-10:
         raise ValueError("density matrix not Hermitian")
     if abs(np.trace(rho4).real - 1.0) > 1e-10 or abs(np.trace(rho4).imag) > 1e-10:
         raise ValueError(f"density matrix trace {np.trace(rho4)!r} != 1")

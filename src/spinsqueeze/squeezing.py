@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveMoments, dot, modulus
+from .dicke import CollectiveMoments, dot, modulus, square
 from .errors import MeanSpinDegenerateError, NotEvenOddError
 
 MEAN_SPIN_TOL = 1e-8
@@ -34,18 +34,9 @@ class SqueezingResult:
     method: str
 
 
-# Python's float ** 2 goes through libm pow, which is not always x * x;
-# squaring through it keeps xi^2 identical to scalar code, bit for bit.
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def _square(x):
-    return np.asarray(_pow(x, 2.0), dtype=float)[()]
-
-
 def _min_eig_2x2(g11, g22, g12):
     """Smallest eigenvalue and its direction angle for [[g11,g12],[g12,g22]]."""
-    half_gap = np.sqrt(_square(g11 - g22) + 4.0 * _square(g12)) / 2.0
+    half_gap = np.sqrt(square(g11 - g22) + 4.0 * square(g12)) / 2.0
     lam = (g11 + g22) / 2.0 - half_gap
     # fully degenerate (g12 = 0, g11 = g22): any axis minimizes, take 0
     theta = np.where(
@@ -100,7 +91,7 @@ def squeezing_general(m: CollectiveMoments) -> SqueezingResult:
 def squeezing_even_odd(m: CollectiveMoments) -> SqueezingResult:
     """Closed form for states with vanishing transverse moments."""
     transverse = modulus(m.sp_mean)  # |<Sx> + i<Sy>|
-    if np.any(transverse > EVEN_ODD_TOL):
+    if not np.all(transverse <= EVEN_ODD_TOL):
         raise NotEvenOddError(
             "transverse moments do not vanish; not an even/odd state "
             f"(|<S+>| = {np.max(transverse):.3e})"

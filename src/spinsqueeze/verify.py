@@ -21,7 +21,6 @@ from .dicke import (
     make_all_down,
     make_dicke_state,
     make_state,
-    stack_moments,
 )
 from .evolution import evolve_grid, evolve_to, hermitian_eigen, trajectory
 from .hamiltonians import HamiltonianSpec, build_hamiltonian, parity_check
@@ -71,7 +70,7 @@ def suite_lemma1(seed: int, samples: int = 1000, n_values=range(2, 7)):
         # per sample: component count first, then sub-seed, as the RNG stream fixes
         draws = [(int(rng.integers(1, 9)), int(rng.integers(0, 2**63 - 1)))
                  for _ in range(samples)]
-        m = stack_moments(sample_separable(n, k, sub_seed)[1] for k, sub_seed in draws)
+        m = sample_separable(n, draws)
         worst_corr = np.min(perpendicular_correlation_min(m))
         xi2 = squeezing_general(m).xi2  # NaN where the mean spin vanishes
         worst_xi2 = np.min(xi2[~np.isnan(xi2)], initial=np.inf)

@@ -69,6 +69,17 @@ class TestEvolve:
         monkeypatch.setattr(evolution, "hermitian_eigen", leaky)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
 
+    def test_nan_decomposition_is_numerical_error(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def nan_first(a):
+            energies, vectors = eigh(a)
+            energies[0] = np.nan
+            return energies, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_first)
+        assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
+
     def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
         def too_large(*args):
             raise MemoryError("cannot hold the Hamiltonian")

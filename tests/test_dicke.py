@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsqueeze.dicke import (
+    MOMENT_FIELDS,
     Parity,
+    SymmetricState,
     collective_moments,
     make_all_down,
     make_dicke_state,
@@ -59,6 +61,17 @@ class TestConstruction:
     def test_make_state_rejects_wrong_length(self):
         with pytest.raises(ValueError):
             make_state(2, [1, 0])
+
+    @pytest.mark.parametrize("amps", [[np.nan, 1, 0], [np.inf, 1, 0]])
+    def test_make_state_rejects_non_finite_norm(self, amps):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_state(2, amps)
+
+    def test_nan_amplitude_is_not_normalized(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            SymmetricState(2, [np.nan, 0, 0])
+        with pytest.raises(ValueError, match="not normalized"):
+            SymmetricState(2, [[1, 0, 0], [np.nan, 0, 0], [0, 1, 0]])
 
 
 class TestParity:
@@ -117,26 +130,44 @@ class TestMoments:
             assert abs(m.sp_mean) <= 1e-12
 
 
+def moments_stack(n, states):
+    """Moments of the given states as one stack, one row per state."""
+    return collective_moments(SymmetricState(n, [state.amplitudes for state in states]))
+
+
 class TestMixMoments:
     def test_single_element_identity(self):
         m = collective_moments(make_dicke_state(4, 1))
-        mixed = mix_moments([(1.0, m)])
+        mixed = mix_moments([1.0], moments_stack(4, [make_dicke_state(4, 1)]))
         assert mixed == m
 
     def test_affine_combination(self):
-        m0 = collective_moments(make_all_down(4))
-        m2 = collective_moments(make_dicke_state(4, 2))
-        mixed = mix_moments([(0.5, m0), (0.5, m2)])
+        stack = moments_stack(4, [make_all_down(4), make_dicke_state(4, 2)])
+        mixed = mix_moments([0.5, 0.5], stack)
         assert mixed.mean_sz == pytest.approx(-1.0)
+        # one row of weights per ensemble: fields of shape (S,)
+        mixed = mix_moments([[0.5, 0.5], [0.0, 1.0], [1.0, 0.0]], stack)
+        np.testing.assert_allclose(mixed.mean_sz, [-1.0, 0.0, -2.0])
+        for f in MOMENT_FIELDS:
+            assert np.array_equal(getattr(mixed, f)[0], getattr(mix_moments([0.5, 0.5], stack), f))
 
     def test_rejects_unnormalized_weights(self):
-        m = collective_moments(make_all_down(4))
+        stack = moments_stack(4, [make_all_down(4)] * 2)
         with pytest.raises(ValueError):
-            mix_moments([(0.5, m), (0.4, m)])
+            mix_moments([0.5, 0.4], stack)
+        with pytest.raises(ValueError):  # one unnormalized row among several
+            mix_moments([[0.5, 0.5], [0.5, 0.4]], stack)
         with pytest.raises(ValueError):  # an empty ensemble's weights sum to 0
-            mix_moments([])
+            mix_moments([], stack)
 
     def test_rejects_negative_weights(self):
-        m = collective_moments(make_all_down(4))
+        stack = moments_stack(4, [make_all_down(4)] * 2)
         with pytest.raises(ValueError):
-            mix_moments([(1.5, m), (-0.5, m)])
+            mix_moments([1.5, -0.5], stack)
+
+    def test_rejects_nan_weights(self):
+        stack = moments_stack(4, [make_all_down(4)] * 2)
+        with pytest.raises(ValueError):
+            mix_moments([np.nan, 1.0], stack)
+        with pytest.raises(ValueError):
+            mix_moments([[0.5, 0.5], [np.nan, 1.0]], stack)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from spinsqueeze.dicke import PARITY_TOL, collective_moments, make_all_down
+from spinsqueeze.errors import NumericalError
 from spinsqueeze.evolution import (
+    evolve_grid,
     evolve_to,
     hermitian_eigen,
     rk4_evolve,
@@ -67,6 +69,26 @@ def test_dimension_mismatch():
     prop = hermitian_eigen(build_hamiltonian(H1, 4))
     with pytest.raises(ValueError):
         evolve_to(prop, make_all_down(5), 1.0)
+
+
+def test_non_finite_times_are_refused():
+    prop = hermitian_eigen(build_hamiltonian(H1, 2))
+    for times in ([0.0, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="non-finite time"):
+            evolve_grid(prop, make_all_down(2), times)
+
+
+def test_nan_eigenvalue_is_numerical_error(monkeypatch):
+    eigh = np.linalg.eigh
+
+    def nan_first(a):
+        energies, vectors = eigh(a)
+        energies[0] = np.nan
+        return energies, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", nan_first)
+    with pytest.raises(NumericalError, match="residual nan"):
+        hermitian_eigen(HermitianMatrix(2, np.diag([0.0, 1.0]).astype(complex)))
 
 
 def test_trajectory_grid_and_parity():

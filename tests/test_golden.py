@@ -1,9 +1,11 @@
-"""Byte-for-byte CSV regression against stored outputs.
+"""Byte-for-byte regression against stored outputs.
 
-Each case runs one `evolve` or `scan` through the CLI and compares the CSV
-with `tests/golden/<case>.csv`. Sizes stay at N <= 10, where the output does
-not depend on the BLAS thread count. After a deliberate change of output,
-regenerate a file with `spinsqueeze <argv> --out tests/golden/<case>.csv`.
+Each CSV case runs one `evolve` or `scan` through the CLI and compares the
+CSV with `tests/golden/<case>.csv`. Sizes stay at N <= 10, where the output
+does not depend on the BLAS thread count. After a deliberate change of
+output, regenerate a file with `spinsqueeze <argv> --out tests/golden/<case>.csv`.
+The Lemma 1 report is compared with `tests/golden/verify_lemma1_seed42.txt`,
+written by `spinsqueeze verify lemma1 --seed 42 > <file>`.
 """
 
 from pathlib import Path
@@ -36,3 +38,9 @@ def test_csv_bytes_match_golden(case, tmp_path):
     out = tmp_path / f"{case}.csv"
     assert cli.main(CASES[case] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
+
+
+def test_lemma1_report_matches_golden(capsys):
+    assert cli.main(["verify", "lemma1", "--seed", "42"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "verify_lemma1_seed42.txt").read_bytes()

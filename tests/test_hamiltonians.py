@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from spinsqueeze.dicke import collective_operators
-from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian, parity_check
+from spinsqueeze.hamiltonians import (
+    HamiltonianSpec,
+    HermitianMatrix,
+    build_hamiltonian,
+    parity_check,
+)
 
 
 def test_one_axis_n2_matrix():
@@ -51,6 +56,11 @@ def test_named_constructors():
 def test_rejects_non_finite_coefficients():
     with pytest.raises(ValueError):
         HamiltonianSpec(mu=float("nan"))
+
+
+def test_hermitian_matrix_rejects_nan_entries():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        HermitianMatrix(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])

@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
-from spinsqueeze.dicke import collective_moments, make_all_down, make_dicke_state, make_state
+from spinsqueeze.dicke import (
+    MOMENT_FIELDS,
+    collective_moments,
+    make_all_down,
+    make_dicke_state,
+    make_state,
+)
 from spinsqueeze.errors import CapacityError
 from spinsqueeze.evolution import evolve_to, hermitian_eigen
 from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian
 from spinsqueeze.oracle import (
+    FullState,
     collective_pauli_sums,
     embed_symmetric,
     full_collective_moments,
@@ -17,6 +24,11 @@ from spinsqueeze.oracle import (
     product_moments,
     sample_separable,
 )
+
+
+def test_full_state_rejects_nan_amplitudes():
+    with pytest.raises(ValueError, match="norm"):
+        FullState(1, [np.nan, 0.0])
 
 
 class TestEmbedding:
@@ -130,11 +142,16 @@ class TestPartialTrace:
 
 class TestSeparableSampler:
     def test_deterministic(self):
-        a, ma = sample_separable(4, 5, 7)
-        b, mb = sample_separable(4, 5, 7)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.bloch_vectors, b.bloch_vectors)
-        assert ma == mb
+        a = sample_separable(4, [(5, 7), (2, 8)])
+        b = sample_separable(4, [(5, 7), (2, 8)])
+        assert a.mean_sx.shape == (2,)
+        for f in MOMENT_FIELDS:
+            np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
+
+    @pytest.mark.parametrize("n, draws", [(1, [(2, 0)]), (4, []), (4, [(2, 0), (0, 1)])])
+    def test_rejects_invalid_draws(self, n, draws):
+        with pytest.raises(ValueError):
+            sample_separable(n, draws)
 
     def test_product_moments_down(self):
         m = product_moments(np.array([0.0, 0.0, -1.0]), 4)

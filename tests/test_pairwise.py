@@ -73,6 +73,15 @@ class TestReduction:
         with pytest.raises(ValueError):
             TwoQubitReduced(0.1, 0.1, 0.4, 0, 0, 0.5, 4)  # |u|^2 > v+ v-
 
+    @pytest.mark.parametrize("fields", [
+        (np.nan, 0.5, 0.25, 0, 0, 0, 4),  # trace
+        (0.5, 0.5, np.nan, 0, 0, 0, 4),
+        (0.5, 0.5, 0.0, 0, 0, np.nan, 4),  # X-block positivity
+    ])
+    def test_nan_entries_enforced(self, fields):
+        with pytest.raises(ValueError):
+            TwoQubitReduced(*fields)
+
 
 class TestXForm:
     def test_bell_pair(self):
@@ -95,6 +104,8 @@ class TestXForm:
         r = TwoQubitReduced(0.4, 0.4, 0.1, 0.05, 0, 0.1, 4)
         with pytest.raises(NotXFormError):
             concurrence_x_form(r)
+        with pytest.raises(NotXFormError):
+            concurrence_x_form(TwoQubitReduced(0.4, 0.4, 0.1, np.nan, 0, 0.1, 4))
 
     def test_lambda_identity(self):
         rng = np.random.default_rng(3)
@@ -126,6 +137,10 @@ class TestSpectral:
         bad[0, 1] = 0.3
         with pytest.raises(ValueError):
             concurrence_spectral(bad)  # not Hermitian
+        bad = np.eye(4, dtype=complex) / 4
+        bad[0, 0] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            concurrence_spectral(bad)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)

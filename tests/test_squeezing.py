@@ -1,9 +1,16 @@
 """Squeezing parameter: general route, even/odd closed form, bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from spinsqueeze.dicke import collective_moments, make_all_down, make_dicke_state, make_state
+from spinsqueeze.dicke import (
+    collective_moments,
+    make_all_down,
+    make_dicke_state,
+    make_state,
+)
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
 from spinsqueeze.evolution import evolve_to, hermitian_eigen
 from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian
@@ -46,6 +53,12 @@ def test_even_odd_rejects_mixed_parity_state():
     state, _ = make_state(2, [1, 1, 0])
     with pytest.raises(NotEvenOddError):
         squeezing_even_odd(collective_moments(state))
+
+
+def test_even_odd_rejects_nan_transverse_moment():
+    m = dataclasses.replace(collective_moments(make_all_down(2)), sp_mean=complex(np.nan, 0.0))
+    with pytest.raises(NotEvenOddError):
+        squeezing_even_odd(m)
 
 
 @pytest.mark.parametrize("n", [2, 4, 7, 30, 100])

@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 from spinsqueeze import dicke
-from spinsqueeze.dicke import SymmetricState, collective_moments, make_dicke_state, stack_moments
+from spinsqueeze.dicke import (
+    MOMENT_FIELDS,
+    CollectiveMoments,
+    SymmetricState,
+    collective_moments,
+    make_dicke_state,
+)
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
-from spinsqueeze.oracle import sample_separable
+from spinsqueeze.oracle import product_moments, sample_separable
 from spinsqueeze.pairwise import concurrence_x_form, reduced_two_qubit
 from spinsqueeze.squeezing import (
     perpendicular_correlation_min,
@@ -71,14 +77,36 @@ def test_moments_reduction_and_general_xi2(n, block_rows, monkeypatch):
     assert_correlation_rows_equal(m, singles)
 
 
+def moment_row(m, k):
+    return CollectiveMoments(m.n_qubits, **{f: getattr(m, f)[k] for f in MOMENT_FIELDS})
+
+
+@pytest.mark.parametrize("n", (2, 3, 6))
+def test_product_moments_of_a_stack(n):
+    # signed zeros and axis vectors besides random ones in the unit ball
+    rng = np.random.default_rng(500 + n)
+    bloch = np.concatenate([
+        rng.normal(size=(ROWS, 3)) * rng.random((ROWS, 1)) / np.sqrt(3.0),
+        [[0.0, 0.0, -1.0], [-0.0, 0.0, 0.0], [0.0, -0.0, 0.5], [-0.6, -0.0, -0.0]],
+    ])
+    stack = product_moments(bloch, n)
+    assert stack.sp2.shape == (len(bloch),)
+    assert_rows_equal(stack, [product_moments(b, n) for b in bloch])
+    # an (S, K, 3) stack gives (S, K) fields with the same entries
+    square = product_moments(bloch[:50].reshape(5, 10, 3), n)
+    for f in MOMENT_FIELDS:
+        assert np.array_equal(getattr(square, f).ravel(), getattr(stack, f)[:50]), f
+
+
 @pytest.mark.parametrize("n", (2, 3, 6))
 def test_correlation_of_separable_moments(n):
+    # every row of one padded call equals the unpadded call for its draw alone
     rng = np.random.default_rng(300 + n)
-    singles = [
-        sample_separable(n, int(rng.integers(1, 9)), int(rng.integers(0, 2**63 - 1)))[1]
-        for _ in range(ROWS)
-    ]
-    corr = assert_correlation_rows_equal(stack_moments(singles), singles)
+    draws = [(int(rng.integers(1, 9)), int(rng.integers(0, 2**63 - 1))) for _ in range(ROWS)]
+    m = sample_separable(n, draws)
+    singles = [moment_row(sample_separable(n, [draw]), 0) for draw in draws]
+    assert_rows_equal(m, singles)
+    corr = assert_correlation_rows_equal(m, singles)
     assert np.all(corr >= -1e-12)  # Lemma 1
 
 
