@@ -18,8 +18,23 @@ from .errors import (
     NotXFormError,
     NumericalError,
 )
-from .evolution import Propagator, Trajectory, evolve_to, hermitian_eigen, trajectory
-from .hamiltonians import HamiltonianSpec, HermitianMatrix, build_hamiltonian, parity_check
+from .evolution import (
+    Propagator,
+    Trajectory,
+    decompose,
+    evolve_grid,
+    evolve_to,
+    hermitian_eigen,
+    trajectory,
+)
+from .hamiltonians import (
+    HamiltonianSpec,
+    HermitianMatrix,
+    SectorBand,
+    build_hamiltonian,
+    parity_check,
+    sector_bands,
+)
 from .pairwise import (
     ConcurrenceResult,
     TwoQubitReduced,

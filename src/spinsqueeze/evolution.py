@@ -1,7 +1,10 @@
 """Exact unitary evolution in the symmetric subspace.
 
-One eigendecomposition per Hamiltonian; every trajectory point is computed
-directly as V exp(-iEt) V^dag c(0), so there is no step-to-step error
+H is diagonalized once per parity sector: each sector is a real symmetric
+tridiagonal band T of size about N/2 under a diagonal phase gauge D
+(`hamiltonians.SectorBand`), and only the sectors the initial state
+occupies are solved. Every trajectory point is computed directly as
+D V exp(-i Lambda t) V^T D^dag c(0), so there is no step-to-step error
 accumulation and arbitrary times are equally accurate.
 """
 
@@ -14,7 +17,7 @@ import numpy as np
 
 from .dicke import SymmetricState, make_all_down
 from .errors import NumericalError
-from .hamiltonians import HamiltonianSpec, HermitianMatrix, build_hamiltonian
+from .hamiltonians import HamiltonianSpec, HermitianMatrix, SectorBand, sector_bands
 
 RECONSTRUCTION_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-11
@@ -22,11 +25,16 @@ ORTHONORMALITY_TOL = 1e-11
 
 @dataclass(frozen=True)
 class Propagator:
-    """Eigenpairs of a Hermitian matrix, energies ascending."""
+    """Eigenpairs of one sector's band T, energies ascending; the
+    eigenvectors are real columns over the gauged sector basis."""
 
+    band: SectorBand
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    dim: int
+
+    @property
+    def dim(self) -> int:
+        return self.band.dim
 
 
 @dataclass(frozen=True)
@@ -38,37 +46,68 @@ class Trajectory:
         return len(self.times)
 
 
-def hermitian_eigen(h: HermitianMatrix) -> Propagator:
-    """Diagonalize, then verify the reconstruction and orthonormality contracts."""
-    energies, vectors = np.linalg.eigh(h.entries)
-    scale = max(1.0, float(np.max(np.abs(h.entries))))
-    residual = np.max(np.abs((vectors * energies) @ vectors.conj().T - h.entries))
+def hermitian_eigen(band: SectorBand) -> Propagator:
+    """Diagonalize one sector's band, then verify the reconstruction and
+    orthonormality contracts on it."""
+    energies, vectors = np.linalg.eigh(band.tridiagonal())
+    d, e = band.diagonal, band.off_diagonal
+    scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
+    tv = d[:, None] * vectors  # T V from the band, in O(m^2)
+    tv[:-1] += e[:, None] * vectors[1:]
+    tv[1:] += e[:, None] * vectors[:-1]
+    residual = np.max(np.abs(tv - vectors * energies))
     if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
         raise NumericalError(f"eigendecomposition residual {residual:.3e}")
-    ortho = np.max(np.abs(vectors.conj().T @ vectors - np.eye(h.dim)))
+    ortho = np.max(np.abs(vectors.T @ vectors - np.eye(band.dim)))
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
-    return Propagator(eigenvalues=energies, eigenvectors=vectors, dim=h.dim)
+    return Propagator(band=band, eigenvalues=energies, eigenvectors=vectors)
 
 
-def evolve_to(prop: Propagator, initial: SymmetricState, t: float) -> SymmetricState:
-    """Apply exp(-iHt) to a state."""
-    return SymmetricState(initial.n_qubits, evolve_grid(prop, initial, [t]).amplitudes[0])
-
-
-def evolve_grid(prop: Propagator, initial: SymmetricState, times) -> SymmetricState:
-    """The stack of states at many times from one decomposition, one row per time."""
+def decompose(spec: HamiltonianSpec, initial: SymmetricState) -> tuple:
+    """A `Propagator` for each parity sector that `initial` occupies."""
     c0 = initial.amplitudes
-    if c0.shape != (prop.dim,):
-        raise ValueError(f"dimension mismatch: state {c0.shape}, propagator {prop.dim}")
+    return tuple(
+        hermitian_eigen(band)
+        for band in sector_bands(spec, initial.n_qubits)
+        if np.any(c0[..., band.indices])
+    )
+
+
+def evolve_to(props, initial: SymmetricState, t: float) -> SymmetricState:
+    """Apply exp(-iHt) to a state."""
+    return SymmetricState(initial.n_qubits, evolve_grid(props, initial, [t]).amplitudes[0])
+
+
+def evolve_grid(props, initial: SymmetricState, times) -> SymmetricState:
+    """The stack of states at many times, one row per time, from the
+    sector propagators `props` (see `decompose`)."""
+    c0 = initial.amplitudes
+    if c0.ndim != 1 or any(p.band.n_qubits != initial.n_qubits for p in props):
+        raise ValueError(f"dimension mismatch: state {c0.shape}, propagators for "
+                         f"N={[p.band.n_qubits for p in props]}")
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError("non-finite time in the grid")
-    v = prop.eigenvectors
-    modes = v.conj().T @ c0
-    amps = v @ (np.exp(-1j * np.outer(prop.eigenvalues, times)) * modes[:, None])
+    amps = np.zeros((times.size, c0.size), dtype=complex)
+    uncovered = c0.copy()
+    for prop in props:
+        sector, v = prop.band.indices, prop.eigenvectors
+        gauge = prop.band.gauge()
+        x = gauge.conj() * c0[sector]
+        wr, wi = x.real @ v, x.imag @ v  # modes of the gauged initial state
+        phase = np.outer(times, prop.eigenvalues)
+        cos, sin = np.cos(phase), np.sin(phase)
+        # exp(-i lambda t) (wr + i wi), split into two real GEMMs
+        block = amps[:, sector]
+        block.real = (cos * wr + sin * wi) @ v.T
+        block.imag = (cos * wi - sin * wr) @ v.T
+        block *= gauge
+        uncovered[sector] = 0.0
+    if np.any(uncovered):
+        raise ValueError("the initial state occupies a parity sector with no propagator")
     try:
-        return SymmetricState(initial.n_qubits, amps.T)
+        return SymmetricState(initial.n_qubits, amps)
     except ValueError as exc:  # exact propagation is unitary: a lost norm is numerical
         raise NumericalError(f"propagated state lost its norm: {exc}") from exc
 
@@ -82,15 +121,17 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
 
 
 def trajectory(spec: HamiltonianSpec, n_qubits: int, t_max: float, dt: float) -> Trajectory:
-    """Evolve the all-down initial state on a uniform grid."""
+    """Evolve the all-down initial state on a uniform grid; all-down is
+    even, so only the even sector is diagonalized."""
     times = time_grid(t_max, dt)
-    prop = hermitian_eigen(build_hamiltonian(spec, n_qubits))
-    states = evolve_grid(prop, make_all_down(n_qubits), times)
+    initial = make_all_down(n_qubits)
+    states = evolve_grid(decompose(spec, initial), initial, times)
     return Trajectory(times=times, states=states)
 
 
 def rk4_evolve(h: HermitianMatrix, initial: SymmetricState, t: float, n_steps: int) -> np.ndarray:
-    """Classical fourth-order integrator; cross-check only, returns raw amplitudes."""
+    """Classical fourth-order integrator on the dense H of `build_hamiltonian`;
+    cross-check only, returns raw amplitudes."""
     if n_steps < 1:
         raise ValueError("need at least one step")
     dt = t / n_steps

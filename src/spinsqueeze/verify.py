@@ -7,6 +7,7 @@ numpy's PCG64 generator, which is recorded in the report for reproducibility.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,8 +23,14 @@ from .dicke import (
     make_dicke_state,
     make_state,
 )
-from .evolution import evolve_grid, evolve_to, hermitian_eigen, trajectory
-from .hamiltonians import HamiltonianSpec, build_hamiltonian, parity_check
+from .evolution import decompose, evolve_grid, trajectory
+from .hamiltonians import (
+    HamiltonianSpec,
+    assemble_sectors,
+    build_hamiltonian,
+    parity_check,
+    sector_bands,
+)
 from .oracle import (
     embed_symmetric,
     full_collective_moments,
@@ -101,9 +108,10 @@ def suite_lemma3(n_values=(2, 3, 4, 6, 10, 20), points: int = 200):
     mu = 1.0
     checks = []
     for n in n_values:
-        prop = hermitian_eigen(build_hamiltonian(HamiltonianSpec.one_axis(mu), n))
+        initial = make_all_down(n)
+        props = decompose(HamiltonianSpec.one_axis(mu), initial)
         times = np.linspace(0.0, 2.0 * np.pi, points) / (2.0 * mu)
-        m = collective_moments(evolve_grid(prop, make_all_down(n), times))
+        m = collective_moments(evolve_grid(props, initial, times))
         ref = one_axis_analytic_moments(n, mu, times)
         worst = max(
             0.0,
@@ -140,23 +148,28 @@ def _trajectory_worst(spec, n, t_max=10.0, dt=0.01) -> TrajectoryWorst:
     )
 
 
-def suite_prop3(n_values=(2, 3, 4, 6, 10, 20), t_max: float = 10.0, dt: float = 0.01):
-    """xi^2 = 1 - (N-1)C along one-axis trajectories, with and without field."""
+def suite_prop3(n_values=(2, 3, 4, 6, 10, 20), t_max: float = 10.0, dt: float = 0.01,
+                worst_of=_trajectory_worst):
+    """xi^2 = 1 - (N-1)C along one-axis trajectories, with and without field.
+
+    `worst_of` evaluates one trajectory; `run_suite` passes one memoized
+    copy to this suite and `suite_prop4`, which share trajectories."""
     checks = []
     for n in n_values:
         worst = max(
-            _trajectory_worst(spec, n, t_max, dt).prop3_squeezed
+            worst_of(spec, n, t_max, dt).prop3_squeezed
             for spec in (HamiltonianSpec.one_axis(1.0), HamiltonianSpec.one_axis_field(1.0, 1.0))
         )
         checks.append(Check(f"prop3_identity_N{n}", worst, 1e-9))
     return checks
 
 
-def suite_prop4(n_values=(2, 5, 10, 25, 50, 100), t_max: float = 10.0, dt: float = 0.01):
+def suite_prop4(n_values=(2, 5, 10, 25, 50, 100), t_max: float = 10.0, dt: float = 0.01,
+                worst_of=_trajectory_worst):
     """One-axis twisting: |u| >= y and xi^2 <= 1 at every time."""
     checks = []
     for n in n_values:
-        worst = _trajectory_worst(HamiltonianSpec.one_axis(1.0), n, t_max, dt)
+        worst = worst_of(HamiltonianSpec.one_axis(1.0), n, t_max, dt)
         checks.append(Check(f"prop4_margin_N{n}", worst.margin_deficit, 1e-12))
         checks.append(Check(f"prop4_xi2_bound_N{n}", worst.xi2_excess, 1e-12))
         checks.append(Check(f"prop4_identity_N{n}", worst.prop3_all, 1e-9))
@@ -191,8 +204,9 @@ def suite_oracle(seed: int, n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
     """Dicke-basis machinery against the full 2^N tensor-product simulation."""
     checks = []
     for n in n_values:
-        # Hamiltonian projection: the symmetric-subspace matrix is the full
-        # Pauli-sum Hamiltonian compressed by the Dicke embedding isometry.
+        # Hamiltonian projection: the full Pauli-sum Hamiltonian compressed by
+        # the Dicke embedding isometry equals both the dense builder and the
+        # matrix the sector bands and their gauge represent.
         worst_h = 0.0
         embed_cols = [
             embed_symmetric(make_dicke_state(n, k)).amplitudes for k in range(n + 1)
@@ -200,35 +214,31 @@ def suite_oracle(seed: int, n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
         isometry = np.column_stack(embed_cols)
         for spec in _model_specs().values():
             projected = isometry.conj().T @ full_hamiltonian(spec, n) @ isometry
-            worst_h = max(
-                worst_h,
-                float(np.max(np.abs(projected - build_hamiltonian(spec, n).entries))),
-            )
+            for h in (build_hamiltonian(spec, n).entries, assemble_sectors(sector_bands(spec, n))):
+                worst_h = max(worst_h, float(np.max(np.abs(projected - h))))
         checks.append(Check(f"oracle_hamiltonian_projection_N{n}", worst_h, 1e-10))
 
         worst_fidelity = 0.0
         worst_moments = 0.0
-        for name, spec in _model_specs().items():
-            prop = hermitian_eigen(build_hamiltonian(spec, n))
-            for t in times:
-                # one time at a time: propagating all times in one call takes
-                # another BLAS path and moves the printed residuals' last digits
-                sub_state = evolve_to(prop, make_all_down(n), t)
+        initial = make_all_down(n)
+        for spec in _model_specs().values():
+            states = evolve_grid(decompose(spec, initial), initial, times)
+            m_sub = collective_moments(states)
+            for k, t in enumerate(times):
                 full_state = full_evolve(spec, n, t)
+                sub_state = SymmetricState(n, states.amplitudes[k])
                 overlap = abs(
                     np.vdot(embed_symmetric(sub_state).amplitudes, full_state.amplitudes)
                 )
                 worst_fidelity = max(worst_fidelity, 1.0 - overlap**2)
-                m_sub = collective_moments(sub_state)
                 m_full = full_collective_moments(full_state)
-                worst_moments = max(worst_moments, _moment_distance(m_sub, m_full))
+                worst_moments = max(
+                    worst_moments,
+                    *(abs(getattr(m_sub, f)[k] - getattr(m_full, f)) for f in MOMENT_FIELDS),
+                )
         checks.append(Check(f"oracle_evolution_fidelity_N{n}", worst_fidelity, 1e-10))
         checks.append(Check(f"oracle_moments_N{n}", worst_moments, 1e-10))
     return checks
-
-
-def _moment_distance(a, b) -> float:
-    return max(abs(getattr(a, f) - getattr(b, f)) for f in MOMENT_FIELDS)
 
 
 def random_x_form(rng, n_qubits: int = 4) -> pairwise.TwoQubitReduced:
@@ -260,23 +270,25 @@ def suite_x_form(seed: int, samples: int = 1000):
 
 
 # Each runner looks its suite up by name when called, so a wrapper put on a
-# suite_* function after import is the one that runs.
+# suite_* function after import is the one that runs. `worst_of` is the
+# trajectory evaluation that prop3 and prop4 share within one run.
 _RUNNERS = {
-    "lemma1": lambda seed: suite_lemma1(seed),
-    "lemma2": lambda seed: suite_lemma2(seed),
-    "lemma3": lambda seed: suite_lemma3(),
-    "prop3": lambda seed: suite_prop3(),
-    "prop4": lambda seed: suite_prop4(),
-    "parity": lambda seed: suite_parity(),
-    "oracle": lambda seed: suite_oracle(seed),
-    "x-form": lambda seed: suite_x_form(seed),
+    "lemma1": lambda seed, worst_of: suite_lemma1(seed),
+    "lemma2": lambda seed, worst_of: suite_lemma2(seed),
+    "lemma3": lambda seed, worst_of: suite_lemma3(),
+    "prop3": lambda seed, worst_of: suite_prop3(worst_of=worst_of),
+    "prop4": lambda seed, worst_of: suite_prop4(worst_of=worst_of),
+    "parity": lambda seed, worst_of: suite_parity(),
+    "oracle": lambda seed, worst_of: suite_oracle(seed),
+    "x-form": lambda seed, worst_of: suite_x_form(seed),
 }
 SUITES = tuple(_RUNNERS)
 
 
 def run_suite(name: str, seed: int = 0):
-    if name == "all":
-        return [check for suite in SUITES for check in run_suite(suite, seed)]
-    if name not in _RUNNERS:
+    if name != "all" and name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES + ('all',))}")
-    return _RUNNERS[name](seed)
+    names = SUITES if name == "all" else (name,)
+    # one evaluation per (spec, N, t_max, dt) for this run
+    worst_of = functools.lru_cache(maxsize=None)(_trajectory_worst)
+    return [check for suite in names for check in _RUNNERS[suite](seed, worst_of)]

@@ -15,8 +15,8 @@ from spinsqueeze.dicke import (
     make_dicke_state,
     make_state,
 )
-from spinsqueeze.evolution import evolve_grid, hermitian_eigen, trajectory
-from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian
+from spinsqueeze.evolution import decompose, evolve_grid, trajectory
+from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.oracle import embed_symmetric, partial_trace_pair
 from spinsqueeze.pairwise import concurrence_spectral, concurrence_x_form, reduced_two_qubit
 from spinsqueeze.squeezing import squeezing_even_odd, squeezing_lower_bound
@@ -113,8 +113,8 @@ def test_criterion_6_oracle_equivalence():
         # evolved (even) states: closed-form vs spectral concurrence on the
         # literally traced matrix
         for spec in specs:
-            prop = hermitian_eigen(build_hamiltonian(spec, n))
-            states = evolve_grid(prop, make_all_down(n), (0.1, 0.5, 1.5))
+            initial = make_all_down(n)
+            states = evolve_grid(decompose(spec, initial), initial, (0.1, 0.5, 1.5))
             closed = concurrence_x_form(
                 reduced_two_qubit(collective_moments(states))
             ).concurrence

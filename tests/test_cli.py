@@ -1,6 +1,11 @@
 """CLI surface: CSV emission, scans, reports, verify suites, exit codes."""
 
 import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,6 +84,37 @@ class TestEvolve:
 
         monkeypatch.setattr(np.linalg, "eigh", nan_first)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
+
+    def test_corrupt_eigenvector_is_numerical_error(self, monkeypatch, capsys):
+        # two sector eigenvectors swapped: still orthonormal, but T V != V Lambda
+        eigh = np.linalg.eigh
+
+        def swapped(a):
+            energies, vectors = eigh(a)
+            vectors[:, [0, -1]] = vectors[:, [-1, 0]]
+            return energies, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", swapped)
+        assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
+        assert "eigendecomposition residual" in capsys.readouterr().err
+
+    def test_cli_imports_no_scipy(self, tmp_path):
+        # the run must not pay scipy's import time and memory
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from spinsqueeze import cli\n"
+            f"assert cli.main(['evolve', '--n', '6', '--t-max', '1', '--dt', '0.5',"
+            f" '--out', {str(tmp_path / 'x.csv')!r}]) == 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        pyproject = (src.parent / "pyproject.toml").read_text()
+        dependencies = re.search(r"^dependencies = \[(.*)\]$", pyproject, re.M).group(1)
+        assert re.findall(r'"([^"]*)"', dependencies) == ["numpy>=1.24"]
 
     def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
         def too_large(*args):
@@ -264,6 +300,23 @@ class TestVerify:
 
     def test_lemma3_suite_passes(self):
         assert run_cli(["verify", "lemma3"]) == 0
+
+    def test_prop3_and_prop4_share_trajectories(self, monkeypatch):
+        # within one run each (spec, N, t_max, dt) trajectory is evaluated once,
+        # and the checks read as when each suite runs alone
+        alone = verify.run_suite("prop3") + verify.run_suite("prop4")
+        calls = []
+        original = verify._trajectory_worst
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(verify, "_trajectory_worst", counted)
+        monkeypatch.setattr(verify, "SUITES", ("prop3", "prop4"))
+        shared = verify.run_suite("all")
+        assert len(calls) == len(set(calls)) == 16  # 12 in prop3, 4 new in prop4
+        assert [(c.name, c.residual) for c in shared] == [(c.name, c.residual) for c in alone]
 
     def test_lemma2_mutation_detected(self, monkeypatch, capsys):
         # flip one sign in the moment-to-matrix-element map; the partial-trace

@@ -7,8 +7,10 @@ from spinsqueeze.dicke import collective_operators
 from spinsqueeze.hamiltonians import (
     HamiltonianSpec,
     HermitianMatrix,
+    assemble_sectors,
     build_hamiltonian,
     parity_check,
+    sector_bands,
 )
 
 
@@ -86,3 +88,32 @@ def test_pentadiagonal_and_hermitian(n):
 )
 def test_parity_commutes(spec):
     assert parity_check(spec, 6) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
+def test_sector_bands_reassemble_the_dense_matrix(n):
+    rng = np.random.default_rng(n)
+    specs = [HamiltonianSpec.one_axis(-1.5), HamiltonianSpec.two_axis(0.7)]
+    for _ in range(10):
+        mu, chi, gamma = rng.uniform(-10, 10, size=3)
+        f = tuple(rng.uniform(-10, 10, size=3))
+        specs.append(HamiltonianSpec(mu=mu, chi=chi, gamma=gamma, f_coeffs=f))
+    for spec in specs:
+        bands = sector_bands(spec, n)
+        assert [b.dim for b in bands] == [n // 2 + 1, (n + 1) // 2]
+        assert all(np.all(b.off_diagonal >= 0) for b in bands)
+        dense = build_hamiltonian(spec, n).entries
+        scale = max(1.0, np.max(np.abs(dense)))
+        assert np.max(np.abs(assemble_sectors(bands) - dense)) <= 1e-14 * scale
+
+
+def test_named_models_have_exact_gauges():
+    for spec, phase in [(HamiltonianSpec.one_axis(1.0), 1), (HamiltonianSpec.one_axis(-2.0), -1),
+                        (HamiltonianSpec.two_axis(1.0), -1j), (HamiltonianSpec.two_axis(-1.0), 1j)]:
+        (even, _) = sector_bands(spec, 9)
+        assert np.array_equal(even.gauge(), [complex(phase) ** j for j in range(even.dim)])
+
+
+def test_overflowing_band_is_refused():
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+        sector_bands(HamiltonianSpec(mu=1e308), 4)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from spinsqueeze.dicke import collective_moments, make_all_down, make_dicke_state
 from spinsqueeze.errors import NotXFormError
-from spinsqueeze.evolution import evolve_to, hermitian_eigen
-from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian
+from spinsqueeze.evolution import decompose, evolve_to
+from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.pairwise import (
     COHERENCE_DOMINATED,
     POPULATION_DOMINATED,
@@ -23,8 +23,9 @@ from spinsqueeze.verify import random_x_form
 
 
 def h1_moments(n, t):
-    prop = hermitian_eigen(build_hamiltonian(HamiltonianSpec.one_axis(1.0), n))
-    return collective_moments(evolve_to(prop, make_all_down(n), t))
+    initial = make_all_down(n)
+    props = decompose(HamiltonianSpec.one_axis(1.0), initial)
+    return collective_moments(evolve_to(props, initial, t))
 
 
 class TestReduction:

@@ -12,8 +12,8 @@ from spinsqueeze.dicke import (
     make_state,
 )
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
-from spinsqueeze.evolution import evolve_to, hermitian_eigen
-from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian
+from spinsqueeze.evolution import decompose, evolve_to
+from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.squeezing import (
     squeezing_even_odd,
     squeezing_from_correlation,
@@ -23,8 +23,8 @@ from spinsqueeze.squeezing import (
 
 
 def h1_state(n, t):
-    prop = hermitian_eigen(build_hamiltonian(HamiltonianSpec.one_axis(1.0), n))
-    return evolve_to(prop, make_all_down(n), t)
+    initial = make_all_down(n)
+    return evolve_to(decompose(HamiltonianSpec.one_axis(1.0), initial), initial, t)
 
 
 def test_coherent_state_unsqueezed():
