@@ -21,9 +21,7 @@ from .errors import (
 from .evolution import (
     Propagator,
     Trajectory,
-    decompose,
     evolve_grid,
-    evolve_to,
     hermitian_eigen,
     trajectory,
 )

@@ -24,7 +24,7 @@ ORTHONORMALITY_TOL = 1e-11
 
 
 @dataclass(frozen=True)
-class Propagator:
+class SectorEigen:
     """Eigenpairs of one sector's band T, energies ascending; the
     eigenvectors are real columns over the gauged sector basis."""
 
@@ -32,9 +32,18 @@ class Propagator:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
+
+@dataclass(frozen=True)
+class Propagator:
+    """The solved parity sectors of H for one initial state."""
+
+    n_qubits: int
+    sectors: tuple  # SectorEigen, one per occupied sector
+
     @property
     def dim(self) -> int:
-        return self.band.dim
+        """Total size of the solved sectors."""
+        return sum(s.band.dim for s in self.sectors)
 
 
 @dataclass(frozen=True)
@@ -46,7 +55,7 @@ class Trajectory:
         return len(self.times)
 
 
-def hermitian_eigen(band: SectorBand) -> Propagator:
+def solve_band(band: SectorBand) -> SectorEigen:
     """Diagonalize one sector's band, then verify the reconstruction and
     orthonormality contracts on it."""
     energies, vectors = np.linalg.eigh(band.tridiagonal())
@@ -61,42 +70,36 @@ def hermitian_eigen(band: SectorBand) -> Propagator:
     ortho = np.max(np.abs(vectors.T @ vectors - np.eye(band.dim)))
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
-    return Propagator(band=band, eigenvalues=energies, eigenvectors=vectors)
+    return SectorEigen(band=band, eigenvalues=energies, eigenvectors=vectors)
 
 
-def decompose(spec: HamiltonianSpec, initial: SymmetricState) -> tuple:
-    """A `Propagator` for each parity sector that `initial` occupies."""
+def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagator:
+    """Build the sector bands of H and solve each sector that `initial` occupies."""
     c0 = initial.amplitudes
-    return tuple(
-        hermitian_eigen(band)
+    return Propagator(initial.n_qubits, tuple(
+        solve_band(band)
         for band in sector_bands(spec, initial.n_qubits)
-        if np.any(c0[..., band.indices])
-    )
+        if np.any(c0[band.indices])
+    ))
 
 
-def evolve_to(props, initial: SymmetricState, t: float) -> SymmetricState:
-    """Apply exp(-iHt) to a state."""
-    return SymmetricState(initial.n_qubits, evolve_grid(props, initial, [t]).amplitudes[0])
-
-
-def evolve_grid(props, initial: SymmetricState, times) -> SymmetricState:
-    """The stack of states at many times, one row per time, from the
-    sector propagators `props` (see `decompose`)."""
+def evolve_grid(prop: Propagator, initial: SymmetricState, times) -> SymmetricState:
+    """The stack of states at many times, one row per time."""
     c0 = initial.amplitudes
-    if c0.ndim != 1 or any(p.band.n_qubits != initial.n_qubits for p in props):
-        raise ValueError(f"dimension mismatch: state {c0.shape}, propagators for "
-                         f"N={[p.band.n_qubits for p in props]}")
+    if c0.ndim != 1 or prop.n_qubits != initial.n_qubits:
+        raise ValueError(f"dimension mismatch: state {c0.shape}, propagator for "
+                         f"N={prop.n_qubits}")
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError("non-finite time in the grid")
     amps = np.zeros((times.size, c0.size), dtype=complex)
     uncovered = c0.copy()
-    for prop in props:
-        sector, v = prop.band.indices, prop.eigenvectors
-        gauge = prop.band.gauge()
+    for sector_eigen in prop.sectors:
+        band, v = sector_eigen.band, sector_eigen.eigenvectors
+        sector, gauge = band.indices, band.gauge()
         x = gauge.conj() * c0[sector]
         wr, wi = x.real @ v, x.imag @ v  # modes of the gauged initial state
-        phase = np.outer(times, prop.eigenvalues)
+        phase = np.outer(times, sector_eigen.eigenvalues)
         cos, sin = np.cos(phase), np.sin(phase)
         # exp(-i lambda t) (wr + i wi), split into two real GEMMs
         block = amps[:, sector]
@@ -125,7 +128,7 @@ def trajectory(spec: HamiltonianSpec, n_qubits: int, t_max: float, dt: float) ->
     even, so only the even sector is diagonalized."""
     times = time_grid(t_max, dt)
     initial = make_all_down(n_qubits)
-    states = evolve_grid(decompose(spec, initial), initial, times)
+    states = evolve_grid(hermitian_eigen(spec, initial), initial, times)
     return Trajectory(times=times, states=states)
 
 

@@ -15,7 +15,7 @@ from spinsqueeze.dicke import (
     make_dicke_state,
     make_state,
 )
-from spinsqueeze.evolution import decompose, evolve_grid, trajectory
+from spinsqueeze.evolution import evolve_grid, hermitian_eigen, trajectory
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.oracle import embed_symmetric, partial_trace_pair
 from spinsqueeze.pairwise import concurrence_spectral, concurrence_x_form, reduced_two_qubit
@@ -114,7 +114,7 @@ def test_criterion_6_oracle_equivalence():
         # literally traced matrix
         for spec in specs:
             initial = make_all_down(n)
-            states = evolve_grid(decompose(spec, initial), initial, (0.1, 0.5, 1.5))
+            states = evolve_grid(hermitian_eigen(spec, initial), initial, (0.1, 0.5, 1.5))
             closed = concurrence_x_form(
                 reduced_two_qubit(collective_moments(states))
             ).concurrence

@@ -67,9 +67,11 @@ class TestEvolve:
         # every propagated state unnormalized: a numerical failure
         original = evolution.hermitian_eigen
 
-        def leaky(h):
-            prop = original(h)
-            return dataclasses.replace(prop, eigenvectors=prop.eigenvectors * (1 + 1e-6))
+        def leaky(*args):
+            prop = original(*args)
+            sectors = tuple(dataclasses.replace(s, eigenvectors=s.eigenvectors * (1 + 1e-6))
+                            for s in prop.sectors)
+            return dataclasses.replace(prop, sectors=sectors)
 
         monkeypatch.setattr(evolution, "hermitian_eigen", leaky)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
@@ -306,16 +308,19 @@ class TestVerify:
         # and the checks read as when each suite runs alone
         alone = verify.run_suite("prop3") + verify.run_suite("prop4")
         calls = []
-        original = verify._trajectory_worst
+        original = verify.trajectory
 
         def counted(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(verify, "_trajectory_worst", counted)
+        monkeypatch.setattr(verify, "trajectory", counted)
         monkeypatch.setattr(verify, "SUITES", ("prop3", "prop4"))
         shared = verify.run_suite("all")
         assert len(calls) == len(set(calls)) == 16  # 12 in prop3, 4 new in prop4
+        calls.clear()
+        verify.run_suite("prop4")  # a new run evaluates afresh
+        assert len(calls) == 6
         assert [(c.name, c.residual) for c in shared] == [(c.name, c.residual) for c in alone]
 
     def test_lemma2_mutation_detected(self, monkeypatch, capsys):

@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 
 from spinsqueeze import evolution
-from spinsqueeze.dicke import PARITY_TOL, collective_moments, make_all_down, make_state
+from spinsqueeze.dicke import (
+    PARITY_TOL,
+    SymmetricState,
+    collective_moments,
+    make_all_down,
+    make_state,
+)
 from spinsqueeze.errors import NumericalError
 from spinsqueeze.evolution import (
-    decompose,
     evolve_grid,
-    evolve_to,
     hermitian_eigen,
     rk4_evolve,
+    solve_band,
     time_grid,
     trajectory,
 )
@@ -35,21 +40,26 @@ def band(diagonal, off_diagonal=None):
     return SectorBand(2 * len(diagonal), 0, diagonal, np.asarray(off_diagonal, float), 1.0)
 
 
+def evolve_to(prop, initial, t):
+    """The state at one time."""
+    return SymmetricState(initial.n_qubits, evolve_grid(prop, initial, [t]).amplitudes[0])
+
+
 def test_diagonal_eigen():
-    prop = hermitian_eigen(band([1.0, 2.0, 3.0]))
+    prop = solve_band(band([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(prop.eigenvalues, [1, 2, 3])
     np.testing.assert_allclose(np.abs(prop.eigenvectors), np.eye(3), atol=1e-14)
 
 
 def test_one_axis_n2_spectrum():
-    energies = np.concatenate([hermitian_eigen(b).eigenvalues for b in sector_bands(H1, 2)])
+    energies = np.concatenate([solve_band(b).eigenvalues for b in sector_bands(H1, 2)])
     np.testing.assert_allclose(np.sort(energies), [0, 1, 1], atol=1e-14)
 
 
 def test_random_hermitian_contracts():
     rng = np.random.default_rng(2)
     b = band(rng.normal(size=50), rng.normal(size=49))
-    prop = hermitian_eigen(b)
+    prop = solve_band(b)
     v, e = prop.eigenvectors, prop.eigenvalues
     assert np.max(np.abs(v @ np.diag(e) @ v.T - b.tridiagonal())) <= 1e-10
     assert np.max(np.abs(v.T @ v - np.eye(50))) <= 1e-11
@@ -58,16 +68,16 @@ def test_random_hermitian_contracts():
 def test_evolve_t0_is_identity():
     initial = make_all_down(4)
     np.testing.assert_allclose(
-        evolve_to(decompose(H1, initial), initial, 0.0).amplitudes,
+        evolve_to(hermitian_eigen(H1, initial), initial, 0.0).amplitudes,
         initial.amplitudes,
         atol=1e-14,
     )
 
 
 def test_one_axis_n2_analytic_amplitudes():
-    props = decompose(H1, make_all_down(2))
+    prop = hermitian_eigen(H1, make_all_down(2))
     for t in np.linspace(0, 2 * np.pi, 17):
-        state = evolve_to(props, make_all_down(2), t)
+        state = evolve_to(prop, make_all_down(2), t)
         expected = np.array(
             [(np.exp(-1j * t) + 1) / 2, 0, (np.exp(-1j * t) - 1) / 2]
         )
@@ -77,29 +87,29 @@ def test_one_axis_n2_analytic_amplitudes():
 def test_forward_backward_roundtrip():
     spec = HamiltonianSpec(mu=0.4, chi=-0.9, gamma=1.3, f_coeffs=(0, 0.7))
     initial = make_all_down(7)
-    props = decompose(spec, initial)
-    back = evolve_to(props, evolve_to(props, initial, 2.3), -2.3)
+    prop = hermitian_eigen(spec, initial)
+    back = evolve_to(prop, evolve_to(prop, initial, 2.3), -2.3)
     np.testing.assert_allclose(back.amplitudes, initial.amplitudes, atol=1e-12)
 
 
 def test_dimension_mismatch():
-    props = decompose(H1, make_all_down(4))
+    prop = hermitian_eigen(H1, make_all_down(4))
     with pytest.raises(ValueError):
-        evolve_to(props, make_all_down(5), 1.0)
+        evolve_to(prop, make_all_down(5), 1.0)
 
 
 def test_unsolved_sector_is_refused():
-    props = decompose(H1, make_all_down(4))  # the even sector only
+    prop = hermitian_eigen(H1, make_all_down(4))  # the even sector only
     odd, _ = make_state(4, [0, 1, 0, 0, 0])
     with pytest.raises(ValueError, match="no propagator"):
-        evolve_to(props, odd, 1.0)
+        evolve_to(prop, odd, 1.0)
 
 
 def test_non_finite_times_are_refused():
-    props = decompose(H1, make_all_down(2))
+    prop = hermitian_eigen(H1, make_all_down(2))
     for times in ([0.0, np.nan], [np.inf]):
         with pytest.raises(ValueError, match="non-finite time"):
-            evolve_grid(props, make_all_down(2), times)
+            evolve_grid(prop, make_all_down(2), times)
 
 
 def test_nan_eigenvalue_is_numerical_error(monkeypatch):
@@ -112,7 +122,7 @@ def test_nan_eigenvalue_is_numerical_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", nan_first)
     with pytest.raises(NumericalError, match="residual nan"):
-        hermitian_eigen(band([0.0, 1.0]))
+        solve_band(band([0.0, 1.0]))
 
 
 SECTOR_SPECS = {
@@ -144,21 +154,21 @@ def test_sector_path_matches_dense(model, n):
     for initial in (make_all_down(n), mixed):
         c0 = vectors.conj().T @ initial.amplitudes
         dense = (vectors @ (np.exp(-1j * np.outer(energies, times)) * c0[:, None])).T
-        props = decompose(spec, initial)
-        assert [p.band.parity for p in props] == ([0] if initial is not mixed else [0, 1])
-        got = evolve_grid(props, initial, times).amplitudes
+        prop = hermitian_eigen(spec, initial)
+        assert [s.band.parity for s in prop.sectors] == ([0] if initial is not mixed else [0, 1])
+        got = evolve_grid(prop, initial, times).amplitudes
         assert np.max(np.abs(got - dense)) <= tol
 
 
 def test_all_down_diagonalizes_only_the_even_sector(monkeypatch):
     solved = []
-    original = evolution.hermitian_eigen
+    original = evolution.solve_band
 
     def spy(b):
         solved.append((b.parity, b.dim))
         return original(b)
 
-    monkeypatch.setattr(evolution, "hermitian_eigen", spy)
+    monkeypatch.setattr(evolution, "solve_band", spy)
     for n in (1, 2, 7):
         solved.clear()
         trajectory(SECTOR_SPECS["general"], n, 1.0, 0.5)
@@ -222,6 +232,6 @@ def test_rk4_cross_check():
     spec = HamiltonianSpec.two_axis(1.0)
     h = build_hamiltonian(spec, 6)
     initial = make_all_down(6)
-    exact = evolve_to(decompose(spec, initial), initial, 0.5)
+    exact = evolve_to(hermitian_eigen(spec, initial), initial, 0.5)
     stepped = rk4_evolve(h, make_all_down(6), 0.5, 4000)
     np.testing.assert_allclose(stepped, exact.amplitudes, atol=1e-9)

@@ -5,13 +5,14 @@ import pytest
 
 from spinsqueeze.dicke import (
     MOMENT_FIELDS,
+    SymmetricState,
     collective_moments,
     make_all_down,
     make_dicke_state,
     make_state,
 )
 from spinsqueeze.errors import CapacityError
-from spinsqueeze.evolution import decompose, evolve_to
+from spinsqueeze.evolution import evolve_grid, hermitian_eigen
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.oracle import (
     FullState,
@@ -73,7 +74,8 @@ class TestFullEvolve:
         t = np.pi / 4
         full = full_evolve(HamiltonianSpec.one_axis(1.0), 2, t)
         initial = make_all_down(2)
-        sub = evolve_to(decompose(HamiltonianSpec.one_axis(1.0), initial), initial, t)
+        states = evolve_grid(hermitian_eigen(HamiltonianSpec.one_axis(1.0), initial), initial, [t])
+        sub = SymmetricState(2, states.amplitudes[0])
         overlap = abs(np.vdot(embed_symmetric(sub).amplitudes, full.amplitudes))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
@@ -81,7 +83,8 @@ class TestFullEvolve:
         spec = HamiltonianSpec.two_axis(1.0)
         full = full_evolve(spec, 4, 0.3)
         initial = make_all_down(4)
-        sub = evolve_to(decompose(spec, initial), initial, 0.3)
+        states = evolve_grid(hermitian_eigen(spec, initial), initial, [0.3])
+        sub = SymmetricState(4, states.amplitudes[0])
         mf = full_collective_moments(full)
         ms = collective_moments(sub)
         for name in ("mean_sz", "sz2", "sx2", "sy2", "sp_mean", "sp2", "anti_sp_sz"):

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinsqueeze.dicke import collective_moments, make_all_down, make_dicke_state
+from spinsqueeze.dicke import (
+    SymmetricState,
+    collective_moments,
+    make_all_down,
+    make_dicke_state,
+)
 from spinsqueeze.errors import NotXFormError
-from spinsqueeze.evolution import decompose, evolve_to
+from spinsqueeze.evolution import evolve_grid, hermitian_eigen
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.pairwise import (
     COHERENCE_DOMINATED,
@@ -24,8 +29,8 @@ from spinsqueeze.verify import random_x_form
 
 def h1_moments(n, t):
     initial = make_all_down(n)
-    props = decompose(HamiltonianSpec.one_axis(1.0), initial)
-    return collective_moments(evolve_to(props, initial, t))
+    states = evolve_grid(hermitian_eigen(HamiltonianSpec.one_axis(1.0), initial), initial, [t])
+    return collective_moments(SymmetricState(n, states.amplitudes[0]))
 
 
 class TestReduction:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from spinsqueeze.dicke import (
+    SymmetricState,
     collective_moments,
     make_all_down,
     make_dicke_state,
     make_state,
 )
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
-from spinsqueeze.evolution import decompose, evolve_to
+from spinsqueeze.evolution import evolve_grid, hermitian_eigen
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.squeezing import (
     squeezing_even_odd,
@@ -24,7 +25,8 @@ from spinsqueeze.squeezing import (
 
 def h1_state(n, t):
     initial = make_all_down(n)
-    return evolve_to(decompose(HamiltonianSpec.one_axis(1.0), initial), initial, t)
+    states = evolve_grid(hermitian_eigen(HamiltonianSpec.one_axis(1.0), initial), initial, [t])
+    return SymmetricState(n, states.amplitudes[0])
 
 
 def test_coherent_state_unsqueezed():
