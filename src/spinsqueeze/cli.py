@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -54,6 +53,11 @@ class RunConfig:
     output_path: str = ""
     precision: int = 17
 
+    def __post_init__(self):
+        # checked before any computation, so a bad value leaves no output file
+        if self.precision < 0:
+            raise ValueError(f"--precision must be at least 0, got {self.precision}")
+
     def spec(self) -> HamiltonianSpec:
         if self.model == "one-axis":
             return HamiltonianSpec.one_axis(self.mu)
@@ -66,12 +70,6 @@ class RunConfig:
                 mu=self.mu, chi=self.chi, gamma=self.gamma, f_coeffs=self.f_coeffs
             )
         raise ValueError(f"unknown model {self.model!r}")
-
-
-def fmt(value: float, precision: int) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return format(value, f".{precision}g")
 
 
 def evolve_rows(cfg: RunConfig) -> dict:
@@ -102,22 +100,23 @@ def evolve_rows(cfg: RunConfig) -> dict:
 
 
 def write_csv(path, columns, table, precision: int):
-    """`table` maps every column name to its values, one per row."""
-    def render(value):
-        if isinstance(value, str):
-            return value
-        if isinstance(value, int):
-            return str(value)
-        return fmt(value, precision)
-
-    values = [np.asarray(table[c]).tolist() for c in columns]
-    lines = (",".join(map(render, row)) + "\n" for row in zip(*values))
+    """`table` maps every column name to its values, one per row. One %-template
+    formats each line: `%.<precision>g` for floats (it prints nan, inf and -0
+    exactly as `format(v, ".<precision>g")` does), `%d` for ints, `%s` for strings."""
+    if precision < 0:  # "%.-1g" would fail only after the file was truncated
+        raise ValueError(f"--precision must be at least 0, got {precision}")
+    arrays = [np.asarray(table[c]) for c in columns]
+    conversions = {"f": f"%.{precision}g", "i": "%d", "U": "%s"}
+    for name, values in zip(columns, arrays):
+        if values.dtype.kind not in conversions:
+            raise ValueError(f"CSV column {name!r} holds {values.dtype}, not float, int or str")
+    template = ",".join(conversions[a.dtype.kind] for a in arrays) + "\n"
     to_stdout = path in ("", "-")
     with contextlib.nullcontext(sys.stdout) if to_stdout else open(
         path, "w", newline="\n"
     ) as handle:
         handle.write(",".join(columns) + "\n")
-        handle.writelines(lines)
+        handle.writelines(template % row for row in zip(*(a.tolist() for a in arrays)))
 
 
 def cmd_evolve(cfg: RunConfig) -> int:

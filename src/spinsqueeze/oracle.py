@@ -104,16 +104,16 @@ def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
     return h
 
 
-def full_evolve(spec: HamiltonianSpec, n_qubits: int, t: float) -> FullState:
-    """Evolve the all-down product state on the full space."""
+def full_evolve(spec: HamiltonianSpec, n_qubits: int, times) -> list:
+    """Evolve the all-down product state on the full space to each of `times`,
+    from one eigendecomposition of the Hamiltonian."""
     if n_qubits > MAX_QUBITS_EVOLVE:
         raise CapacityError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
-    h = full_hamiltonian(spec, n_qubits)
-    energies, vectors = np.linalg.eigh(h)
+    energies, vectors = np.linalg.eigh(full_hamiltonian(spec, n_qubits))
     initial = np.zeros(2**n_qubits, dtype=complex)
     initial[-1] = 1.0  # all-ones bitstring = every qubit in the ground state
-    amps = vectors @ (np.exp(-1j * energies * t) * (vectors.conj().T @ initial))
-    return FullState(n_qubits, amps)
+    coeffs = vectors.conj().T @ initial
+    return [FullState(n_qubits, vectors @ (np.exp(-1j * energies * t) * coeffs)) for t in times]
 
 
 def full_collective_moments(state: FullState) -> CollectiveMoments:

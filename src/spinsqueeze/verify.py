@@ -229,8 +229,7 @@ def suite_oracle(seed: int, n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
         for spec in _model_specs().values():
             states = evolve_grid(hermitian_eigen(spec, initial), initial, times)
             m_sub = collective_moments(states)
-            for k, t in enumerate(times):
-                full_state = full_evolve(spec, n, t)
+            for k, full_state in enumerate(full_evolve(spec, n, times)):
                 sub_state = SymmetricState(n, states.amplitudes[k])
                 overlap = abs(
                     np.vdot(embed_symmetric(sub_state).amplitudes, full_state.amplitudes)

@@ -1,17 +1,32 @@
 """CLI surface: CSV emission, scans, reports, verify suites, exit codes."""
 
+import contextlib
 import dataclasses
+import io
+import math
 import os
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinsqueeze import cli, evolution, pairwise, verify
 from spinsqueeze.dicke import CollectiveMoments
+
+# doubles from random bit patterns (every finite, subnormal, infinite and NaN
+# encoding), plus the special values named explicitly
+FLOATS = st.one_of(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310]),
+)
+# numpy's str dtype drops trailing NULs, so the writer never sees them
+TEXT = st.text(st.characters(exclude_characters="\x00", exclude_categories=("Cs",)))
 
 
 def run_cli(args):
@@ -158,7 +173,7 @@ class TestEvolve:
             parsed = [float(row[key]) for row in text_rows]
             np.testing.assert_allclose(parsed, values, rtol=1e-15, atol=0.0)
 
-    def test_degenerate_flag_token(self):
+    def test_degenerate_flag_token(self, tmp_path):
         # H1 at N=2, t = pi/2 reaches the maximally entangled state with
         # vanishing mean spin; the general parameter must degrade gracefully
         cols = cli.evolve_rows(
@@ -167,7 +182,10 @@ class TestEvolve:
         degenerate = cols["degenerate_flag"] == 1
         assert degenerate.any()
         assert np.all(np.isnan(cols["xi2_general"][degenerate]))
-        assert cli.fmt(float("nan"), 17) == "nan"
+        out = tmp_path / "degenerate.csv"
+        cli.write_csv(str(out), cli.EVOLVE_COLUMNS, cols, 17)
+        rows = read_rows(out)
+        assert [row["xi2_general"] == "nan" for row in rows] == list(degenerate)
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -179,6 +197,65 @@ class TestEvolve:
             ["evolve", "--config", str(config), "--dt", "0.25", "--out", str(out)]
         ) == 0
         assert len(read_rows(out)) == 5  # dt flag overrode the file value
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("command", ["evolve", "scan"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_negative_precision_is_usage_error(self, command, from_config, tmp_path,
+                                               monkeypatch, capsys):
+        def no_computation(*args, **kwargs):
+            raise AssertionError("trajectory computed before --precision was checked")
+
+        monkeypatch.setattr(cli, "trajectory", no_computation)
+        out = tmp_path / "x.csv"
+        args = [command, "--n", "2", "--t-max", "1", "--dt", "0.5", "--out", str(out)]
+        if from_config:
+            config = tmp_path / "run.cfg"
+            config.write_text("precision = -1\n")
+            args += ["--config", str(config)]
+        else:
+            args += ["--precision", "-1"]
+        assert run_cli(args) == 2
+        assert "--precision" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_precision_zero_keeps_format_output(self, tmp_path):
+        out = tmp_path / "p0.csv"
+        assert run_cli(["evolve", "--n", "3", "--t-max", "1", "--dt", "0.25",
+                        "--precision", "0", "--out", str(out)]) == 0
+        cols = cli.evolve_rows(cli.RunConfig(n_qubits=3, t_max=1, dt=0.25))
+        for k, row in enumerate(read_rows(out)):
+            assert row["branch"] == cols["branch"][k]
+            assert row["degenerate_flag"] == str(cols["degenerate_flag"][k])
+            assert row["t"] == format(cols["t"][k], ".0g")
+            assert row["sz2"] == format(cols["sz2"][k], ".0g")
+
+    @pytest.mark.parametrize("values, precision, message", [
+        (np.array([1j]), 17, "column 'c'"), (np.array([True]), 17, "column 'c'"),
+        ([b"x"], 17, "column 'c'"), ([1.0], -1, "--precision"),
+    ])
+    def test_bad_table_is_value_error_before_open(self, values, precision, message, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match=message):
+            cli.write_csv(str(out), ("c",), {"c": values}, precision)
+        assert not out.exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.lists(st.tuples(FLOATS, st.integers(-2**63, 2**63 - 1), TEXT),
+                      min_size=1, max_size=8),
+        precision=st.sampled_from([0, 1, 6, 15, 16, 17, 25]),
+    )
+    def test_row_template_matches_format(self, rows, precision):
+        floats, ints, texts = (list(col) for col in zip(*rows))
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            cli.write_csv("-", ("x", "n", "s"), {"x": floats, "n": ints, "s": texts}, precision)
+        expected = "".join(
+            f"{format(x, f'.{precision}g')},{n},{s}\n" for x, n, s in rows
+        )
+        assert buffer.getvalue() == "x,n,s\n" + expected
 
 
 class TestScan:

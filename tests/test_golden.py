@@ -25,6 +25,9 @@ CASES = {
                              "--t-max", "20", "--dt", "0.1"],
     "evolve_one_axis_field": ["evolve", "--model", "one-axis-field", "--n", "5",
                               "--mu", "1", "--omega", "0.7", *GRID],
+    # the middle row has vanishing mean spin: xi2_general prints nan, degenerate_flag 1
+    "evolve_one_axis_degenerate": ["evolve", "--model", "one-axis", "--n", "2",
+                                   "--t-max", "3.141592653589793", "--dt", "1.5707963267948966"],
     "evolve_two_axis": ["evolve", "--model", "two-axis", "--n", "10", "--gamma", "0.3", *GRID],
     "evolve_general": ["evolve", "--model", "general", "--n", "7", "--mu", "0.4",
                        "--chi", "-0.9", "--gamma", "1.3", "--f-coeffs", "0,0.7,0.2", *GRID],

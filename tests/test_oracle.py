@@ -49,6 +49,12 @@ class TestEmbedding:
             full = embed_symmetric(state)
             assert np.linalg.norm(full.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
+    def test_each_time_independent_of_the_others(self):
+        spec = HamiltonianSpec.one_axis_field(1.0, 0.5)
+        together = full_evolve(spec, 4, [0.1, 0.3, 1.0])
+        for t, state in zip([0.1, 0.3, 1.0], together):
+            assert np.array_equal(state.amplitudes, full_evolve(spec, 4, [t])[0].amplitudes)
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
             embed_symmetric(make_all_down(13))
@@ -65,14 +71,14 @@ def test_pauli_sums_are_shared_read_only():
 
 class TestFullEvolve:
     def test_t0(self):
-        full = full_evolve(HamiltonianSpec.one_axis(1.0), 3, 0.0)
+        full = full_evolve(HamiltonianSpec.one_axis(1.0), 3, [0.0])[0]
         expected = np.zeros(8)
         expected[-1] = 1.0
         np.testing.assert_allclose(full.amplitudes, expected, atol=1e-12)
 
     def test_h1_n2_matches_analytic(self):
         t = np.pi / 4
-        full = full_evolve(HamiltonianSpec.one_axis(1.0), 2, t)
+        full = full_evolve(HamiltonianSpec.one_axis(1.0), 2, [t])[0]
         initial = make_all_down(2)
         states = evolve_grid(hermitian_eigen(HamiltonianSpec.one_axis(1.0), initial), initial, [t])
         sub = SymmetricState(2, states.amplitudes[0])
@@ -81,7 +87,7 @@ class TestFullEvolve:
 
     def test_h3_moments_match_subspace(self):
         spec = HamiltonianSpec.two_axis(1.0)
-        full = full_evolve(spec, 4, 0.3)
+        full = full_evolve(spec, 4, [0.3])[0]
         initial = make_all_down(4)
         states = evolve_grid(hermitian_eigen(spec, initial), initial, [0.3])
         sub = SymmetricState(4, states.amplitudes[0])
@@ -90,9 +96,15 @@ class TestFullEvolve:
         for name in ("mean_sz", "sz2", "sx2", "sy2", "sp_mean", "sp2", "anti_sp_sz"):
             assert abs(getattr(mf, name) - getattr(ms, name)) <= 1e-10
 
+    def test_each_time_independent_of_the_others(self):
+        spec = HamiltonianSpec.one_axis_field(1.0, 0.5)
+        together = full_evolve(spec, 4, [0.1, 0.3, 1.0])
+        for t, state in zip([0.1, 0.3, 1.0], together):
+            assert np.array_equal(state.amplitudes, full_evolve(spec, 4, [t])[0].amplitudes)
+
     def test_capacity(self):
         with pytest.raises(CapacityError):
-            full_evolve(HamiltonianSpec.one_axis(1.0), 11, 0.1)
+            full_evolve(HamiltonianSpec.one_axis(1.0), 11, [0.1])
 
 
 def test_moments_match_oracle_on_random_states():
