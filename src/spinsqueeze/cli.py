@@ -221,6 +221,13 @@ def _parse_floats(text: str):
     return tuple(float(part) for part in text.split(",") if part.strip())
 
 
+def _parse_ints(text: str):
+    try:
+        return tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:  # argparse names the flag: "argument --n: ..."
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
+
+
 def load_config_file(path: str) -> list:
     """Flat `key = value` file; keys match the CLI flag names. Returns the
     entries as `--key=value` arguments for the subcommand's own parser."""
@@ -264,11 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="grid scan over N and coefficients")
     add_common(scan, listy=True)
-    scan.add_argument(
-        "--n",
-        type=lambda s: tuple(int(float(v)) for v in s.split(",") if v.strip()),
-        default=None,
-    )
+    scan.add_argument("--n", type=_parse_ints, default=None)
     scan.add_argument("--workers", type=int, default=None)
 
     dicke = sub.add_parser("dicke", help="squeezing/concurrence of a Dicke state")

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .dicke import CollectiveMoments, SymmetricState, mix_moments, square
+from .dicke import CollectiveMoments, SymmetricState, dot, mix_moments, square
 from .errors import CapacityError
 from .hamiltonians import HamiltonianSpec
 
@@ -33,18 +33,25 @@ _SZ = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class FullState:
+    """Amplitudes over the 2^N bitstrings: one state of shape (2^N,), or a
+    stack of shape (K, 2^N) with one state per row."""
+
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
         if self.n_qubits > MAX_QUBITS_STATIC:
             raise CapacityError(f"N={self.n_qubits} exceeds oracle cap {MAX_QUBITS_STATIC}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.n_qubits,):
+        # C order keeps each row contiguous, so a row's BLAS products are those
+        # of the same state alone (a strided row takes numpy's own loop)
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        if amps.ndim not in (1, 2) or amps.shape[-1] != 2**self.n_qubits:
             raise ValueError(f"expected 2^{self.n_qubits} amplitudes, got {amps.shape}")
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= 1e-10:
-            raise ValueError(f"full state norm {norm!r} != 1")
+        # row by row as np.linalg.norm computes one vector's norm
+        norm = np.ravel(np.sqrt(dot(amps.real, amps.real) + dot(amps.imag, amps.imag)))
+        bad = ~(np.abs(norm - 1.0) <= 1e-10)  # a NaN row fails too
+        if np.any(bad):
+            raise ValueError(f"full state norm {float(norm[bad][0])!r} != 1")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -59,13 +66,14 @@ def _excitation_counts(n_qubits: int) -> np.ndarray:
 
 
 def embed_symmetric(state: SymmetricState) -> FullState:
-    """Isometry |n> -> equal superposition of the C(N,n) matching bitstrings."""
+    """Isometry |n> -> equal superposition of the C(N,n) matching bitstrings,
+    applied to one state or to every row of a stack."""
     n_qubits = state.n_qubits
     if n_qubits > MAX_QUBITS_STATIC:
         raise CapacityError(f"N={n_qubits} exceeds oracle cap {MAX_QUBITS_STATIC}")
     counts = _excitation_counts(n_qubits)
     weights = np.array([1.0 / np.sqrt(comb(n_qubits, n)) for n in range(n_qubits + 1)])
-    full = state.amplitudes[counts] * weights[counts]
+    full = state.amplitudes[..., counts] * weights[counts]
     return FullState(n_qubits, full)
 
 
@@ -92,6 +100,9 @@ def _pauli_sums(n_qubits: int):
 
 
 def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
+    """The dense 2^N x 2^N Hamiltonian as a sum of Pauli products."""
+    if n_qubits > MAX_QUBITS_EVOLVE:  # before any 2^N allocation
+        raise CapacityError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
     sx, sy, sz = collective_pauli_sums(n_qubits)
     h = spec.mu * (sx @ sx) + spec.chi * (sy @ sy)
     if spec.gamma:
@@ -104,25 +115,28 @@ def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
     return h
 
 
-def full_evolve(spec: HamiltonianSpec, n_qubits: int, times) -> list:
-    """Evolve the all-down product state on the full space to each of `times`,
-    from one eigendecomposition of the Hamiltonian."""
-    if n_qubits > MAX_QUBITS_EVOLVE:
-        raise CapacityError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
-    energies, vectors = np.linalg.eigh(full_hamiltonian(spec, n_qubits))
-    initial = np.zeros(2**n_qubits, dtype=complex)
+def full_evolve(hamiltonian: np.ndarray, times) -> FullState:
+    """Evolve the all-down product state under a `full_hamiltonian` matrix to
+    each of `times`, from one eigendecomposition: a stack, one row per time."""
+    dim = len(hamiltonian)
+    energies, vectors = np.linalg.eigh(hamiltonian)
+    initial = np.zeros(dim, dtype=complex)
     initial[-1] = 1.0  # all-ones bitstring = every qubit in the ground state
     coeffs = vectors.conj().T @ initial
-    return [FullState(n_qubits, vectors @ (np.exp(-1j * energies * t) * coeffs)) for t in times]
+    rows = [vectors @ (np.exp(-1j * energies * t) * coeffs) for t in times]
+    return FullState(dim.bit_length() - 1, np.array(rows))  # dim = 2^N
 
 
 def full_collective_moments(state: FullState) -> CollectiveMoments:
-    """Moments evaluated with explicit full-space operators."""
+    """Moments evaluated with explicit full-space operators, for one state or
+    every row of a stack; each operator product is formed once per call."""
     sx, sy, sz = collective_pauli_sums(state.n_qubits)
     c = state.amplitudes
+    rows = c.reshape(-1, c.shape[-1])
 
     def ev(op):
-        return complex(c.conj() @ (op @ c))
+        values = np.array([complex(row.conj() @ (op @ row)) for row in rows])
+        return values.reshape(c.shape[:-1])[()]
 
     sp = sx + 1j * sy
     sp_mean = ev(sp)
@@ -144,14 +158,16 @@ def full_collective_moments(state: FullState) -> CollectiveMoments:
 
 
 def partial_trace_pair(state: FullState, i: int, j: int) -> np.ndarray:
-    """Trace out every qubit except (i, j); returns the 4x4 reduction."""
+    """Trace out every qubit except (i, j); returns the 4x4 reduction, or a
+    (K, 4, 4) stack for a stack of states."""
     n = state.n_qubits
     if not 0 <= i < j < n:
         raise ValueError(f"invalid qubit pair ({i}, {j}) for N={n}")
-    tensor = state.amplitudes.reshape((2,) * n)
-    tensor = np.moveaxis(tensor, (i, j), (0, 1))
-    block = tensor.reshape(4, -1)
-    return block @ block.conj().T
+    lead = state.amplitudes.shape[:-1]
+    tensor = state.amplitudes.reshape(lead + (2,) * n)
+    tensor = np.moveaxis(tensor, (len(lead) + i, len(lead) + j), (len(lead), len(lead) + 1))
+    block = tensor.reshape(lead + (4, -1))
+    return block @ block.conj().swapaxes(-1, -2)
 
 
 def _c_mul(a, b):

@@ -52,16 +52,17 @@ class TwoQubitReduced:
             raise ValueError("X-block positivity violated: v+ v- < |u|^2")
 
     def as_matrix(self) -> np.ndarray:
-        """The 4x4 matrix of one reduction."""
-        xp, xm, u = self.x_plus, self.x_minus, self.u
-        return np.array(
-            [
-                [self.v_plus, xp.conjugate(), xp.conjugate(), u.conjugate()],
-                [xp, self.y, self.y, xm.conjugate()],
-                [xp, self.y, self.y, xm.conjugate()],
-                [u, xm, xm, self.v_minus],
-            ]
+        """The 4x4 matrix of one reduction, or a (T, 4, 4) stack."""
+        vp, vm, y, xp, xm, u = np.broadcast_arrays(
+            self.v_plus, self.v_minus, self.y, self.x_plus, self.x_minus, self.u
         )
+        rows = [
+            [vp, xp.conj(), xp.conj(), u.conj()],
+            [xp, y, y, xm.conj()],
+            [xp, y, y, xm.conj()],
+            [u, xm, xm, vm],
+        ]
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 @dataclass(frozen=True)
@@ -140,15 +141,19 @@ def concurrence_x_form(r: TwoQubitReduced) -> ConcurrenceResult:
 
 
 def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
-    """Concurrence from the spectrum of rho (sy x sy) rho* (sy x sy)."""
+    """Concurrence from the spectrum of rho (sy x sy) rho* (sy x sy), for one
+    4x4 matrix or each matrix of a (T, 4, 4) stack; every check covers every
+    matrix, and one bad matrix rejects the stack."""
     rho4 = np.asarray(rho4, dtype=complex)
-    if rho4.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {rho4.shape}")
-    if not np.max(np.abs(rho4 - rho4.conj().T)) <= 1e-10:
+    if rho4.ndim not in (2, 3) or rho4.shape[-2:] != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix or a stack of them, got {rho4.shape}")
+    if not np.max(np.abs(rho4 - rho4.conj().swapaxes(-1, -2))) <= 1e-10:  # NaN fails
         raise ValueError("density matrix not Hermitian")
-    if abs(np.trace(rho4).real - 1.0) > 1e-10 or abs(np.trace(rho4).imag) > 1e-10:
-        raise ValueError(f"density matrix trace {np.trace(rho4)!r} != 1")
-    if np.linalg.eigvalsh(rho4)[0] < -1e-10:
+    trace = np.ravel(np.trace(rho4, axis1=-2, axis2=-1))
+    bad = (np.abs(trace.real - 1.0) > 1e-10) | (np.abs(trace.imag) > 1e-10)
+    if np.any(bad):
+        raise ValueError(f"density matrix trace {trace[bad][0]!r} != 1")
+    if np.any(np.linalg.eigvalsh(rho4)[..., 0] < -1e-10):
         raise ValueError("density matrix not positive semidefinite")
 
     # The lambda_i are the square roots of the eigenvalues of
@@ -157,12 +162,13 @@ def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
     # sqrt(rho) (sy x sy) sqrt(rho)*, which is stable where the non-normal
     # product's eigensolve loses half the digits on defective eigenvalues.
     evals, evecs = np.linalg.eigh(rho4)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
+    scaled = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
+    root = scaled @ evecs.conj().swapaxes(-1, -2)
     lambdas = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)
     if np.min(lambdas) < -1e-10:
         raise NumericalError(f"spin-flip spectrum has eigenvalue {np.min(lambdas):.3e}")
-    lambdas = np.sort(np.clip(lambdas, 0.0, None))[::-1]
-    concurrence = lambdas[0] - lambdas[1] - lambdas[2] - lambdas[3]
+    lambdas = np.sort(np.clip(lambdas, 0.0, None), axis=-1)[..., ::-1]
+    concurrence = lambdas[..., 0] - lambdas[..., 1] - lambdas[..., 2] - lambdas[..., 3]
     return ConcurrenceResult(concurrence=concurrence, lambdas=lambdas, branch=SPECTRAL)
 
 

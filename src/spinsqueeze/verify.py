@@ -21,7 +21,7 @@ from .dicke import (
     dot,
     make_all_down,
     make_dicke_state,
-    make_state,
+    modulus,
 )
 from .evolution import evolve_grid, hermitian_eigen, trajectory
 from .hamiltonians import (
@@ -32,6 +32,7 @@ from .hamiltonians import (
     sector_bands,
 )
 from .oracle import (
+    FullState,
     embed_symmetric,
     full_collective_moments,
     full_evolve,
@@ -55,10 +56,13 @@ class Check:
         return self.residual <= self.tolerance
 
 
-def _random_symmetric_state(rng, n_qubits: int) -> SymmetricState:
-    amps = rng.normal(size=n_qubits + 1) + 1j * rng.normal(size=n_qubits + 1)
-    state, _ = make_state(n_qubits, amps)
-    return state
+def _random_symmetric_states(rng, n_qubits: int, count: int) -> SymmetricState:
+    """A stack of `count` random states, drawn one after another (real parts,
+    then imaginary parts) and each normalized as `make_state` does."""
+    amps = np.array([rng.normal(size=n_qubits + 1) + 1j * rng.normal(size=n_qubits + 1)
+                     for _ in range(count)])
+    norm = np.sqrt(dot(amps.real, amps.real) + dot(amps.imag, amps.imag))
+    return SymmetricState(n_qubits, amps / norm[:, None])
 
 
 def _model_specs():
@@ -91,12 +95,10 @@ def suite_lemma2(seed: int, per_n: int = 100, n_values=range(2, 9)):
     rng = np.random.default_rng(seed)
     checks = []
     for n in n_values:
-        worst = 0.0
-        for _ in range(per_n):
-            state = _random_symmetric_state(rng, n)
-            predicted = pairwise.reduced_two_qubit(collective_moments(state)).as_matrix()
-            traced = partial_trace_pair(embed_symmetric(state), 0, 1)
-            worst = max(worst, float(np.max(np.abs(predicted - traced))))
+        states = _random_symmetric_states(rng, n, per_n)
+        predicted = pairwise.reduced_two_qubit(collective_moments(states)).as_matrix()
+        traced = partial_trace_pair(embed_symmetric(states), 0, 1)
+        worst = float(np.max(np.abs(predicted - traced), initial=0.0))
         checks.append(Check(f"lemma2_reduction_N{n}", worst, 1e-10))
     return checks
 
@@ -211,66 +213,62 @@ def suite_oracle(seed: int, n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
     for n in n_values:
         # Hamiltonian projection: the full Pauli-sum Hamiltonian compressed by
         # the Dicke embedding isometry equals both the dense builder and the
-        # matrix the sector bands and their gauge represent.
+        # matrix the sector bands and their gauge represent. The same full
+        # Hamiltonian then evolves the all-down state for every time.
+        isometry = np.column_stack(
+            [embed_symmetric(make_dicke_state(n, k)).amplitudes for k in range(n + 1)]
+        )
+        initial = make_all_down(n)
         worst_h = 0.0
-        embed_cols = [
-            embed_symmetric(make_dicke_state(n, k)).amplitudes for k in range(n + 1)
-        ]
-        isometry = np.column_stack(embed_cols)
+        sub_rows, full_rows = [], []
         for spec in _model_specs().values():
-            projected = isometry.conj().T @ full_hamiltonian(spec, n) @ isometry
+            h_full = full_hamiltonian(spec, n)
+            projected = isometry.conj().T @ h_full @ isometry
             for h in (build_hamiltonian(spec, n).entries, assemble_sectors(sector_bands(spec, n))):
                 worst_h = max(worst_h, float(np.max(np.abs(projected - h))))
+            sub_rows.append(evolve_grid(hermitian_eigen(spec, initial), initial, times).amplitudes)
+            full_rows.append(full_evolve(h_full, times).amplitudes)
         checks.append(Check(f"oracle_hamiltonian_projection_N{n}", worst_h, 1e-10))
 
-        worst_fidelity = 0.0
-        worst_moments = 0.0
-        initial = make_all_down(n)
-        for spec in _model_specs().values():
-            states = evolve_grid(hermitian_eigen(spec, initial), initial, times)
-            m_sub = collective_moments(states)
-            for k, full_state in enumerate(full_evolve(spec, n, times)):
-                sub_state = SymmetricState(n, states.amplitudes[k])
-                overlap = abs(
-                    np.vdot(embed_symmetric(sub_state).amplitudes, full_state.amplitudes)
-                )
-                worst_fidelity = max(worst_fidelity, 1.0 - overlap**2)
-                m_full = full_collective_moments(full_state)
-                worst_moments = max(
-                    worst_moments,
-                    *(abs(getattr(m_sub, f)[k] - getattr(m_full, f)) for f in MOMENT_FIELDS),
-                )
+        # one row per (model, time), both spaces
+        sub = SymmetricState(n, np.concatenate(sub_rows))
+        full = FullState(n, np.concatenate(full_rows))
+        overlaps = (np.vdot(a, b) for a, b in zip(embed_symmetric(sub).amplitudes, full.amplitudes))
+        worst_fidelity = max(0.0, *(1.0 - abs(overlap) ** 2 for overlap in overlaps))
+        m_sub, m_full = collective_moments(sub), full_collective_moments(full)
+        worst_moments = max(
+            0.0, *(np.max(modulus(getattr(m_sub, f) - getattr(m_full, f))) for f in MOMENT_FIELDS)
+        )
         checks.append(Check(f"oracle_evolution_fidelity_N{n}", worst_fidelity, 1e-10))
         checks.append(Check(f"oracle_moments_N{n}", worst_moments, 1e-10))
     return checks
 
 
-def random_x_form(rng, n_qubits: int = 4) -> pairwise.TwoQubitReduced:
-    """Random valid (v+, v-, y, u) tuple with unit trace and X-block positivity."""
-    v_plus, v_minus, two_y = rng.dirichlet(np.ones(3))
-    mod_u = rng.random() * np.sqrt(v_plus * v_minus)
-    u = mod_u * np.exp(2j * np.pi * rng.random())
+def random_x_form(rng, n_qubits: int = 4, samples=None) -> pairwise.TwoQubitReduced:
+    """Random valid (v+, v-, y, u) with unit trace and X-block positivity: one
+    reduction, or a stack of `samples` drawn one after another from `rng`."""
+    draws = np.array([(*rng.dirichlet(np.ones(3)), rng.random(), rng.random())
+                      for _ in range(1 if samples is None else samples)])
+    v_plus, v_minus, two_y, scale, turn = (draws[0] if samples is None else draws).T
+    mod_u = scale * np.sqrt(v_plus * v_minus)
     return pairwise.TwoQubitReduced(
-        v_plus=float(v_plus),
-        v_minus=float(v_minus),
-        y=float(two_y / 2.0),
+        v_plus=v_plus,
+        v_minus=v_minus,
+        y=two_y / 2.0,
         x_plus=0.0,
         x_minus=0.0,
-        u=complex(u),
+        u=mod_u * np.exp(2j * np.pi * turn),
         n_qubits=n_qubits,
     )
 
 
 def suite_x_form(seed: int, samples: int = 1000):
     """Closed-form X-state concurrence against the spectral definition."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        r = random_x_form(rng)
-        closed = pairwise.concurrence_x_form(r).concurrence
-        spectral = pairwise.concurrence_spectral(r.as_matrix()).concurrence
-        worst = max(worst, abs(closed - spectral))
-    return [Check("x_form_vs_spectral", worst, 1e-10)]
+    r = random_x_form(np.random.default_rng(seed), samples=samples)
+    closed = pairwise.concurrence_x_form(r).concurrence
+    spectral = pairwise.concurrence_spectral(r.as_matrix()).concurrence
+    return [Check("x_form_vs_spectral", float(np.max(np.abs(closed - spectral), initial=0.0)),
+                  1e-10)]
 
 
 # Each runner looks its suite up by name when called, so a wrapper put on a

@@ -287,6 +287,32 @@ class TestScan:
     def test_empty_grid_usage_error(self, tmp_path):
         assert run_cli(["scan", "--n", "", "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize("n_list", ["2.9,4", "4,2.0", "1e1"])
+    def test_non_integer_n_is_usage_error(self, n_list, tmp_path, capsys):
+        # a fractional N used to be truncated: --n 2.9,4 ran N=2 and N=4
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["scan", "--n", n_list, "--t-max", "1", "--dt", "0.5", "--out", str(out)])
+        assert err.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_n_in_config_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "scan.cfg"
+        config.write_text("n = 2.9, 4\nt_max = 1\ndt = 0.5\n")
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as err:
+            run_cli(["scan", "--config", str(config), "--out", str(out)])
+        assert err.value.code == 2
+        assert "--n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_n_list_with_spaces(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run_cli(["scan", "--n", " 4, 2", "--t-max", "1", "--dt", "0.5",
+                        "--out", str(out)]) == 0
+        assert [int(r["n"]) for r in read_rows(out)] == [2, 4]
+
     def test_config_file_lists_match_flags(self, tmp_path):
         config = tmp_path / "scan.cfg"
         config.write_text(

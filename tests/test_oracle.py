@@ -20,6 +20,7 @@ from spinsqueeze.oracle import (
     embed_symmetric,
     full_collective_moments,
     full_evolve,
+    full_hamiltonian,
     one_axis_analytic_moments,
     partial_trace_pair,
     product_moments,
@@ -50,10 +51,11 @@ class TestEmbedding:
             assert np.linalg.norm(full.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_each_time_independent_of_the_others(self):
-        spec = HamiltonianSpec.one_axis_field(1.0, 0.5)
-        together = full_evolve(spec, 4, [0.1, 0.3, 1.0])
-        for t, state in zip([0.1, 0.3, 1.0], together):
-            assert np.array_equal(state.amplitudes, full_evolve(spec, 4, [t])[0].amplitudes)
+        h = full_hamiltonian(HamiltonianSpec.one_axis_field(1.0, 0.5), 4)
+        together = full_evolve(h, [0.1, 0.3, 1.0])
+        assert together.amplitudes.shape == (3, 16)
+        for t, amps in zip([0.1, 0.3, 1.0], together.amplitudes):
+            assert np.array_equal(amps, full_evolve(h, [t]).amplitudes[0])
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -71,40 +73,42 @@ def test_pauli_sums_are_shared_read_only():
 
 class TestFullEvolve:
     def test_t0(self):
-        full = full_evolve(HamiltonianSpec.one_axis(1.0), 3, [0.0])[0]
+        full = full_evolve(full_hamiltonian(HamiltonianSpec.one_axis(1.0), 3), [0.0])
         expected = np.zeros(8)
         expected[-1] = 1.0
-        np.testing.assert_allclose(full.amplitudes, expected, atol=1e-12)
+        np.testing.assert_allclose(full.amplitudes[0], expected, atol=1e-12)
 
     def test_h1_n2_matches_analytic(self):
         t = np.pi / 4
-        full = full_evolve(HamiltonianSpec.one_axis(1.0), 2, [t])[0]
+        full = full_evolve(full_hamiltonian(HamiltonianSpec.one_axis(1.0), 2), [t])
         initial = make_all_down(2)
         states = evolve_grid(hermitian_eigen(HamiltonianSpec.one_axis(1.0), initial), initial, [t])
         sub = SymmetricState(2, states.amplitudes[0])
-        overlap = abs(np.vdot(embed_symmetric(sub).amplitudes, full.amplitudes))
+        overlap = abs(np.vdot(embed_symmetric(sub).amplitudes, full.amplitudes[0]))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_h3_moments_match_subspace(self):
         spec = HamiltonianSpec.two_axis(1.0)
-        full = full_evolve(spec, 4, [0.3])[0]
+        full = full_evolve(full_hamiltonian(spec, 4), [0.3])
         initial = make_all_down(4)
         states = evolve_grid(hermitian_eigen(spec, initial), initial, [0.3])
         sub = SymmetricState(4, states.amplitudes[0])
         mf = full_collective_moments(full)
         ms = collective_moments(sub)
         for name in ("mean_sz", "sz2", "sx2", "sy2", "sp_mean", "sp2", "anti_sp_sz"):
-            assert abs(getattr(mf, name) - getattr(ms, name)) <= 1e-10
+            assert abs(getattr(mf, name)[0] - getattr(ms, name)) <= 1e-10
 
     def test_each_time_independent_of_the_others(self):
-        spec = HamiltonianSpec.one_axis_field(1.0, 0.5)
-        together = full_evolve(spec, 4, [0.1, 0.3, 1.0])
-        for t, state in zip([0.1, 0.3, 1.0], together):
-            assert np.array_equal(state.amplitudes, full_evolve(spec, 4, [t])[0].amplitudes)
+        h = full_hamiltonian(HamiltonianSpec.one_axis_field(1.0, 0.5), 4)
+        together = full_evolve(h, [0.1, 0.3, 1.0])
+        assert together.amplitudes.shape == (3, 16)
+        for t, amps in zip([0.1, 0.3, 1.0], together.amplitudes):
+            assert np.array_equal(amps, full_evolve(h, [t]).amplitudes[0])
 
     def test_capacity(self):
+        # raised by the Hamiltonian builder, before any 2^N matrix exists
         with pytest.raises(CapacityError):
-            full_evolve(HamiltonianSpec.one_axis(1.0), 11, [0.1])
+            full_hamiltonian(HamiltonianSpec.one_axis(1.0), 11)
 
 
 def test_moments_match_oracle_on_random_states():

@@ -3,23 +3,33 @@
 Every field of a stacked result must equal, bit for bit, the field of the
 single-state result for the same row. Random states that are not even/odd
 reach the transverse branch of the general xi^2, which no trajectory from
-the all-down state does.
+the all-down state does. The same holds for a (T, 4, 4) stack of pair
+reductions and a (K, 2^N) stack of full-space states, and a stack with one
+bad entry raises the error that entry raises alone.
 """
 
 import numpy as np
 import pytest
 
-from spinsqueeze import dicke
+from spinsqueeze import dicke, verify
 from spinsqueeze.dicke import (
     MOMENT_FIELDS,
     CollectiveMoments,
     SymmetricState,
     collective_moments,
     make_dicke_state,
+    make_state,
 )
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
-from spinsqueeze.oracle import product_moments, sample_separable
-from spinsqueeze.pairwise import concurrence_x_form, reduced_two_qubit
+from spinsqueeze.oracle import (
+    FullState,
+    embed_symmetric,
+    full_collective_moments,
+    partial_trace_pair,
+    product_moments,
+    sample_separable,
+)
+from spinsqueeze.pairwise import concurrence_spectral, concurrence_x_form, reduced_two_qubit
 from spinsqueeze.squeezing import (
     perpendicular_correlation_min,
     squeezing_even_odd,
@@ -155,3 +165,106 @@ def test_mixed_parity_row_rejects_the_stack():
     mixed = np.array([1, 1, 0]) / np.sqrt(2)
     with pytest.raises(NotEvenOddError):
         squeezing_even_odd(collective_moments(SymmetricState(2, np.array([even, mixed]))))
+
+
+@pytest.mark.parametrize("kind", ["x_form", "general"])
+def test_spectral_concurrence_of_a_stack(kind):
+    rng = np.random.default_rng(600)
+    if kind == "x_form":
+        rho = verify.random_x_form(rng, samples=ROWS).as_matrix()
+    else:  # pair reductions of random states, not X-shaped
+        rho = partial_trace_pair(embed_symmetric(random_stack(rng, 4)), 0, 1)
+    assert rho.shape == (ROWS, 4, 4)
+    stacked = concurrence_spectral(rho)
+    assert stacked.concurrence.shape == (ROWS,) and stacked.lambdas.shape == (ROWS, 4)
+    for k, matrix in enumerate(rho):
+        single = concurrence_spectral(matrix)
+        assert np.array_equal(stacked.concurrence[k], single.concurrence), k
+        assert np.array_equal(stacked.lambdas[k], single.lambdas), k
+
+
+def test_random_x_form_stack_draws_as_single_calls():
+    stacked = verify.random_x_form(np.random.default_rng(601), samples=ROWS)
+    rng = np.random.default_rng(601)
+    singles = [verify.random_x_form(rng) for _ in range(ROWS)]
+    for name in ("v_plus", "v_minus", "y", "u"):  # the coherences are a shared 0
+        column = getattr(stacked, name)
+        for k, single in enumerate(singles):
+            assert np.array_equal(column[k], getattr(single, name)), (name, k)
+    matrices = stacked.as_matrix()
+    rng = np.random.default_rng(601)
+    for k in range(ROWS):
+        assert np.array_equal(matrices[k], verify.random_x_form(rng).as_matrix()), k
+
+
+@pytest.mark.parametrize("n", N_VALUES)
+def test_reduction_matrix_of_a_stack(n):
+    stack = random_stack(np.random.default_rng(700 + n), n)
+    matrices = reduced_two_qubit(collective_moments(stack)).as_matrix()
+    assert matrices.shape == (ROWS, 4, 4)
+    for k, state in enumerate(rows_of(stack)):
+        single = reduced_two_qubit(collective_moments(state)).as_matrix()
+        assert np.array_equal(matrices[k], single), k
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_lemma2_draws_as_make_state(n):
+    # the suite's stacked draws equal drawing and normalizing one state at a time
+    stack = verify._random_symmetric_states(np.random.default_rng(800 + n), n, ROWS)
+    rng = np.random.default_rng(800 + n)
+    for k in range(ROWS):
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        assert np.array_equal(stack.amplitudes[k], make_state(n, amps)[0].amplitudes), k
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_embedding_trace_and_full_moments_of_a_stack(n):
+    stack = random_stack(np.random.default_rng(900 + n), n)
+    full = embed_symmetric(stack)
+    assert full.amplitudes.shape == (ROWS, 2**n)
+    traced = partial_trace_pair(full, 0, n - 1)
+    m = full_collective_moments(full)
+    singles = []
+    for k, state in enumerate(rows_of(stack)):
+        single = embed_symmetric(state)
+        assert np.array_equal(full.amplitudes[k], single.amplitudes), k
+        assert np.array_equal(traced[k], partial_trace_pair(single, 0, n - 1)), k
+        singles.append(full_collective_moments(single))
+    assert_rows_equal(m, singles)
+
+
+def raised(call, arg):
+    with pytest.raises(Exception) as info:
+        call(arg)
+    return type(info.value), str(info.value)
+
+
+def bad_matrix(kind):
+    rho = np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex)
+    if kind == "not_hermitian":
+        rho[0, 1] = 0.3
+    elif kind == "nan":
+        rho[1, 1] = np.nan
+    elif kind == "trace":
+        rho *= 2.0
+    elif kind == "not_psd":
+        rho = np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex)
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["not_hermitian", "nan", "trace", "not_psd"])
+def test_one_bad_matrix_rejects_the_stack(kind):
+    rho = verify.random_x_form(np.random.default_rng(1000), samples=5).as_matrix()
+    rho[2] = bad_matrix(kind)
+    single = raised(concurrence_spectral, rho[2])
+    assert single[0] is ValueError
+    assert raised(concurrence_spectral, rho) == single
+
+
+@pytest.mark.parametrize("scale", [1.5, np.nan])
+def test_one_unnormalized_row_rejects_the_full_stack(scale):
+    amps = embed_symmetric(random_stack(np.random.default_rng(1100), 3)).amplitudes.copy()
+    amps[ROWS // 2] *= scale
+    single = raised(lambda a: FullState(3, a), amps[ROWS // 2])
+    assert single[0] is ValueError and "norm" in single[1]
+    assert raised(lambda a: FullState(3, a), amps) == single
