@@ -27,7 +27,6 @@ from .evolution import (
 )
 from .hamiltonians import (
     HamiltonianSpec,
-    HermitianMatrix,
     SectorBand,
     build_hamiltonian,
     parity_check,

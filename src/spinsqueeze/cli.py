@@ -133,8 +133,9 @@ def cmd_evolve(cfg: RunConfig) -> int:
 
 
 def _scan_point(args):
-    model, n, mu, chi, gamma, omega, t_max, dt = args
-    spec = RunConfig(model=model, mu=mu, chi=chi, gamma=gamma, omega=omega).spec()
+    model, n, mu, chi, gamma, omega, f_coeffs, t_max, dt = args
+    spec = RunConfig(model=model, mu=mu, chi=chi, gamma=gamma, omega=omega,
+                     f_coeffs=f_coeffs).spec()
     traj = trajectory(spec, n, t_max, dt)
     m = collective_moments(traj.states)
     xi2 = squeezing_even_odd(m).xi2
@@ -159,10 +160,10 @@ def _scan_point(args):
     }
 
 
-def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list,
+def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list, f_coeffs,
              t_max, dt, output_path, precision, workers=1) -> int:
     grid = sorted(
-        (model, n, mu, chi, gamma, omega, t_max, dt)
+        (model, n, mu, chi, gamma, omega, f_coeffs, t_max, dt)
         for n in n_list
         for mu in mu_list
         for chi in chi_list
@@ -330,6 +331,7 @@ def main(argv=None) -> int:
             chi_list=_as_tuple(cfg.chi),
             gamma_list=_as_tuple(cfg.gamma),
             omega_list=_as_tuple(cfg.omega),
+            f_coeffs=cfg.f_coeffs,  # one polynomial, the same at every grid point
             t_max=cfg.t_max,
             dt=cfg.dt,
             output_path=cfg.output_path,

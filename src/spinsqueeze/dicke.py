@@ -40,17 +40,12 @@ class SymmetricState:
             raise ValueError(
                 f"expected {self.n_qubits + 1} amplitudes, got shape {amps.shape}"
             )
-        amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
-        self.validate()
-
-    def validate(self):
-        """Re-check normalization on demand, every state of a stack at once."""
-        c = self.amplitudes
-        norm2 = dot(c.real, c.real) + dot(c.imag, c.imag)
+        norm2 = dot(amps.real, amps.real) + dot(amps.imag, amps.imag)  # one per row
         worst = np.ravel(norm2)[np.argmax(np.abs(norm2 - 1.0))]
         if not abs(worst - 1.0) <= 10 * NORM_TOL:  # a NaN row fails too
             raise ValueError(f"state not normalized: sum |c_n|^2 = {float(worst)!r}")
+        amps.flags.writeable = False
+        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dicke import SymmetricState, make_all_down
 from .errors import NumericalError
-from .hamiltonians import HamiltonianSpec, HermitianMatrix, SectorBand, sector_bands
+from .hamiltonians import HamiltonianSpec, SectorBand, sector_bands
 
 RECONSTRUCTION_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-11
@@ -37,7 +37,6 @@ class SectorEigen:
 class Propagator:
     """The solved parity sectors of H for one initial state."""
 
-    n_qubits: int
     sectors: tuple  # SectorEigen, one per occupied sector
 
     @property
@@ -76,25 +75,24 @@ def solve_band(band: SectorBand) -> SectorEigen:
 def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagator:
     """Build the sector bands of H and solve each sector that `initial` occupies."""
     c0 = initial.amplitudes
-    return Propagator(initial.n_qubits, tuple(
+    return Propagator(tuple(
         solve_band(band)
         for band in sector_bands(spec, initial.n_qubits)
         if np.any(c0[band.indices])
     ))
 
 
-def evolve_grid(prop: Propagator, initial: SymmetricState, times) -> SymmetricState:
-    """The stack of states at many times, one row per time."""
+def evolve_grid(spec: HamiltonianSpec, initial: SymmetricState, times) -> SymmetricState:
+    """Solve the sectors of H that `initial` occupies, then return the stack
+    of states at `times`, one row per time."""
     c0 = initial.amplitudes
-    if c0.ndim != 1 or prop.n_qubits != initial.n_qubits:
-        raise ValueError(f"dimension mismatch: state {c0.shape}, propagator for "
-                         f"N={prop.n_qubits}")
+    if c0.ndim != 1:
+        raise ValueError(f"expected one initial state, got amplitudes of shape {c0.shape}")
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError("non-finite time in the grid")
     amps = np.zeros((times.size, c0.size), dtype=complex)
-    uncovered = c0.copy()
-    for sector_eigen in prop.sectors:
+    for sector_eigen in hermitian_eigen(spec, initial).sectors:
         band, v = sector_eigen.band, sector_eigen.eigenvectors
         sector, gauge = band.indices, band.gauge()
         x = gauge.conj() * c0[sector]
@@ -106,9 +104,6 @@ def evolve_grid(prop: Propagator, initial: SymmetricState, times) -> SymmetricSt
         block.real = (cos * wr + sin * wi) @ v.T
         block.imag = (cos * wi - sin * wr) @ v.T
         block *= gauge
-        uncovered[sector] = 0.0
-    if np.any(uncovered):
-        raise ValueError("the initial state occupies a parity sector with no propagator")
     try:
         return SymmetricState(initial.n_qubits, amps)
     except ValueError as exc:  # exact propagation is unitary: a lost norm is numerical
@@ -128,17 +123,17 @@ def trajectory(spec: HamiltonianSpec, n_qubits: int, t_max: float, dt: float) ->
     even, so only the even sector is diagonalized."""
     times = time_grid(t_max, dt)
     initial = make_all_down(n_qubits)
-    states = evolve_grid(hermitian_eigen(spec, initial), initial, times)
+    states = evolve_grid(spec, initial, times)
     return Trajectory(times=times, states=states)
 
 
-def rk4_evolve(h: HermitianMatrix, initial: SymmetricState, t: float, n_steps: int) -> np.ndarray:
+def rk4_evolve(h: np.ndarray, initial: SymmetricState, t: float, n_steps: int) -> np.ndarray:
     """Classical fourth-order integrator on the dense H of `build_hamiltonian`;
     cross-check only, returns raw amplitudes."""
     if n_steps < 1:
         raise ValueError("need at least one step")
     dt = t / n_steps
-    deriv = lambda c: -1j * (h.entries @ c)
+    deriv = lambda c: -1j * (h @ c)
     c = initial.amplitudes.astype(complex)
     for _ in range(n_steps):
         k1 = deriv(c)

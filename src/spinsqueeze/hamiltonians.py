@@ -62,25 +62,10 @@ class HamiltonianSpec:
         return cls(gamma=gamma)
 
 
-@dataclass(frozen=True)
-class HermitianMatrix:
-    dim: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"expected {self.dim}x{self.dim}, got {entries.shape}")
-        residual = np.max(np.abs(entries - entries.conj().T))
-        if not residual <= HERMITICITY_TOL:  # NaN entries fail too
-            raise ValueError(f"matrix not Hermitian, residual {residual:.3e}")
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-
-def build_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> HermitianMatrix:
-    """Assemble the dense (N+1)x(N+1) matrix of the general Hamiltonian from
-    the collective operators; the reference the sector bands are checked against."""
+def build_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
+    """Assemble the dense, read-only complex (N+1)x(N+1) matrix of the general
+    Hamiltonian from the collective operators; the reference the sector bands
+    are checked against."""
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
     sx, sy, sz, sp, sm = collective_operators(n_qubits)
@@ -95,7 +80,11 @@ def build_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> HermitianMatrix:
     if spec.f_coeffs:
         m = np.arange(dim) - n_qubits / 2.0
         h += np.diag(np.polynomial.polynomial.polyval(m, spec.f_coeffs))
-    return HermitianMatrix(dim, h)
+    residual = np.max(np.abs(h - h.conj().T))
+    if not residual <= HERMITICITY_TOL:  # NaN entries fail too
+        raise ValueError(f"matrix not Hermitian, residual {residual:.3e}")
+    h.flags.writeable = False
+    return h
 
 
 @dataclass(frozen=True)
@@ -164,9 +153,9 @@ def assemble_sectors(bands) -> np.ndarray:
     return h
 
 
-def parity_check(spec: HamiltonianSpec, n_qubits: int) -> float:
-    """Max-norm of [P, H] with P = diag((-1)^n); zero for every spec here."""
-    h = build_hamiltonian(spec, n_qubits).entries
-    signs = np.where(np.arange(n_qubits + 1) % 2 == 0, 1.0, -1.0)
+def parity_check(h: np.ndarray) -> float:
+    """Max-norm of [P, H] with P = diag((-1)^n), for a `build_hamiltonian`
+    matrix; zero for every spec here."""
+    signs = np.where(np.arange(len(h)) % 2 == 0, 1.0, -1.0)
     commutator = signs[:, None] * h - h * signs[None, :]
     return float(np.max(np.abs(commutator)))

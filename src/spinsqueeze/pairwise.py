@@ -76,10 +76,6 @@ class ConcurrenceResult:
         lam.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
 
-    @property
-    def entangled(self) -> bool:
-        return self.concurrence > 0.0
-
 
 class SqueezingCondition(NamedTuple):
     satisfied: bool

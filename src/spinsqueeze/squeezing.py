@@ -19,9 +19,6 @@ from .errors import MeanSpinDegenerateError, NotEvenOddError
 MEAN_SPIN_TOL = 1e-8
 EVEN_ODD_TOL = 1e-8
 
-GENERAL = "general"
-EVEN_ODD = "even_odd_closed_form"
-
 
 @dataclass(frozen=True)
 class SqueezingResult:
@@ -31,7 +28,6 @@ class SqueezingResult:
     optimal_angle: float  # angle of the minimizing axis in the perpendicular plane
     n_perp: np.ndarray
     mean_spin: np.ndarray
-    method: str
 
 
 def _min_eig_2x2(g11, g22, g12):
@@ -84,7 +80,6 @@ def squeezing_general(m: CollectiveMoments) -> SqueezingResult:
         optimal_angle=np.where(degenerate, np.nan, theta)[()],
         n_perp=np.where(degenerate[..., None], np.nan, n_perp),
         mean_spin=mean_spin,
-        method=GENERAL,
     )
 
 
@@ -106,7 +101,6 @@ def squeezing_even_odd(m: CollectiveMoments) -> SqueezingResult:
         optimal_angle=theta,
         n_perp=np.stack([np.cos(theta), np.sin(theta), zero], axis=-1),
         mean_spin=np.stack([zero, zero, m.mean_sz], axis=-1),
-        method=EVEN_ODD,
     )
 
 

@@ -23,7 +23,7 @@ from .dicke import (
     make_dicke_state,
     modulus,
 )
-from .evolution import evolve_grid, hermitian_eigen, trajectory
+from .evolution import evolve_grid, trajectory
 from .hamiltonians import (
     HamiltonianSpec,
     assemble_sectors,
@@ -56,6 +56,13 @@ class Check:
         return self.residual <= self.tolerance
 
 
+def _worst(*values) -> float:
+    """The largest entry of `values` (arrays or scalars), or +0.0 when none is
+    positive; a NaN entry makes the result NaN, so its check fails."""
+    # + 0.0 turns a -0.0 maximum (say of -margin) into 0.0, which prints unsigned
+    return float(np.max([np.max(v, initial=0.0) for v in values])) + 0.0
+
+
 def _random_symmetric_states(rng, n_qubits: int, count: int) -> SymmetricState:
     """A stack of `count` random states, drawn one after another (real parts,
     then imaginary parts) and each normalized as `make_state` does."""
@@ -85,7 +92,7 @@ def suite_lemma1(seed: int, samples: int = 1000, n_values=range(2, 7)):
         worst_corr = np.min(perpendicular_correlation_min(m))
         xi2 = squeezing_general(m).xi2  # NaN where the mean spin vanishes
         worst_xi2 = np.min(xi2[~np.isnan(xi2)], initial=np.inf)
-        checks.append(Check(f"lemma1_correlation_N{n}", max(0.0, -worst_corr), 1e-12))
+        checks.append(Check(f"lemma1_correlation_N{n}", _worst(-worst_corr), 1e-12))
         checks.append(Check(f"lemma1_xi2_N{n}", max(0.0, 1.0 - worst_xi2), 1e-10))
     return checks
 
@@ -98,8 +105,7 @@ def suite_lemma2(seed: int, per_n: int = 100, n_values=range(2, 9)):
         states = _random_symmetric_states(rng, n, per_n)
         predicted = pairwise.reduced_two_qubit(collective_moments(states)).as_matrix()
         traced = partial_trace_pair(embed_symmetric(states), 0, 1)
-        worst = float(np.max(np.abs(predicted - traced), initial=0.0))
-        checks.append(Check(f"lemma2_reduction_N{n}", worst, 1e-10))
+        checks.append(Check(f"lemma2_reduction_N{n}", _worst(np.abs(predicted - traced)), 1e-10))
     return checks
 
 
@@ -110,17 +116,14 @@ def suite_lemma3(n_values=(2, 3, 4, 6, 10, 20), points: int = 200):
     mu = 1.0
     checks = []
     for n in n_values:
-        initial = make_all_down(n)
-        prop = hermitian_eigen(HamiltonianSpec.one_axis(mu), initial)
         times = np.linspace(0.0, 2.0 * np.pi, points) / (2.0 * mu)
-        m = collective_moments(evolve_grid(prop, initial, times))
+        m = collective_moments(evolve_grid(HamiltonianSpec.one_axis(mu), make_all_down(n), times))
         ref = one_axis_analytic_moments(n, mu, times)
-        worst = max(
-            0.0,
-            np.max(np.abs(m.sx2 - ref.sx2)),
-            np.max(np.abs(m.sy2 - ref.sy2)),
-            np.max(np.abs(m.sz2 - ref.sz2)),
-            np.max(np.abs((m.sx2 - m.sy2) - (m.sz2 - n * n / 4.0))),
+        worst = _worst(
+            np.abs(m.sx2 - ref.sx2),
+            np.abs(m.sy2 - ref.sy2),
+            np.abs(m.sz2 - ref.sz2),
+            np.abs((m.sx2 - m.sy2) - (m.sz2 - n * n / 4.0)),
         )
         checks.append(Check(f"lemma3_moments_N{n}", worst, 1e-9))
     return checks
@@ -144,10 +147,10 @@ def _trajectory_worst(spec, n, t_max=10.0, dt=0.01) -> TrajectoryWorst:
         pairwise.prop3_residual(xi2, pairwise.concurrence_x_form(r).concurrence, n)
     )
     return TrajectoryWorst(
-        max(0.0, np.max(xi2 - 1.0)),
-        max(0.0, np.max(-pairwise.squeezing_condition(r).margin)),
-        max(0.0, np.max(residual[xi2 <= 1.0], initial=0.0)),
-        max(0.0, np.max(residual)),
+        _worst(xi2 - 1.0),
+        _worst(-pairwise.squeezing_condition(r).margin),
+        _worst(residual[xi2 <= 1.0]),
+        _worst(residual),
     )
 
 
@@ -184,22 +187,21 @@ def suite_parity(n_values=(2, 3, 6, 10), t_max: float = 5.0, dt: float = 0.05):
     checks = []
     for name, spec in _model_specs().items():
         for n in n_values:
-            commutator = parity_check(spec, n)
             h = build_hamiltonian(spec, n)
             traj = trajectory(spec, n, t_max, dt)
             c = traj.states.amplitudes
-            energies, vectors = np.linalg.eigh(h.entries)
+            energies, vectors = np.linalg.eigh(h)
             modes = vectors.conj().T @ make_all_down(n).amplitudes
             dense = (np.exp(-1j * np.outer(traj.times, energies)) * modes) @ vectors.T
             both = np.concatenate([c, dense])
             m = collective_moments(SymmetricState(n, both))
-            worst_transverse = max(np.max(np.abs(m.mean_sx)), np.max(np.abs(m.mean_sy)))
+            worst_transverse = _worst(np.abs(m.mean_sx), np.abs(m.mean_sy))
             worst_leak = np.max(np.sum(np.abs(both[:, 1::2]) ** 2, axis=-1))
             norm = np.sqrt(dot(c.real, c.real) + dot(c.imag, c.imag))
             worst_norm = np.max(np.abs(norm - 1.0))
-            energy = dot(c.conj(), np.matmul(h.entries, c[..., None])[..., 0]).real
+            energy = dot(c.conj(), np.matmul(h, c[..., None])[..., 0]).real
             worst_energy = np.max(np.abs(energy - energy[0]))
-            checks.append(Check(f"parity_commutator_{name}_N{n}", commutator, 1e-13))
+            checks.append(Check(f"parity_commutator_{name}_N{n}", parity_check(h), 1e-13))
             checks.append(Check(f"parity_transverse_{name}_N{n}", worst_transverse, 1e-10))
             checks.append(Check(f"parity_leakage_{name}_N{n}", worst_leak, 1e-12))
             checks.append(Check(f"parity_norm_{name}_N{n}", worst_norm, 1e-12))
@@ -219,28 +221,25 @@ def suite_oracle(seed: int, n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
             [embed_symmetric(make_dicke_state(n, k)).amplitudes for k in range(n + 1)]
         )
         initial = make_all_down(n)
-        worst_h = 0.0
-        sub_rows, full_rows = [], []
+        h_errors, sub_rows, full_rows = [], [], []
         for spec in _model_specs().values():
             h_full = full_hamiltonian(spec, n)
             projected = isometry.conj().T @ h_full @ isometry
-            for h in (build_hamiltonian(spec, n).entries, assemble_sectors(sector_bands(spec, n))):
-                worst_h = max(worst_h, float(np.max(np.abs(projected - h))))
-            sub_rows.append(evolve_grid(hermitian_eigen(spec, initial), initial, times).amplitudes)
+            for h in (build_hamiltonian(spec, n), assemble_sectors(sector_bands(spec, n))):
+                h_errors.append(np.abs(projected - h))
+            sub_rows.append(evolve_grid(spec, initial, times).amplitudes)
             full_rows.append(full_evolve(h_full, times).amplitudes)
-        checks.append(Check(f"oracle_hamiltonian_projection_N{n}", worst_h, 1e-10))
+        checks.append(Check(f"oracle_hamiltonian_projection_N{n}", _worst(*h_errors), 1e-10))
 
         # one row per (model, time), both spaces
         sub = SymmetricState(n, np.concatenate(sub_rows))
         full = FullState(n, np.concatenate(full_rows))
-        overlaps = (np.vdot(a, b) for a, b in zip(embed_symmetric(sub).amplitudes, full.amplitudes))
-        worst_fidelity = max(0.0, *(1.0 - abs(overlap) ** 2 for overlap in overlaps))
+        pairs = zip(embed_symmetric(sub).amplitudes, full.amplitudes)
+        fidelity_loss = [1.0 - abs(np.vdot(a, b)) ** 2 for a, b in pairs]
         m_sub, m_full = collective_moments(sub), full_collective_moments(full)
-        worst_moments = max(
-            0.0, *(np.max(modulus(getattr(m_sub, f) - getattr(m_full, f))) for f in MOMENT_FIELDS)
-        )
-        checks.append(Check(f"oracle_evolution_fidelity_N{n}", worst_fidelity, 1e-10))
-        checks.append(Check(f"oracle_moments_N{n}", worst_moments, 1e-10))
+        moment_errors = (modulus(getattr(m_sub, f) - getattr(m_full, f)) for f in MOMENT_FIELDS)
+        checks.append(Check(f"oracle_evolution_fidelity_N{n}", _worst(fidelity_loss), 1e-10))
+        checks.append(Check(f"oracle_moments_N{n}", _worst(*moment_errors), 1e-10))
     return checks
 
 
@@ -267,8 +266,7 @@ def suite_x_form(seed: int, samples: int = 1000):
     r = random_x_form(np.random.default_rng(seed), samples=samples)
     closed = pairwise.concurrence_x_form(r).concurrence
     spectral = pairwise.concurrence_spectral(r.as_matrix()).concurrence
-    return [Check("x_form_vs_spectral", float(np.max(np.abs(closed - spectral), initial=0.0)),
-                  1e-10)]
+    return [Check("x_form_vs_spectral", _worst(np.abs(closed - spectral)), 1e-10)]
 
 
 # Each runner looks its suite up by name when called, so a wrapper put on a

@@ -284,6 +284,21 @@ class TestScan:
         ns = [int(r["n"]) for r in read_rows(out_a)]
         assert ns == sorted(ns)
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_general_scan_keeps_f_coeffs(self, source, tmp_path):
+        # the polynomial used to be dropped: the scan ran f = () (min_xi2 0.28398)
+        flags = ["--model", "general", "--n", "4", "--mu", "1", "--gamma", "0.5",
+                 "--t-max", "2", "--dt", "0.1"]
+        config = tmp_path / "f.cfg"
+        config.write_text("f_coeffs = 0,3\n")
+        f_coeffs = ["--f-coeffs", "0,3"] if source == "flag" else ["--config", str(config)]
+        assert run_cli(["scan", *flags, *f_coeffs, "--out", str(tmp_path / "scan.csv")]) == 0
+        assert run_cli(["evolve", *flags, "--f-coeffs", "0,3",
+                        "--out", str(tmp_path / "evolve.csv")]) == 0
+        (scan,) = read_rows(tmp_path / "scan.csv")
+        xi2 = [float(row["xi2_closed"]) for row in read_rows(tmp_path / "evolve.csv")]
+        assert float(scan["min_xi2"]) == min(xi2) == pytest.approx(0.313364, abs=1e-6)
+
     def test_empty_grid_usage_error(self, tmp_path):
         assert run_cli(["scan", "--n", "", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -425,6 +440,37 @@ class TestVerify:
         verify.run_suite("prop4")  # a new run evaluates afresh
         assert len(calls) == 6
         assert [(c.name, c.residual) for c in shared] == [(c.name, c.residual) for c in alone]
+
+    @pytest.mark.parametrize("suite, target, field, failing", [
+        (lambda: verify.suite_lemma1(0, samples=20, n_values=[3]),
+         (verify, "perpendicular_correlation_min"), None, ["lemma1_correlation_N3"]),
+        (lambda: verify.suite_lemma3(n_values=[4], points=5),
+         (verify, "collective_moments"), "sx2", ["lemma3_moments_N4"]),
+        (lambda: verify.suite_prop3(n_values=[4], t_max=0.5),
+         (pairwise, "concurrence_x_form"), "concurrence", ["prop3_identity_N4"]),
+        (lambda: verify.suite_prop4(n_values=[4], t_max=0.5),
+         (verify, "squeezing_even_odd"), "xi2", ["prop4_xi2_bound_N4", "prop4_identity_N4"]),
+        (lambda: verify.suite_parity(n_values=[4], t_max=0.5),
+         (verify, "collective_moments"), "mean_sy",
+         [f"parity_transverse_{name}_N4" for name in verify._model_specs()]),
+    ], ids=["lemma1", "lemma3", "prop3", "prop4", "parity"])
+    def test_nan_residual_fails(self, suite, target, field, failing, monkeypatch, request):
+        # one NaN row in a quantity a residual is reduced from must fail the
+        # check, not be dropped by a max against 0.0
+        original = getattr(*target)
+
+        def poisoned(*args):
+            result = original(*args)
+            values = np.array(result if field is None else getattr(result, field))
+            values[1] = np.nan
+            return values if field is None else dataclasses.replace(result, **{field: values})
+
+        monkeypatch.setattr(*target, poisoned)
+        verify._trajectory_worst.cache_clear()
+        request.addfinalizer(verify._trajectory_worst.cache_clear)
+        checks = {c.name: c for c in suite()}
+        for name in failing:
+            assert np.isnan(checks[name].residual) and not checks[name].passed, name
 
     def test_lemma2_mutation_detected(self, monkeypatch, capsys):
         # flip one sign in the moment-to-matrix-element map; the partial-trace

@@ -4,10 +4,10 @@ Each CSV case runs one `evolve` or `scan` through the CLI and compares the
 CSV with `tests/golden/<case>.csv`. Sizes stay at N <= 10, where the output
 does not depend on the BLAS thread count. After a deliberate change of
 output, regenerate a file with `spinsqueeze <argv> --out tests/golden/<case>.csv`.
-The reports of the Lemma 1, Lemma 2, oracle and X-form suites are compared
-with `tests/golden/verify_<suite>_seed42.txt` (`-` in a suite name becomes
-`_`), each written by `spinsqueeze verify <suite> --seed 42 > <file>`; they
-pin every printed residual of those suites.
+The report of every `verify` suite is compared with
+`tests/golden/verify_<suite>_seed42.txt` (`-` in a suite name becomes `_`),
+each written by `spinsqueeze verify <suite> --seed 42 > <file>`; they pin
+every printed residual.
 """
 
 from pathlib import Path
@@ -51,7 +51,9 @@ def test_lemma1_report_matches_golden(capsys):
     assert out.encode() == (GOLDEN / "verify_lemma1_seed42.txt").read_bytes()
 
 
-@pytest.mark.parametrize("suite", ["lemma2", "oracle", "x-form"])
+@pytest.mark.parametrize(
+    "suite", ["lemma2", "lemma3", "prop3", "prop4", "parity", "oracle", "x-form"]
+)
 def test_verify_report_matches_golden(suite, capsys):
     assert cli.main(["verify", suite, "--seed", "42"]) == 0
     out = capsys.readouterr().out

@@ -6,7 +6,6 @@ import pytest
 from spinsqueeze.dicke import collective_operators
 from spinsqueeze.hamiltonians import (
     HamiltonianSpec,
-    HermitianMatrix,
     assemble_sectors,
     build_hamiltonian,
     parity_check,
@@ -18,7 +17,7 @@ def test_one_axis_n2_matrix():
     # hand ladder-algebra expansion of Sx^2 for two qubits
     h = build_hamiltonian(HamiltonianSpec.one_axis(1.0), 2)
     expected = np.array([[0.5, 0, 0.5], [0, 1, 0], [0.5, 0, 0.5]])
-    np.testing.assert_allclose(h.entries, expected, atol=1e-14)
+    np.testing.assert_allclose(h, expected, atol=1e-14)
 
 
 def test_two_axis_n2_matrix():
@@ -26,7 +25,7 @@ def test_two_axis_n2_matrix():
     expected = np.zeros((3, 3), dtype=complex)
     expected[0, 2] = 1j
     expected[2, 0] = -1j
-    np.testing.assert_allclose(h.entries, expected, atol=1e-14)
+    np.testing.assert_allclose(h, expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 50, 200])
@@ -39,12 +38,12 @@ def test_twist_is_symmetrized_product(n):
 
 def test_constant_f_gives_identity():
     h = build_hamiltonian(HamiltonianSpec(f_coeffs=(2.5,)), 4)
-    np.testing.assert_allclose(h.entries, 2.5 * np.eye(5), atol=1e-14)
+    np.testing.assert_allclose(h, 2.5 * np.eye(5), atol=1e-14)
 
 
 def test_linear_f_is_sz_diagonal():
     h = build_hamiltonian(HamiltonianSpec(f_coeffs=(0.0, 2.0)), 4)
-    np.testing.assert_allclose(h.entries, np.diag(2.0 * (np.arange(5) - 2)), atol=1e-14)
+    np.testing.assert_allclose(h, np.diag(2.0 * (np.arange(5) - 2)), atol=1e-14)
 
 
 def test_named_constructors():
@@ -60,9 +59,18 @@ def test_rejects_non_finite_coefficients():
         HamiltonianSpec(mu=float("nan"))
 
 
-def test_hermitian_matrix_rejects_nan_entries():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        HermitianMatrix(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+def test_overflowing_dense_matrix_is_refused():
+    # mu Sx^2 overflows to inf on the diagonal, and inf - inf is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="not Hermitian"):
+            build_hamiltonian(HamiltonianSpec(mu=1e308), 4)
+
+
+def test_dense_matrix_is_read_only():
+    h = build_hamiltonian(HamiltonianSpec.two_axis(1.0), 3)
+    assert h.dtype == complex and h.shape == (4, 4)
+    with pytest.raises(ValueError):
+        h[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("n", [2, 5, 8])
@@ -71,7 +79,7 @@ def test_pentadiagonal_and_hermitian(n):
     for _ in range(20):
         mu, chi, gamma = rng.uniform(-10, 10, size=3)
         f = tuple(rng.uniform(-10, 10, size=3))
-        h = build_hamiltonian(HamiltonianSpec(mu=mu, chi=chi, gamma=gamma, f_coeffs=f), n).entries
+        h = build_hamiltonian(HamiltonianSpec(mu=mu, chi=chi, gamma=gamma, f_coeffs=f), n)
         assert np.max(np.abs(h - h.conj().T)) <= 1e-14
         i, j = np.indices(h.shape)
         assert np.all(h[np.abs(i - j) > 2] == 0)
@@ -87,7 +95,7 @@ def test_pentadiagonal_and_hermitian(n):
     ],
 )
 def test_parity_commutes(spec):
-    assert parity_check(spec, 6) <= 1e-13
+    assert parity_check(build_hamiltonian(spec, 6)) <= 1e-13
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 13])
@@ -102,7 +110,7 @@ def test_sector_bands_reassemble_the_dense_matrix(n):
         bands = sector_bands(spec, n)
         assert [b.dim for b in bands] == [n // 2 + 1, (n + 1) // 2]
         assert all(np.all(b.off_diagonal >= 0) for b in bands)
-        dense = build_hamiltonian(spec, n).entries
+        dense = build_hamiltonian(spec, n)
         scale = max(1.0, np.max(np.abs(dense)))
         assert np.max(np.abs(assemble_sectors(bands) - dense)) <= 1e-14 * scale
 

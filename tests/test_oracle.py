@@ -12,7 +12,7 @@ from spinsqueeze.dicke import (
     make_state,
 )
 from spinsqueeze.errors import CapacityError
-from spinsqueeze.evolution import evolve_grid, hermitian_eigen
+from spinsqueeze.evolution import evolve_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.oracle import (
     FullState,
@@ -62,6 +62,30 @@ class TestEmbedding:
             embed_symmetric(make_all_down(13))
 
 
+def kron_pauli_sums(n_qubits):
+    """S_x, S_y, S_z as sums over sites of Kronecker chains, one factor per qubit."""
+    singles = (np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+               np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+               np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex))
+    ops = []
+    for single in singles:
+        total = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+        for site in range(n_qubits):
+            term = np.eye(1, dtype=complex)
+            for q in range(n_qubits):
+                term = np.kron(term, single if q == site else np.eye(2, dtype=complex))
+            total += 0.5 * term
+        ops.append(total)
+    return ops
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_pauli_sums_equal_kronecker_chains_bit_for_bit(n):
+    # uint64 views: the sign of every zero must match too
+    for op, ref in zip(collective_pauli_sums(n), kron_pauli_sums(n)):
+        assert np.array_equal(op.view(np.uint64), ref.view(np.uint64))
+
+
 def test_pauli_sums_are_shared_read_only():
     first = collective_pauli_sums(3)
     for op in first:
@@ -81,8 +105,7 @@ class TestFullEvolve:
     def test_h1_n2_matches_analytic(self):
         t = np.pi / 4
         full = full_evolve(full_hamiltonian(HamiltonianSpec.one_axis(1.0), 2), [t])
-        initial = make_all_down(2)
-        states = evolve_grid(hermitian_eigen(HamiltonianSpec.one_axis(1.0), initial), initial, [t])
+        states = evolve_grid(HamiltonianSpec.one_axis(1.0), make_all_down(2), [t])
         sub = SymmetricState(2, states.amplitudes[0])
         overlap = abs(np.vdot(embed_symmetric(sub).amplitudes, full.amplitudes[0]))
         assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -90,8 +113,7 @@ class TestFullEvolve:
     def test_h3_moments_match_subspace(self):
         spec = HamiltonianSpec.two_axis(1.0)
         full = full_evolve(full_hamiltonian(spec, 4), [0.3])
-        initial = make_all_down(4)
-        states = evolve_grid(hermitian_eigen(spec, initial), initial, [0.3])
+        states = evolve_grid(spec, make_all_down(4), [0.3])
         sub = SymmetricState(4, states.amplitudes[0])
         mf = full_collective_moments(full)
         ms = collective_moments(sub)

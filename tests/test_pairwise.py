@@ -12,7 +12,7 @@ from spinsqueeze.dicke import (
     make_dicke_state,
 )
 from spinsqueeze.errors import NotXFormError
-from spinsqueeze.evolution import evolve_grid, hermitian_eigen
+from spinsqueeze.evolution import evolve_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.pairwise import (
     COHERENCE_DOMINATED,
@@ -28,8 +28,7 @@ from spinsqueeze.verify import random_x_form
 
 
 def h1_moments(n, t):
-    initial = make_all_down(n)
-    states = evolve_grid(hermitian_eigen(HamiltonianSpec.one_axis(1.0), initial), initial, [t])
+    states = evolve_grid(HamiltonianSpec.one_axis(1.0), make_all_down(n), [t])
     return collective_moments(SymmetricState(n, states.amplitudes[0]))
 
 

@@ -13,7 +13,7 @@ from spinsqueeze.dicke import (
     make_state,
 )
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
-from spinsqueeze.evolution import evolve_grid, hermitian_eigen
+from spinsqueeze.evolution import evolve_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.squeezing import (
     squeezing_even_odd,
@@ -24,8 +24,7 @@ from spinsqueeze.squeezing import (
 
 
 def h1_state(n, t):
-    initial = make_all_down(n)
-    states = evolve_grid(hermitian_eigen(HamiltonianSpec.one_axis(1.0), initial), initial, [t])
+    states = evolve_grid(HamiltonianSpec.one_axis(1.0), make_all_down(n), [t])
     return SymmetricState(n, states.amplitudes[0])
 
 

@@ -53,7 +53,7 @@ def rows_of(stack):
 
 
 def assert_rows_equal(stacked, singles, extra=()):
-    names = [f for f in stacked.__dataclass_fields__ if f not in ("n_qubits", "method")]
+    names = [f for f in stacked.__dataclass_fields__ if f != "n_qubits"]
     for name in [*names, *extra]:
         column = getattr(stacked, name)
         for k, single in enumerate(singles):
