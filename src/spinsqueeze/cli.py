@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +24,13 @@ from .pairwise import concurrence_x_form, reduced_two_qubit
 from .squeezing import squeezing_even_odd, squeezing_general
 
 MODELS = ("one-axis", "one-axis-field", "two-axis", "general")
+# the coefficient flags each model's Hamiltonian reads (see RunConfig.spec)
+MODEL_COEFFS = {
+    "one-axis": ("mu",),
+    "one-axis-field": ("mu", "omega"),
+    "two-axis": ("gamma",),
+    "general": ("mu", "chi", "gamma"),
+}
 
 EVOLVE_COLUMNS = (
     "t", "xi2_closed", "xi2_general", "mean_spin_norm", "degenerate_flag",
@@ -162,6 +168,14 @@ def _scan_point(args):
 
 def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list, f_coeffs,
              t_max, dt, output_path, precision, workers=1) -> int:
+    lists = {"mu": mu_list, "chi": chi_list, "gamma": gamma_list, "omega": omega_list}
+    for name, values in lists.items():
+        # a sweep over a coefficient the model ignores would repeat one trajectory
+        if name not in MODEL_COEFFS[model] and len(set(values)) > 1:
+            raise ValueError(
+                f"--{name} lists {len(set(values))} values, but --model {model} reads only "
+                + ", ".join(f"--{c}" for c in MODEL_COEFFS[model])
+            )
     grid = sorted(
         (model, n, mu, chi, gamma, omega, f_coeffs, t_max, dt)
         for n in n_list
@@ -176,6 +190,9 @@ def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list, f_coeffs,
         raise ValueError(f"--workers must be at least 1, got {workers}")
     workers = min(workers, len(grid))
     if workers > 1:
+        # imported here: a serial run never loads concurrent.futures or multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_scan_point, grid))
     else:

@@ -218,20 +218,34 @@ def sample_separable(n_qubits: int, draws) -> CollectiveMoments:
     the unit ball (mixed single-qubit states included) and weights from a
     flat Dirichlet, drawn from its own numpy PCG64 generator, so a row does
     not depend on the other draws. Ensembles narrower than the widest are
-    padded with zero-weight components.
+    padded with zero-weight components. Only the raw variates are drawn per
+    draw; they are transformed once, on the stack.
     """
     counts = [k for k, _ in draws]
     if n_qubits < 2 or not counts or min(counts) < 1:
         raise ValueError("need n_qubits >= 2 and at least one draw, each with n_components >= 1")
-    bloch = np.zeros((len(draws), max(counts), 3))
-    weights = np.zeros((len(draws), max(counts)))
+    shape = (len(draws), max(counts))
+    normals = np.ones(shape + (3,))  # padding: a nonzero norm, so no 0/0
+    uniforms = np.zeros(shape)
+    exps = np.zeros(shape)
     for row, (k, seed) in enumerate(draws):
         rng = np.random.default_rng(seed)
-        directions = rng.normal(size=(k, 3))
-        directions /= np.linalg.norm(directions, axis=1, keepdims=True)
-        bloch[row, :k] = directions * (rng.random(k) ** (1.0 / 3.0))[:, None]
-        weights[row, :k] = rng.dirichlet(np.ones(k))
-    return mix_moments(weights, product_moments(bloch, n_qubits))
+        normals[row, :k] = rng.normal(size=(k, 3))
+        uniforms[row, :k] = rng.random(k)
+        exps[row, :k] = rng.standard_exponential(k)
+    # norm, power and product are elementwise or per length-3 row, so on the
+    # stack they give each draw's bits; a padding row is +0.0 (radius 0)
+    directions = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
+    bloch = directions * (uniforms ** (1.0 / 3.0))[..., None]
+    return mix_moments(flat_dirichlet(exps), product_moments(bloch, n_qubits))
+
+
+def flat_dirichlet(exps):
+    """Flat-Dirichlet weights from rows of standard exponentials, as numpy's
+    `Generator.dirichlet(np.ones(k))` forms them from the same variates: its
+    unit-shape gammas are standard exponentials, each scaled by the reciprocal
+    of their left-to-right sum (cumsum's order; trailing zeros leave it as is)."""
+    return exps * (1.0 / np.cumsum(exps, axis=-1)[..., -1:])
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .hamiltonians import (
 from .oracle import (
     FullState,
     embed_symmetric,
+    flat_dirichlet,
     full_collective_moments,
     full_evolve,
     full_hamiltonian,
@@ -66,10 +67,20 @@ def _worst(*values) -> float:
 def _random_symmetric_states(rng, n_qubits: int, count: int) -> SymmetricState:
     """A stack of `count` random states, drawn one after another (real parts,
     then imaginary parts) and each normalized as `make_state` does."""
-    amps = np.array([rng.normal(size=n_qubits + 1) + 1j * rng.normal(size=n_qubits + 1)
-                     for _ in range(count)])
+    # one C-order normal call draws the stream of count * 2 calls of size N+1
+    z = rng.normal(size=(count, 2, n_qubits + 1))
+    amps = z[:, 0] + 1j * z[:, 1]
     norm = np.sqrt(dot(amps.real, amps.real) + dot(amps.imag, amps.imag))
     return SymmetricState(n_qubits, amps / norm[:, None])
+
+
+def _separable_draws(rng, samples: int):
+    """`samples` (n_components, seed) pairs: per sample the component count
+    in [1, 8], then a sub-seed, as the RNG stream fixes."""
+    # with array bounds numpy draws element by element, in C order, through the
+    # bounded-integer routines of scalar calls: the stream of 2 * samples calls
+    pairs = rng.integers([1, 0], [9, 2**63 - 1], size=(samples, 2))
+    return [tuple(pair) for pair in pairs.tolist()]
 
 
 def _model_specs():
@@ -85,10 +96,7 @@ def suite_lemma1(seed: int, samples: int = 1000, n_values=range(2, 7)):
     rng = np.random.default_rng(seed)
     checks = []
     for n in n_values:
-        # per sample: component count first, then sub-seed, as the RNG stream fixes
-        draws = [(int(rng.integers(1, 9)), int(rng.integers(0, 2**63 - 1)))
-                 for _ in range(samples)]
-        m = sample_separable(n, draws)
+        m = sample_separable(n, _separable_draws(rng, samples))
         worst_corr = np.min(perpendicular_correlation_min(m))
         xi2 = squeezing_general(m).xi2  # NaN where the mean spin vanishes
         worst_xi2 = np.min(xi2[~np.isnan(xi2)], initial=np.inf)
@@ -246,8 +254,13 @@ def suite_oracle(seed: int, n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
 def random_x_form(rng, n_qubits: int = 4, samples=None) -> pairwise.TwoQubitReduced:
     """Random valid (v+, v-, y, u) with unit trace and X-block positivity: one
     reduction, or a stack of `samples` drawn one after another from `rng`."""
-    draws = np.array([(*rng.dirichlet(np.ones(3)), rng.random(), rng.random())
-                      for _ in range(1 if samples is None else samples)])
+    # per sample, the stream of `rng.dirichlet(np.ones(3))` then two `rng.random()`
+    count = 1 if samples is None else samples
+    exps, uniforms = np.empty((count, 3)), np.empty((count, 2))
+    for row in range(count):
+        exps[row] = rng.standard_exponential(3)
+        uniforms[row] = rng.random(2)
+    draws = np.column_stack([flat_dirichlet(exps), uniforms])
     v_plus, v_minus, two_y, scale, turn = (draws[0] if samples is None else draws).T
     mod_u = scale * np.sqrt(v_plus * v_minus)
     return pairwise.TwoQubitReduced(

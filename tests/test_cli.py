@@ -133,6 +133,19 @@ class TestEvolve:
         dependencies = re.search(r"^dependencies = \[(.*)\]$", pyproject, re.M).group(1)
         assert re.findall(r'"([^"]*)"', dependencies) == ["numpy>=1.24"]
 
+    def test_cli_import_skips_process_pool(self):
+        # a serial run does not pay for loading concurrent.futures and multiprocessing
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "import spinsqueeze.cli\n"
+            "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
         def too_large(*args):
             raise MemoryError("cannot hold the Hamiltonian")
@@ -299,6 +312,22 @@ class TestScan:
         xi2 = [float(row["xi2_closed"]) for row in read_rows(tmp_path / "evolve.csv")]
         assert float(scan["min_xi2"]) == min(xi2) == pytest.approx(0.313364, abs=1e-6)
 
+    @pytest.mark.parametrize("model, flag", [
+        ("one-axis", "--gamma"), ("one-axis", "--omega"), ("one-axis", "--chi"),
+        ("one-axis-field", "--gamma"), ("two-axis", "--mu"), ("two-axis", "--omega"),
+        ("general", "--omega"),
+    ])
+    def test_sweep_of_ignored_coefficient_is_usage_error(self, model, flag, tmp_path, capsys):
+        # such a sweep used to print one row per value, every row the same trajectory
+        out = tmp_path / "x.csv"
+        args = ["scan", "--model", model, "--n", "4", "--t-max", "1", "--dt", "0.5"]
+        assert run_cli(args + [flag, "1,2", "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+        # one value, or one value repeated, is still accepted
+        assert run_cli(args + [flag, "2,2", "--out", str(out)]) == 0
+        assert len(read_rows(out)) == 2
+
     def test_empty_grid_usage_error(self, tmp_path):
         assert run_cli(["scan", "--n", "", "--out", str(tmp_path / "x.csv")]) == 2
 
@@ -375,7 +404,7 @@ class TestScan:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
         args = ["scan", "--n", "2,3", "--t-max", "1", "--dt", "0.5"]
         assert run_cli(args + ["--workers", "1000", "--out", str(tmp_path / "a.csv")]) == 0
         assert requested == [2]
