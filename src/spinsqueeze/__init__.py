@@ -21,8 +21,10 @@ from .errors import (
 from .evolution import (
     Propagator,
     Trajectory,
+    evolve_blocks,
     evolve_grid,
     hermitian_eigen,
+    propagate,
     trajectory,
 )
 from .hamiltonians import (

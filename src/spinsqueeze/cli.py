@@ -4,21 +4,24 @@ Exit codes: 0 success, 1 verification failure, 2 usage error (including a
 size too large for the available memory), 3 numerical error. CSV output is
 deterministic (LF line endings, '.' decimal separator, fixed
 significant-digit formatting), so identical configs produce identical bytes.
+`evolve` and `scan` propagate, analyse and write one block of times at a
+time, so their memory does not grow with the length of the time grid.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import os
 import sys
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import verify as verify_mod
-from .dicke import collective_moments, make_dicke_state
+from .dicke import collective_moments, make_all_down, make_dicke_state
 from .errors import NumericalError
-from .evolution import trajectory
+from .evolution import evolve_blocks, time_grid
 from .hamiltonians import HamiltonianSpec
 from .pairwise import concurrence_x_form, reduced_two_qubit
 from .squeezing import squeezing_even_odd, squeezing_general
@@ -29,7 +32,7 @@ MODEL_COEFFS = {
     "one-axis": ("mu",),
     "one-axis-field": ("mu", "omega"),
     "two-axis": ("gamma",),
-    "general": ("mu", "chi", "gamma"),
+    "general": ("mu", "chi", "gamma", "f_coeffs"),
 }
 
 EVOLVE_COLUMNS = (
@@ -78,61 +81,123 @@ class RunConfig:
         raise ValueError(f"unknown model {self.model!r}")
 
 
+def _all_down_blocks(spec, n_qubits, t_max, dt):
+    """(times, states) blocks of the all-down trajectory on a uniform grid."""
+    return evolve_blocks(spec, make_all_down(n_qubits), time_grid(t_max, dt))
+
+
+def row_blocks(cfg: RunConfig):
+    """Every CSV column, one block of times at a time: yields column name ->
+    array, one value per time of the block."""
+    for times, states in _all_down_blocks(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt):
+        m = collective_moments(states)
+        xi2_general = squeezing_general(m).xi2
+        r = reduced_two_qubit(m)
+        conc = concurrence_x_form(r)
+        yield {
+            "t": times,
+            "xi2_closed": squeezing_even_odd(m).xi2,
+            "xi2_general": xi2_general,
+            "mean_spin_norm": m.mean_spin_norm,
+            "degenerate_flag": np.isnan(xi2_general).astype(int),
+            "concurrence": conc.concurrence,
+            "branch": conc.branch,
+            "u_re": r.u.real,
+            "u_im": r.u.imag,
+            "y": r.y,
+            "v_plus": r.v_plus,
+            "v_minus": r.v_minus,
+            "sz_mean": m.mean_sz,
+            "sz2": m.sz2,
+            "sp2_re": m.sp2.real,
+            "sp2_im": m.sp2.imag,
+        }
+
+
 def evolve_rows(cfg: RunConfig) -> dict:
-    """Every CSV column over the trajectory: column name -> array, one value per time."""
-    traj = trajectory(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt)
-    m = collective_moments(traj.states)
-    xi2_general = squeezing_general(m).xi2
-    r = reduced_two_qubit(m)
-    conc = concurrence_x_form(r)
-    return {
-        "t": traj.times,
-        "xi2_closed": squeezing_even_odd(m).xi2,
-        "xi2_general": xi2_general,
-        "mean_spin_norm": m.mean_spin_norm,
-        "degenerate_flag": np.isnan(xi2_general).astype(int),
-        "concurrence": conc.concurrence,
-        "branch": conc.branch,
-        "u_re": r.u.real,
-        "u_im": r.u.imag,
-        "y": r.y,
-        "v_plus": r.v_plus,
-        "v_minus": r.v_minus,
-        "sz_mean": m.mean_sz,
-        "sz2": m.sz2,
-        "sp2_re": m.sp2.real,
-        "sp2_im": m.sp2.imag,
-    }
+    """Every CSV column over the whole trajectory: column name -> array, one value per time."""
+    blocks = list(row_blocks(cfg))
+    return {c: np.concatenate([block[c] for block in blocks]) for c in EVOLVE_COLUMNS}
 
 
-def write_csv(path, columns, table, precision: int):
-    """`table` maps every column name to its values, one per row. One %-template
-    formats each line: `%.<precision>g` for floats (it prints nan, inf and -0
-    exactly as `format(v, ".<precision>g")` does), `%d` for ints, `%s` for strings."""
-    if precision < 0:  # "%.-1g" would fail only after the file was truncated
+def write_csv(path, columns, blocks, precision: int):
+    """`blocks` is an iterable of tables, each mapping every column name to
+    its values for the next rows. One %-template per table formats each line:
+    `%.<precision>g` for floats (it prints nan, inf and -0 exactly as
+    `format(v, ".<precision>g")` does), `%d` for ints, `%s` for strings.
+    A regular file is written whole or not at all: the lines go to a
+    temporary file beside it, which replaces it only after the last block."""
+    if precision < 0:  # "%.-1g" would fail only after the first block was computed
         raise ValueError(f"--precision must be at least 0, got {precision}")
-    arrays = [np.asarray(table[c]) for c in columns]
     conversions = {"f": f"%.{precision}g", "i": "%d", "U": "%s"}
-    for name, values in zip(columns, arrays):
-        if values.dtype.kind not in conversions:
-            raise ValueError(f"CSV column {name!r} holds {values.dtype}, not float, int or str")
-    template = ",".join(conversions[a.dtype.kind] for a in arrays) + "\n"
-    to_stdout = path in ("", "-")
-    with contextlib.nullcontext(sys.stdout) if to_stdout else open(
-        path, "w", newline="\n"
-    ) as handle:
-        handle.write(",".join(columns) + "\n")
-        handle.writelines(template % row for row in zip(*(a.tolist() for a in arrays)))
+
+    def lines():
+        yield ",".join(columns) + "\n"
+        for table in blocks:
+            arrays = [np.asarray(table[c]) for c in columns]
+            for name, values in zip(columns, arrays):
+                if values.dtype.kind not in conversions:
+                    raise ValueError(
+                        f"CSV column {name!r} holds {values.dtype}, not float, int or str")
+            template = ",".join(conversions[a.dtype.kind] for a in arrays) + "\n"
+            yield from (template % row for row in zip(*(a.tolist() for a in arrays)))
+
+    if path in ("", "-"):
+        sys.stdout.writelines(lines())
+        return
+    target = os.path.realpath(path)  # through a symlink, as open() writes
+    if os.path.exists(target) and not os.path.isfile(target):  # a device or a pipe
+        with open(target, "w", newline="\n") as handle:
+            handle.writelines(lines())
+        return
+    fd, temporary = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # mkstemp creates the file 0600
+        with open(fd, "w", newline="\n") as handle:
+            handle.writelines(lines())
+        os.replace(temporary, target)
+    except BaseException:
+        os.unlink(temporary)
+        raise
+
+
+def _running(pick, best, values, times):
+    """Fold one block into a running `pick` (np.argmin or np.argmax): `best`
+    is the (value, t) chosen so far, or None. As over the whole column, the
+    first occurrence wins a tie and the first NaN wins over any number."""
+    i = pick(values)
+    if best is not None and pick([best[0], values[i]]) == 0:
+        return best
+    return values[i], times[i]
+
+
+class Extremes:
+    """Running extremes of xi2 and concurrence over the blocks of a trajectory,
+    each a (value, t) pair."""
+
+    min_xi2 = max_xi2 = max_concurrence = None
+
+    def add(self, times, xi2, concurrence):
+        self.min_xi2 = _running(np.argmin, self.min_xi2, xi2, times)
+        self.max_xi2 = _running(np.argmax, self.max_xi2, xi2, times)
+        self.max_concurrence = _running(np.argmax, self.max_concurrence, concurrence, times)
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    cols = evolve_rows(cfg)
-    write_csv(cfg.output_path, EVOLVE_COLUMNS, cols, cfg.precision)
-    best = np.argmin(cols["xi2_closed"])
-    peak = np.argmax(cols["concurrence"])
+    extremes = Extremes()
+
+    def tracked():
+        for block in row_blocks(cfg):
+            extremes.add(block["t"], block["xi2_closed"], block["concurrence"])
+            yield block
+
+    write_csv(cfg.output_path, EVOLVE_COLUMNS, tracked(), cfg.precision)
+    (xi2, t_xi2), (conc, t_conc) = extremes.min_xi2, extremes.max_concurrence
     print(
-        f"min xi2 = {cols['xi2_closed'][best]:.6g} at t = {cols['t'][best]:.6g}; "
-        f"max concurrence = {cols['concurrence'][peak]:.6g} at t = {cols['t'][peak]:.6g}",
+        f"min xi2 = {xi2:.6g} at t = {t_xi2:.6g}; "
+        f"max concurrence = {conc:.6g} at t = {t_conc:.6g}",
         file=sys.stderr,
     )
     return 0
@@ -142,13 +207,14 @@ def _scan_point(args):
     model, n, mu, chi, gamma, omega, f_coeffs, t_max, dt = args
     spec = RunConfig(model=model, mu=mu, chi=chi, gamma=gamma, omega=omega,
                      f_coeffs=f_coeffs).spec()
-    traj = trajectory(spec, n, t_max, dt)
-    m = collective_moments(traj.states)
-    xi2 = squeezing_even_odd(m).xi2
-    conc = concurrence_x_form(reduced_two_qubit(m)).concurrence
-    best = np.argmin(xi2)
-    peak = np.argmax(conc)
-    max_xi2 = np.max(xi2)
+    extremes = Extremes()
+    for times, states in _all_down_blocks(spec, n, t_max, dt):
+        m = collective_moments(states)
+        extremes.add(times, squeezing_even_odd(m).xi2,
+                     concurrence_x_form(reduced_two_qubit(m)).concurrence)
+    min_xi2, t_min_xi2 = extremes.min_xi2
+    max_concurrence, t_max_concurrence = extremes.max_concurrence
+    max_xi2 = extremes.max_xi2[0]
     return {
         "model": model,
         "n": n,
@@ -156,11 +222,11 @@ def _scan_point(args):
         "chi": chi,
         "gamma": gamma,
         "omega": omega,
-        "min_xi2": xi2[best],
-        "t_min_xi2": traj.times[best],
-        "mubar_min_xi2": 2.0 * mu * traj.times[best],
-        "max_concurrence": conc[peak],
-        "t_max_concurrence": traj.times[peak],
+        "min_xi2": min_xi2,
+        "t_min_xi2": t_min_xi2,
+        "mubar_min_xi2": 2.0 * mu * t_min_xi2,
+        "max_concurrence": max_concurrence,
+        "t_max_concurrence": t_max_concurrence,
         "max_xi2": max_xi2,
         "max_xi2_exceeds_one": int(max_xi2 > 1.0 + 1e-9),
     }
@@ -168,14 +234,6 @@ def _scan_point(args):
 
 def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list, f_coeffs,
              t_max, dt, output_path, precision, workers=1) -> int:
-    lists = {"mu": mu_list, "chi": chi_list, "gamma": gamma_list, "omega": omega_list}
-    for name, values in lists.items():
-        # a sweep over a coefficient the model ignores would repeat one trajectory
-        if name not in MODEL_COEFFS[model] and len(set(values)) > 1:
-            raise ValueError(
-                f"--{name} lists {len(set(values))} values, but --model {model} reads only "
-                + ", ".join(f"--{c}" for c in MODEL_COEFFS[model])
-            )
     grid = sorted(
         (model, n, mu, chi, gamma, omega, f_coeffs, t_max, dt)
         for n in n_list
@@ -197,7 +255,7 @@ def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list, f_coeffs,
             rows = list(pool.map(_scan_point, grid))
     else:
         rows = [_scan_point(point) for point in grid]
-    write_csv(output_path, SCAN_COLUMNS, {c: [row[c] for row in rows] for c in SCAN_COLUMNS},
+    write_csv(output_path, SCAN_COLUMNS, [{c: [row[c] for row in rows] for c in SCAN_COLUMNS}],
               precision)
     return 0
 
@@ -312,6 +370,23 @@ _RUN_FIELDS = {
 }
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _check_coefficients(args) -> None:
+    """Refuse a coefficient flag, given on the command line or in the config
+    file, that the model does not read: it would change nothing."""
+    model = args.model or RunConfig.model
+    reads = MODEL_COEFFS[model]
+    for name in ("mu", "chi", "gamma", "omega", "f_coeffs"):
+        if getattr(args, name) is not None and name not in reads:
+            raise ValueError(
+                f"{_flag(name)} is not read by --model {model}, which reads only "
+                + ", ".join(map(_flag, reads))
+            )
+
+
 def _run_config(args) -> RunConfig:
     return RunConfig(**{
         field: getattr(args, flag)
@@ -337,6 +412,7 @@ def main(argv=None) -> int:
             # file entries go before the command-line flags, which therefore win
             rest = argv[argv.index(args.command) + 1:]
             args = parser.parse_args([args.command, *load_config_file(args.config), *rest])
+        _check_coefficients(args)
         cfg = _run_config(args)
         if args.command == "evolve":
             return cmd_evolve(cfg)

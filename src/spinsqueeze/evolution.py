@@ -5,7 +5,9 @@ tridiagonal band T of size about N/2 under a diagonal phase gauge D
 (`hamiltonians.SectorBand`), and only the sectors the initial state
 occupies are solved. Every trajectory point is computed directly as
 D V exp(-i Lambda t) V^T D^dag c(0), so there is no step-to-step error
-accumulation and arbitrary times are equally accurate.
+accumulation and arbitrary times are equally accurate. `evolve_blocks`
+propagates a long grid one block of times at a time, so its memory does
+not grow with the number of times.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .hamiltonians import HamiltonianSpec, SectorBand, sector_bands
 
 RECONSTRUCTION_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-11
+BLOCK_AMPLITUDES = 2**18  # complex amplitudes per block that evolve_blocks propagates
 
 
 @dataclass(frozen=True)
@@ -37,6 +40,7 @@ class SectorEigen:
 class Propagator:
     """The solved parity sectors of H for one initial state."""
 
+    initial: SymmetricState  # one state, amplitudes of shape (N+1,)
     sectors: tuple  # SectorEigen, one per occupied sector
 
     @property
@@ -75,24 +79,23 @@ def solve_band(band: SectorBand) -> SectorEigen:
 def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagator:
     """Build the sector bands of H and solve each sector that `initial` occupies."""
     c0 = initial.amplitudes
-    return Propagator(tuple(
+    if c0.ndim != 1:
+        raise ValueError(f"expected one initial state, got amplitudes of shape {c0.shape}")
+    return Propagator(initial, tuple(
         solve_band(band)
         for band in sector_bands(spec, initial.n_qubits)
         if np.any(c0[band.indices])
     ))
 
 
-def evolve_grid(spec: HamiltonianSpec, initial: SymmetricState, times) -> SymmetricState:
-    """Solve the sectors of H that `initial` occupies, then return the stack
-    of states at `times`, one row per time."""
-    c0 = initial.amplitudes
-    if c0.ndim != 1:
-        raise ValueError(f"expected one initial state, got amplitudes of shape {c0.shape}")
+def propagate(propagator: Propagator, times) -> SymmetricState:
+    """The stack of states at `times`, one row per time, from the solved sectors."""
+    c0 = propagator.initial.amplitudes
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise ValueError("non-finite time in the grid")
     amps = np.zeros((times.size, c0.size), dtype=complex)
-    for sector_eigen in hermitian_eigen(spec, initial).sectors:
+    for sector_eigen in propagator.sectors:
         band, v = sector_eigen.band, sector_eigen.eigenvectors
         sector, gauge = band.indices, band.gauge()
         x = gauge.conj() * c0[sector]
@@ -105,9 +108,26 @@ def evolve_grid(spec: HamiltonianSpec, initial: SymmetricState, times) -> Symmet
         block.imag = (cos * wi - sin * wr) @ v.T
         block *= gauge
     try:
-        return SymmetricState(initial.n_qubits, amps)
+        return SymmetricState(propagator.initial.n_qubits, amps)
     except ValueError as exc:  # exact propagation is unitary: a lost norm is numerical
         raise NumericalError(f"propagated state lost its norm: {exc}") from exc
+
+
+def evolve_grid(spec: HamiltonianSpec, initial: SymmetricState, times) -> SymmetricState:
+    """Solve the sectors of H that `initial` occupies, then return the stack
+    of states at all of `times` at once, one row per time."""
+    return propagate(hermitian_eigen(spec, initial), times)
+
+
+def evolve_blocks(spec: HamiltonianSpec, initial: SymmetricState, times):
+    """Solve the sectors once, then yield (times, states) for consecutive blocks
+    of at most BLOCK_AMPLITUDES // (N+1) rows, so that memory stays bounded
+    whatever the length of `times`."""
+    times = np.asarray(times, dtype=float)
+    propagator = hermitian_eigen(spec, initial)
+    step = max(1, BLOCK_AMPLITUDES // (initial.n_qubits + 1))
+    for i in range(0, times.size, step):
+        yield times[i:i + step], propagate(propagator, times[i:i + step])
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:

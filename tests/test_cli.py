@@ -6,9 +6,12 @@ import io
 import math
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +153,7 @@ class TestEvolve:
         def too_large(*args):
             raise MemoryError("cannot hold the Hamiltonian")
 
-        monkeypatch.setattr(cli, "trajectory", too_large)
+        monkeypatch.setattr(cli, "evolve_blocks", too_large)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -196,7 +199,7 @@ class TestEvolve:
         assert degenerate.any()
         assert np.all(np.isnan(cols["xi2_general"][degenerate]))
         out = tmp_path / "degenerate.csv"
-        cli.write_csv(str(out), cli.EVOLVE_COLUMNS, cols, 17)
+        cli.write_csv(str(out), cli.EVOLVE_COLUMNS, [cols], 17)
         rows = read_rows(out)
         assert [row["xi2_general"] == "nan" for row in rows] == list(degenerate)
 
@@ -211,6 +214,181 @@ class TestEvolve:
         ) == 0
         assert len(read_rows(out)) == 5  # dt flag overrode the file value
 
+    @pytest.mark.parametrize("model, flag, value, reads", [
+        ("one-axis", "--gamma", "5", "--mu"),
+        ("one-axis", "--omega", "3", "--mu"),
+        ("one-axis-field", "--f-coeffs", "0,1", "--mu, --omega"),
+        ("two-axis", "--chi", "1", "--gamma"),
+        ("general", "--omega", "1", "--mu, --chi, --gamma, --f-coeffs"),
+    ])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_ignored_coefficient_is_usage_error(self, model, flag, value, reads, from_config,
+                                                tmp_path, capsys):
+        # such a flag used to change nothing: the CSV matched the run without it
+        out = tmp_path / "x.csv"
+        args = ["evolve", "--model", model, "--n", "4", "--t-max", "1", "--dt", "0.5",
+                "--out", str(out)]
+        if from_config:
+            config = tmp_path / "run.cfg"
+            config.write_text(f"{flag[2:]} = {value}\n")
+            args += ["--config", str(config)]
+        else:
+            args += [flag, value]
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err
+        assert flag in err and err.rstrip().endswith(f"reads only {reads}")
+        assert not out.exists()
+
+
+class TestStreaming:
+    """`evolve` propagates, analyses and writes one block of times at a time."""
+
+    @staticmethod
+    def record_blocks(monkeypatch, leaky_block=None):
+        """Record the rows of each propagated block; block `leaky_block` (from 1)
+        uses eigenvectors scaled by 1+1e-6, so its states lose their norm."""
+        original = evolution.propagate
+        rows = []
+
+        def propagate(propagator, times):
+            rows.append(len(times))
+            if len(rows) == leaky_block:
+                propagator = dataclasses.replace(propagator, sectors=tuple(
+                    dataclasses.replace(s, eigenvectors=s.eigenvectors * (1 + 1e-6))
+                    for s in propagator.sectors))
+            return original(propagator, times)
+
+        monkeypatch.setattr(evolution, "propagate", propagate)
+        return rows
+
+    ARGS = ["evolve", "--n", "4", "--t-max", "5", "--dt", "0.1"]  # 51 rows
+
+    def test_lost_norm_in_block_two_keeps_existing_output(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 8 * 5)  # 8 rows at N=4
+        rows = self.record_blocks(monkeypatch, leaky_block=2)
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"t\n0\n")
+        assert run_cli(self.ARGS + ["--out", str(out)]) == 3
+        assert rows == [8, 8]
+        assert "lost its norm" in capsys.readouterr().err
+        assert out.read_bytes() == b"t\n0\n"
+        assert os.listdir(tmp_path) == ["kept.csv"]  # no temporary file left behind
+
+    def test_success_replaces_output(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 8 * 5)
+        rows = self.record_blocks(monkeypatch)
+        out = tmp_path / "new.csv"
+        out.write_bytes(b"t\n0\n")
+        assert run_cli(self.ARGS + ["--out", str(out)]) == 0
+        assert rows == [8] * 6 + [3]
+        assert len(read_rows(out)) == 51
+        assert os.listdir(tmp_path) == ["new.csv"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_writes_through_symlink_and_fifo(self, tmp_path):
+        plain = tmp_path / "plain.csv"
+        assert run_cli(self.ARGS + ["--out", str(plain)]) == 0
+        target = tmp_path / "target.csv"
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run_cli(self.ARGS + ["--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == plain.read_bytes()
+        # a pipe is written in place, never replaced by a regular file
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert run_cli(self.ARGS + ["--out", str(fifo)]) == 0
+        reader.join(timeout=60)
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert received == [plain.read_bytes()]
+
+    def test_memory_does_not_grow_with_grid_length(self, monkeypatch, tmp_path):
+        # 321 rows per block at N=50, so that both grids span several blocks
+        monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 2**14)
+        n, peaks = 50, {}
+        for points in (2001, 40001):
+            out = tmp_path / f"{points}.csv"
+            tracemalloc.start()
+            try:
+                code = run_cli(["evolve", "--model", "one-axis-field", "--n", str(n),
+                                "--omega", "0.5", "--t-max", str((points - 1) / 100),
+                                "--dt", "0.01", "--out", str(out)])
+                peaks[points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert len(read_rows(out)) == points
+        assert peaks[40001] <= 1.5 * peaks[2001]
+        # one (T, N+1) complex stack alone would take this many bytes
+        assert peaks[40001] < 40001 * (n + 1) * 16
+
+    @pytest.mark.parametrize("n, model_args, h_norm", [
+        (4, ["--model", "one-axis-field", "--omega", "0.7"], 2**2 + 0.7 * 2),
+        (7, ["--model", "general", "--mu", "0.4", "--chi", "-0.9", "--gamma", "1.3",
+             "--f-coeffs", "0,0.7,0.2"], 1.3 * 3.5**2 + 1.3 * 3.5 * 4.5 + 0.7 * 3.5
+         + 0.2 * 3.5**2),
+        (20, ["--model", "two-axis", "--gamma", "1"], 10 * 11),
+    ])
+    def test_block_boundaries_are_invisible(self, n, model_args, h_norm, monkeypatch,
+                                            tmp_path, capsys):
+        # ||H|| <= (|mu| + |chi|) j^2 + |gamma| j (j+1) + sum |f_k| j^k, with j = N/2
+        args = ["evolve", "--n", str(n), *model_args, "--t-max", "3", "--dt", "0.01"]
+        assert run_cli(args + ["--out", str(tmp_path / "one.csv")]) == 0
+        one_err = capsys.readouterr().err
+        monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 7 * (n + 1))
+        rows = self.record_blocks(monkeypatch)
+        assert run_cli(args + ["--out", str(tmp_path / "many.csv")]) == 0
+        many_err = capsys.readouterr().err
+        assert rows == [7] * 43  # 301 rows; a 1-row block would run through GEMV
+
+        one, many = read_rows(tmp_path / "one.csv"), read_rows(tmp_path / "many.csv")
+        assert len(one) == len(many) == 301
+        for column in ("t", "branch", "degenerate_flag"):
+            assert [r[column] for r in many] == [r[column] for r in one]
+        t = np.array([float(r["t"]) for r in one])
+        tolerance = sys.float_info.epsilon * n**2 * np.maximum(1.0, h_norm * t)
+        for column in cli.EVOLVE_COLUMNS:
+            if column in ("t", "branch", "degenerate_flag"):
+                continue
+            a = np.array([float(r[column]) for r in one])
+            b = np.array([float(r[column]) for r in many])
+            assert np.array_equal(np.isnan(a), np.isnan(b)), column
+            assert np.all(np.abs(np.nan_to_num(a - b)) <= tolerance), column
+
+        # the printed extremes are those of the whole column, first occurrence on a tie
+        xi2 = np.array([float(r["xi2_closed"]) for r in many])
+        conc = np.array([float(r["concurrence"]) for r in many])
+        best, peak = np.argmin(xi2), np.argmax(conc)
+        assert many_err == one_err == (
+            f"min xi2 = {xi2[best]:.6g} at t = {t[best]:.6g}; "
+            f"max concurrence = {conc[peak]:.6g} at t = {t[peak]:.6g}\n"
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(st.sampled_from([0.0, 1.0, 2.0, math.nan]), min_size=1, max_size=24),
+        cuts=st.sets(st.integers(1, 23), max_size=6),
+    )
+    def test_running_extremes_match_whole_column(self, values, cuts):
+        xi2 = np.array(values)
+        conc = xi2[::-1].copy()
+        times = 0.5 * np.arange(len(values))
+        edges = [0, *sorted(c for c in cuts if c < len(values)), len(values)]
+        extremes = cli.Extremes()
+        for lo, hi in zip(edges, edges[1:]):
+            extremes.add(times[lo:hi], xi2[lo:hi], conc[lo:hi])
+        for (value, t), pick, column in [(extremes.min_xi2, np.argmin, xi2),
+                                         (extremes.max_xi2, np.argmax, xi2),
+                                         (extremes.max_concurrence, np.argmax, conc)]:
+            k = pick(column)
+            assert t == times[k]
+            assert value == column[k] or (math.isnan(value) and math.isnan(column[k]))
+
 
 class TestCsvWriter:
     @pytest.mark.parametrize("command", ["evolve", "scan"])
@@ -220,7 +398,7 @@ class TestCsvWriter:
         def no_computation(*args, **kwargs):
             raise AssertionError("trajectory computed before --precision was checked")
 
-        monkeypatch.setattr(cli, "trajectory", no_computation)
+        monkeypatch.setattr(cli, "evolve_blocks", no_computation)
         out = tmp_path / "x.csv"
         args = [command, "--n", "2", "--t-max", "1", "--dt", "0.5", "--out", str(out)]
         if from_config:
@@ -251,7 +429,7 @@ class TestCsvWriter:
     def test_bad_table_is_value_error_before_open(self, values, precision, message, tmp_path):
         out = tmp_path / "x.csv"
         with pytest.raises(ValueError, match=message):
-            cli.write_csv(str(out), ("c",), {"c": values}, precision)
+            cli.write_csv(str(out), ("c",), [{"c": values}], precision)
         assert not out.exists()
 
     @settings(max_examples=300, deadline=None)
@@ -264,7 +442,7 @@ class TestCsvWriter:
         floats, ints, texts = (list(col) for col in zip(*rows))
         buffer = io.StringIO()
         with contextlib.redirect_stdout(buffer):
-            cli.write_csv("-", ("x", "n", "s"), {"x": floats, "n": ints, "s": texts}, precision)
+            cli.write_csv("-", ("x", "n", "s"), [{"x": floats, "n": ints, "s": texts}], precision)
         expected = "".join(
             f"{format(x, f'.{precision}g')},{n},{s}\n" for x, n, s in rows
         )
@@ -324,9 +502,27 @@ class TestScan:
         assert run_cli(args + [flag, "1,2", "--out", str(out)]) == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
-        # one value, or one value repeated, is still accepted
-        assert run_cli(args + [flag, "2,2", "--out", str(out)]) == 0
-        assert len(read_rows(out)) == 2
+        # one value, or one value repeated, printed a column the trajectory never read
+        for value in ("2", "2,2"):
+            assert run_cli(args + [flag, value, "--out", str(out)]) == 2
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("model", ["one-axis", "one-axis-field", "two-axis"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_f_coeffs_outside_general_is_usage_error(self, model, from_config, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        args = ["scan", "--model", model, "--n", "4", "--t-max", "1", "--dt", "0.5",
+                "--out", str(out)]
+        if from_config:
+            config = tmp_path / "scan.cfg"
+            config.write_text("f_coeffs = 0,3\n")
+            args += ["--config", str(config)]
+        else:
+            args += ["--f-coeffs", "0,3"]
+        assert run_cli(args) == 2
+        assert "--f-coeffs is not read by --model " + model in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_grid_usage_error(self, tmp_path):
         assert run_cli(["scan", "--n", "", "--out", str(tmp_path / "x.csv")]) == 2

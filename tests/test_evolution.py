@@ -16,6 +16,7 @@ from spinsqueeze.dicke import (
 )
 from spinsqueeze.errors import NumericalError
 from spinsqueeze.evolution import (
+    evolve_blocks,
     evolve_grid,
     hermitian_eigen,
     rk4_evolve,
@@ -186,6 +187,36 @@ def test_traced_layers_exist_and_trajectory_calls_each_once(monkeypatch):
     assert sorted(calls) == ["evolve_grid", "hermitian_eigen"]
     dim = hermitian_eigen(H1, make_all_down(8)).dim
     assert type(dim) is int and dim == 5
+
+
+@pytest.mark.parametrize("n", [7, 50])
+def test_evolve_blocks_solve_once_and_match_the_grid(n, monkeypatch):
+    spec = HamiltonianSpec.one_axis_field(1.0, 0.7)
+    times = time_grid(2.0, 0.01)  # 201 times
+    solved = []
+    original = evolution.hermitian_eigen
+
+    def counted(*args):
+        solved.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(evolution, "hermitian_eigen", counted)
+    monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 40 * (n + 1))
+    blocks = list(evolve_blocks(spec, make_all_down(n), times))
+    assert len(solved) == 1
+    assert [len(t) for t, _ in blocks] == [40] * 5 + [1]
+    assert np.array_equal(np.concatenate([t for t, _ in blocks]), times)
+    whole = evolve_grid(spec, make_all_down(n), times).amplitudes
+    stacked = np.concatenate([s.amplitudes for _, s in blocks])
+    # the last, 1-row block runs through GEMV, whose sums may round differently
+    np.testing.assert_allclose(stacked, whole, rtol=0, atol=1e-14)
+
+
+def test_evolve_blocks_refuses_a_stack_and_non_finite_times():
+    with pytest.raises(ValueError, match="one initial state"):
+        next(evolve_blocks(H1, evolve_grid(H1, make_all_down(2), [0.0, 1.0]), [0.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        next(evolve_blocks(H1, make_all_down(2), [0.0, np.nan]))
 
 
 def test_trajectory_builds_no_dense_matrix():
