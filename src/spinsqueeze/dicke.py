@@ -40,7 +40,10 @@ class SymmetricState:
             raise ValueError(
                 f"expected {self.n_qubits + 1} amplitudes, got shape {amps.shape}"
             )
-        norm2 = dot(amps.real, amps.real) + dot(amps.imag, amps.imag)  # one per row
+        if amps.size == 0:
+            raise ValueError("empty stack: no states to hold")
+        re, im = amps.real, amps.imag
+        norm2 = np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)
         worst = np.ravel(norm2)[np.argmax(np.abs(norm2 - 1.0))]
         if not abs(worst - 1.0) <= 10 * NORM_TOL:  # a NaN row fails too
             raise ValueError(f"state not normalized: sum |c_n|^2 = {float(worst)!r}")
@@ -76,7 +79,8 @@ class CollectiveMoments:
 
     @property
     def mean_spin_norm(self):
-        return np.sqrt(dot(self.mean_spin, self.mean_spin))
+        mean_spin = self.mean_spin
+        return np.sqrt(np.einsum("...i,...i->...", mean_spin, mean_spin))
 
     @property
     def covariance(self) -> np.ndarray:
@@ -89,27 +93,6 @@ class CollectiveMoments:
 
 
 MOMENT_FIELDS = tuple(f.name for f in fields(CollectiveMoments) if f.name != "n_qubits")
-
-
-def dot(a, b):
-    """a . b over the last axis, row by row, through the BLAS dot that a
-    1-D `a @ b` calls, so a stack's rows equal the single-state values."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0][()]
-
-
-def modulus(z):
-    """|z| elementwise, by libm hypot as Python's abs(complex) computes it."""
-    return np.hypot(np.real(z), np.imag(z))
-
-
-# Python's float ** 2 goes through libm pow, which is not always x * x;
-# squaring through it keeps stacks identical to scalar code, bit for bit.
-_pow = np.frompyfunc(math.pow, 2, 1)
-
-
-def square(x):
-    """x ** 2 elementwise, by libm pow as Python's float ** 2 computes it."""
-    return np.asarray(_pow(x, 2.0), dtype=float)[()]
 
 
 def ladder_coefficients(n_qubits: int) -> np.ndarray:
@@ -159,7 +142,9 @@ def make_state(n_qubits, amplitudes):
         raise ValueError(
             f"expected {n_qubits + 1} amplitudes, got shape {amps.shape}"
         )
-    norm = float(np.linalg.norm(amps))
+    re, im = amps.real, amps.imag
+    norm2 = np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)
+    norm = float(np.sqrt(norm2))
     if not NORM_TOL < norm < math.inf:
         raise ValueError(f"amplitude vector has near-zero or non-finite norm {norm!r}")
     return SymmetricState(n_qubits, amps / norm), norm
@@ -186,7 +171,8 @@ def _moment_sums(c, n_qubits: int):
     sp2 = np.sum(np.conj(c[..., 2:]) * a[1:] * a[:-1] * c[..., :-2], axis=-1)
     anti_sp_sz = np.sum(np.conj(c[..., 1:]) * a * (m[:-1] + m[1:]) * c[..., :-1], axis=-1)
     probs = np.abs(c) ** 2
-    return sp_mean, sp2, anti_sp_sz, dot(probs, m), dot(probs, m**2)
+    mean_sz = np.einsum("...i,...i->...", probs, m)
+    return sp_mean, sp2, anti_sp_sz, mean_sz, np.einsum("...i,...i->...", probs, m**2)
 
 
 def collective_moments(state: SymmetricState) -> CollectiveMoments:
@@ -234,8 +220,10 @@ def mix_moments(weights, moments: CollectiveMoments) -> CollectiveMoments:
     total = np.sum(weights, axis=-1)
     if not np.all(np.abs(total - 1.0) <= 1e-12):
         raise ValueError(f"weights sum to {total!r}, expected 1")
-    # cumsum adds the weighted terms left to right as builtin sum does, unlike
-    # np.sum's pairwise order; + 0.0 is builtin sum's start, for an all -0.0 sum
+    # a row that sample_separable padded with zero-weight components must equal
+    # the same draw unpadded: cumsum adds left to right, so the padding terms
+    # come last (np.sum's pairwise order would regroup the row), and + 0.0
+    # gives a -0.0 total the +0.0 that a padding term would give it
     return CollectiveMoments(moments.n_qubits, **{
         f: np.cumsum(weights * getattr(moments, f), axis=-1)[..., -1] + 0.0
         for f in MOMENT_FIELDS

@@ -88,12 +88,20 @@ def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagato
     ))
 
 
+def _checked_times(times) -> np.ndarray:
+    """`times` as a float array, refused if it is empty or not finite."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("empty time grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("non-finite time in the grid")
+    return times
+
+
 def propagate(propagator: Propagator, times) -> SymmetricState:
     """The stack of states at `times`, one row per time, from the solved sectors."""
     c0 = propagator.initial.amplitudes
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("non-finite time in the grid")
+    times = _checked_times(times)
     amps = np.zeros((times.size, c0.size), dtype=complex)
     for sector_eigen in propagator.sectors:
         band, v = sector_eigen.band, sector_eigen.eigenvectors
@@ -116,6 +124,7 @@ def propagate(propagator: Propagator, times) -> SymmetricState:
 def evolve_grid(spec: HamiltonianSpec, initial: SymmetricState, times) -> SymmetricState:
     """Solve the sectors of H that `initial` occupies, then return the stack
     of states at all of `times` at once, one row per time."""
+    times = _checked_times(times)  # before the solve
     return propagate(hermitian_eigen(spec, initial), times)
 
 
@@ -123,7 +132,7 @@ def evolve_blocks(spec: HamiltonianSpec, initial: SymmetricState, times):
     """Solve the sectors once, then yield (times, states) for consecutive blocks
     of at most BLOCK_AMPLITUDES // (N+1) rows, so that memory stays bounded
     whatever the length of `times`."""
-    times = np.asarray(times, dtype=float)
+    times = _checked_times(times)  # before the solve
     propagator = hermitian_eigen(spec, initial)
     step = max(1, BLOCK_AMPLITUDES // (initial.n_qubits + 1))
     for i in range(0, times.size, step):

@@ -19,7 +19,7 @@ from math import comb
 
 import numpy as np
 
-from .dicke import CollectiveMoments, SymmetricState, dot, mix_moments, square
+from .dicke import CollectiveMoments, SymmetricState, mix_moments
 from .errors import CapacityError
 from .hamiltonians import HamiltonianSpec
 
@@ -38,13 +38,12 @@ class FullState:
     def __post_init__(self):
         if self.n_qubits > MAX_QUBITS_STATIC:
             raise CapacityError(f"N={self.n_qubits} exceeds oracle cap {MAX_QUBITS_STATIC}")
-        # C order keeps each row contiguous, so a row's BLAS products are those
-        # of the same state alone (a strided row takes numpy's own loop)
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps.ndim not in (1, 2) or amps.shape[-1] != 2**self.n_qubits:
             raise ValueError(f"expected 2^{self.n_qubits} amplitudes, got {amps.shape}")
-        # row by row as np.linalg.norm computes one vector's norm
-        norm = np.ravel(np.sqrt(dot(amps.real, amps.real) + dot(amps.imag, amps.imag)))
+        re, im = amps.real, amps.imag
+        norm = np.ravel(np.sqrt(
+            np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)))
         bad = ~(np.abs(norm - 1.0) <= 1e-10)  # a NaN row fails too
         if np.any(bad):
             raise ValueError(f"full state norm {float(norm[bad][0])!r} != 1")
@@ -169,44 +168,31 @@ def partial_trace_pair(state: FullState, i: int, j: int) -> np.ndarray:
     return block @ block.conj().swapaxes(-1, -2)
 
 
-def _c_mul(a, b):
-    """Python's complex product of (real, imag) pairs, computed part by part."""
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-def _complex(parts):
-    z = np.empty(np.shape(parts[0]), dtype=complex)
-    z.real, z.imag = parts
-    return z[()]
-
-
 def product_moments(bloch, n_qubits: int) -> CollectiveMoments:
     """Exact collective moments of rho^(x)N for a single-qubit Bloch vector (3,),
     or for each vector of a stack (..., K, 3), with fields of shape (..., K).
 
     Cross-site correlators factorize; same-site terms use sigma_a^2 = 1 and
-    {sigma_+, sigma_z} = 0. The complex fields are formed from their parts
-    as Python's complex arithmetic forms them, so each entry of a stack
-    equals the scalar expression for its vector bit for bit.
+    {sigma_+, sigma_z} = 0. The complex fields are assembled from real
+    products, so an entry does not depend on the shape of the input.
     """
     bloch = np.asarray(bloch, dtype=float)
     rx, ry, rz = bloch[..., 0], bloch[..., 1], bloch[..., 2]
     n = n_qubits
     pairs = n * (n - 1)
-    i_ry = _c_mul((0.0, 1.0), (ry, 0.0))
-    sigma_p = _c_mul((0.5, 0.0), (rx + i_ry[0], 0.0 + i_ry[1]))  # 0.5 * (rx + 1j * ry)
-    sigma_p2 = _c_mul((1.0, 0.0), _c_mul(sigma_p, sigma_p))  # sigma_p**2, as Python powers
+    # <sigma_+> = (rx + i ry) / 2 on every site, so <S+> = <Sx> + i <Sy>
+    mean_sx, mean_sy = 0.5 * n * rx, 0.5 * n * ry
     return CollectiveMoments(
         n_qubits=n,
-        mean_sx=0.5 * n * rx,
-        mean_sy=0.5 * n * ry,
+        mean_sx=mean_sx,
+        mean_sy=mean_sy,
         mean_sz=0.5 * n * rz,
-        sz2=0.25 * (n + pairs * square(rz)),
-        sx2=0.25 * (n + pairs * square(rx)),
-        sy2=0.25 * (n + pairs * square(ry)),
-        sp_mean=_complex(_c_mul((n, 0.0), sigma_p)),
-        sp2=_complex(_c_mul((pairs, 0.0), sigma_p2)),
-        anti_sp_sz=_complex(_c_mul(_c_mul((pairs, 0.0), sigma_p), (rz, 0.0))),
+        sz2=0.25 * (n + pairs * (rz * rz)),
+        sx2=0.25 * (n + pairs * (rx * rx)),
+        sy2=0.25 * (n + pairs * (ry * ry)),
+        sp_mean=mean_sx + 1j * mean_sy,
+        sp2=0.25 * pairs * (rx * rx - ry * ry) + 1j * (0.5 * pairs * rx * ry),
+        anti_sp_sz=0.5 * pairs * rx * rz + 1j * (0.5 * pairs * ry * rz),
         anti_sx_sy=pairs * 0.5 * rx * ry,
     )
 

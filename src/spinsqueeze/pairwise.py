@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import CollectiveMoments, modulus
+from .dicke import CollectiveMoments
 from .errors import NotXFormError, NumericalError
 
 X_FORM_TOL = 1e-8
@@ -48,7 +48,7 @@ class TwoQubitReduced:
             raise ValueError(f"reduced matrix trace {trace!r} != 1")
         if not np.all(np.minimum(np.minimum(self.v_plus, self.v_minus), self.y) >= -1e-12):
             raise ValueError("negative population in reduced matrix")
-        if not np.all(self.v_plus * self.v_minus >= modulus(self.u) ** 2 - 1e-10):
+        if not np.all(self.v_plus * self.v_minus >= np.abs(self.u) ** 2 - 1e-10):
             raise ValueError("X-block positivity violated: v+ v- < |u|^2")
 
     def as_matrix(self) -> np.ndarray:
@@ -95,9 +95,9 @@ def reduced_two_qubit(m: CollectiveMoments) -> TwoQubitReduced:
     v_plus = (base + shift) / denom
     v_minus = (base - shift) / denom
     y = (n * n - 4.0 * m.sz2) / denom
-    u = _divide(m.sp2, n * (n - 1))
-    x_plus = _divide((n - 1) * m.sp_mean + m.anti_sp_sz, 2.0 * n * (n - 1))
-    x_minus = _divide((n - 1) * m.sp_mean - m.anti_sp_sz, 2.0 * n * (n - 1))
+    u = m.sp2 / (n * (n - 1))
+    x_plus = ((n - 1) * m.sp_mean + m.anti_sp_sz) / (2.0 * n * (n - 1))
+    x_minus = ((n - 1) * m.sp_mean - m.anti_sp_sz) / (2.0 * n * (n - 1))
     return TwoQubitReduced(
         v_plus=v_plus,
         v_minus=v_minus,
@@ -109,23 +109,15 @@ def reduced_two_qubit(m: CollectiveMoments) -> TwoQubitReduced:
     )
 
 
-def _divide(z, k):
-    """z / k for a real k > 0, part by part, as Python divides a complex by a real."""
-    out = np.empty(np.shape(z), dtype=complex)
-    out.real = np.real(z) / k
-    out.imag = np.imag(z) / k
-    return out[()]
-
-
 def concurrence_x_form(r: TwoQubitReduced) -> ConcurrenceResult:
     """Closed-form concurrence for the X-shaped reduction (x+- = 0)."""
-    coherence = np.maximum(modulus(r.x_plus), modulus(r.x_minus))
+    coherence = np.maximum(np.abs(r.x_plus), np.abs(r.x_minus))
     if not np.all(coherence <= X_FORM_TOL):
         raise NotXFormError(
             f"coherences max(|x+|, |x-|) = {np.max(coherence):.3e} too large for the X form"
         )
     root = np.sqrt(np.maximum(r.v_plus * r.v_minus, 0.0))
-    mod_u = modulus(r.u)
+    mod_u = np.abs(r.u)
     two_y = 2.0 * r.y
     zero = np.zeros_like(two_y)
     lambdas = np.sort(np.stack([root + mod_u, abs(root - mod_u), two_y, zero], axis=-1))
@@ -170,7 +162,7 @@ def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
 
 def squeezing_condition(r: TwoQubitReduced) -> SqueezingCondition:
     """The even/odd squeezing criterion |u| - y > 0 and its xi^2 value."""
-    margin = modulus(r.u) - r.y
+    margin = np.abs(r.u) - r.y
     xi2 = 1.0 - 2.0 * (r.n_qubits - 1) * margin
     return SqueezingCondition(satisfied=margin > 0.0, margin=margin, xi2=xi2)
 

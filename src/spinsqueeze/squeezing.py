@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import CollectiveMoments, dot, modulus, square
+from .dicke import CollectiveMoments
 from .errors import MeanSpinDegenerateError, NotEvenOddError
 
 MEAN_SPIN_TOL = 1e-8
@@ -32,7 +32,7 @@ class SqueezingResult:
 
 def _min_eig_2x2(g11, g22, g12):
     """Smallest eigenvalue and its direction angle for [[g11,g12],[g12,g22]]."""
-    half_gap = np.sqrt(square(g11 - g22) + 4.0 * square(g12)) / 2.0
+    half_gap = np.hypot(g11 - g22, 2.0 * g12) / 2.0
     lam = (g11 + g22) / 2.0 - half_gap
     # fully degenerate (g12 = 0, g11 = g22): any axis minimizes, take 0
     theta = np.where(
@@ -42,7 +42,7 @@ def _min_eig_2x2(g11, g22, g12):
 
 
 def _unit(v):
-    return v / np.sqrt(dot(v, v))[..., None]
+    return v / np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
 
 
 @np.errstate(invalid="ignore", divide="ignore")  # a vanishing mean spin has no frame
@@ -53,8 +53,8 @@ def _perpendicular_min(mean_spin: np.ndarray, cov: np.ndarray):
     n1 = _unit(np.where(tilted[..., None], np.cross([0.0, 0.0, 1.0], mean_spin), [1.0, 0.0, 0.0]))
     n2 = _unit(np.cross(mean_spin, n1))
 
-    def form(a, b):  # a . cov . b, as (a @ cov) @ b
-        return dot(np.matmul(a[..., None, :], cov)[..., 0, :], b)
+    def form(a, b):  # a . cov . b
+        return np.einsum("...i,...ij,...j->...", a, cov, b)
 
     return (n1, n2, *_min_eig_2x2(form(n1, n1), form(n2, n2), form(n1, n2)))
 
@@ -85,14 +85,14 @@ def squeezing_general(m: CollectiveMoments) -> SqueezingResult:
 
 def squeezing_even_odd(m: CollectiveMoments) -> SqueezingResult:
     """Closed form for states with vanishing transverse moments."""
-    transverse = modulus(m.sp_mean)  # |<Sx> + i<Sy>|
+    transverse = np.abs(m.sp_mean)  # |<Sx> + i<Sy>|
     if not np.all(transverse <= EVEN_ODD_TOL):
         raise NotEvenOddError(
             "transverse moments do not vanish; not an even/odd state "
             f"(|<S+>| = {np.max(transverse):.3e})"
         )
     n = m.n_qubits
-    xi2 = 1.0 + n / 2.0 - (2.0 / n) * (m.sz2 + modulus(m.sp2))
+    xi2 = 1.0 + n / 2.0 - (2.0 / n) * (m.sz2 + np.abs(m.sp2))
     # minimizing axis: 2*theta = pi + arg<S+^2>
     theta = ((math.pi + np.angle(m.sp2)) % (2.0 * math.pi)) / 2.0
     zero = np.zeros_like(theta)
@@ -106,7 +106,7 @@ def squeezing_even_odd(m: CollectiveMoments) -> SqueezingResult:
 
 def squeezing_lower_bound(m: CollectiveMoments) -> float:
     """1 - (2/N)|<S+^2>|, from <Sz^2> <= N^2/4; never exceeds the closed form."""
-    return 1.0 - (2.0 / m.n_qubits) * modulus(m.sp2)
+    return 1.0 - (2.0 / m.n_qubits) * np.abs(m.sp2)
 
 
 def squeezing_from_correlation(corr: float, n_qubits: int) -> float:

@@ -18,10 +18,8 @@ from .dicke import (
     MOMENT_FIELDS,
     SymmetricState,
     collective_moments,
-    dot,
     make_all_down,
     make_dicke_state,
-    modulus,
 )
 from .evolution import evolve_grid, trajectory
 from .hamiltonians import (
@@ -70,7 +68,8 @@ def _random_symmetric_states(rng, n_qubits: int, count: int) -> SymmetricState:
     # one C-order normal call draws the stream of count * 2 calls of size N+1
     z = rng.normal(size=(count, 2, n_qubits + 1))
     amps = z[:, 0] + 1j * z[:, 1]
-    norm = np.sqrt(dot(amps.real, amps.real) + dot(amps.imag, amps.imag))
+    re, im = amps.real, amps.imag
+    norm = np.sqrt(np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im))
     return SymmetricState(n_qubits, amps / norm[:, None])
 
 
@@ -205,9 +204,10 @@ def suite_parity(n_values=(2, 3, 6, 10), t_max: float = 5.0, dt: float = 0.05):
             m = collective_moments(SymmetricState(n, both))
             worst_transverse = _worst(np.abs(m.mean_sx), np.abs(m.mean_sy))
             worst_leak = np.max(np.sum(np.abs(both[:, 1::2]) ** 2, axis=-1))
-            norm = np.sqrt(dot(c.real, c.real) + dot(c.imag, c.imag))
+            re, im = c.real, c.imag
+            norm = np.sqrt(np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im))
             worst_norm = np.max(np.abs(norm - 1.0))
-            energy = dot(c.conj(), np.matmul(h, c[..., None])[..., 0]).real
+            energy = np.einsum("ti,ij,tj->t", c.conj(), h, c).real
             worst_energy = np.max(np.abs(energy - energy[0]))
             checks.append(Check(f"parity_commutator_{name}_N{n}", parity_check(h), 1e-13))
             checks.append(Check(f"parity_transverse_{name}_N{n}", worst_transverse, 1e-10))
@@ -245,7 +245,7 @@ def suite_oracle(seed: int, n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
         pairs = zip(embed_symmetric(sub).amplitudes, full.amplitudes)
         fidelity_loss = [1.0 - abs(np.vdot(a, b)) ** 2 for a, b in pairs]
         m_sub, m_full = collective_moments(sub), full_collective_moments(full)
-        moment_errors = (modulus(getattr(m_sub, f) - getattr(m_full, f)) for f in MOMENT_FIELDS)
+        moment_errors = (np.abs(getattr(m_sub, f) - getattr(m_full, f)) for f in MOMENT_FIELDS)
         checks.append(Check(f"oracle_evolution_fidelity_N{n}", _worst(fidelity_loss), 1e-10))
         checks.append(Check(f"oracle_moments_N{n}", _worst(*moment_errors), 1e-10))
     return checks

@@ -73,6 +73,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="not normalized"):
             SymmetricState(2, [[1, 0, 0], [np.nan, 0, 0], [0, 1, 0]])
 
+    def test_empty_stack_is_refused(self):
+        with pytest.raises(ValueError, match="empty stack"):
+            SymmetricState(2, np.zeros((0, 3)))
+
 
 class TestParity:
     def test_all_down_is_even(self):

@@ -102,6 +102,20 @@ def test_non_finite_times_are_refused():
             evolve_grid(H1, make_all_down(2), times)
 
 
+def test_empty_grid_is_refused_before_any_solve(monkeypatch):
+    propagator = hermitian_eigen(H1, make_all_down(2))
+    solved = []
+    monkeypatch.setattr(evolution, "solve_band", solved.append)
+    for times in ([], np.zeros(0), np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="empty time grid"):
+            evolution.propagate(propagator, times)
+        with pytest.raises(ValueError, match="empty time grid"):
+            evolve_grid(H1, make_all_down(2), times)
+        with pytest.raises(ValueError, match="empty time grid"):
+            next(evolve_blocks(H1, make_all_down(2), times))
+    assert solved == []
+
+
 def test_nan_eigenvalue_is_numerical_error(monkeypatch):
     eigh = np.linalg.eigh
 

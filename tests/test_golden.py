@@ -1,29 +1,40 @@
-"""Byte-for-byte regression against stored outputs.
+"""Regression against stored outputs, byte for byte, and an audit of them.
 
 Each CSV case runs one `evolve` or `scan` through the CLI and compares the
 CSV with `tests/golden/<case>.csv`. Sizes stay at N <= 10, where the output
-does not depend on the BLAS thread count. After a deliberate change of
-output, regenerate a file with `spinsqueeze <argv> --out tests/golden/<case>.csv`.
-The report of every `verify` suite is compared with
-`tests/golden/verify_<suite>_seed42.txt` (`-` in a suite name becomes `_`),
-each written by `spinsqueeze verify <suite> --seed 42 > <file>`; they pin
-every printed residual. The suites that draw random inputs (lemma1, lemma2,
-x-form) are also pinned at seed 7, in `verify_<suite>_seed7.txt`.
+does not depend on the BLAS thread count. The report of every `verify`
+suite is compared with `tests/golden/verify_<suite>_seed42.txt` (`-` in a
+suite name becomes `_`); they pin every printed residual. The suites that
+draw random inputs (lemma1, lemma2, x-form) are also pinned at seed 7, in
+`verify_<suite>_seed7.txt`.
+
+The stored `evolve` CSVs are also audited against states propagated by the
+dense reference, within the error model of `test_sector_path_matches_dense`,
+so that a regenerated golden is checked, not only compared with itself.
+After a deliberate change of output, rewrite every golden file with
+
+    PYTHONPATH=src python tests/regenerate_golden.py
 """
 
+import csv
+import dataclasses
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from test_evolution import h_norm_bound
 
-from spinsqueeze import cli
+from spinsqueeze import cli, verify
+from spinsqueeze.dicke import SymmetricState
+from spinsqueeze.hamiltonians import build_hamiltonian
 
 GOLDEN = Path(__file__).parent / "golden"
 GRID = ["--t-max", "2", "--dt", "0.1"]
 
 CASES = {
     "evolve_one_axis": ["evolve", "--model", "one-axis", "--n", "6", "--mu", "1", *GRID],
-    # the only case found whose bytes change if the 2x2 eigenvalue squares
-    # with x*x instead of libm pow
+    # 201 rows over about three periods of one-axis twisting at N = 4
     "evolve_one_axis_long": ["evolve", "--model", "one-axis", "--n", "4", "--mu", "1",
                              "--t-max", "20", "--dt", "0.1"],
     "evolve_one_axis_field": ["evolve", "--model", "one-axis-field", "--n", "5",
@@ -38,6 +49,53 @@ CASES = {
                             "--omega", "0.5,2", *GRID],
 }
 
+# (suite, seed) of every pinned verify report: each suite at seed 42, and a
+# second seed for the suites that draw random inputs
+REPORTS = [(suite, 42) for suite in verify.SUITES] + [
+    (suite, 7) for suite in ("lemma1", "lemma2", "x-form")
+]
+
+
+def report_path(suite, seed):
+    return GOLDEN / f"verify_{suite.replace('-', '_')}_seed{seed}.txt"
+
+
+def read_csv(path):
+    """The rows of a CSV file as dicts of strings."""
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def run_config(argv):
+    """The RunConfig that the CLI builds from `argv`."""
+    return cli._run_config(cli.build_parser().parse_args(argv))
+
+
+def error_scale(cfg, row):
+    """eps * N^2 * max(1, ||H|| t) for one CSV row of a case: the error model
+    of the sector path against the dense reference, before the factor
+    max(1, |value|). A scan row carries its own N and coefficients, and its
+    extrema lie anywhere up to t_max."""
+    if "n" in row:
+        cfg = dataclasses.replace(
+            cfg, n_qubits=int(row["n"]),
+            **{c: float(row[c]) for c in ("mu", "chi", "gamma", "omega")})
+    t = float(row.get("t", cfg.t_max))
+    n = cfg.n_qubits
+    return sys.float_info.epsilon * n * n * max(1.0, h_norm_bound(cfg.spec(), n) * t)
+
+
+def numeric_columns(rows):
+    """The columns whose every entry parses as a float (nan included)."""
+    def parses(text):
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return True
+
+    return [c for c in rows[0] if all(parses(row[c]) for row in rows)]
+
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_csv_bytes_match_golden(case, tmp_path):
@@ -46,21 +104,43 @@ def test_csv_bytes_match_golden(case, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
 
 
+def dense_blocks(spec, initial, times):
+    """`evolution.evolve_blocks` through a dense complex eigh, in one block."""
+    energies, vectors = np.linalg.eigh(build_hamiltonian(spec, initial.n_qubits))
+    modes = vectors.conj().T @ initial.amplitudes
+    amps = (np.exp(-1j * np.outer(times, energies)) * modes) @ vectors.T
+    yield times, SymmetricState(initial.n_qubits, amps)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] == "evolve"))
+def test_golden_agrees_with_dense_reference(case, monkeypatch):
+    cfg = run_config(CASES[case])
+    monkeypatch.setattr(cli, "evolve_blocks", dense_blocks)
+    dense = cli.evolve_rows(cfg)
+    golden = read_csv(GOLDEN / f"{case}.csv")
+    assert len(golden) == len(dense["t"])
+    for column in numeric_columns(golden):
+        for k, row in enumerate(golden):
+            stored, value = float(row[column]), float(dense[column][k])
+            if np.isnan(stored) or np.isnan(value):
+                assert np.isnan(stored) and np.isnan(value), (column, k)
+                continue
+            tol = error_scale(cfg, row) * max(1.0, abs(value))
+            assert abs(stored - value) <= tol, (column, k, stored, value, tol)
+
+
 def test_lemma1_report_matches_golden(capsys):
     assert cli.main(["verify", "lemma1", "--seed", "42"]) == 0
     out = capsys.readouterr().out
-    assert out.encode() == (GOLDEN / "verify_lemma1_seed42.txt").read_bytes()
+    assert out.encode() == report_path("lemma1", 42).read_bytes()
 
 
 @pytest.mark.parametrize(
     "suite, seed",
-    [pytest.param(suite, 42, id=suite)
-     for suite in ["lemma2", "lemma3", "prop3", "prop4", "parity", "oracle", "x-form"]]
-    # a second seed for the suites that draw random inputs
-    + [pytest.param(suite, 7, id=f"{suite}-seed7") for suite in ["lemma1", "lemma2", "x-form"]],
+    [pytest.param(suite, seed, id=suite if seed == 42 else f"{suite}-seed{seed}")
+     for suite, seed in REPORTS if (suite, seed) != ("lemma1", 42)],
 )
 def test_verify_report_matches_golden(suite, seed, capsys):
     assert cli.main(["verify", suite, "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
-    golden = GOLDEN / f"verify_{suite.replace('-', '_')}_seed{seed}.txt"
-    assert out.encode() == golden.read_bytes()
+    assert out.encode() == report_path(suite, seed).read_bytes()

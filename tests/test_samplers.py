@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from spinsqueeze import verify
-from spinsqueeze.dicke import MOMENT_FIELDS, SymmetricState, dot, mix_moments
+from spinsqueeze.dicke import MOMENT_FIELDS, SymmetricState, mix_moments
 from spinsqueeze.oracle import product_moments, sample_separable
 from spinsqueeze.pairwise import TwoQubitReduced
 
@@ -58,7 +58,8 @@ def reference_random_x_form(rng, n_qubits=4, samples=None):
 def reference_random_symmetric_states(rng, n_qubits, count):
     amps = np.array([rng.normal(size=n_qubits + 1) + 1j * rng.normal(size=n_qubits + 1)
                      for _ in range(count)])
-    norm = np.sqrt(dot(amps.real, amps.real) + dot(amps.imag, amps.imag))
+    re, im = amps.real, amps.imag  # each row's norm as make_state forms it
+    norm = np.sqrt(np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im))
     return SymmetricState(n_qubits, amps / norm[:, None])
 
 
