@@ -15,7 +15,12 @@ import numpy as np
 
 NORM_TOL = 1e-12
 PARITY_TOL = 1e-12
-BLOCK_ELEMENTS = 2**16  # amplitudes per pass when a stack's moments are taken
+
+
+def squared_norm(amps: np.ndarray):
+    """sum |c_i|^2 over the last axis: one value per state of a stack."""
+    re, im = amps.real, amps.imag
+    return np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)
 
 
 class Parity(enum.Enum):
@@ -36,14 +41,15 @@ class SymmetricState:
         if self.n_qubits < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        if amps is self.amplitudes and amps.flags.writeable:
+            amps = amps.copy()  # freezing it below must not freeze the caller's array
         if amps.ndim not in (1, 2) or amps.shape[-1] != self.n_qubits + 1:
             raise ValueError(
                 f"expected {self.n_qubits + 1} amplitudes, got shape {amps.shape}"
             )
         if amps.size == 0:
             raise ValueError("empty stack: no states to hold")
-        re, im = amps.real, amps.imag
-        norm2 = np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)
+        norm2 = squared_norm(amps)
         worst = np.ravel(norm2)[np.argmax(np.abs(norm2 - 1.0))]
         if not abs(worst - 1.0) <= 10 * NORM_TOL:  # a NaN row fails too
             raise ValueError(f"state not normalized: sum |c_n|^2 = {float(worst)!r}")
@@ -142,9 +148,7 @@ def make_state(n_qubits, amplitudes):
         raise ValueError(
             f"expected {n_qubits + 1} amplitudes, got shape {amps.shape}"
         )
-    re, im = amps.real, amps.imag
-    norm2 = np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)
-    norm = float(np.sqrt(norm2))
+    norm = float(np.sqrt(squared_norm(amps)))
     if not NORM_TOL < norm < math.inf:
         raise ValueError(f"amplitude vector has near-zero or non-finite norm {norm!r}")
     return SymmetricState(n_qubits, amps / norm), norm
@@ -176,16 +180,12 @@ def _moment_sums(c, n_qubits: int):
 
 
 def collective_moments(state: SymmetricState) -> CollectiveMoments:
-    """All collective first/second moments, exact to floating precision."""
+    """All collective first/second moments, exact to floating precision.
+
+    A stack is taken whole, so the temporaries grow with it; a long time
+    grid should come in blocks, as `evolution.evolve_blocks` yields them."""
     n_qubits = state.n_qubits
-    c = state.amplitudes
-    if c.ndim == 1:
-        sums = _moment_sums(c, n_qubits)
-    else:  # a block of rows at a time: temporaries stay the size of one block
-        step = max(1, BLOCK_ELEMENTS // c.shape[1])
-        blocks = [_moment_sums(c[i:i + step], n_qubits) for i in range(0, len(c), step)]
-        sums = [np.concatenate(parts) for parts in zip(*blocks)]
-    sp_mean, sp2, anti_sp_sz, mean_sz, sz2 = sums
+    sp_mean, sp2, anti_sp_sz, mean_sz, sz2 = _moment_sums(state.amplitudes, n_qubits)
 
     # Sx^2 + Sy^2 = J(J+1) - Sz^2 and Sx^2 - Sy^2 + i[Sx,Sy]_+ = S+^2
     j = n_qubits / 2.0

@@ -115,6 +115,7 @@ def propagate(propagator: Propagator, times) -> SymmetricState:
         block.real = (cos * wr + sin * wi) @ v.T
         block.imag = (cos * wi - sin * wr) @ v.T
         block *= gauge
+    amps.flags.writeable = False  # so SymmetricState need not copy it
     try:
         return SymmetricState(propagator.initial.n_qubits, amps)
     except ValueError as exc:  # exact propagation is unitary: a lost norm is numerical
@@ -129,14 +130,17 @@ def evolve_grid(spec: HamiltonianSpec, initial: SymmetricState, times) -> Symmet
 
 
 def evolve_blocks(spec: HamiltonianSpec, initial: SymmetricState, times):
-    """Solve the sectors once, then yield (times, states) for consecutive blocks
-    of at most BLOCK_AMPLITUDES // (N+1) rows, so that memory stays bounded
-    whatever the length of `times`."""
+    """Solve the sectors once, then return a generator of (times, states) for
+    consecutive blocks of at most BLOCK_AMPLITUDES // (N+1) rows, so that
+    memory stays bounded whatever the length of `times`. Bad input is refused
+    by the call, not at the first block."""
     times = _checked_times(times)  # before the solve
     propagator = hermitian_eigen(spec, initial)
     step = max(1, BLOCK_AMPLITUDES // (initial.n_qubits + 1))
-    for i in range(0, times.size, step):
-        yield times[i:i + step], propagate(propagator, times[i:i + step])
+    return (
+        (times[i:i + step], propagate(propagator, times[i:i + step]))
+        for i in range(0, times.size, step)
+    )
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:

@@ -13,13 +13,12 @@ equal-weight sum of the bitstrings with n zeros.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .dicke import CollectiveMoments, SymmetricState, mix_moments
+from .dicke import CollectiveMoments, SymmetricState, mix_moments, squared_norm
 from .errors import CapacityError
 from .hamiltonians import HamiltonianSpec
 
@@ -39,11 +38,11 @@ class FullState:
         if self.n_qubits > MAX_QUBITS_STATIC:
             raise CapacityError(f"N={self.n_qubits} exceeds oracle cap {MAX_QUBITS_STATIC}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        if amps is self.amplitudes and amps.flags.writeable:
+            amps = amps.copy()  # freezing it below must not freeze the caller's array
         if amps.ndim not in (1, 2) or amps.shape[-1] != 2**self.n_qubits:
             raise ValueError(f"expected 2^{self.n_qubits} amplitudes, got {amps.shape}")
-        re, im = amps.real, amps.imag
-        norm = np.ravel(np.sqrt(
-            np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)))
+        norm = np.ravel(np.sqrt(squared_norm(amps)))
         bad = ~(np.abs(norm - 1.0) <= 1e-10)  # a NaN row fails too
         if np.any(bad):
             raise ValueError(f"full state norm {float(norm[bad][0])!r} != 1")
@@ -74,16 +73,10 @@ def embed_symmetric(state: SymmetricState) -> FullState:
 
 def collective_pauli_sums(n_qubits: int):
     """Full-space S_x, S_y, S_z as explicit sums of single-qubit Paulis / 2,
-    read-only and shared between calls for the same size."""
-    return _pauli_sums(n_qubits)
-
-
-@functools.lru_cache(maxsize=1)  # the suites ask for one size many times in a row
-def _pauli_sums(n_qubits: int):
-    """Sums of sigma / 2 over the sites, read off the bits of the basis index:
-    sigma_x and sigma_y of a site flip its bit (sigma_y gives -i where the
-    row's bit is 0, i where it is 1), and sigma_z is +1 on a zero bit, -1 on
-    a one bit. Equal, bit for bit, to the sums of Kronecker chains."""
+    read off the bits of the basis index: sigma_x and sigma_y of a site flip
+    its bit (sigma_y gives -i where the row's bit is 0, i where it is 1), and
+    sigma_z is +1 on a zero bit, -1 on a one bit. Equal, bit for bit, to the
+    sums of Kronecker chains; each call builds new arrays."""
     dim = 2**n_qubits
     idx = np.arange(dim)
     sx, sy, sz = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
@@ -92,8 +85,6 @@ def _pauli_sums(n_qubits: int):
         sx.real[flipped, idx] = 0.5
         sy.imag[flipped, idx] = np.where((flipped >> bit) & 1, 0.5, -0.5)
     sz.real[idx, idx] = _excitation_counts(n_qubits) - n_qubits / 2.0
-    for op in (sx, sy, sz):
-        op.flags.writeable = False
     return sx, sy, sz
 
 

@@ -7,7 +7,6 @@ numpy's PCG64 generator, which is recorded in the report for reproducibility.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -20,6 +19,7 @@ from .dicke import (
     collective_moments,
     make_all_down,
     make_dicke_state,
+    squared_norm,
 )
 from .evolution import evolve_grid, trajectory
 from .hamiltonians import (
@@ -68,8 +68,7 @@ def _random_symmetric_states(rng, n_qubits: int, count: int) -> SymmetricState:
     # one C-order normal call draws the stream of count * 2 calls of size N+1
     z = rng.normal(size=(count, 2, n_qubits + 1))
     amps = z[:, 0] + 1j * z[:, 1]
-    re, im = amps.real, amps.imag
-    norm = np.sqrt(np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im))
+    norm = np.sqrt(squared_norm(amps))
     return SymmetricState(n_qubits, amps / norm[:, None])
 
 
@@ -145,7 +144,6 @@ class TrajectoryWorst(NamedTuple):
     prop3_all: float  # |xi^2 - 1 + (N-1) C| at every point
 
 
-@functools.lru_cache(maxsize=None)  # prop3 and prop4 share trajectories; run_suite clears it
 def _trajectory_worst(spec, n, t_max=10.0, dt=0.01) -> TrajectoryWorst:
     m = collective_moments(trajectory(spec, n, t_max, dt).states)
     xi2 = squeezing_even_odd(m).xi2
@@ -204,9 +202,7 @@ def suite_parity(n_values=(2, 3, 6, 10), t_max: float = 5.0, dt: float = 0.05):
             m = collective_moments(SymmetricState(n, both))
             worst_transverse = _worst(np.abs(m.mean_sx), np.abs(m.mean_sy))
             worst_leak = np.max(np.sum(np.abs(both[:, 1::2]) ** 2, axis=-1))
-            re, im = c.real, c.imag
-            norm = np.sqrt(np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im))
-            worst_norm = np.max(np.abs(norm - 1.0))
+            worst_norm = np.max(np.abs(np.sqrt(squared_norm(c)) - 1.0))
             energy = np.einsum("ti,ij,tj->t", c.conj(), h, c).real
             worst_energy = np.max(np.abs(energy - energy[0]))
             checks.append(Check(f"parity_commutator_{name}_N{n}", parity_check(h), 1e-13))
@@ -301,5 +297,4 @@ def run_suite(name: str, seed: int = 0):
     if name != "all" and name not in _RUNNERS:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES + ('all',))}")
     names = SUITES if name == "all" else (name,)
-    _trajectory_worst.cache_clear()  # one evaluation per (spec, N, t_max, dt) per run
     return [check for suite in names for check in _RUNNERS[suite](seed)]

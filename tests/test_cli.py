@@ -646,26 +646,6 @@ class TestVerify:
     def test_lemma3_suite_passes(self):
         assert run_cli(["verify", "lemma3"]) == 0
 
-    def test_prop3_and_prop4_share_trajectories(self, monkeypatch):
-        # within one run each (spec, N, t_max, dt) trajectory is evaluated once,
-        # and the checks read as when each suite runs alone
-        alone = verify.run_suite("prop3") + verify.run_suite("prop4")
-        calls = []
-        original = verify.trajectory
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(verify, "trajectory", counted)
-        monkeypatch.setattr(verify, "SUITES", ("prop3", "prop4"))
-        shared = verify.run_suite("all")
-        assert len(calls) == len(set(calls)) == 16  # 12 in prop3, 4 new in prop4
-        calls.clear()
-        verify.run_suite("prop4")  # a new run evaluates afresh
-        assert len(calls) == 6
-        assert [(c.name, c.residual) for c in shared] == [(c.name, c.residual) for c in alone]
-
     @pytest.mark.parametrize("suite, target, field, failing", [
         (lambda: verify.suite_lemma1(0, samples=20, n_values=[3]),
          (verify, "perpendicular_correlation_min"), None, ["lemma1_correlation_N3"]),
@@ -679,7 +659,7 @@ class TestVerify:
          (verify, "collective_moments"), "mean_sy",
          [f"parity_transverse_{name}_N4" for name in verify._model_specs()]),
     ], ids=["lemma1", "lemma3", "prop3", "prop4", "parity"])
-    def test_nan_residual_fails(self, suite, target, field, failing, monkeypatch, request):
+    def test_nan_residual_fails(self, suite, target, field, failing, monkeypatch):
         # one NaN row in a quantity a residual is reduced from must fail the
         # check, not be dropped by a max against 0.0
         original = getattr(*target)
@@ -691,8 +671,6 @@ class TestVerify:
             return values if field is None else dataclasses.replace(result, **{field: values})
 
         monkeypatch.setattr(*target, poisoned)
-        verify._trajectory_worst.cache_clear()
-        request.addfinalizer(verify._trajectory_worst.cache_clear)
         checks = {c.name: c for c in suite()}
         for name in failing:
             assert np.isnan(checks[name].residual) and not checks[name].passed, name

@@ -77,6 +77,15 @@ class TestConstruction:
         with pytest.raises(ValueError, match="empty stack"):
             SymmetricState(2, np.zeros((0, 3)))
 
+    def test_state_keeps_the_callers_array_writeable(self):
+        amps = np.zeros(3, complex)
+        amps[0] = 1.0
+        state = SymmetricState(2, amps)
+        amps[1] = 0.5
+        assert list(state.amplitudes) == [1, 0, 0]
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[1] = 0.5
+
 
 class TestParity:
     def test_all_down_is_even(self):

@@ -112,7 +112,7 @@ def test_empty_grid_is_refused_before_any_solve(monkeypatch):
         with pytest.raises(ValueError, match="empty time grid"):
             evolve_grid(H1, make_all_down(2), times)
         with pytest.raises(ValueError, match="empty time grid"):
-            next(evolve_blocks(H1, make_all_down(2), times))
+            evolve_blocks(H1, make_all_down(2), times)
     assert solved == []
 
 
@@ -228,9 +228,9 @@ def test_evolve_blocks_solve_once_and_match_the_grid(n, monkeypatch):
 
 def test_evolve_blocks_refuses_a_stack_and_non_finite_times():
     with pytest.raises(ValueError, match="one initial state"):
-        next(evolve_blocks(H1, evolve_grid(H1, make_all_down(2), [0.0, 1.0]), [0.0]))
+        evolve_blocks(H1, evolve_grid(H1, make_all_down(2), [0.0, 1.0]), [0.0])
     with pytest.raises(ValueError, match="non-finite"):
-        next(evolve_blocks(H1, make_all_down(2), [0.0, np.nan]))
+        evolve_blocks(H1, make_all_down(2), [0.0, np.nan])
 
 
 def test_trajectory_builds_no_dense_matrix():

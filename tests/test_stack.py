@@ -11,7 +11,7 @@ bad entry raises the error that entry raises alone.
 import numpy as np
 import pytest
 
-from spinsqueeze import dicke, verify
+from spinsqueeze import verify
 from spinsqueeze.dicke import (
     MOMENT_FIELDS,
     CollectiveMoments,
@@ -72,11 +72,8 @@ def assert_correlation_rows_equal(m, singles):
     return corr
 
 
-@pytest.mark.parametrize("block_rows", [None, 1, 7])
 @pytest.mark.parametrize("n", N_VALUES)
-def test_moments_reduction_and_general_xi2(n, block_rows, monkeypatch):
-    if block_rows:  # a stack that spans several blocks of the moment pass
-        monkeypatch.setattr(dicke, "BLOCK_ELEMENTS", block_rows * (n + 1))
+def test_moments_reduction_and_general_xi2(n):
     stack = random_stack(np.random.default_rng(100 + n), n)
     singles = [collective_moments(state) for state in rows_of(stack)]
     m = collective_moments(stack)
