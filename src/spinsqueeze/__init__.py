@@ -20,7 +20,6 @@ from .errors import (
 )
 from .evolution import (
     Propagator,
-    Trajectory,
     evolve_blocks,
     evolve_grid,
     hermitian_eigen,

@@ -11,17 +11,18 @@ time, so their memory does not grow with the length of the time grid.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import itertools
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import verify as verify_mod
-from .dicke import collective_moments, make_all_down, make_dicke_state
+from .dicke import collective_moments, make_dicke_state
 from .errors import NumericalError
-from .evolution import evolve_blocks, time_grid
+from .evolution import trajectory
 from .hamiltonians import HamiltonianSpec
 from .pairwise import concurrence_x_form, reduced_two_qubit
 from .squeezing import squeezing_even_odd, squeezing_general
@@ -48,7 +49,7 @@ SCAN_COLUMNS = (
 )
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     model: str = "one-axis"
     n_qubits: int = 6
@@ -64,6 +65,8 @@ class RunConfig:
 
     def __post_init__(self):
         # checked before any computation, so a bad value leaves no output file
+        if self.n_qubits < 2:
+            raise ValueError(f"--n must be at least 2, got {self.n_qubits}")
         if self.precision < 0:
             raise ValueError(f"--precision must be at least 0, got {self.precision}")
 
@@ -81,15 +84,10 @@ class RunConfig:
         raise ValueError(f"unknown model {self.model!r}")
 
 
-def _all_down_blocks(spec, n_qubits, t_max, dt):
-    """(times, states) blocks of the all-down trajectory on a uniform grid."""
-    return evolve_blocks(spec, make_all_down(n_qubits), time_grid(t_max, dt))
-
-
 def row_blocks(cfg: RunConfig):
     """Every CSV column, one block of times at a time: yields column name ->
     array, one value per time of the block."""
-    for times, states in _all_down_blocks(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt):
+    for times, states in trajectory(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt):
         m = collective_moments(states)
         xi2_general = squeezing_general(m).xi2
         r = reduced_two_qubit(m)
@@ -203,12 +201,10 @@ def cmd_evolve(cfg: RunConfig) -> int:
     return 0
 
 
-def _scan_point(args):
-    model, n, mu, chi, gamma, omega, f_coeffs, t_max, dt = args
-    spec = RunConfig(model=model, mu=mu, chi=chi, gamma=gamma, omega=omega,
-                     f_coeffs=f_coeffs).spec()
+def _scan_point(cfg: RunConfig) -> dict:
+    """The scan row of one grid point, from the trajectory `evolve` writes for `cfg`."""
     extremes = Extremes()
-    for times, states in _all_down_blocks(spec, n, t_max, dt):
+    for times, states in trajectory(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt):
         m = collective_moments(states)
         extremes.add(times, squeezing_even_odd(m).xi2,
                      concurrence_x_form(reduced_two_qubit(m)).concurrence)
@@ -216,15 +212,15 @@ def _scan_point(args):
     max_concurrence, t_max_concurrence = extremes.max_concurrence
     max_xi2 = extremes.max_xi2[0]
     return {
-        "model": model,
-        "n": n,
-        "mu": mu,
-        "chi": chi,
-        "gamma": gamma,
-        "omega": omega,
+        "model": cfg.model,
+        "n": cfg.n_qubits,
+        "mu": cfg.mu,
+        "chi": cfg.chi,
+        "gamma": cfg.gamma,
+        "omega": cfg.omega,
         "min_xi2": min_xi2,
         "t_min_xi2": t_min_xi2,
-        "mubar_min_xi2": 2.0 * mu * t_min_xi2,
+        "mubar_min_xi2": 2.0 * cfg.mu * t_min_xi2,
         "max_concurrence": max_concurrence,
         "t_max_concurrence": t_max_concurrence,
         "max_xi2": max_xi2,
@@ -232,16 +228,16 @@ def _scan_point(args):
     }
 
 
-def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list, f_coeffs,
-             t_max, dt, output_path, precision, workers=1) -> int:
-    grid = sorted(
-        (model, n, mu, chi, gamma, omega, f_coeffs, t_max, dt)
-        for n in n_list
-        for mu in mu_list
-        for chi in chi_list
-        for gamma in gamma_list
-        for omega in omega_list
-    )
+def cmd_scan(cfg: RunConfig, n_list, workers: int) -> int:
+    """One CSV row per point of the grid n_list x cfg.mu x cfg.chi x cfg.gamma
+    x cfg.omega (each a tuple of values or one scalar), in sorted order. Each
+    point is `cfg` with those five fields replaced, as `evolve` would run it,
+    and every point is checked before the first one runs."""
+    axes = (_as_tuple(cfg.mu), _as_tuple(cfg.chi), _as_tuple(cfg.gamma), _as_tuple(cfg.omega))
+    grid = [
+        dataclasses.replace(cfg, n_qubits=n, mu=mu, chi=chi, gamma=gamma, omega=omega)
+        for n, mu, chi, gamma, omega in sorted(itertools.product(n_list, *axes))
+    ]
     if not grid:
         raise ValueError("empty scan grid")
     if workers < 1:
@@ -255,8 +251,8 @@ def cmd_scan(model, n_list, mu_list, chi_list, gamma_list, omega_list, f_coeffs,
             rows = list(pool.map(_scan_point, grid))
     else:
         rows = [_scan_point(point) for point in grid]
-    write_csv(output_path, SCAN_COLUMNS, [{c: [row[c] for row in rows] for c in SCAN_COLUMNS}],
-              precision)
+    write_csv(cfg.output_path, SCAN_COLUMNS,
+              [{c: [row[c] for row in rows] for c in SCAN_COLUMNS}], cfg.precision)
     return 0
 
 
@@ -347,8 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="grid scan over N and coefficients")
     add_common(scan, listy=True)
-    scan.add_argument("--n", type=_parse_ints, default=None)
-    scan.add_argument("--workers", type=int, default=None)
+    # dest n_list: the scan's N axis, not the n_qubits of one RunConfig
+    scan.add_argument("--n", dest="n_list", type=_parse_ints, default=tuple(range(2, 11)))
+    scan.add_argument("--workers", type=int, default=1)
 
     dicke = sub.add_parser("dicke", help="squeezing/concurrence of a Dicke state")
     dicke.add_argument("--n", type=int, required=True)
@@ -416,21 +413,7 @@ def main(argv=None) -> int:
         cfg = _run_config(args)
         if args.command == "evolve":
             return cmd_evolve(cfg)
-        # scan: the coefficient fields hold a comma list or a scalar default
-        return cmd_scan(
-            model=cfg.model,
-            n_list=tuple(range(2, 11)) if args.n is None else _as_tuple(args.n),
-            mu_list=_as_tuple(cfg.mu),
-            chi_list=_as_tuple(cfg.chi),
-            gamma_list=_as_tuple(cfg.gamma),
-            omega_list=_as_tuple(cfg.omega),
-            f_coeffs=cfg.f_coeffs,  # one polynomial, the same at every grid point
-            t_max=cfg.t_max,
-            dt=cfg.dt,
-            output_path=cfg.output_path,
-            precision=cfg.precision,
-            workers=1 if args.workers is None else args.workers,
-        )
+        return cmd_scan(cfg, args.n_list, args.workers)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -155,13 +155,14 @@ def make_state(n_qubits, amplitudes):
 
 
 def parity_class(state: SymmetricState) -> Parity:
-    """Classify by which excitation-number parity sectors are populated."""
+    """Classify by which excitation-number parity sectors are populated; a
+    stack is EVEN or ODD only when every row is."""
     probs = np.abs(state.amplitudes) ** 2
-    even_weight = float(probs[0::2].sum())
-    odd_weight = float(probs[1::2].sum())
-    if odd_weight <= PARITY_TOL:
+    even_weight = np.sum(probs[..., 0::2], axis=-1)  # one per row of a stack
+    odd_weight = np.sum(probs[..., 1::2], axis=-1)
+    if np.max(odd_weight) <= PARITY_TOL:
         return Parity.EVEN
-    if even_weight <= PARITY_TOL:
+    if np.max(even_weight) <= PARITY_TOL:
         return Parity.ODD
     return Parity.MIXED
 

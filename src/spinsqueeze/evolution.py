@@ -49,15 +49,6 @@ class Propagator:
         return sum(s.band.dim for s in self.sectors)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: SymmetricState  # stack, amplitudes of shape (T, N+1)
-
-    def __len__(self):
-        return len(self.times)
-
-
 def solve_band(band: SectorBand) -> SectorEigen:
     """Diagonalize one sector's band, then verify the reconstruction and
     orthonormality contracts on it."""
@@ -151,13 +142,11 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     return dt * np.arange(n_steps + 1)
 
 
-def trajectory(spec: HamiltonianSpec, n_qubits: int, t_max: float, dt: float) -> Trajectory:
-    """Evolve the all-down initial state on a uniform grid; all-down is
-    even, so only the even sector is diagonalized."""
-    times = time_grid(t_max, dt)
-    initial = make_all_down(n_qubits)
-    states = evolve_grid(spec, initial, times)
-    return Trajectory(times=times, states=states)
+def trajectory(spec: HamiltonianSpec, n_qubits: int, t_max: float, dt: float):
+    """The all-down state evolved over `time_grid(t_max, dt)`, as the (times,
+    states) blocks of `evolve_blocks`: the call solves the sectors and each
+    block is propagated when drawn. All-down is even: one sector is solved."""
+    return evolve_blocks(spec, make_all_down(n_qubits), time_grid(t_max, dt))
 
 
 def rk4_evolve(h: np.ndarray, initial: SymmetricState, t: float, n_steps: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from spinsqueeze.dicke import (
     make_dicke_state,
     make_state,
 )
-from spinsqueeze.evolution import evolve_grid, trajectory
+from spinsqueeze.evolution import evolve_grid, time_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.oracle import embed_symmetric, partial_trace_pair
 from spinsqueeze.pairwise import concurrence_spectral, concurrence_x_form, reduced_two_qubit
@@ -177,7 +177,7 @@ def test_criterion_8_dicke_states():
 
 def test_criterion_9_structural_invariants():
     checks = suite_parity()
-    states = trajectory(HamiltonianSpec.two_axis(1.0), 6, 3.0, 0.05).states
+    states = evolve_grid(HamiltonianSpec.two_axis(1.0), make_all_down(6), time_grid(3.0, 0.05))
     m = collective_moments(states)
     xi2 = squeezing_even_odd(m).xi2
     worst_bound = max(0.0, np.max(squeezing_lower_bound(m) - xi2))

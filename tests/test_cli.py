@@ -153,7 +153,7 @@ class TestEvolve:
         def too_large(*args):
             raise MemoryError("cannot hold the Hamiltonian")
 
-        monkeypatch.setattr(cli, "evolve_blocks", too_large)
+        monkeypatch.setattr(evolution, "evolve_blocks", too_large)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -398,7 +398,7 @@ class TestCsvWriter:
         def no_computation(*args, **kwargs):
             raise AssertionError("trajectory computed before --precision was checked")
 
-        monkeypatch.setattr(cli, "evolve_blocks", no_computation)
+        monkeypatch.setattr(evolution, "evolve_blocks", no_computation)
         out = tmp_path / "x.csv"
         args = [command, "--n", "2", "--t-max", "1", "--dt", "0.5", "--out", str(out)]
         if from_config:
@@ -410,6 +410,23 @@ class TestCsvWriter:
         assert run_cli(args) == 2
         assert "--precision" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args", [["evolve", "--n", "1"], ["scan", "--n", "1,4"]],
+                             ids=["evolve", "scan"])
+    def test_one_qubit_is_refused_before_computing(self, args, monkeypatch, capsys):
+        # evolve used to print the CSV header and propagate before refusing --n 1
+        original, calls = evolution.evolve_blocks, []
+
+        def spy(*call_args):
+            calls.append(call_args)
+            return original(*call_args)
+
+        monkeypatch.setattr(evolution, "evolve_blocks", spy)
+        assert run_cli(args + ["--t-max", "1", "--dt", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert calls == []
+        assert "--n" in err
 
     def test_precision_zero_keeps_format_output(self, tmp_path):
         out = tmp_path / "p0.csv"
@@ -489,6 +506,28 @@ class TestScan:
         (scan,) = read_rows(tmp_path / "scan.csv")
         xi2 = [float(row["xi2_closed"]) for row in read_rows(tmp_path / "evolve.csv")]
         assert float(scan["min_xi2"]) == min(xi2) == pytest.approx(0.313364, abs=1e-6)
+
+    @pytest.mark.parametrize("model_args", [
+        ["--model", "one-axis", "--mu", "1"],
+        ["--model", "one-axis-field", "--mu", "1", "--omega", "0.5"],
+        ["--model", "two-axis", "--gamma", "1"],
+        ["--model", "general", "--mu", "0.4", "--chi", "-0.9", "--gamma", "1.3",
+         "--f-coeffs", "0,0.7,0.2"],
+    ], ids=lambda model_args: model_args[1])
+    def test_scan_point_equals_its_evolve_run(self, model_args, tmp_path):
+        flags = ["--n", "5", *model_args, "--t-max", "3", "--dt", "0.05", "--precision", "17"]
+        assert run_cli(["scan", *flags, "--out", str(tmp_path / "scan.csv")]) == 0
+        assert run_cli(["evolve", *flags, "--out", str(tmp_path / "evolve.csv")]) == 0
+        (point,) = read_rows(tmp_path / "scan.csv")
+        rows = read_rows(tmp_path / "evolve.csv")
+        xi2 = [float(row["xi2_closed"]) for row in rows]
+        conc = [float(row["concurrence"]) for row in rows]
+        lowest, highest, peak = rows[np.argmin(xi2)], rows[np.argmax(xi2)], rows[np.argmax(conc)]
+        assert point["min_xi2"] == lowest["xi2_closed"]
+        assert point["t_min_xi2"] == lowest["t"]
+        assert point["max_concurrence"] == peak["concurrence"]
+        assert point["t_max_concurrence"] == peak["t"]
+        assert point["max_xi2"] == highest["xi2_closed"]
 
     @pytest.mark.parametrize("model, flag", [
         ("one-axis", "--gamma"), ("one-axis", "--omega"), ("one-axis", "--chi"),
@@ -672,6 +711,49 @@ class TestVerify:
 
         monkeypatch.setattr(*target, poisoned)
         checks = {c.name: c for c in suite()}
+        for name in failing:
+            assert np.isnan(checks[name].residual) and not checks[name].passed, name
+
+    @pytest.mark.parametrize("suite, target, field, failing", [
+        (lambda: verify.suite_prop3(n_values=[4], t_max=0.5),
+         (pairwise, "concurrence_x_form"), "concurrence", ["prop3_identity_N4"]),
+        (lambda: verify.suite_prop4(n_values=[4], t_max=0.5),
+         (verify, "squeezing_even_odd"), "xi2", ["prop4_xi2_bound_N4", "prop4_identity_N4"]),
+    ], ids=["prop3", "prop4"])
+    def test_trajectory_checks_span_several_blocks(self, suite, target, field, failing,
+                                                   monkeypatch):
+        single = {c.name: c.residual for c in suite()}
+        monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 20 * 5)  # 20 rows at N=4
+        original_propagate, rows = evolution.propagate, []
+
+        def propagate(propagator, times):
+            rows.append(len(times))
+            return original_propagate(propagator, times)
+
+        monkeypatch.setattr(evolution, "propagate", propagate)
+        checks = suite()
+        blocks = len(rows)
+        assert rows == [20, 20, 11] * (blocks // 3)  # 51 times, per trajectory
+        for check in checks:
+            # a block boundary may change the last bits (see README)
+            assert check.passed, check.name
+            assert abs(check.residual - single[check.name]) <= 1e-15, check.name
+
+        # a NaN in the last block of the last trajectory only must still fail
+        original, calls = getattr(*target), []
+
+        def poisoned(*args):
+            result = original(*args)
+            calls.append(args)
+            if len(calls) < blocks:
+                return result
+            values = np.array(getattr(result, field))
+            values[-1] = np.nan
+            return dataclasses.replace(result, **{field: values})
+
+        monkeypatch.setattr(*target, poisoned)
+        checks = {c.name: c for c in suite()}
+        assert len(calls) == blocks
         for name in failing:
             assert np.isnan(checks[name].residual) and not checks[name].passed, name
 

@@ -98,6 +98,13 @@ class TestParity:
         state, _ = make_state(4, [1, 1, 0, 0, 0])
         assert parity_class(state) is Parity.MIXED
 
+    def test_stack_is_classified_by_its_worst_row(self):
+        # a stack used to be sliced by rows, not by amplitudes: both read MIXED
+        even, odd = [1, 0, 0], [0, 1, 0]
+        assert parity_class(SymmetricState(2, [even, [0, 0, 1]])) is Parity.EVEN
+        assert parity_class(SymmetricState(2, [odd, odd])) is Parity.ODD
+        assert parity_class(SymmetricState(2, [even, even, odd])) is Parity.MIXED
+
 
 class TestMoments:
     def test_lowest_weight_state(self):

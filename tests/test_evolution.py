@@ -182,7 +182,8 @@ def test_all_down_diagonalizes_only_the_even_sector(monkeypatch):
 def test_traced_layers_exist_and_trajectory_calls_each_once(monkeypatch):
     # the benchmark's tracer times these functions and reads Propagator.dim
     for module, name in [(hamiltonians, "build_hamiltonian"), (evolution, "hermitian_eigen"),
-                         (evolution, "evolve_grid"), (evolution, "trajectory")]:
+                         (evolution, "propagate"), (evolution, "evolve_grid"),
+                         (evolution, "trajectory")]:
         assert callable(getattr(module, name))
     calls = []
 
@@ -196,9 +197,15 @@ def test_traced_layers_exist_and_trajectory_calls_each_once(monkeypatch):
         monkeypatch.setattr(evolution, name, counted)
 
     spy("hermitian_eigen")
-    spy("evolve_grid")
-    trajectory(H1, 8, 1.0, 0.5)
-    assert sorted(calls) == ["evolve_grid", "hermitian_eigen"]
+    spy("propagate")
+    blocks = trajectory(H1, 8, 1.0, 0.5)  # 3 times, one block
+    assert calls == ["hermitian_eigen"]  # the call solves
+    list(blocks)
+    assert calls == ["hermitian_eigen", "propagate"]  # drawing a block propagates it
+    calls.clear()
+    monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 9)  # one row per block at N=8
+    list(trajectory(H1, 8, 1.0, 0.5))
+    assert calls == ["hermitian_eigen"] + ["propagate"] * 3
     dim = hermitian_eigen(H1, make_all_down(8)).dim
     assert type(dim) is int and dim == 5
 
@@ -237,7 +244,7 @@ def test_trajectory_builds_no_dense_matrix():
     n = 600
     tracemalloc.start()
     try:
-        trajectory(HamiltonianSpec.two_axis(1.0 / n), n, 0.02, 0.01)
+        list(trajectory(HamiltonianSpec.two_axis(1.0 / n), n, 0.02, 0.01))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -245,10 +252,10 @@ def test_trajectory_builds_no_dense_matrix():
 
 
 def test_trajectory_grid_and_parity():
-    traj = trajectory(H1, 2, np.pi, np.pi / 100)
-    assert len(traj) == 101
-    assert traj.times[-1] == pytest.approx(np.pi)
-    amps = traj.states.amplitudes
+    times = time_grid(np.pi, np.pi / 100)
+    assert len(times) == 101
+    assert times[-1] == pytest.approx(np.pi)
+    amps = evolve_grid(H1, make_all_down(2), times).amplitudes
     assert amps.shape == (101, 3)
     # every row is an even state: no weight on odd excitation numbers
     assert np.all(np.sum(np.abs(amps[:, 1::2]) ** 2, axis=1) <= PARITY_TOL)
@@ -256,9 +263,9 @@ def test_trajectory_grid_and_parity():
 
 
 def test_trajectory_covers_t_max():
-    traj = trajectory(H1, 2, 1.0, 0.3)
-    assert traj.times[-1] >= 1.0 - 1e-12
-    assert len(traj) == 5
+    times = time_grid(1.0, 0.3)
+    assert times[-1] >= 1.0 - 1e-12
+    assert len(times) == 5
 
 
 def test_invalid_grid():
@@ -271,8 +278,9 @@ def test_invalid_grid():
 
 
 def test_transverse_means_vanish_with_field():
-    traj = trajectory(HamiltonianSpec.one_axis_field(1.0, 2.0), 10, 5.0, 0.05)
-    m = collective_moments(traj.states)
+    states = evolve_grid(HamiltonianSpec.one_axis_field(1.0, 2.0), make_all_down(10),
+                         time_grid(5.0, 0.05))
+    m = collective_moments(states)
     assert np.max(np.abs(m.mean_sx)) <= 1e-10
     assert np.max(np.abs(m.mean_sy)) <= 1e-10
 
@@ -280,8 +288,7 @@ def test_transverse_means_vanish_with_field():
 def test_energy_conservation():
     for spec in (H1, HamiltonianSpec.two_axis(1.0)):
         h = build_hamiltonian(spec, 8)
-        traj = trajectory(spec, 8, 10.0, 0.25)
-        c = traj.states.amplitudes
+        c = evolve_grid(spec, make_all_down(8), time_grid(10.0, 0.25)).amplitudes
         energies = np.einsum("ti,ij,tj->t", c.conj(), h, c).real
         assert max(energies) - min(energies) <= 1e-10
 

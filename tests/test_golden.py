@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 from test_evolution import h_norm_bound
 
-from spinsqueeze import cli, verify
+from spinsqueeze import cli, evolution, verify
 from spinsqueeze.dicke import SymmetricState
 from spinsqueeze.hamiltonians import build_hamiltonian
 
@@ -115,7 +115,7 @@ def dense_blocks(spec, initial, times):
 @pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] == "evolve"))
 def test_golden_agrees_with_dense_reference(case, monkeypatch):
     cfg = run_config(CASES[case])
-    monkeypatch.setattr(cli, "evolve_blocks", dense_blocks)
+    monkeypatch.setattr(evolution, "evolve_blocks", dense_blocks)
     dense = cli.evolve_rows(cfg)
     golden = read_csv(GOLDEN / f"{case}.csv")
     assert len(golden) == len(dense["t"])
