@@ -1,9 +1,15 @@
 """Exact unitary evolution in the symmetric subspace.
 
 H is diagonalized once per parity sector: each sector is a real symmetric
-tridiagonal band T of size about N/2 under a diagonal phase gauge D
+tridiagonal band T of size m about N/2 under a diagonal phase gauge D
 (`hamiltonians.SectorBand`), and only the sectors the initial state
-occupies are solved. Every trajectory point is computed directly as
+occupies are solved. A band with a zero diagonal (two-axis, and `general`
+with mu + chi = 0 and no f) is bipartite, and its eigenpairs come from the
+SVD of its bidiagonal half; every other band goes to `eigh`. Of each
+solved sector only the modes the initial state occupies are kept: the
+smallest-weight modes are dropped while their summed weight stays within
+m eps^2, which moves every propagated state by at most sqrt(m) eps.
+Every trajectory point is computed directly as
 D V exp(-i Lambda t) V^T D^dag c(0), so there is no step-to-step error
 accumulation and arbitrary times are equally accurate. `evolve_blocks`
 propagates a long grid one block of times at a time, so its memory does
@@ -28,8 +34,9 @@ BLOCK_AMPLITUDES = 2**18  # complex amplitudes per block that evolve_blocks prop
 
 @dataclass(frozen=True)
 class SectorEigen:
-    """Eigenpairs of one sector's band T, energies ascending; the
-    eigenvectors are real columns over the gauged sector basis."""
+    """Eigenpairs of one sector's band T, energies ascending: all m from
+    `solve_band`, the occupied ones in a `Propagator`. The eigenvectors are
+    real columns over the gauged sector basis."""
 
     band: SectorBand
     eigenvalues: np.ndarray
@@ -48,11 +55,44 @@ class Propagator:
         """Total size of the solved sectors."""
         return sum(s.band.dim for s in self.sectors)
 
+    @property
+    def modes(self) -> int:
+        """Total number of modes kept for propagation (at most `dim`)."""
+        return sum(s.eigenvalues.size for s in self.sectors)
+
+
+def _chiral_eigh(e: np.ndarray):
+    """Eigenpairs of the zero-diagonal tridiagonal T with off-diagonal `e`,
+    energies ascending, from the SVD of its bidiagonal half. In even/odd
+    sub-index order T = [[0, B], [B^T, 0]] with B[i, i] = e[2i] and
+    B[i, i-1] = e[2i-1], so each singular triple (s, u, v) of B gives the
+    pair -s, +s with vectors (u, -v)/sqrt(2), (u, v)/sqrt(2) (Golub and
+    Kahan, 1965); an odd size adds the null mode (u0, 0) at energy 0."""
+    m = e.size + 1
+    q = m // 2
+    b = np.zeros((m - q, q))
+    np.fill_diagonal(b, e[0::2])
+    np.fill_diagonal(b[1:], e[1::2])
+    u, s, vt = np.linalg.svd(b)  # s descending
+    root2 = math.sqrt(2.0)
+    vectors = np.zeros((m, m))
+    vectors[0::2, :q] = u[:, :q] / root2  # -s, ascending
+    vectors[1::2, :q] = vt.T / -root2
+    vectors[0::2, q:m - q] = u[:, q:]  # the null mode, when m is odd
+    vectors[0::2, m - q:] = u[:, q - 1::-1] / root2  # +s, ascending
+    vectors[1::2, m - q:] = vt[::-1].T / root2
+    return np.concatenate([-s, np.zeros(m - 2 * q), s[::-1]]), vectors
+
 
 def solve_band(band: SectorBand) -> SectorEigen:
     """Diagonalize one sector's band, then verify the reconstruction and
-    orthonormality contracts on it."""
-    energies, vectors = np.linalg.eigh(band.tridiagonal())
+    orthonormality contracts on it. A band with a zero diagonal and m > 1
+    (two-axis, and `general` with mu + chi = 0 and no f) is solved by
+    `_chiral_eigh`, every other band by `eigh`."""
+    if band.dim > 1 and not np.any(band.diagonal):
+        energies, vectors = _chiral_eigh(band.off_diagonal)
+    else:
+        energies, vectors = np.linalg.eigh(band.tridiagonal())
     d, e = band.diagonal, band.off_diagonal
     scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
     tv = d[:, None] * vectors  # T V from the band, in O(m^2)
@@ -67,13 +107,33 @@ def solve_band(band: SectorBand) -> SectorEigen:
     return SectorEigen(band=band, eigenvalues=energies, eigenvectors=vectors)
 
 
+def _occupied_modes(sector_eigen: SectorEigen, c0: np.ndarray) -> SectorEigen:
+    """`sector_eigen` without the modes the initial state c0 leaves empty:
+    the smallest-weight modes are dropped while their summed weight stays
+    within m eps^2, so each propagated state moves by at most sqrt(m) eps
+    in 2-norm at every time, the propagation being unitary. The kept modes
+    stay in ascending-energy order."""
+    band, v = sector_eigen.band, sector_eigen.eigenvectors
+    x = band.gauge().conj() * c0[band.indices]
+    wr, wi = x.real @ v, x.imag @ v
+    weights = wr * wr + wi * wi
+    order = np.argsort(weights)
+    bound = band.dim * np.finfo(float).eps ** 2
+    dropped = int(np.searchsorted(np.cumsum(weights[order]), bound, side="right"))
+    if not dropped:
+        return sector_eigen
+    keep = np.sort(order[dropped:])
+    return SectorEigen(band, sector_eigen.eigenvalues[keep], v[:, keep])
+
+
 def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagator:
-    """Build the sector bands of H and solve each sector that `initial` occupies."""
+    """Build the sector bands of H, solve each sector that `initial` occupies
+    and keep the modes it occupies."""
     c0 = initial.amplitudes
     if c0.ndim != 1:
         raise ValueError(f"expected one initial state, got amplitudes of shape {c0.shape}")
     return Propagator(initial, tuple(
-        solve_band(band)
+        _occupied_modes(solve_band(band), c0)
         for band in sector_bands(spec, initial.n_qubits)
         if np.any(c0[band.indices])
     ))
@@ -147,20 +207,3 @@ def trajectory(spec: HamiltonianSpec, n_qubits: int, t_max: float, dt: float):
     states) blocks of `evolve_blocks`: the call solves the sectors and each
     block is propagated when drawn. All-down is even: one sector is solved."""
     return evolve_blocks(spec, make_all_down(n_qubits), time_grid(t_max, dt))
-
-
-def rk4_evolve(h: np.ndarray, initial: SymmetricState, t: float, n_steps: int) -> np.ndarray:
-    """Classical fourth-order integrator on the dense H of `build_hamiltonian`;
-    cross-check only, returns raw amplitudes."""
-    if n_steps < 1:
-        raise ValueError("need at least one step")
-    dt = t / n_steps
-    deriv = lambda c: -1j * (h @ c)
-    c = initial.amplitudes.astype(complex)
-    for _ in range(n_steps):
-        k1 = deriv(c)
-        k2 = deriv(c + 0.5 * dt * k1)
-        k3 = deriv(c + 0.5 * dt * k2)
-        k4 = deriv(c + dt * k3)
-        c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return c

@@ -105,6 +105,18 @@ class TestEvolve:
         monkeypatch.setattr(np.linalg, "eigh", nan_first)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
 
+    def test_nan_singular_value_is_numerical_error(self, monkeypatch):
+        svd = np.linalg.svd
+
+        def nan_first(a):
+            u, s, vt = svd(a)
+            s[0] = np.nan
+            return u, s, vt
+
+        monkeypatch.setattr(np.linalg, "svd", nan_first)
+        argv = ["evolve", "--model", "two-axis", "--n", "4", "--t-max", "1", "--dt", "0.5"]
+        assert run_cli(argv) == 3
+
     def test_corrupt_eigenvector_is_numerical_error(self, monkeypatch, capsys):
         # two sector eigenvectors swapped: still orthonormal, but T V != V Lambda
         eigh = np.linalg.eigh

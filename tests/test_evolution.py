@@ -1,10 +1,12 @@
 """Sector eigendecomposition and propagation, against the dense reference."""
 
+import math
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import rk4_evolve
 
 from spinsqueeze import evolution, hamiltonians
 from spinsqueeze.dicke import (
@@ -12,6 +14,7 @@ from spinsqueeze.dicke import (
     SymmetricState,
     collective_moments,
     make_all_down,
+    make_dicke_state,
     make_state,
 )
 from spinsqueeze.errors import NumericalError
@@ -19,7 +22,6 @@ from spinsqueeze.evolution import (
     evolve_blocks,
     evolve_grid,
     hermitian_eigen,
-    rk4_evolve,
     solve_band,
     time_grid,
     trajectory,
@@ -127,6 +129,73 @@ def test_nan_eigenvalue_is_numerical_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", nan_first)
     with pytest.raises(NumericalError, match="residual nan"):
         solve_band(band([0.0, 1.0]))
+
+
+def test_nan_singular_value_is_numerical_error(monkeypatch):
+    svd = np.linalg.svd
+
+    def nan_first(a):
+        u, s, vt = svd(a)
+        s[0] = np.nan
+        return u, s, vt
+
+    monkeypatch.setattr(np.linalg, "svd", nan_first)
+    with pytest.raises(NumericalError, match="residual nan"):
+        solve_band(band([0.0, 0.0, 0.0], [1.0, 2.0]))
+
+
+# bands with a zero diagonal, which solve_band takes to the SVD of their bidiagonal half
+CHIRAL_SPECS = {
+    "two-axis": HamiltonianSpec.two_axis(1.0),
+    "general": HamiltonianSpec(mu=0.8, chi=-0.8, gamma=0.3, f_coeffs=()),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 13, 64, 200, 1000])
+@pytest.mark.parametrize("model", sorted(CHIRAL_SPECS))
+def test_zero_diagonal_band_is_solved_by_svd(model, n, monkeypatch):
+    svd, solved_by_svd = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a: solved_by_svd.append(a.shape) or svd(a))
+    for b in sector_bands(CHIRAL_SPECS[model], n):
+        m = b.dim
+        assert not np.any(b.diagonal)
+        solved_by_svd.clear()
+        solved = solve_band(b)
+        assert solved_by_svd == ([((m + 1) // 2, m // 2)] if m > 1 else [])
+        energies, vectors = solved.eigenvalues, solved.eigenvectors
+        reference = np.linalg.eigh(b.tridiagonal())[0]
+        assert np.array_equal(energies, -energies[::-1])
+        assert np.max(np.abs(energies - reference)) <= (
+            sys.float_info.epsilon * m * np.max(np.abs(reference)))
+        # the null mode, (u0, 0) in even/odd sub-index order, exactly when m is odd
+        assert np.count_nonzero(energies == 0) == m % 2
+        if m % 2:
+            assert not np.any(vectors[1::2, m // 2])
+
+
+@pytest.mark.parametrize("model", ["one-axis", "two-axis"])
+def test_mode_cut_moves_each_state_by_at_most_sqrt_m_eps(model):
+    n = 2000
+    spec = {"one-axis": HamiltonianSpec.one_axis(1.0),
+            "two-axis": HamiltonianSpec.two_axis(1.5 / n)}[model]
+    initial = make_dicke_state(n, 1)  # odd: only the odd sector is solved
+    times = time_grid(10.0, 0.5)
+    cut = hermitian_eigen(spec, initial)
+    odd = sector_bands(spec, n)[1]
+    uncut = evolution.Propagator(initial, (solve_band(odd),))
+    assert cut.dim == uncut.modes == odd.dim and cut.modes < cut.dim
+    diff = (evolution.propagate(cut, times).amplitudes
+            - evolution.propagate(uncut, times).amplitudes)
+    assert np.max(np.linalg.norm(diff, axis=1)) <= math.sqrt(odd.dim) * sys.float_info.epsilon
+
+
+def test_modes_counts_the_kept_modes():
+    n = 2000  # evolve-large: two-axis with gamma in [1, 2] / N, from all-down
+    large = hermitian_eigen(HamiltonianSpec.two_axis(1.5 / n), make_all_down(n))
+    assert type(large.modes) is int and large.dim == 1001 and large.modes < large.dim
+    for omega in (0.1, 1.0, 5.0):  # evolve-long: one-axis-field at N=50, mu=1
+        long = hermitian_eigen(HamiltonianSpec.one_axis_field(1.0, omega), make_all_down(50))
+        assert long.modes == long.dim == 26
 
 
 SECTOR_SPECS = {

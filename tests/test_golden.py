@@ -26,7 +26,7 @@ import pytest
 from test_evolution import h_norm_bound
 
 from spinsqueeze import cli, evolution, verify
-from spinsqueeze.dicke import SymmetricState
+from spinsqueeze.dicke import SymmetricState, make_all_down
 from spinsqueeze.hamiltonians import build_hamiltonian
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -127,6 +127,14 @@ def test_golden_agrees_with_dense_reference(case, monkeypatch):
                 continue
             tol = error_scale(cfg, row) * max(1.0, abs(value))
             assert abs(stored - value) <= tol, (column, k, stored, value, tol)
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if CASES[c][0] == "evolve"))
+def test_golden_spec_keeps_every_mode(case):
+    # the mode cut drops nothing here, so these CSVs keep their bytes
+    cfg = run_config(CASES[case])
+    propagator = evolution.hermitian_eigen(cfg.spec(), make_all_down(cfg.n_qubits))
+    assert propagator.modes == propagator.dim
 
 
 def test_lemma1_report_matches_golden(capsys):
