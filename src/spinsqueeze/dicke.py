@@ -168,23 +168,34 @@ def parity_class(state: SymmetricState) -> Parity:
 
 
 def _moment_sums(c, n_qubits: int):
-    """<S+>, <S+^2>, <[S+, Sz]_+>, <Sz> and <Sz^2> of the states c."""
+    """<S+>, <S+^2>, <[S+, Sz]_+>, <Sz> and <Sz^2> of the states c, from one
+    |c_n|^2 array and one buffer of conj(c_(n+1)), reused for conj(c_(n+2)).
+    Every product and sum is an einsum, row by row, so a row of a stack gives
+    the bits it gives alone (a BLAS product rounds a row by the shape of the
+    stack, and numpy's in-place complex multiply rounds one element apart)."""
     m = np.arange(n_qubits + 1) - n_qubits / 2.0
     a = ladder_coefficients(n_qubits)
-    # <S+> couples n -> n+1, <S+^2> couples n -> n+2
-    sp_mean = np.sum(np.conj(c[..., 1:]) * a * c[..., :-1], axis=-1)
-    sp2 = np.sum(np.conj(c[..., 2:]) * a[1:] * a[:-1] * c[..., :-2], axis=-1)
-    anti_sp_sz = np.sum(np.conj(c[..., 1:]) * a * (m[:-1] + m[1:]) * c[..., :-1], axis=-1)
-    probs = np.abs(c) ** 2
+    probs = np.abs(c)
+    probs *= probs
     mean_sz = np.einsum("...i,...i->...", probs, m)
-    return sp_mean, sp2, anti_sp_sz, mean_sz, np.einsum("...i,...i->...", probs, m**2)
+    sz2 = np.einsum("...i,...i->...", probs, m * m)
+    del probs  # so that the conjugate buffer is the only full-size array alive
+    conj = np.conjugate(c[..., 1:])  # <S+> couples n -> n+1
+    sp_mean = np.einsum("...i,...i,...i->...", conj, c[..., :-1], a)
+    anti_sp_sz = np.einsum("...i,...i,...i->...", conj, c[..., :-1], a * (m[:-1] + m[1:]))
+    conj = np.conjugate(c[..., 2:], out=conj[..., :-1])  # <S+^2> couples n -> n+2
+    sp2 = np.einsum("...i,...i,...i->...", conj, c[..., :-2], a[1:] * a[:-1])
+    return sp_mean, sp2, anti_sp_sz, mean_sz, sz2
 
 
 def collective_moments(state: SymmetricState) -> CollectiveMoments:
     """All collective first/second moments, exact to floating precision.
 
-    A stack is taken whole, so the temporaries grow with it; a long time
-    grid should come in blocks, as `evolution.evolve_blocks` yields them."""
+    A stack is taken whole, in one pass per sum: besides the result, the
+    kernel holds one full-size array at a time, at most the stack's own
+    size. A long time grid should still come in blocks, as
+    `evolution.evolve_blocks` yields them, since that buffer grows with
+    the stack."""
     n_qubits = state.n_qubits
     sp_mean, sp2, anti_sp_sz, mean_sz, sz2 = _moment_sums(state.amplitudes, n_qubits)
 

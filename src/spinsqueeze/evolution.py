@@ -30,6 +30,7 @@ from .hamiltonians import HamiltonianSpec, SectorBand, sector_bands
 RECONSTRUCTION_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-11
 BLOCK_AMPLITUDES = 2**18  # complex amplitudes per block that evolve_blocks propagates
+CONTRACT_ELEMENTS = 2**15  # entries of V per row window of the residual contract (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -84,6 +85,26 @@ def _chiral_eigh(e: np.ndarray):
     return np.concatenate([-s, np.zeros(m - 2 * q), s[::-1]]), vectors
 
 
+def _reconstruction_residual(d, e, energies, vectors) -> float:
+    """max |T V - V Lambda| for the tridiagonal T with diagonal d and
+    off-diagonal e, from the band in O(m^2). V is taken in windows of rows
+    small enough that each window's temporaries stay in cache: a window
+    carries one neighbour row on each side, whose own residual it does
+    not report."""
+    m = d.size
+    rows = max(1, CONTRACT_ELEMENTS // m)
+    worst = []
+    for i in range(0, m, rows):
+        lo, hi = max(i - 1, 0), min(i + rows + 1, m)
+        v = vectors[lo:hi]
+        tv = d[lo:hi, None] * v
+        tv[:-1] += e[lo:hi - 1, None] * v[1:]
+        tv[1:] += e[lo:hi - 1, None] * v[:-1]
+        tv -= v * energies
+        worst.append(np.max(np.abs(tv[i - lo:i - lo + rows])))
+    return np.max(worst)  # a NaN anywhere gives NaN
+
+
 def solve_band(band: SectorBand) -> SectorEigen:
     """Diagonalize one sector's band, then verify the reconstruction and
     orthonormality contracts on it. A band with a zero diagonal and m > 1
@@ -95,13 +116,12 @@ def solve_band(band: SectorBand) -> SectorEigen:
         energies, vectors = np.linalg.eigh(band.tridiagonal())
     d, e = band.diagonal, band.off_diagonal
     scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
-    tv = d[:, None] * vectors  # T V from the band, in O(m^2)
-    tv[:-1] += e[:, None] * vectors[1:]
-    tv[1:] += e[:, None] * vectors[:-1]
-    residual = np.max(np.abs(tv - vectors * energies))
+    residual = _reconstruction_residual(d, e, energies, vectors)
     if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
         raise NumericalError(f"eigendecomposition residual {residual:.3e}")
-    ortho = np.max(np.abs(vectors.T @ vectors - np.eye(band.dim)))
+    gram = vectors.T @ vectors  # the only (m, m) array besides V
+    gram.ravel()[::band.dim + 1] -= 1.0  # V^T V - I, in place
+    ortho = np.max(np.abs(gram, out=gram))
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
     return SectorEigen(band=band, eigenvalues=energies, eigenvectors=vectors)

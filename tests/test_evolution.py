@@ -144,6 +144,78 @@ def test_nan_singular_value_is_numerical_error(monkeypatch):
         solve_band(band([0.0, 0.0, 0.0], [1.0, 2.0]))
 
 
+# one band per route of solve_band: eigh (one-axis) and the SVD of the bidiagonal half (two-axis)
+ROUTE_SPECS = {"eigh": HamiltonianSpec.one_axis(1.0), "svd": HamiltonianSpec.two_axis(1.0)}
+
+
+def solve_mutated(route, n, mutate, monkeypatch):
+    """solve_band on the even band of the route's model at N=n, with the
+    route's eigenpairs passed through mutate(energies, vectors) first."""
+    if route == "eigh":
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: mutate(*eigh(a)))
+    else:
+        chiral = evolution._chiral_eigh
+        monkeypatch.setattr(evolution, "_chiral_eigh", lambda e: mutate(*chiral(e)))
+    return solve_band(sector_bands(ROUTE_SPECS[route], n)[0])
+
+
+@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("row", [0, 2, 3, 10])
+@pytest.mark.parametrize("route", sorted(ROUTE_SPECS))
+def test_perturbed_column_fails_the_residual(route, row, window, monkeypatch):
+    # m = 11 at N=20; with 3-row windows, rows 2 and 3 sit on a window edge
+    if window:
+        monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", window * 11)
+
+    def perturb(energies, vectors):
+        vectors[row, 0] += 1e-6  # column 0: the lowest energy, not 0
+        return energies, vectors
+
+    with pytest.raises(NumericalError, match="eigendecomposition residual"):
+        solve_mutated(route, 20, perturb, monkeypatch)
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_SPECS))
+def test_duplicated_column_fails_orthonormality(route, monkeypatch):
+    def duplicate(energies, vectors):
+        energies[1], vectors[:, 1] = energies[0], vectors[:, 0]  # an exact eigenpair twice
+        return energies, vectors
+
+    with pytest.raises(NumericalError, match="orthonormality residual"):
+        solve_mutated(route, 20, duplicate, monkeypatch)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 4, 10, 11, 12])
+def test_residual_windows_report_every_row(rows, monkeypatch):
+    # each row's residual is distinct, so any row left out changes the max
+    m = 11
+    rng = np.random.default_rng(rows)
+    d, e, energies = rng.normal(size=m), rng.normal(size=m - 1), rng.normal(size=m)
+    vectors = rng.normal(size=(m, m))
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", rows * m)
+    for worst_row in range(m):
+        v = vectors.copy()
+        v[worst_row] *= 1e3
+        expected = np.max(np.abs(t @ v - v * energies))
+        got = evolution._reconstruction_residual(d, e, energies, v)
+        assert got == pytest.approx(expected, rel=1e-12), worst_row
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_SPECS))
+def test_solve_band_memory_budget(route):
+    # besides V the contracts hold one (m, m) array; the former ones peaked at 4 m^2 doubles
+    band = sector_bands(ROUTE_SPECS[route], 2000)[0]
+    tracemalloc.start()
+    try:
+        solve_band(band)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * band.dim**2 * 8
+
+
 # bands with a zero diagonal, which solve_band takes to the SVD of their bidiagonal half
 CHIRAL_SPECS = {
     "two-axis": HamiltonianSpec.two_axis(1.0),

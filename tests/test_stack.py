@@ -84,6 +84,25 @@ def test_moments_reduction_and_general_xi2(n):
     assert_correlation_rows_equal(m, singles)
 
 
+@pytest.mark.parametrize("n", (50, 2000))
+def test_moment_kernel_rows_and_blocks(n):
+    # at the benchmark sizes: each row alone, and the 1-, 7- and 131-row
+    # blocks of the stack (131 rows is an evolve-large block), concatenated
+    rows = 300
+    rng = np.random.default_rng(1200 + n)
+    amps = rng.normal(size=(rows, n + 1)) + 1j * rng.normal(size=(rows, n + 1))
+    amps[::3, 1::2] = 0.0  # every third row even, as a trajectory from all-down
+    stack = SymmetricState(n, amps / np.linalg.norm(amps, axis=1, keepdims=True))
+    m = collective_moments(stack)
+    assert_rows_equal(m, [collective_moments(state) for state in rows_of(stack)])
+    for size in (1, 7, 131):
+        blocks = [collective_moments(SymmetricState(n, stack.amplitudes[i:i + size]))
+                  for i in range(0, rows, size)]
+        for f in MOMENT_FIELDS:
+            joined = np.concatenate([getattr(block, f) for block in blocks])
+            assert np.array_equal(joined, getattr(m, f)), (f, size)
+
+
 def moment_row(m, k):
     return CollectiveMoments(m.n_qubits, **{f: getattr(m, f)[k] for f in MOMENT_FIELDS})
 
