@@ -2,14 +2,11 @@
 
 from .dicke import (
     CollectiveMoments,
-    Parity,
     SymmetricState,
     collective_moments,
     make_all_down,
     make_dicke_state,
-    make_state,
     mix_moments,
-    parity_class,
 )
 from .errors import (
     CapacityError,
@@ -36,18 +33,12 @@ from .hamiltonians import (
 from .pairwise import (
     ConcurrenceResult,
     TwoQubitReduced,
+    analyse,
     concurrence_spectral,
     concurrence_x_form,
     prop3_residual,
     reduced_two_qubit,
-    squeezing_condition,
 )
-from .squeezing import (
-    SqueezingResult,
-    squeezing_even_odd,
-    squeezing_from_correlation,
-    squeezing_general,
-    squeezing_lower_bound,
-)
+from .squeezing import squeezing_even_odd, squeezing_general
 
 __version__ = "0.1.0"

@@ -20,12 +20,11 @@ import tempfile
 import numpy as np
 
 from . import verify as verify_mod
-from .dicke import collective_moments, make_dicke_state
+from .dicke import SymmetricState, make_dicke_state
 from .errors import NumericalError
 from .evolution import trajectory
 from .hamiltonians import HamiltonianSpec
-from .pairwise import concurrence_x_form, reduced_two_qubit
-from .squeezing import squeezing_even_odd, squeezing_general
+from .pairwise import analyse
 
 MODELS = ("one-axis", "one-axis-field", "two-axis", "general")
 # the coefficient flags each model's Hamiltonian reads (see RunConfig.spec)
@@ -84,38 +83,15 @@ class RunConfig:
         raise ValueError(f"unknown model {self.model!r}")
 
 
+def evolve_rows(times, states) -> dict:
+    """The table of one block of times: `t`, then the analysis of its states."""
+    return {"t": times, **analyse(states)}
+
+
 def row_blocks(cfg: RunConfig):
-    """Every CSV column, one block of times at a time: yields column name ->
-    array, one value per time of the block."""
+    """The table of each block of the trajectory, from `evolve_rows`."""
     for times, states in trajectory(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt):
-        m = collective_moments(states)
-        xi2_general = squeezing_general(m).xi2
-        r = reduced_two_qubit(m)
-        conc = concurrence_x_form(r)
-        yield {
-            "t": times,
-            "xi2_closed": squeezing_even_odd(m).xi2,
-            "xi2_general": xi2_general,
-            "mean_spin_norm": m.mean_spin_norm,
-            "degenerate_flag": np.isnan(xi2_general).astype(int),
-            "concurrence": conc.concurrence,
-            "branch": conc.branch,
-            "u_re": r.u.real,
-            "u_im": r.u.imag,
-            "y": r.y,
-            "v_plus": r.v_plus,
-            "v_minus": r.v_minus,
-            "sz_mean": m.mean_sz,
-            "sz2": m.sz2,
-            "sp2_re": m.sp2.real,
-            "sp2_im": m.sp2.imag,
-        }
-
-
-def evolve_rows(cfg: RunConfig) -> dict:
-    """Every CSV column over the whole trajectory: column name -> array, one value per time."""
-    blocks = list(row_blocks(cfg))
-    return {c: np.concatenate([block[c] for block in blocks]) for c in EVOLVE_COLUMNS}
+        yield evolve_rows(times, states)
 
 
 def write_csv(path, columns, blocks, precision: int):
@@ -204,10 +180,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def _scan_point(cfg: RunConfig) -> dict:
     """The scan row of one grid point, from the trajectory `evolve` writes for `cfg`."""
     extremes = Extremes()
-    for times, states in trajectory(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt):
-        m = collective_moments(states)
-        extremes.add(times, squeezing_even_odd(m).xi2,
-                     concurrence_x_form(reduced_two_qubit(m)).concurrence)
+    for block in row_blocks(cfg):
+        extremes.add(block["t"], block["xi2_closed"], block["concurrence"])
     min_xi2, t_min_xi2 = extremes.min_xi2
     max_concurrence, t_max_concurrence = extremes.max_concurrence
     max_xi2 = extremes.max_xi2[0]
@@ -257,19 +231,17 @@ def cmd_scan(cfg: RunConfig, n_list, workers: int) -> int:
 
 
 def cmd_dicke(n_qubits: int, n_excited: int) -> int:
-    m = collective_moments(make_dicke_state(n_qubits, n_excited))
-    xi2 = squeezing_even_odd(m).xi2
-    r = reduced_two_qubit(m)
-    conc = concurrence_x_form(r)
+    # a one-row stack: a zero mean spin reads xi2_general NaN instead of raising
+    state = make_dicke_state(n_qubits, n_excited)
+    row = {c: v[0] for c, v in analyse(SymmetricState(n_qubits, state.amplitudes[None])).items()}
     print(f"Dicke state: N = {n_qubits}, excitations = {n_excited}")
-    print(f"xi2          = {xi2:.17g}")
-    print(f"concurrence  = {conc.concurrence:.17g}  (branch: {conc.branch})")
-    print(f"v_plus       = {r.v_plus:.17g}")
-    print(f"v_minus      = {r.v_minus:.17g}")
-    print(f"y            = {r.y:.17g}")
-    print(f"u            = {r.u.real:.17g}{r.u.imag:+.17g}j")
-    print(f"x_plus       = {r.x_plus.real:.17g}{r.x_plus.imag:+.17g}j")
-    print(f"x_minus      = {r.x_minus.real:.17g}{r.x_minus.imag:+.17g}j")
+    print(f"xi2          = {row['xi2_closed']:.17g}")
+    print(f"concurrence  = {row['concurrence']:.17g}  (branch: {row['branch']})")
+    for name in ("v_plus", "v_minus", "y"):
+        print(f"{name:<12} = {row[name]:.17g}")
+    print(f"u            = {row['u_re']:.17g}{row['u_im']:+.17g}j")
+    for name in ("x_plus", "x_minus"):
+        print(f"{name:<12} = {row[name].real:.17g}{row[name].imag:+.17g}j")
     return 0
 
 

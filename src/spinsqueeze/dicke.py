@@ -7,26 +7,17 @@ All ladder coefficients follow S+|n> = sqrt((N-n)(n+1)) |n+1>.
 
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 NORM_TOL = 1e-12
-PARITY_TOL = 1e-12
 
 
 def squared_norm(amps: np.ndarray):
     """sum |c_i|^2 over the last axis: one value per state of a stack."""
     re, im = amps.real, amps.imag
     return np.einsum("...i,...i->...", re, re) + np.einsum("...i,...i->...", im, im)
-
-
-class Parity(enum.Enum):
-    EVEN = "even"
-    ODD = "odd"
-    MIXED = "mixed"
 
 
 @dataclass(frozen=True)
@@ -136,35 +127,6 @@ def make_all_down(n_qubits: int) -> SymmetricState:
     if n_qubits < 1:
         raise ValueError(f"need at least one qubit, got {n_qubits}")
     return make_dicke_state(n_qubits, 0)
-
-
-def make_state(n_qubits, amplitudes):
-    """Normalize an amplitude vector into a SymmetricState.
-
-    Returns (state, norm) where norm is the factor the input was divided by.
-    """
-    amps = np.asarray(amplitudes, dtype=complex)
-    if amps.shape != (n_qubits + 1,):
-        raise ValueError(
-            f"expected {n_qubits + 1} amplitudes, got shape {amps.shape}"
-        )
-    norm = float(np.sqrt(squared_norm(amps)))
-    if not NORM_TOL < norm < math.inf:
-        raise ValueError(f"amplitude vector has near-zero or non-finite norm {norm!r}")
-    return SymmetricState(n_qubits, amps / norm), norm
-
-
-def parity_class(state: SymmetricState) -> Parity:
-    """Classify by which excitation-number parity sectors are populated; a
-    stack is EVEN or ODD only when every row is."""
-    probs = np.abs(state.amplitudes) ** 2
-    even_weight = np.sum(probs[..., 0::2], axis=-1)  # one per row of a stack
-    odd_weight = np.sum(probs[..., 1::2], axis=-1)
-    if np.max(odd_weight) <= PARITY_TOL:
-        return Parity.EVEN
-    if np.max(even_weight) <= PARITY_TOL:
-        return Parity.ODD
-    return Parity.MIXED
 
 
 def _moment_sums(c, n_qubits: int):

@@ -11,12 +11,12 @@ max(0, .) clamp, so negative values mean "no pairwise entanglement".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .dicke import CollectiveMoments
+from .dicke import CollectiveMoments, SymmetricState, collective_moments
 from .errors import NotXFormError, NumericalError
+from .squeezing import squeezing_even_odd, squeezing_general
 
 X_FORM_TOL = 1e-8
 
@@ -75,12 +75,6 @@ class ConcurrenceResult:
         lam = np.asarray(self.lambdas, dtype=float)
         lam.flags.writeable = False
         object.__setattr__(self, "lambdas", lam)
-
-
-class SqueezingCondition(NamedTuple):
-    satisfied: bool
-    margin: float
-    xi2: float
 
 
 def reduced_two_qubit(m: CollectiveMoments) -> TwoQubitReduced:
@@ -160,15 +154,42 @@ def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
     return ConcurrenceResult(concurrence=concurrence, lambdas=lambdas, branch=SPECTRAL)
 
 
-def squeezing_condition(r: TwoQubitReduced) -> SqueezingCondition:
-    """The even/odd squeezing criterion |u| - y > 0 and its xi^2 value."""
-    margin = np.abs(r.u) - r.y
-    xi2 = 1.0 - 2.0 * (r.n_qubits - 1) * margin
-    return SqueezingCondition(satisfied=margin > 0.0, margin=margin, xi2=xi2)
-
-
 def prop3_residual(xi2: float, concurrence: float, n_qubits: int) -> float:
     """Residual of the identity xi^2 = 1 - (N-1) C; zero where it applies."""
     if n_qubits < 2:
         raise ValueError(f"need at least two qubits, got {n_qubits}")
     return xi2 - 1.0 + (n_qubits - 1) * concurrence
+
+
+def analyse(states: SymmetricState) -> dict:
+    """The one analysis path of the commands: moments, both xi^2 routes, the
+    pair reduction and its X-form concurrence of a (T, N+1) stack of even or
+    odd states, as column name -> array, one value per state; a row gives the
+    bits it gives as a one-row stack. The columns are those of the `evolve`
+    CSV but `t`, then `margin` (the squeezing criterion |u| - y > 0 of
+    even/odd states) and the coherences `x_plus` and `x_minus`. A row with a
+    vanishing mean spin has `xi2_general` NaN and `degenerate_flag` 1."""
+    m = collective_moments(states)
+    xi2_general = squeezing_general(m)
+    r = reduced_two_qubit(m)
+    conc = concurrence_x_form(r)
+    return {
+        "xi2_closed": squeezing_even_odd(m),
+        "xi2_general": xi2_general,
+        "mean_spin_norm": m.mean_spin_norm,
+        "degenerate_flag": np.isnan(xi2_general).astype(int),
+        "concurrence": conc.concurrence,
+        "branch": conc.branch,
+        "u_re": r.u.real,
+        "u_im": r.u.imag,
+        "y": r.y,
+        "v_plus": r.v_plus,
+        "v_minus": r.v_minus,
+        "sz_mean": m.mean_sz,
+        "sz2": m.sz2,
+        "sp2_re": m.sp2.real,
+        "sp2_im": m.sp2.imag,
+        "margin": np.abs(r.u) - r.y,  # of the complex u: np.hypot may differ in the last bit
+        "x_plus": r.x_plus,
+        "x_minus": r.x_minus,
+    }

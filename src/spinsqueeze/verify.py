@@ -39,7 +39,7 @@ from .oracle import (
     partial_trace_pair,
     sample_separable,
 )
-from .squeezing import perpendicular_correlation_min, squeezing_even_odd, squeezing_general
+from .squeezing import perpendicular_correlation_min, squeezing_general
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng)"
 
@@ -64,7 +64,7 @@ def _worst(*values) -> float:
 
 def _random_symmetric_states(rng, n_qubits: int, count: int) -> SymmetricState:
     """A stack of `count` random states, drawn one after another (real parts,
-    then imaginary parts) and each normalized as `make_state` does."""
+    then imaginary parts), each divided by its norm."""
     # one C-order normal call draws the stream of count * 2 calls of size N+1
     z = rng.normal(size=(count, 2, n_qubits + 1))
     amps = z[:, 0] + 1j * z[:, 1]
@@ -96,7 +96,7 @@ def suite_lemma1(seed: int, samples: int = 1000, n_values=range(2, 7)):
     for n in n_values:
         m = sample_separable(n, _separable_draws(rng, samples))
         worst_corr = np.min(perpendicular_correlation_min(m))
-        xi2 = squeezing_general(m).xi2  # NaN where the mean spin vanishes
+        xi2 = squeezing_general(m)  # NaN where the mean spin vanishes
         worst_xi2 = np.min(xi2[~np.isnan(xi2)], initial=np.inf)
         checks.append(Check(f"lemma1_correlation_N{n}", _worst(-worst_corr), 1e-12))
         checks.append(Check(f"lemma1_xi2_N{n}", max(0.0, 1.0 - worst_xi2), 1e-10))
@@ -149,15 +149,12 @@ def _trajectory_worst(spec, n, t_max=10.0, dt=0.01) -> TrajectoryWorst:
     blocks, so a NaN in any block makes it NaN."""
     blocks = []
     for _, states in trajectory(spec, n, t_max, dt):
-        m = collective_moments(states)
-        xi2 = squeezing_even_odd(m).xi2
-        r = pairwise.reduced_two_qubit(m)
-        residual = np.abs(
-            pairwise.prop3_residual(xi2, pairwise.concurrence_x_form(r).concurrence, n)
-        )
+        table = pairwise.analyse(states)
+        xi2 = table["xi2_closed"]
+        residual = np.abs(pairwise.prop3_residual(xi2, table["concurrence"], n))
         blocks.append((
             _worst(xi2 - 1.0),
-            _worst(-pairwise.squeezing_condition(r).margin),
+            _worst(-table["margin"]),
             _worst(residual[xi2 <= 1.0]),
             _worst(residual),
         ))

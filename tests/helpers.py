@@ -1,8 +1,34 @@
-"""Reference integrators that the tests cross-check the package against."""
+"""Reference integrators and helpers that the tests share."""
+
+import math
 
 import numpy as np
 
-from spinsqueeze.dicke import SymmetricState
+from spinsqueeze import cli
+from spinsqueeze.dicke import NORM_TOL, SymmetricState, squared_norm
+
+
+def make_state(n_qubits, amplitudes):
+    """Normalize an amplitude vector into a SymmetricState.
+
+    Returns (state, norm) where norm is the factor the input was divided by.
+    """
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (n_qubits + 1,):
+        raise ValueError(
+            f"expected {n_qubits + 1} amplitudes, got shape {amps.shape}"
+        )
+    norm = float(np.sqrt(squared_norm(amps)))
+    if not NORM_TOL < norm < math.inf:
+        raise ValueError(f"amplitude vector has near-zero or non-finite norm {norm!r}")
+    return SymmetricState(n_qubits, amps / norm), norm
+
+
+def evolve_columns(cfg: cli.RunConfig) -> dict:
+    """Every CSV column of `evolve` over the whole trajectory: column name ->
+    array, one value per time, from the blocks of `cli.row_blocks`."""
+    blocks = list(cli.row_blocks(cfg))
+    return {c: np.concatenate([block[c] for block in blocks]) for c in cli.EVOLVE_COLUMNS}
 
 
 def rk4_evolve(h: np.ndarray, initial: SymmetricState, t: float, n_steps: int) -> np.ndarray:

@@ -8,7 +8,8 @@ For each CSV column the script prints the worst absolute change against
 the file it replaces, and the worst change as a share of the error model
 eps * N^2 * max(1, ||H|| t) * max(1, |value|); a column of tokens prints
 how many of them changed. For each verify report it prints the changed
-lines. Review the printout before committing the files.
+lines, and likewise for the `dicke` reports. Review the printout before
+committing the files.
 """
 
 import contextlib
@@ -18,8 +19,10 @@ import math
 
 from test_golden import (
     CASES,
+    DICKE_PATH,
     GOLDEN,
     REPORTS,
+    dicke_reports,
     error_scale,
     numeric_columns,
     read_csv,
@@ -69,21 +72,25 @@ def regenerate_csv(case, argv):
         compare_csv(argv, old, read_csv(path))
 
 
-def regenerate_report(suite, seed):
-    path = report_path(suite, seed)
+def write_text(path, text):
+    """Replace `path` by `text` and print the lines that changed."""
     old = path.read_text() if path.exists() else ""
+    path.write_bytes(text.encode())
+    diff = [line for line in difflib.unified_diff(
+        old.splitlines(), text.splitlines(), lineterm="", n=0)
+        if line[:1] in "+-" and line[:3] not in ("+++", "---")]
+    print(f"{path.name}: {sum(line[0] == '+' for line in diff)} lines changed")
+    for line in diff:
+        print(f"  {line}")
+
+
+def regenerate_report(suite, seed):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         status = cli.main(["verify", suite, "--seed", str(seed)])
     if status != 0:
         raise SystemExit(f"verify {suite} --seed {seed} failed:\n{out.getvalue()}")
-    path.write_bytes(out.getvalue().encode())
-    diff = [line for line in difflib.unified_diff(
-        old.splitlines(), out.getvalue().splitlines(), lineterm="", n=0)
-        if line[:1] in "+-" and line[:3] not in ("+++", "---")]
-    print(f"{path.name}: {sum(line[0] == '+' for line in diff)} lines changed")
-    for line in diff:
-        print(f"  {line}")
+    write_text(report_path(suite, seed), out.getvalue())
 
 
 def main():
@@ -91,6 +98,7 @@ def main():
         regenerate_csv(case, argv)
     for suite, seed in REPORTS:
         regenerate_report(suite, seed)
+    write_text(DICKE_PATH, dicke_reports())
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ report. Tolerances are fixed here and are not meant to be tuned.
 
 import numpy as np
 import pytest
+from helpers import evolve_columns, make_state
 
 from spinsqueeze import cli
 from spinsqueeze.dicke import (
@@ -13,13 +14,12 @@ from spinsqueeze.dicke import (
     collective_moments,
     make_all_down,
     make_dicke_state,
-    make_state,
 )
 from spinsqueeze.evolution import evolve_grid, time_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.oracle import embed_symmetric, partial_trace_pair
 from spinsqueeze.pairwise import concurrence_spectral, concurrence_x_form, reduced_two_qubit
-from spinsqueeze.squeezing import squeezing_even_odd, squeezing_lower_bound
+from spinsqueeze.squeezing import squeezing_even_odd
 from spinsqueeze.verify import (
     _trajectory_worst,
     suite_lemma1,
@@ -40,7 +40,7 @@ def report(number, description, ok):
 
 def test_criterion_1_analytic_n2_benchmark():
     grid = dict(t_max=np.pi, dt=np.pi / 200)
-    cols = cli.evolve_rows(cli.RunConfig(model="one-axis", n_qubits=2, mu=1.0, **grid))
+    cols = evolve_columns(cli.RunConfig(model="one-axis", n_qubits=2, mu=1.0, **grid))
     t, xi2, conc = (cols[c] for c in ("t", "xi2_closed", "concurrence"))
     worst = max(
         np.max(np.abs(xi2 - (1 - np.abs(np.sin(t))))),
@@ -82,7 +82,7 @@ def test_criterion_5_two_axis_even_n_relation():
         _trajectory_worst(HamiltonianSpec.two_axis(1.0), n, 3.0, 0.01).prop3_all
         for n in (2, 4, 6, 8, 10, 20)
     )
-    cols = cli.evolve_rows(
+    cols = evolve_columns(
         cli.RunConfig(model="two-axis", n_qubits=6, gamma=1.0, t_max=3.0, dt=0.01)
     )
     xi2, conc = cols["xi2_closed"], cols["concurrence"]
@@ -160,7 +160,7 @@ def test_criterion_8_dicke_states():
             assert m.sp2 == 0
             worst = max(
                 worst,
-                abs(squeezing_even_odd(m).xi2 - (1 + 2 * k * (n - k) / n)),
+                abs(squeezing_even_odd(m) - (1 + 2 * k * (n - k) / n)),
             )
     traced = partial_trace_pair(embed_symmetric(make_dicke_state(4, 2)), 0, 1)
     conc_oracle = concurrence_spectral(traced).concurrence
@@ -179,10 +179,11 @@ def test_criterion_9_structural_invariants():
     checks = suite_parity()
     states = evolve_grid(HamiltonianSpec.two_axis(1.0), make_all_down(6), time_grid(3.0, 0.05))
     m = collective_moments(states)
-    xi2 = squeezing_even_odd(m).xi2
-    worst_bound = max(0.0, np.max(squeezing_lower_bound(m) - xi2))
+    xi2 = squeezing_even_odd(m)
+    # xi^2 >= 1 - (2/N)|<S+^2>|, from <Sz^2> <= N^2/4
+    worst_bound = max(0.0, np.max(1.0 - (2.0 / 6) * np.abs(m.sp2) - xi2))
     worst_rotation = max(
-        np.max(np.abs(squeezing_even_odd(collective_moments(rotated)).xi2 - xi2))
+        np.max(np.abs(squeezing_even_odd(collective_moments(rotated)) - xi2))
         for rotated in (
             SymmetricState(6, states.amplitudes * np.exp(-1j * theta * np.arange(7)))
             for theta in (0.7, 2.1)

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import evolve_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -192,7 +193,7 @@ class TestEvolve:
              "--dt", "0.1", "--out", str(out)]
         ) == 0
         text_rows = read_rows(out)
-        cols = cli.evolve_rows(
+        cols = evolve_columns(
             cli.RunConfig(model="one-axis", n_qubits=5, mu=1.0, t_max=2, dt=0.1)
         )
         for key, values in cols.items():
@@ -204,7 +205,7 @@ class TestEvolve:
     def test_degenerate_flag_token(self, tmp_path):
         # H1 at N=2, t = pi/2 reaches the maximally entangled state with
         # vanishing mean spin; the general parameter must degrade gracefully
-        cols = cli.evolve_rows(
+        cols = evolve_columns(
             cli.RunConfig(model="one-axis", n_qubits=2, t_max=np.pi, dt=np.pi / 2)
         )
         degenerate = cols["degenerate_flag"] == 1
@@ -444,7 +445,7 @@ class TestCsvWriter:
         out = tmp_path / "p0.csv"
         assert run_cli(["evolve", "--n", "3", "--t-max", "1", "--dt", "0.25",
                         "--precision", "0", "--out", str(out)]) == 0
-        cols = cli.evolve_rows(cli.RunConfig(n_qubits=3, t_max=1, dt=0.25))
+        cols = evolve_columns(cli.RunConfig(n_qubits=3, t_max=1, dt=0.25))
         for k, row in enumerate(read_rows(out)):
             assert row["branch"] == cols["branch"][k]
             assert row["degenerate_flag"] == str(cols["degenerate_flag"][k])
@@ -705,7 +706,7 @@ class TestVerify:
         (lambda: verify.suite_prop3(n_values=[4], t_max=0.5),
          (pairwise, "concurrence_x_form"), "concurrence", ["prop3_identity_N4"]),
         (lambda: verify.suite_prop4(n_values=[4], t_max=0.5),
-         (verify, "squeezing_even_odd"), "xi2", ["prop4_xi2_bound_N4", "prop4_identity_N4"]),
+         (pairwise, "squeezing_even_odd"), None, ["prop4_xi2_bound_N4", "prop4_identity_N4"]),
         (lambda: verify.suite_parity(n_values=[4], t_max=0.5),
          (verify, "collective_moments"), "mean_sy",
          [f"parity_transverse_{name}_N4" for name in verify._model_specs()]),
@@ -730,7 +731,7 @@ class TestVerify:
         (lambda: verify.suite_prop3(n_values=[4], t_max=0.5),
          (pairwise, "concurrence_x_form"), "concurrence", ["prop3_identity_N4"]),
         (lambda: verify.suite_prop4(n_values=[4], t_max=0.5),
-         (verify, "squeezing_even_odd"), "xi2", ["prop4_xi2_bound_N4", "prop4_identity_N4"]),
+         (pairwise, "squeezing_even_odd"), None, ["prop4_xi2_bound_N4", "prop4_identity_N4"]),
     ], ids=["prop3", "prop4"])
     def test_trajectory_checks_span_several_blocks(self, suite, target, field, failing,
                                                    monkeypatch):
@@ -759,9 +760,9 @@ class TestVerify:
             calls.append(args)
             if len(calls) < blocks:
                 return result
-            values = np.array(getattr(result, field))
+            values = np.array(result if field is None else getattr(result, field))
             values[-1] = np.nan
-            return dataclasses.replace(result, **{field: values})
+            return values if field is None else dataclasses.replace(result, **{field: values})
 
         monkeypatch.setattr(*target, poisoned)
         checks = {c.name: c for c in suite()}

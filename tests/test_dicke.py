@@ -6,20 +6,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import make_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinsqueeze.dicke import (
     MOMENT_FIELDS,
-    Parity,
     SymmetricState,
     collective_moments,
     collective_operators,
     make_all_down,
     make_dicke_state,
-    make_state,
     mix_moments,
-    parity_class,
 )
 
 
@@ -90,25 +88,6 @@ class TestConstruction:
         assert list(state.amplitudes) == [1, 0, 0]
         with pytest.raises(ValueError, match="read-only"):
             state.amplitudes[1] = 0.5
-
-
-class TestParity:
-    def test_all_down_is_even(self):
-        assert parity_class(make_all_down(5)) is Parity.EVEN
-
-    def test_odd_dicke(self):
-        assert parity_class(make_dicke_state(4, 3)) is Parity.ODD
-
-    def test_mixed(self):
-        state, _ = make_state(4, [1, 1, 0, 0, 0])
-        assert parity_class(state) is Parity.MIXED
-
-    def test_stack_is_classified_by_its_worst_row(self):
-        # a stack used to be sliced by rows, not by amplitudes: both read MIXED
-        even, odd = [1, 0, 0], [0, 1, 0]
-        assert parity_class(SymmetricState(2, [even, [0, 0, 1]])) is Parity.EVEN
-        assert parity_class(SymmetricState(2, [odd, odd])) is Parity.ODD
-        assert parity_class(SymmetricState(2, [even, even, odd])) is Parity.MIXED
 
 
 class TestMoments:

@@ -6,16 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import rk4_evolve
+from helpers import make_state, rk4_evolve
 
 from spinsqueeze import evolution, hamiltonians
 from spinsqueeze.dicke import (
-    PARITY_TOL,
     SymmetricState,
     collective_moments,
     make_all_down,
     make_dicke_state,
-    make_state,
 )
 from spinsqueeze.errors import NumericalError
 from spinsqueeze.evolution import (
@@ -399,7 +397,7 @@ def test_trajectory_grid_and_parity():
     amps = evolve_grid(H1, make_all_down(2), times).amplitudes
     assert amps.shape == (101, 3)
     # every row is an even state: no weight on odd excitation numbers
-    assert np.all(np.sum(np.abs(amps[:, 1::2]) ** 2, axis=1) <= PARITY_TOL)
+    assert np.all(np.sum(np.abs(amps[:, 1::2]) ** 2, axis=1) <= 1e-12)
     assert np.all(np.abs(np.linalg.norm(amps, axis=1) - 1) <= 1e-12)
 
 

@@ -6,7 +6,8 @@ does not depend on the BLAS thread count. The report of every `verify`
 suite is compared with `tests/golden/verify_<suite>_seed42.txt` (`-` in a
 suite name becomes `_`); they pin every printed residual. The suites that
 draw random inputs (lemma1, lemma2, x-form) are also pinned at seed 7, in
-`verify_<suite>_seed7.txt`.
+`verify_<suite>_seed7.txt`. The stdout of `dicke` for the (N, excitations)
+pairs of `DICKE`, one run after another, is pinned in `dicke.txt`.
 
 The stored `evolve` CSVs are also audited against states propagated by the
 dense reference, within the error model of `test_sector_path_matches_dense`,
@@ -16,13 +17,16 @@ After a deliberate change of output, rewrite every golden file with
     PYTHONPATH=src python tests/regenerate_golden.py
 """
 
+import contextlib
 import csv
 import dataclasses
+import io
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import evolve_columns
 from test_evolution import h_norm_bound
 
 from spinsqueeze import cli, evolution, verify
@@ -54,6 +58,21 @@ CASES = {
 REPORTS = [(suite, 42) for suite in verify.SUITES] + [
     (suite, 7) for suite in ("lemma1", "lemma2", "x-form")
 ]
+
+
+# (N, excitations) of every pinned `dicke` run: the triplet, a zero mean spin,
+# the all-down extreme and an odd N
+DICKE = [(2, 1), (4, 2), (5, 0), (7, 3)]
+DICKE_PATH = GOLDEN / "dicke.txt"
+
+
+def dicke_reports():
+    """The stdout of `dicke` for each pair of `DICKE`, concatenated."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for n, k in DICKE:
+            assert cli.main(["dicke", "--n", str(n), "--excitations", str(k)]) == 0
+    return out.getvalue()
 
 
 def report_path(suite, seed):
@@ -116,7 +135,7 @@ def dense_blocks(spec, initial, times):
 def test_golden_agrees_with_dense_reference(case, monkeypatch):
     cfg = run_config(CASES[case])
     monkeypatch.setattr(evolution, "evolve_blocks", dense_blocks)
-    dense = cli.evolve_rows(cfg)
+    dense = evolve_columns(cfg)
     golden = read_csv(GOLDEN / f"{case}.csv")
     assert len(golden) == len(dense["t"])
     for column in numeric_columns(golden):
@@ -152,3 +171,7 @@ def test_verify_report_matches_golden(suite, seed, capsys):
     assert cli.main(["verify", suite, "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert out.encode() == report_path(suite, seed).read_bytes()
+
+
+def test_dicke_reports_match_golden():
+    assert dicke_reports().encode() == DICKE_PATH.read_bytes()

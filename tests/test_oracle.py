@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import make_state
 
 from spinsqueeze.dicke import (
     MOMENT_FIELDS,
@@ -9,7 +10,6 @@ from spinsqueeze.dicke import (
     collective_moments,
     make_all_down,
     make_dicke_state,
-    make_state,
 )
 from spinsqueeze.errors import CapacityError
 from spinsqueeze.evolution import evolve_grid

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import make_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +19,11 @@ from spinsqueeze.pairwise import (
     COHERENCE_DOMINATED,
     POPULATION_DOMINATED,
     TwoQubitReduced,
+    analyse,
     concurrence_spectral,
     concurrence_x_form,
     prop3_residual,
     reduced_two_qubit,
-    squeezing_condition,
 )
 from spinsqueeze.verify import random_x_form
 
@@ -60,8 +61,6 @@ class TestReduction:
 
     def test_even_states_have_zero_x(self):
         rng = np.random.default_rng(31)
-        from spinsqueeze.dicke import make_state
-
         for n in range(2, 9):
             amps = np.zeros(n + 1, dtype=complex)
             amps[0::2] = rng.normal(size=amps[0::2].size) + 1j * rng.normal(
@@ -158,24 +157,30 @@ class TestSpectral:
 
 
 class TestCondition:
+    """The analysis table's squeezing criterion margin = |u| - y > 0."""
+
+    @staticmethod
+    def row(state):
+        table = analyse(SymmetricState(state.n_qubits, state.amplitudes.reshape(1, -1)))
+        return table["margin"][0], table["xi2_closed"][0]
+
     def test_all_down(self):
-        cond = squeezing_condition(reduced_two_qubit(collective_moments(make_all_down(4))))
-        assert cond.margin == pytest.approx(0.0, abs=1e-12)
-        assert cond.xi2 == pytest.approx(1.0, abs=1e-12)
-        assert not cond.satisfied
+        margin, xi2 = self.row(make_all_down(4))
+        assert margin == pytest.approx(0.0, abs=1e-12)
+        assert xi2 == pytest.approx(1.0, abs=1e-12)
+        assert not margin > 0.0
 
     def test_h1_n2_half_period(self):
-        cond = squeezing_condition(reduced_two_qubit(h1_moments(2, np.pi / 2)))
-        assert cond.margin == pytest.approx(0.5, abs=1e-12)
-        assert cond.xi2 == pytest.approx(0.0, abs=1e-12)
-        assert cond.satisfied
+        states = evolve_grid(HamiltonianSpec.one_axis(1.0), make_all_down(2), [np.pi / 2])
+        margin, xi2 = self.row(states)
+        assert margin == pytest.approx(0.5, abs=1e-12)
+        assert xi2 == pytest.approx(0.0, abs=1e-12)
+        assert margin > 0.0
 
     def test_dicke_negative_margin(self):
-        cond = squeezing_condition(
-            reduced_two_qubit(collective_moments(make_dicke_state(4, 2)))
-        )
-        assert cond.margin == pytest.approx(-1 / 3, abs=1e-12)
-        assert cond.xi2 == pytest.approx(3.0, abs=1e-12)
+        margin, xi2 = self.row(make_dicke_state(4, 2))
+        assert margin == pytest.approx(-1 / 3, abs=1e-12)
+        assert xi2 == pytest.approx(3.0, abs=1e-12)
 
 
 class TestProp3Residual:

@@ -1,0 +1,88 @@
+"""Every function of the package is reached by some command.
+
+The commands below run in process under `sys.setprofile`, which sees each
+entry into a Python function. A function or method defined in
+`src/spinsqueeze` that none of them enters is code that no user reaches:
+it should go, or move to the tests that use it.
+"""
+
+import contextlib
+import inspect
+import io
+import sys
+from pathlib import Path
+
+import spinsqueeze
+from spinsqueeze import cli
+from spinsqueeze.evolution import Propagator
+
+PACKAGE = Path(spinsqueeze.__file__).resolve().parent
+COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
+def commands(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("model = one-axis-field\nn = 4\nomega = 0.5\nt_max = 1\ndt = 0.25\n")
+    grid = ["--t-max", "1", "--dt", "0.25"]
+    return [
+        (["evolve", "--model", "one-axis", "--n", "4", *grid], 0),
+        (["evolve", "--model", "one-axis-field", "--n", "5", "--omega", "0.7", *grid], 0),
+        (["evolve", "--model", "two-axis", "--n", "6", "--gamma", "0.3", *grid], 0),
+        (["evolve", "--model", "general", "--n", "5", "--chi", "0.4",
+          "--f-coeffs", "0,0.7", *grid, "--out", str(tmp_path / "general.csv")], 0),
+        (["scan", "--model", "one-axis-field", "--n", "2,3", "--omega", "0.5,2", *grid], 0),
+        (["dicke", "--n", "4", "--excitations", "2"], 0),
+        (["evolve", "--config", str(config)], 0),
+        (["evolve", "--model", "two-axis", "--mu", "1", *grid], 2),
+        (["verify", "all", "--seed", "42"], 0),
+    ]
+
+
+def key(code):
+    """(file, first line, name): the same on every Python version."""
+    return str(Path(code.co_filename).resolve()), code.co_firstlineno, code.co_name
+
+
+def label(code):
+    # co_qualname (Python 3.11) names a method by its class
+    return f"{Path(code.co_filename).stem}.{getattr(code, 'co_qualname', code.co_name)}"
+
+
+# read by the benchmark tracer and the tests, not by a command
+UNREACHED = {key(p.fget.__code__) for p in (Propagator.dim, Propagator.modes)}
+
+
+def defined_functions():
+    """key -> code of every function and method in the package's source,
+    lambdas and nested functions included."""
+    found = {}
+    for path in PACKAGE.glob("*.py"):
+        stack = [compile(path.read_text(), str(path), "exec")]
+        while stack:
+            code = stack.pop()
+            stack.extend(c for c in code.co_consts if inspect.iscode(c))
+            # a class body runs at import, not when a command calls it
+            if code.co_flags & inspect.CO_OPTIMIZED and code.co_name not in COMPREHENSIONS:
+                found[key(code)] = code
+    return found
+
+
+def test_every_function_is_reached_by_a_command(tmp_path):
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    runs, sink = commands(tmp_path), io.StringIO()
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            statuses = [cli.main(argv) for argv, _ in runs]
+    finally:
+        sys.setprofile(None)
+    assert statuses == [status for _, status in runs], sink.getvalue()
+
+    reached = {key(code) for code in entered} | UNREACHED
+    unreached = sorted(label(code) for k, code in defined_functions().items() if k not in reached)
+    assert not unreached, "no command enters " + ", ".join(unreached)

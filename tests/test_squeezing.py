@@ -1,26 +1,22 @@
-"""Squeezing parameter: general route, even/odd closed form, bounds."""
+"""Squeezing parameter: general route, even/odd closed form, the lower bound
+xi^2 >= 1 - (2/N)|<S+^2>| of even/odd states."""
 
 import dataclasses
 
 import numpy as np
 import pytest
+from helpers import make_state
 
 from spinsqueeze.dicke import (
     SymmetricState,
     collective_moments,
     make_all_down,
     make_dicke_state,
-    make_state,
 )
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
 from spinsqueeze.evolution import evolve_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
-from spinsqueeze.squeezing import (
-    squeezing_even_odd,
-    squeezing_from_correlation,
-    squeezing_general,
-    squeezing_lower_bound,
-)
+from spinsqueeze.squeezing import squeezing_even_odd, squeezing_general
 
 
 def h1_state(n, t):
@@ -31,17 +27,15 @@ def h1_state(n, t):
 def test_coherent_state_unsqueezed():
     for n in (2, 5, 20):
         m = collective_moments(make_all_down(n))
-        result = squeezing_general(m)
-        assert result.xi2 == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(result.mean_spin, [0, 0, -n / 2])
-        assert abs(result.n_perp @ result.mean_spin) <= 1e-12
+        assert squeezing_general(m) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(m.mean_spin, [0, 0, -n / 2])
 
 
 def test_h1_n2_quarter_period():
     m = collective_moments(h1_state(2, np.pi / 4))
     expected = 1 - np.sqrt(2) / 2
-    assert squeezing_general(m).xi2 == pytest.approx(expected, abs=1e-12)
-    assert squeezing_even_odd(m).xi2 == pytest.approx(expected, abs=1e-12)
+    assert squeezing_general(m) == pytest.approx(expected, abs=1e-12)
+    assert squeezing_even_odd(m) == pytest.approx(expected, abs=1e-12)
 
 
 def test_degenerate_mean_spin_raises():
@@ -66,19 +60,20 @@ def test_even_odd_rejects_nan_transverse_moment():
 def test_dicke_formula(n):
     for k in range(n + 1):
         m = collective_moments(make_dicke_state(n, k))
-        assert squeezing_even_odd(m).xi2 == pytest.approx(
+        assert squeezing_even_odd(m) == pytest.approx(
             1 + 2 * k * (n - k) / n, abs=1e-12
         )
 
 
 def test_lower_bound():
+    # xi^2 >= 1 - (2/N)|<S+^2>|, from <Sz^2> <= N^2/4
     # Dicke states: sp2 = 0 so the bound is exactly 1
-    assert squeezing_lower_bound(collective_moments(make_dicke_state(4, 2))) == 1.0
-    assert squeezing_lower_bound(collective_moments(make_all_down(6))) == 1.0
+    for m in (collective_moments(make_dicke_state(4, 2)), collective_moments(make_all_down(6))):
+        assert 1.0 - (2.0 / m.n_qubits) * np.abs(m.sp2) == 1.0
     # H1 at N=2 saturates the bound because <Sz^2> stays at N^2/4
     m = collective_moments(h1_state(2, np.pi / 4))
-    bound = squeezing_lower_bound(m)
-    xi2 = squeezing_even_odd(m).xi2
+    bound = 1.0 - (2.0 / m.n_qubits) * np.abs(m.sp2)
+    xi2 = squeezing_even_odd(m)
     assert bound == pytest.approx(1 - np.sqrt(2) / 2, abs=1e-12)
     assert bound <= xi2 + 1e-12
 
@@ -93,7 +88,7 @@ def test_bound_never_exceeds_closed_form():
             )
             state, _ = make_state(n, amps)
             m = collective_moments(state)
-            assert squeezing_lower_bound(m) <= squeezing_even_odd(m).xi2 + 1e-12
+            assert 1.0 - (2.0 / n) * np.abs(m.sp2) <= squeezing_even_odd(m) + 1e-12
 
 
 def test_general_matches_closed_form_on_even_states():
@@ -110,8 +105,8 @@ def test_general_matches_closed_form_on_even_states():
             if abs(m.mean_sz) < 1e-6:
                 continue
             count += 1
-            assert squeezing_general(m).xi2 == pytest.approx(
-                squeezing_even_odd(m).xi2, abs=1e-10
+            assert squeezing_general(m) == pytest.approx(
+                squeezing_even_odd(m), abs=1e-10
             )
     assert count > 100
 
@@ -124,29 +119,11 @@ def test_rotation_invariance_about_z():
             size=amps[0::2].size
         )
         state, _ = make_state(n, amps)
-        base = squeezing_even_odd(collective_moments(state)).xi2
+        base = squeezing_even_odd(collective_moments(state))
         for theta in (0.3, 1.7, 4.0):
             rotated, _ = make_state(
                 n, state.amplitudes * np.exp(-1j * theta * np.arange(n + 1))
             )
-            assert squeezing_even_odd(collective_moments(rotated)).xi2 == pytest.approx(
+            assert squeezing_even_odd(collective_moments(rotated)) == pytest.approx(
                 base, abs=1e-12
             )
-
-
-def test_optimal_angle_phase_relation():
-    m = collective_moments(h1_state(4, 0.2))
-    result = squeezing_even_odd(m)
-    two_theta = (2 * result.optimal_angle) % (2 * np.pi)
-    expected = (np.pi + np.angle(m.sp2)) % (2 * np.pi)
-    assert two_theta == pytest.approx(expected, abs=1e-12)
-
-
-def test_from_correlation():
-    assert squeezing_from_correlation(0.0, 5) == 1.0
-    assert squeezing_from_correlation(-1 / 4, 5) == pytest.approx(0.0)
-    assert squeezing_from_correlation(0.1, 6) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        squeezing_from_correlation(1.5, 5)
-    with pytest.raises(ValueError):
-        squeezing_from_correlation(0.0, 1)

@@ -1,15 +1,17 @@
 """A (T, N+1) stack of states is analysed exactly as each of its rows alone.
 
 Every field of a stacked result must equal, bit for bit, the field of the
-single-state result for the same row. Random states that are not even/odd
-reach the transverse branch of the general xi^2, which no trajectory from
-the all-down state does. The same holds for a (T, 4, 4) stack of pair
-reductions and a (K, 2^N) stack of full-space states, and a stack with one
-bad entry raises the error that entry raises alone.
+single-state result for the same row; so must every column of the analysis
+table. Random states that are not even/odd reach the transverse branch of
+the general xi^2, which no trajectory from the all-down state does. The
+same holds for a (T, 4, 4) stack of pair reductions and a (K, 2^N) stack of
+full-space states, and a stack with one bad entry raises the error that
+entry raises alone.
 """
 
 import numpy as np
 import pytest
+from helpers import make_state
 
 from spinsqueeze import verify
 from spinsqueeze.dicke import (
@@ -18,7 +20,6 @@ from spinsqueeze.dicke import (
     SymmetricState,
     collective_moments,
     make_dicke_state,
-    make_state,
 )
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
 from spinsqueeze.oracle import (
@@ -29,7 +30,12 @@ from spinsqueeze.oracle import (
     product_moments,
     sample_separable,
 )
-from spinsqueeze.pairwise import concurrence_spectral, concurrence_x_form, reduced_two_qubit
+from spinsqueeze.pairwise import (
+    analyse,
+    concurrence_spectral,
+    concurrence_x_form,
+    reduced_two_qubit,
+)
 from spinsqueeze.squeezing import (
     perpendicular_correlation_min,
     squeezing_even_odd,
@@ -53,6 +59,10 @@ def rows_of(stack):
 
 
 def assert_rows_equal(stacked, singles, extra=()):
+    if isinstance(stacked, np.ndarray):  # an xi^2 array
+        for k, single in enumerate(singles):
+            assert np.array_equal(stacked[k], single, equal_nan=True), k
+        return
     names = [f for f in stacked.__dataclass_fields__ if f != "n_qubits"]
     for name in [*names, *extra]:
         column = getattr(stacked, name)
@@ -84,23 +94,44 @@ def test_moments_reduction_and_general_xi2(n):
     assert_correlation_rows_equal(m, singles)
 
 
-@pytest.mark.parametrize("n", (50, 2000))
-def test_moment_kernel_rows_and_blocks(n):
+def moment_table(states):
+    m = collective_moments(states)
+    return {f: getattr(m, f) for f in MOMENT_FIELDS}
+
+
+@pytest.mark.parametrize("kernel, n", [
+    (moment_table, 50), (moment_table, 2000), (analyse, 2), (analyse, 50),
+], ids=["50", "2000", "analyse-2", "analyse-50"])
+def test_moment_kernel_rows_and_blocks(kernel, n):
     # at the benchmark sizes: each row alone, and the 1-, 7- and 131-row
     # blocks of the stack (131 rows is an evolve-large block), concatenated
     rows = 300
     rng = np.random.default_rng(1200 + n)
     amps = rng.normal(size=(rows, n + 1)) + 1j * rng.normal(size=(rows, n + 1))
-    amps[::3, 1::2] = 0.0  # every third row even, as a trajectory from all-down
+    if kernel is analyse:
+        # even and odd rows, which the X form needs; row 0 has zero mean spin
+        amps[0::2, 1::2] = 0.0
+        amps[1::2, 0::2] = 0.0
+        amps[0] = make_dicke_state(n, n // 2).amplitudes
+    else:
+        amps[::3, 1::2] = 0.0  # every third row even, as a trajectory from all-down
     stack = SymmetricState(n, amps / np.linalg.norm(amps, axis=1, keepdims=True))
-    m = collective_moments(stack)
-    assert_rows_equal(m, [collective_moments(state) for state in rows_of(stack)])
+    table = kernel(stack)
+    for k, state in enumerate(rows_of(stack)):
+        # a single state with zero mean spin raises in xi2_general: analyse a one-row stack
+        alone = ({c: v[0] for c, v in analyse(SymmetricState(n, state.amplitudes[None])).items()}
+                 if kernel is analyse else kernel(state))
+        for c, value in alone.items():
+            assert np.array_equal(table[c][k], value, equal_nan=c != "branch"), (c, k)
     for size in (1, 7, 131):
-        blocks = [collective_moments(SymmetricState(n, stack.amplitudes[i:i + size]))
+        blocks = [kernel(SymmetricState(n, stack.amplitudes[i:i + size]))
                   for i in range(0, rows, size)]
-        for f in MOMENT_FIELDS:
-            joined = np.concatenate([getattr(block, f) for block in blocks])
-            assert np.array_equal(joined, getattr(m, f)), (f, size)
+        for c, column in table.items():
+            joined = np.concatenate([block[c] for block in blocks])
+            assert np.array_equal(joined, column, equal_nan=c != "branch"), (c, size)
+    if kernel is analyse:
+        assert np.isnan(table["xi2_general"][0]) and table["degenerate_flag"][0] == 1
+        assert np.array_equal(table["degenerate_flag"], np.isnan(table["xi2_general"]))
 
 
 def moment_row(m, k):
@@ -169,11 +200,10 @@ def test_degenerate_row_reads_nan_in_a_stack():
     stack = SymmetricState(2, np.array([flat, tilted, generic]))
     with pytest.raises(MeanSpinDegenerateError):
         squeezing_general(collective_moments(SymmetricState(2, flat)))
-    result = squeezing_general(collective_moments(stack))
-    assert np.isnan(result.xi2[0]) and np.all(np.isnan(result.n_perp[0]))
+    xi2 = squeezing_general(collective_moments(stack))
+    assert np.isnan(xi2[0])
     for k, amps in ((1, tilted), (2, generic)):
-        single = squeezing_general(collective_moments(SymmetricState(2, amps)))
-        assert result.xi2[k] == single.xi2
+        assert xi2[k] == squeezing_general(collective_moments(SymmetricState(2, amps)))
 
 
 def test_mixed_parity_row_rejects_the_stack():
