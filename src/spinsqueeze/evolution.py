@@ -3,13 +3,18 @@
 H is diagonalized once per parity sector: each sector is a real symmetric
 tridiagonal band T of size m about N/2 under a diagonal phase gauge D
 (`hamiltonians.SectorBand`), and only the sectors the initial state
-occupies are solved. A band with a zero diagonal (two-axis, and `general`
+occupies are solved. At even N the bands of the one-axis, two-axis and
+even-f `general` Hamiltonians are unchanged by the spin flip n <-> N-n:
+each is palindromic (J T J = T, J the row reversal) and splits exactly
+into a J-even and a J-odd band of half the size (Cantoni and Butler, 1976),
+each solved on its own; a zero-diagonal band of even size is the exception
+and is not folded. A band with a zero diagonal (two-axis, and `general`
 with mu + chi = 0 and no f) is bipartite, and its eigenpairs come from the
-SVD of its bidiagonal half; every other band goes to `eigh`. Of each
-solved sector only the modes the initial state occupies are kept: the
-smallest-weight modes are dropped while their summed weight stays within
-m eps^2, which moves every propagated state by at most sqrt(m) eps.
-Every trajectory point is computed directly as
+SVD of its bidiagonal half; every other band, or half of one, goes to
+`eigh`. Of each solved sector only the modes the initial state occupies
+are kept: the smallest-weight modes are dropped while their summed weight
+stays within m eps^2, which moves every propagated state by at most
+sqrt(m) eps. Every trajectory point is computed directly as
 D V exp(-i Lambda t) V^T D^dag c(0), so there is no step-to-step error
 accumulation and arbitrary times are equally accurate. `evolve_blocks`
 propagates a long grid one block of times at a time, so its memory does
@@ -25,7 +30,7 @@ import numpy as np
 
 from .dicke import SymmetricState, make_all_down
 from .errors import NumericalError
-from .hamiltonians import HamiltonianSpec, SectorBand, sector_bands
+from .hamiltonians import HamiltonianSpec, SectorBand, sector_bands, tridiagonal
 
 RECONSTRUCTION_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-11
@@ -37,7 +42,11 @@ CONTRACT_ELEMENTS = 2**15  # entries of V per row window of the residual contrac
 class SectorEigen:
     """Eigenpairs of one sector's band T, energies ascending: all m from
     `solve_band`, the occupied ones in a `Propagator`. The eigenvectors are
-    real columns over the gauged sector basis."""
+    real columns over the gauged sector basis. For a folded (palindromic)
+    band the columns alternate between J-even and J-odd vectors, which the
+    interlacing of the two halves' spectra puts in ascending order; two
+    energies that agree to rounding may come in either order. A zero-diagonal
+    band of even size is not folded."""
 
     band: SectorBand
     eigenvalues: np.ndarray
@@ -62,12 +71,18 @@ class Propagator:
         return sum(s.eigenvalues.size for s in self.sectors)
 
 
-def _chiral_eigh(e: np.ndarray):
+def _is_chiral(d: np.ndarray) -> bool:
+    """A band of size m > 1 with a zero diagonal, which `_chiral_eigh` solves."""
+    return d.size > 1 and not np.any(d)
+
+
+def _chiral_eigh(e: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Eigenpairs of the zero-diagonal tridiagonal T with off-diagonal `e`,
-    energies ascending, from the SVD of its bidiagonal half. In even/odd
-    sub-index order T = [[0, B], [B^T, 0]] with B[i, i] = e[2i] and
-    B[i, i-1] = e[2i-1], so each singular triple (s, u, v) of B gives the
-    pair -s, +s with vectors (u, -v)/sqrt(2), (u, v)/sqrt(2) (Golub and
+    energies ascending, from the SVD of its bidiagonal half; the vectors are
+    written into `out`, an (m, m) array or view, and the energies returned.
+    In even/odd sub-index order T = [[0, B], [B^T, 0]] with B[i, i] = e[2i]
+    and B[i, i-1] = e[2i-1], so each singular triple (s, u, v) of B gives
+    the pair -s, +s with vectors (u, -v)/sqrt(2), (u, v)/sqrt(2) (Golub and
     Kahan, 1965); an odd size adds the null mode (u0, 0) at energy 0."""
     m = e.size + 1
     q = m // 2
@@ -76,13 +91,66 @@ def _chiral_eigh(e: np.ndarray):
     np.fill_diagonal(b[1:], e[1::2])
     u, s, vt = np.linalg.svd(b)  # s descending
     root2 = math.sqrt(2.0)
-    vectors = np.zeros((m, m))
-    vectors[0::2, :q] = u[:, :q] / root2  # -s, ascending
-    vectors[1::2, :q] = vt.T / -root2
-    vectors[0::2, q:m - q] = u[:, q:]  # the null mode, when m is odd
-    vectors[0::2, m - q:] = u[:, q - 1::-1] / root2  # +s, ascending
-    vectors[1::2, m - q:] = vt[::-1].T / root2
-    return np.concatenate([-s, np.zeros(m - 2 * q), s[::-1]]), vectors
+    np.divide(u[:, :q], root2, out=out[0::2, :q])  # -s, ascending
+    np.divide(vt.T, -root2, out=out[1::2, :q])
+    out[0::2, q:m - q] = u[:, q:]  # the null mode, when m is odd
+    out[1::2, q:m - q] = 0.0
+    np.divide(u[:, q - 1::-1], root2, out=out[0::2, m - q:])  # +s, ascending
+    np.divide(vt[::-1].T, root2, out=out[1::2, m - q:])
+    return np.concatenate([-s, np.zeros(m - 2 * q), s[::-1]])
+
+
+def _folds(d: np.ndarray, e: np.ndarray) -> bool:
+    """Whether `solve_band` folds the band: it is exactly palindromic
+    (J T J = T, J the row reversal) and not a zero-diagonal band of even
+    size, where J anticommutes with the chiral sign diag((-1)^j), so the
+    halves would carry +-e on their diagonals and lose the exact +-
+    spectrum that the SVD of the unfolded band keeps."""
+    return (np.array_equal(d, d[::-1]) and np.array_equal(e, e[::-1])
+            and not (d.size % 2 == 0 and _is_chiral(d)))
+
+
+def _folded_eigh(d: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Eigenpairs of a palindromic band from its J-even and J-odd halves
+    (Cantoni and Butler, 1976); the vectors are written into the (m, m)
+    array `out` and the energies returned. With m = 2p + 1 the J-even half
+    is d[:p+1], e[:p] with its last coupling times sqrt(2), the J-odd half
+    d[:p], e[:p-1]; with m = 2p both are d[:p], e[:p-1] with e[p-1] added
+    to (J-even) or subtracted from (J-odd) the last diagonal entry. Each
+    half goes to `_chiral_eigh` or `eigh` like an unfolded band, and its
+    vector u becomes (u, +-Ju)/sqrt(2), with the centre entry u_p of a
+    J-even vector when m is odd. The halves' spectra interlace (Cauchy for
+    odd m, where the J-odd half is the J-even one's leading block; the
+    rank-one update 2 e[p-1] for even m), so one half fills the even
+    columns and the other the odd ones in ascending order, up to rounding
+    between a J-even and a J-odd energy that agree to rounding."""
+    m = d.size
+    p = m // 2
+    if m % 2:
+        even_d, even_e = d[:p + 1], e[:p].copy()
+        even_e[-1:] *= math.sqrt(2.0)  # no coupling when m = 1
+        halves = ((even_d, even_e, 1.0, slice(0, None, 2)),
+                  (d[:p], e[:p - 1], -1.0, slice(1, None, 2)))
+        out[p, 1::2] = 0.0  # J-odd vectors vanish at the centre
+    else:
+        even_d, odd_d = d[:p].copy(), d[:p].copy()
+        even_d[-1] += e[p - 1]
+        odd_d[-1] -= e[p - 1]
+        lower, upper = slice(0, None, 2), slice(1, None, 2)
+        if e[p - 1] < 0:
+            lower, upper = upper, lower
+        halves = ((even_d, e[:p - 1], 1.0, upper), (odd_d, e[:p - 1], -1.0, lower))
+    energies = np.empty(m)
+    for half_d, half_e, sign, columns in halves:  # the J-odd half is empty when m = 1
+        block = out[:half_d.size, columns]
+        if _is_chiral(half_d):
+            energies[columns] = _chiral_eigh(half_e, block)
+        else:
+            energies[columns], block[...] = np.linalg.eigh(tridiagonal(half_d, half_e))
+        top = out[:p, columns]
+        np.divide(top, sign * math.sqrt(2.0), out=out[::-1][:p, columns])
+        top /= math.sqrt(2.0)
+    return energies
 
 
 def _reconstruction_residual(d, e, energies, vectors) -> float:
@@ -107,14 +175,22 @@ def _reconstruction_residual(d, e, energies, vectors) -> float:
 
 def solve_band(band: SectorBand) -> SectorEigen:
     """Diagonalize one sector's band, then verify the reconstruction and
-    orthonormality contracts on it. A band with a zero diagonal and m > 1
-    (two-axis, and `general` with mu + chi = 0 and no f) is solved by
-    `_chiral_eigh`, every other band by `eigh`."""
-    if band.dim > 1 and not np.any(band.diagonal):
-        energies, vectors = _chiral_eigh(band.off_diagonal)
+    orthonormality contracts on the assembled V. An exactly palindromic
+    band (one-axis, two-axis and `general` with an even f, all at even N)
+    is folded into two half-size bands by `_folded_eigh`, unless it has a
+    zero diagonal and even m. Otherwise a band with a zero diagonal and
+    m > 1 (two-axis, and `general` with mu + chi = 0 and no f) is solved by
+    `_chiral_eigh`, every other band by `eigh`; the halves of a fold are
+    dispatched the same way."""
+    d, e = band.diagonal, band.off_diagonal
+    if _folds(d, e):
+        vectors = np.empty((band.dim, band.dim))
+        energies = _folded_eigh(d, e, vectors)
+    elif _is_chiral(d):
+        vectors = np.empty((band.dim, band.dim))
+        energies = _chiral_eigh(e, vectors)
     else:
         energies, vectors = np.linalg.eigh(band.tridiagonal())
-    d, e = band.diagonal, band.off_diagonal
     scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
     residual = _reconstruction_residual(d, e, energies, vectors)
     if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too

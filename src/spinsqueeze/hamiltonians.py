@@ -116,10 +116,15 @@ class SectorBand:
 
     def tridiagonal(self) -> np.ndarray:
         """T as a dense real (m, m) matrix."""
-        t = np.diag(self.diagonal)
-        j = np.arange(self.dim - 1)
-        t[j + 1, j] = t[j, j + 1] = self.off_diagonal
-        return t
+        return tridiagonal(self.diagonal, self.off_diagonal)
+
+
+def tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
+    """The dense real symmetric tridiagonal matrix with these diagonals."""
+    t = np.diag(diagonal)
+    j = np.arange(diagonal.size - 1)
+    t[j + 1, j] = t[j, j + 1] = off_diagonal
+    return t
 
 
 def sector_bands(spec: HamiltonianSpec, n_qubits: int) -> tuple:

@@ -93,14 +93,18 @@ def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
     if n_qubits > MAX_QUBITS_EVOLVE:  # before any 2^N allocation
         raise CapacityError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
     sx, sy, sz = collective_pauli_sums(n_qubits)
-    h = spec.mu * (sx @ sx) + spec.chi * (sy @ sy)
+    h = np.zeros_like(sx)
+    if spec.mu:
+        h += spec.mu * (sx @ sx)
+    if spec.chi:
+        h += spec.chi * (sy @ sy)
     if spec.gamma:
         sp = sx + 1j * sy
         sm = sx - 1j * sy
-        h = h + spec.gamma * (sp @ sp - sm @ sm) / 2j
+        h += spec.gamma * (sp @ sp - sm @ sm) / 2j
     for power, coeff in enumerate(spec.f_coeffs):
         if coeff:
-            h = h + coeff * np.linalg.matrix_power(sz, power)
+            h += coeff * np.linalg.matrix_power(sz, power)
     return h
 
 

@@ -142,27 +142,46 @@ def test_nan_singular_value_is_numerical_error(monkeypatch):
         solve_band(band([0.0, 0.0, 0.0], [1.0, 2.0]))
 
 
-# one band per route of solve_band: eigh (one-axis) and the SVD of the bidiagonal half (two-axis)
-ROUTE_SPECS = {"eigh": HamiltonianSpec.one_axis(1.0), "svd": HamiltonianSpec.two_axis(1.0)}
+# the routes of solve_band: eigh (one-axis) and the SVD of the bidiagonal half
+# (two-axis) at odd N, whose bands are not palindromic, and the fold of each
+# model's band at even N; (spec, N - 2m) for the even band of size m
+ROUTES = {
+    "eigh": (HamiltonianSpec.one_axis(1.0), -1),
+    "svd": (HamiltonianSpec.two_axis(1.0), -1),
+    "fold-eigh": (HamiltonianSpec.one_axis(1.0), -2),
+    "fold-svd": (HamiltonianSpec.two_axis(1.0), -2),
+}
 
 
-def solve_mutated(route, n, mutate, monkeypatch):
-    """solve_band on the even band of the route's model at N=n, with the
-    route's eigenpairs passed through mutate(energies, vectors) first."""
+def route_band(route, m):
+    """The even band of size m of the route's model, m odd."""
+    spec, offset = ROUTES[route]
+    return sector_bands(spec, 2 * m + offset)[0]
+
+
+def solve_mutated(route, m, mutate, monkeypatch):
+    """solve_band on the route's band of size m, with the route's eigenpairs
+    passed through mutate(energies, vectors) first; for a fold, the
+    assembled V."""
     if route == "eigh":
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: mutate(*eigh(a)))
-    else:
+    elif route == "svd":
         chiral = evolution._chiral_eigh
-        monkeypatch.setattr(evolution, "_chiral_eigh", lambda e: mutate(*chiral(e)))
-    return solve_band(sector_bands(ROUTE_SPECS[route], n)[0])
+        monkeypatch.setattr(evolution, "_chiral_eigh",
+                            lambda e, out: mutate(chiral(e, out), out)[0])
+    else:
+        fold = evolution._folded_eigh
+        monkeypatch.setattr(evolution, "_folded_eigh",
+                            lambda d, e, out: mutate(fold(d, e, out), out)[0])
+    return solve_band(route_band(route, m))
 
 
 @pytest.mark.parametrize("window", [None, 3])
 @pytest.mark.parametrize("row", [0, 2, 3, 10])
-@pytest.mark.parametrize("route", sorted(ROUTE_SPECS))
+@pytest.mark.parametrize("route", sorted(ROUTES))
 def test_perturbed_column_fails_the_residual(route, row, window, monkeypatch):
-    # m = 11 at N=20; with 3-row windows, rows 2 and 3 sit on a window edge
+    # m = 11; with 3-row windows, rows 2 and 3 sit on a window edge
     if window:
         monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", window * 11)
 
@@ -171,17 +190,17 @@ def test_perturbed_column_fails_the_residual(route, row, window, monkeypatch):
         return energies, vectors
 
     with pytest.raises(NumericalError, match="eigendecomposition residual"):
-        solve_mutated(route, 20, perturb, monkeypatch)
+        solve_mutated(route, 11, perturb, monkeypatch)
 
 
-@pytest.mark.parametrize("route", sorted(ROUTE_SPECS))
+@pytest.mark.parametrize("route", sorted(ROUTES))
 def test_duplicated_column_fails_orthonormality(route, monkeypatch):
     def duplicate(energies, vectors):
         energies[1], vectors[:, 1] = energies[0], vectors[:, 0]  # an exact eigenpair twice
         return energies, vectors
 
     with pytest.raises(NumericalError, match="orthonormality residual"):
-        solve_mutated(route, 20, duplicate, monkeypatch)
+        solve_mutated(route, 11, duplicate, monkeypatch)
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 10, 11, 12])
@@ -201,10 +220,10 @@ def test_residual_windows_report_every_row(rows, monkeypatch):
         assert got == pytest.approx(expected, rel=1e-12), worst_row
 
 
-@pytest.mark.parametrize("route", sorted(ROUTE_SPECS))
+@pytest.mark.parametrize("route", sorted(ROUTES))
 def test_solve_band_memory_budget(route):
     # besides V the contracts hold one (m, m) array; the former ones peaked at 4 m^2 doubles
-    band = sector_bands(ROUTE_SPECS[route], 2000)[0]
+    band = route_band(route, 1001)
     tracemalloc.start()
     try:
         solve_band(band)
@@ -231,7 +250,9 @@ def test_zero_diagonal_band_is_solved_by_svd(model, n, monkeypatch):
         assert not np.any(b.diagonal)
         solved_by_svd.clear()
         solved = solve_band(b)
-        assert solved_by_svd == ([((m + 1) // 2, m // 2)] if m > 1 else [])
+        # at even N a band of odd m folds into halves of (m + 1) // 2 and m // 2
+        halves = [(m + 1) // 2, m // 2] if n % 2 == 0 and m % 2 else [m]
+        assert solved_by_svd == [((k + 1) // 2, k // 2) for k in halves if k > 1]
         energies, vectors = solved.eigenvalues, solved.eigenvectors
         reference = np.linalg.eigh(b.tridiagonal())[0]
         assert np.array_equal(energies, -energies[::-1])
@@ -241,6 +262,80 @@ def test_zero_diagonal_band_is_solved_by_svd(model, n, monkeypatch):
         assert np.count_nonzero(energies == 0) == m % 2
         if m % 2:
             assert not np.any(vectors[1::2, m // 2])
+
+
+EVEN_F = HamiltonianSpec(mu=0.4, chi=-0.9, gamma=1.3, f_coeffs=(0.3, 0.0, 0.2))
+
+# (spec, N, whether the even and the odd band fold)
+FOLDS = {
+    "one-axis even N": (HamiltonianSpec.one_axis(1.0), 20, [True, True]),
+    "one-axis odd N": (HamiltonianSpec.one_axis(1.0), 21, [False, False]),
+    # the odd band has m = 10: a zero diagonal of even size keeps the SVD
+    "two-axis even N": (HamiltonianSpec.two_axis(1.0), 20, [True, False]),
+    "two-axis odd N": (HamiltonianSpec.two_axis(1.0), 21, [False, False]),
+    "one-axis-field even N": (HamiltonianSpec.one_axis_field(1.0, 0.7), 20, [False, False]),
+    "general odd f": (HamiltonianSpec(mu=0.4, chi=-0.9, gamma=1.3, f_coeffs=(0.3, 0.7, 0.2)),
+                      20, [False, False]),
+    "general even f": (EVEN_F, 20, [True, True]),
+    "general even f odd N": (EVEN_F, 21, [False, False]),
+}
+
+
+def spy_on_fold(monkeypatch):
+    """The list to which each `_folded_eigh` call appends its band size."""
+    fold, folded = evolution._folded_eigh, []
+    monkeypatch.setattr(evolution, "_folded_eigh",
+                        lambda d, e, out: folded.append(d.size) or fold(d, e, out))
+    return folded
+
+
+@pytest.mark.parametrize("case", sorted(FOLDS))
+def test_exactly_palindromic_bands_fold(case, monkeypatch):
+    spec, n, expected = FOLDS[case]
+    folded = spy_on_fold(monkeypatch)
+    routes = []
+    for b in sector_bands(spec, n):
+        folded.clear()
+        solve_band(b)
+        routes.append(folded == [b.dim])
+    assert routes == expected
+
+
+def assert_eigenpairs_match_eigh(b):
+    """solve_band's eigenvalues against eigh of the dense band, and its
+    residual, within eps m ||T||."""
+    solved = solve_band(b)
+    reference = np.linalg.eigh(b.tridiagonal())[0]
+    bound = sys.float_info.epsilon * b.dim * max(np.max(np.abs(reference)), 1.0)
+    assert np.max(np.abs(solved.eigenvalues - reference)) <= bound
+    assert evolution._reconstruction_residual(
+        b.diagonal, b.off_diagonal, solved.eigenvalues, solved.eigenvectors) <= bound
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_folded_small_bands_match_eigh(m, monkeypatch):
+    folded = spy_on_fold(monkeypatch)
+    rng = np.random.default_rng(m)
+    half_d, half_e = rng.normal(size=(m + 1) // 2), rng.normal(size=m // 2)
+    d = np.concatenate([half_d, half_d[:m // 2][::-1]])
+    e = np.concatenate([half_e, half_e[:(m - 1) // 2][::-1]])
+    bands = [band(d, e), band(d, np.abs(e)), band(d, -np.abs(e))]  # both signs of e[m//2 - 1]
+    if m % 2:
+        bands.append(band(np.zeros(m), e))  # two chiral halves
+    for b in bands:
+        assert_eigenpairs_match_eigh(b)
+    assert folded == [m] * len(bands)
+
+
+@pytest.mark.parametrize("n", [64, 200, 1000, 2000, 2002])
+@pytest.mark.parametrize("model", ["one-axis", "two-axis"])
+def test_folded_sector_bands_match_eigh(model, n):
+    spec = {"one-axis": HamiltonianSpec.one_axis(1.0), "two-axis": HamiltonianSpec.two_axis(1.0)}
+    folded = [b for b in sector_bands(spec[model], n)
+              if evolution._folds(b.diagonal, b.off_diagonal)]
+    assert len(folded) == (2 if model == "one-axis" else 1)  # two-axis: the band of odd m
+    for b in folded:
+        assert_eigenpairs_match_eigh(b)
 
 
 @pytest.mark.parametrize("model", ["one-axis", "two-axis"])
