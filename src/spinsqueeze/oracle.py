@@ -2,8 +2,11 @@
 
 Everything here deliberately avoids the Dicke-basis shortcuts: Hamiltonians
 are explicit Pauli sums, reductions are literal partial traces, and the
-separable-state sampler works from single-qubit Bloch vectors: it returns
-the moments of a list of random ensembles as one stack, built by one
+separable-state sampler works from single-qubit Bloch vectors. With
+S_x = X, S_y = iY, S_z = Z and X, Y, Z real, the 2^N work is real where it can
+be; two-axis H is purely imaginary and keeps a complex `eigh` (a gauge making
+it real would repeat the sector bands' trick in their reference). The sampler
+returns the moments of a list of random ensembles as one stack, built by one
 `product_moments` call on every component's Bloch vector and one
 `mix_moments` call over the components. Convention:
 |1> is the single-qubit ground state, so the all-down state is the all-ones
@@ -89,65 +92,69 @@ def collective_pauli_sums(n_qubits: int):
 
 
 def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
-    """The dense 2^N x 2^N Hamiltonian as a sum of Pauli products."""
+    """The dense complex 2^N x 2^N Hamiltonian as a sum of Pauli products,
+    from real ones (S_y^2 = -Y^2, S+- = X -+ Y): sums of quarters, exact."""
     if n_qubits > MAX_QUBITS_EVOLVE:  # before any 2^N allocation
         raise CapacityError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
     sx, sy, sz = collective_pauli_sums(n_qubits)
+    x, y, z = sx.real, sy.imag, sz.real
     h = np.zeros_like(sx)
     if spec.mu:
-        h += spec.mu * (sx @ sx)
+        h.real += spec.mu * (x @ x)
     if spec.chi:
-        h += spec.chi * (sy @ sy)
+        h.real -= spec.chi * (y @ y)
     if spec.gamma:
-        sp = sx + 1j * sy
-        sm = sx - 1j * sy
-        h += spec.gamma * (sp @ sp - sm @ sm) / 2j
+        sp, sm = x - y, x + y
+        h.imag -= spec.gamma * (sp @ sp - sm @ sm) / 2
     for power, coeff in enumerate(spec.f_coeffs):
         if coeff:
-            h += coeff * np.linalg.matrix_power(sz, power)
+            h.real += coeff * np.linalg.matrix_power(z, power)
     return h
 
 
 def full_evolve(hamiltonian: np.ndarray, times) -> FullState:
     """Evolve the all-down product state under a `full_hamiltonian` matrix to
-    each of `times`, from one eigendecomposition: a stack, one row per time."""
+    each of `times`, from one eigendecomposition (real when H is): a stack,
+    one row per time, each from its own matrix-vector product."""
     dim = len(hamiltonian)
-    energies, vectors = np.linalg.eigh(hamiltonian)
-    initial = np.zeros(dim, dtype=complex)
-    initial[-1] = 1.0  # all-ones bitstring = every qubit in the ground state
-    coeffs = vectors.conj().T @ initial
-    rows = [vectors @ (np.exp(-1j * energies * t) * coeffs) for t in times]
+    real = not np.any(hamiltonian.imag)
+    energies, vectors = np.linalg.eigh(hamiltonian.real if real else hamiltonian)
+    coeffs = vectors[-1].conj()  # overlaps with the all-ones bitstring, every qubit down
+    apply = _real_times_complex if real else np.matmul
+    rows = [apply(vectors, np.exp(-1j * energies * t) * coeffs) for t in times]
     return FullState(dim.bit_length() - 1, np.array(rows))  # dim = 2^N
+
+
+def _real_times_complex(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """op @ psi for a real op, as one real product on psi's (Re, Im) columns."""
+    return (op @ psi.view(float).reshape(-1, 2)).view(complex)[:, 0]
 
 
 def full_collective_moments(state: FullState) -> CollectiveMoments:
     """Moments evaluated with explicit full-space operators, for one state or
-    every row of a stack; each operator product is formed once per call."""
+    every row of a stack: per row, inner products of x = X psi, y = Y psi and
+    z = Z psi, with S_y psi = i y and S+- psi = x -+ y."""
     sx, sy, sz = collective_pauli_sums(state.n_qubits)
     c = state.amplitudes
-    rows = c.reshape(-1, c.shape[-1])
-
-    def ev(op):
-        values = np.array([complex(row.conj() @ (op @ row)) for row in rows])
-        return values.reshape(c.shape[:-1])[()]
-
-    sp = sx + 1j * sy
-    sp_mean = ev(sp)
-    sp2 = ev(sp @ sp)
-    sz2 = ev(sz @ sz).real
-    return CollectiveMoments(
-        n_qubits=state.n_qubits,
-        mean_sx=ev(sx).real,
-        mean_sy=ev(sy).real,
-        mean_sz=ev(sz).real,
-        sz2=sz2,
-        sx2=ev(sx @ sx).real,
-        sy2=ev(sy @ sy).real,
-        sp_mean=sp_mean,
-        sp2=sp2,
-        anti_sp_sz=ev(sp @ sz + sz @ sp),
-        anti_sx_sy=ev(sx @ sy + sy @ sx).real,
-    )
+    rows = []
+    for psi in c.reshape(-1, c.shape[-1]):
+        x, y, z = (_real_times_complex(op, psi) for op in (sx.real, sy.imag, sz.real))
+        sp, sm = x - y, x + y
+        rows.append(dict(
+            mean_sx=np.vdot(psi, x).real,
+            mean_sy=-np.vdot(psi, y).imag,
+            mean_sz=np.vdot(psi, z).real,
+            sz2=np.vdot(z, z).real,
+            sx2=np.vdot(x, x).real,
+            sy2=np.vdot(y, y).real,
+            sp_mean=np.vdot(psi, sp),
+            sp2=np.vdot(sm, sp),
+            anti_sp_sz=np.vdot(sm, z) + np.vdot(z, sp),
+            anti_sx_sy=-2.0 * np.vdot(x, y).imag,
+        ))
+    return CollectiveMoments(state.n_qubits, **{
+        name: np.array([row[name] for row in rows]).reshape(c.shape[:-1])[()] for name in rows[0]
+    })
 
 
 def partial_trace_pair(state: FullState, i: int, j: int) -> np.ndarray:

@@ -135,7 +135,8 @@ def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
     bad = (np.abs(trace.real - 1.0) > 1e-10) | (np.abs(trace.imag) > 1e-10)
     if np.any(bad):
         raise ValueError(f"density matrix trace {trace[bad][0]!r} != 1")
-    if np.any(np.linalg.eigvalsh(rho4)[..., 0] < -1e-10):
+    evals, evecs = np.linalg.eigh(rho4)
+    if np.any(evals[..., 0] < -1e-10):
         raise ValueError("density matrix not positive semidefinite")
 
     # The lambda_i are the square roots of the eigenvalues of
@@ -143,7 +144,6 @@ def concurrence_spectral(rho4: np.ndarray) -> ConcurrenceResult:
     # Hermitian form: they equal the singular values of
     # sqrt(rho) (sy x sy) sqrt(rho)*, which is stable where the non-normal
     # product's eigensolve loses half the digits on defective eigenvalues.
-    evals, evecs = np.linalg.eigh(rho4)
     scaled = evecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]
     root = scaled @ evecs.conj().swapaxes(-1, -2)
     lambdas = np.linalg.svd(root @ _SIGMA_YY @ root.conj(), compute_uv=False)

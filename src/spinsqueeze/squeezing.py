@@ -77,7 +77,8 @@ def perpendicular_correlation_min(m: CollectiveMoments):
     """
     n = m.n_qubits
     cov = m.covariance
-    lam = np.where(m.mean_spin_norm >= MEAN_SPIN_TOL, _perpendicular_min(m.mean_spin, cov),
-                   np.linalg.eigvalsh(cov)[..., 0])
+    lam = np.array(_perpendicular_min(m.mean_spin, cov))
+    sphere = ~(m.mean_spin_norm >= MEAN_SPIN_TOL)  # the rows that search the sphere, NaN too
+    lam[sphere] = np.linalg.eigvalsh(cov[sphere])[..., 0]
     # <S_n^2> = (N + N(N-1) corr) / 4
     return ((4.0 * lam - n) / (n * (n - 1)))[()]

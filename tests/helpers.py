@@ -5,7 +5,8 @@ import math
 import numpy as np
 
 from spinsqueeze import cli
-from spinsqueeze.dicke import NORM_TOL, SymmetricState, squared_norm
+from spinsqueeze.dicke import NORM_TOL, CollectiveMoments, SymmetricState, squared_norm
+from spinsqueeze.oracle import FullState, collective_pauli_sums
 
 
 def make_state(n_qubits, amplitudes):
@@ -46,3 +47,61 @@ def rk4_evolve(h: np.ndarray, initial: SymmetricState, t: float, n_steps: int) -
         k4 = deriv(c + dt * k3)
         c = c + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     return c
+
+
+# The complex 2^N oracle routines that the real-arithmetic ones of
+# `spinsqueeze.oracle` replaced: references for the tests only.
+
+def complex_full_hamiltonian(spec, n_qubits: int) -> np.ndarray:
+    """The full Hamiltonian from complex Pauli-product GEMMs."""
+    sx, sy, sz = collective_pauli_sums(n_qubits)
+    h = np.zeros_like(sx)
+    if spec.mu:
+        h += spec.mu * (sx @ sx)
+    if spec.chi:
+        h += spec.chi * (sy @ sy)
+    if spec.gamma:
+        sp = sx + 1j * sy
+        sm = sx - 1j * sy
+        h += spec.gamma * (sp @ sp - sm @ sm) / 2j
+    for power, coeff in enumerate(spec.f_coeffs):
+        if coeff:
+            h += coeff * np.linalg.matrix_power(sz, power)
+    return h
+
+
+def complex_full_evolve(hamiltonian: np.ndarray, times) -> FullState:
+    """The all-down state evolved to each time through a complex `eigh`."""
+    dim = len(hamiltonian)
+    energies, vectors = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
+    initial = np.zeros(dim, dtype=complex)
+    initial[-1] = 1.0
+    coeffs = vectors.conj().T @ initial
+    rows = [vectors @ (np.exp(-1j * energies * t) * coeffs) for t in times]
+    return FullState(dim.bit_length() - 1, np.array(rows))
+
+
+def complex_full_collective_moments(state: FullState) -> CollectiveMoments:
+    """Moments as <psi| O |psi> of the complex operator products."""
+    sx, sy, sz = collective_pauli_sums(state.n_qubits)
+    c = state.amplitudes
+    rows = c.reshape(-1, c.shape[-1])
+
+    def ev(op):
+        values = np.array([complex(row.conj() @ (op @ row)) for row in rows])
+        return values.reshape(c.shape[:-1])[()]
+
+    sp = sx + 1j * sy
+    return CollectiveMoments(
+        n_qubits=state.n_qubits,
+        mean_sx=ev(sx).real,
+        mean_sy=ev(sy).real,
+        mean_sz=ev(sz).real,
+        sz2=ev(sz @ sz).real,
+        sx2=ev(sx @ sx).real,
+        sy2=ev(sy @ sy).real,
+        sp_mean=ev(sp),
+        sp2=ev(sp @ sp),
+        anti_sp_sz=ev(sp @ sz + sz @ sp),
+        anti_sx_sy=ev(sx @ sy + sy @ sx).real,
+    )

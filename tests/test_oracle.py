@@ -1,9 +1,18 @@
 """Full tensor-product oracle: embeddings, evolution, traces, samplers."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
-from helpers import make_state
+from helpers import (
+    complex_full_collective_moments,
+    complex_full_evolve,
+    complex_full_hamiltonian,
+    make_state,
+)
 
+from spinsqueeze import oracle, verify
 from spinsqueeze.dicke import (
     MOMENT_FIELDS,
     SymmetricState,
@@ -146,6 +155,121 @@ def test_moments_match_oracle_on_random_states():
             mf = full_collective_moments(embed_symmetric(state))
             for name in fields:
                 assert abs(getattr(ms, name) - getattr(mf, name)) <= 1e-10
+
+
+# the three verify specs, a weaker field, and the general H with and without gamma
+REAL_ROUTE_SPECS = {
+    **verify._model_specs(),
+    "one-axis-field-0.5": HamiltonianSpec.one_axis_field(1.0, 0.5),
+    "general": HamiltonianSpec(mu=0.7, chi=-0.3, gamma=0.45, f_coeffs=(0.2, -0.6, 0.15)),
+    "general-gamma-0": HamiltonianSpec(mu=0.7, chi=-0.3, f_coeffs=(0.2, -0.6, 0.15)),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ROUTE_SPECS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_hamiltonian_from_real_products_is_bit_equal_to_complex_products(name, n):
+    spec = REAL_ROUTE_SPECS[name]
+    h, reference = full_hamiltonian(spec, n), complex_full_hamiltonian(spec, n)
+    assert h.dtype == complex
+    # uint64 views: the sign of every zero must match too
+    assert np.array_equal(h.view(np.uint64), reference.view(np.uint64))
+
+
+def recorded_eigh_dtypes(monkeypatch):
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(oracle.np.linalg, "eigh", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("name, real", [
+    ("one-axis", True), ("one-axis-field", True), ("one-axis-field-0.5", True),
+    ("general-gamma-0", True), ("two-axis", False), ("general", False),
+])
+@pytest.mark.parametrize("n", (2, 5, 8))
+def test_full_evolve_route_agrees_with_complex_eigh(monkeypatch, name, real, n):
+    spec = REAL_ROUTE_SPECS[name]
+    h = full_hamiltonian(spec, n)
+    times = (0.0, 0.1, 0.3, 1.0)
+    dtypes = recorded_eigh_dtypes(monkeypatch)
+    evolved = full_evolve(h, times)
+    assert dtypes == [np.dtype(float) if real else np.dtype(complex)]
+    reference = complex_full_evolve(h, times)
+    # exp(-iHt) psi does not depend on the phases the eigensolver picks
+    assert np.max(np.abs(evolved.amplitudes - reference.amplitudes)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_vector_moments_match_operator_products(n):
+    rng = np.random.default_rng(700 + n)
+    amps = rng.normal(size=(6, n + 1)) + 1j * rng.normal(size=(6, n + 1))
+    amps[0, 1::2] = 0.0  # an even state: no transverse moments
+    stack = SymmetricState(n, amps / np.linalg.norm(amps, axis=1, keepdims=True))
+    full = embed_symmetric(stack)
+    m, ref = full_collective_moments(full), complex_full_collective_moments(full)
+    for name in MOMENT_FIELDS:
+        assert getattr(m, name).shape == (6,), name
+        assert np.max(np.abs(getattr(m, name) - getattr(ref, name))) <= 1e-12, name
+    single = full_collective_moments(FullState(n, full.amplitudes[3]))
+    for name in MOMENT_FIELDS:
+        value = getattr(single, name)
+        assert np.shape(value) == (), name
+        assert abs(value - getattr(ref, name)[3]) <= 1e-12, name
+
+
+def imported_names(source):
+    """(module, name) for every import in `source`, without the spinsqueeze
+    prefix; a module imported whole reads as name "*"."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.removeprefix("spinsqueeze."), "*"
+        elif isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("spinsqueeze").lstrip(".")
+            for alias in node.names:
+                yield (module, alias.name) if module else (alias.name, "*")
+
+
+def reaches_checked_code(module, name):
+    """Whether the oracle importing `name` from `module` would reuse the code it
+    checks: any of evolution, the Hamiltonian builders, or the Dicke-basis
+    moments, ladder coefficients and operators."""
+    if module == "evolution":
+        return True
+    if module == "hamiltonians":
+        return name != "HamiltonianSpec"
+    if module == "dicke":
+        return name in {"*", "collective_moments", "ladder_coefficients", "collective_operators"}
+    return False
+
+
+def forbidden_oracle_imports(source):
+    return [f"{m}.{n}" for m, n in imported_names(source) if reaches_checked_code(m, n)]
+
+
+def test_oracle_imports_nothing_it_checks():
+    assert forbidden_oracle_imports(inspect.getsource(oracle)) == []
+
+
+@pytest.mark.parametrize("line", [
+    "from .evolution import evolve_grid",
+    "from spinsqueeze.evolution import trajectory",
+    "from .hamiltonians import HamiltonianSpec, build_hamiltonian",
+    "from .dicke import SymmetricState, collective_moments",
+    "from .dicke import ladder_coefficients",
+    "from . import evolution",
+    "from spinsqueeze import hamiltonians",
+    "import spinsqueeze.dicke",
+    "def f():\n    from .dicke import collective_operators",
+])
+def test_the_import_guard_catches(line):
+    assert forbidden_oracle_imports(line) != []
 
 
 class TestPartialTrace:

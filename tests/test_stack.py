@@ -20,6 +20,7 @@ from spinsqueeze.dicke import (
     SymmetricState,
     collective_moments,
     make_dicke_state,
+    mix_moments,
 )
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
 from spinsqueeze.oracle import (
@@ -177,6 +178,30 @@ def test_correlation_of_zero_mean_spin_row_searches_the_sphere():
     singles = [collective_moments(state) for state in rows_of(stack)]
     corr = assert_correlation_rows_equal(collective_moments(stack), singles)
     assert corr[0] == pytest.approx(-1.0 / 3.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", (2, 3, 6))
+def test_correlation_of_degenerate_rows_mixed_with_ordinary_rows(n):
+    # maximally mixed product ensembles and a zero-mean two-component
+    # ensemble search the whole sphere; the rows around them do not
+    rng = np.random.default_rng(450 + n)
+    bloch = rng.normal(size=(ROWS, 3)) * rng.random((ROWS, 1)) / np.sqrt(3.0)
+    sphere_rows = [0, 7, 8, ROWS - 1]
+    bloch[sphere_rows] = 0.0
+    ordinary = product_moments(bloch, n)
+    opposite = product_moments(np.array([[0.3, -0.2, 0.6], [-0.3, 0.2, -0.6]]), n)
+    pair = mix_moments([0.5, 0.5], opposite)
+    m = CollectiveMoments(n, **{
+        f: np.concatenate([getattr(ordinary, f), [getattr(pair, f)]]) for f in MOMENT_FIELDS
+    })
+    singles = [moment_row(m, k) for k in range(ROWS + 1)]
+    degenerate = ~(m.mean_spin_norm >= 1e-8)
+    assert list(np.flatnonzero(degenerate)) == [*sphere_rows, ROWS]
+    corr = assert_correlation_rows_equal(m, singles)
+    # rho^(x)N has no pair correlation along any axis, and the mixture none
+    # perpendicular to its two Bloch vectors
+    assert np.all(np.abs(corr[degenerate]) <= 1e-15)
+    assert np.all(corr >= -1e-12)  # Lemma 1
 
 
 @pytest.mark.parametrize("n", N_VALUES)
