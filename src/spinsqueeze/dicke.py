@@ -7,7 +7,7 @@ All ladder coefficients follow S+|n> = sqrt((N-n)(n+1)) |n+1>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,29 +23,51 @@ def squared_norm(amps: np.ndarray):
 @dataclass(frozen=True)
 class SymmetricState:
     """Normalized amplitudes c_0..c_N over the Dicke basis: one state of
-    shape (N+1,), or a stack of shape (T, N+1) with one state per row."""
+    shape (N+1,), or a stack of shape (T, N+1) with one state per row. A
+    state of one parity sector (`parity` 0 or 1, as `evolution.propagate`
+    gives it) holds only that sector's entries c_parity, c_parity+2, ...,
+    shape (m,) or (T, m); its other amplitudes are exact zeros, and
+    `amplitudes` builds the full array only when a caller reads it.
+    `probabilities` holds |c|^2 of the entries, from the norm check."""
 
     n_qubits: int
-    amplitudes: np.ndarray
+    entries: np.ndarray
+    parity: int | None = None
+    probabilities: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError(f"need at least one qubit, got {self.n_qubits}")
-        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amps is self.amplitudes and amps.flags.writeable:
+        if self.parity not in (None, 0, 1):
+            raise ValueError(f"parity must be None, 0 or 1, got {self.parity!r}")
+        amps = np.ascontiguousarray(self.entries, dtype=complex)
+        if amps is self.entries and amps.flags.writeable:
             amps = amps.copy()  # freezing it below must not freeze the caller's array
-        if amps.ndim not in (1, 2) or amps.shape[-1] != self.n_qubits + 1:
-            raise ValueError(
-                f"expected {self.n_qubits + 1} amplitudes, got shape {amps.shape}"
-            )
+        width = self.n_qubits + 1 if self.parity is None else (self.n_qubits + 2 - self.parity) // 2
+        if amps.ndim not in (1, 2) or amps.shape[-1] != width:
+            raise ValueError(f"expected {width} amplitudes, got shape {amps.shape}")
         if amps.size == 0:
             raise ValueError("empty stack: no states to hold")
-        norm2 = squared_norm(amps)
+        probs = np.abs(amps)
+        probs *= probs
+        norm2 = np.einsum("...i->...", probs)
         worst = np.ravel(norm2)[np.argmax(np.abs(norm2 - 1.0))]
         if not abs(worst - 1.0) <= 10 * NORM_TOL:  # a NaN row fails too
             raise ValueError(f"state not normalized: sum |c_n|^2 = {float(worst)!r}")
+        amps.flags.writeable = probs.flags.writeable = False
+        object.__setattr__(self, "entries", amps)
+        object.__setattr__(self, "probabilities", probs)
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The read-only full amplitudes, shape (N+1,) or (T, N+1); for a
+        sector state a new array, zero off the sector."""
+        if self.parity is None:
+            return self.entries
+        amps = np.zeros(self.entries.shape[:-1] + (self.n_qubits + 1,), dtype=complex)
+        amps[..., self.parity::2] = self.entries
         amps.flags.writeable = False
-        object.__setattr__(self, "amplitudes", amps)
+        return amps
 
 
 @dataclass(frozen=True)
@@ -129,37 +151,46 @@ def make_all_down(n_qubits: int) -> SymmetricState:
     return make_dicke_state(n_qubits, 0)
 
 
-def _moment_sums(c, n_qubits: int):
-    """<S+>, <S+^2>, <[S+, Sz]_+>, <Sz> and <Sz^2> of the states c, from one
-    |c_n|^2 array and one buffer of conj(c_(n+1)), reused for conj(c_(n+2)).
+def _moment_sums(state: SymmetricState):
+    """<S+>, <S+^2>, <[S+, Sz]_+>, <Sz> and <Sz^2> of `state`'s entries, from
+    its |c_n|^2 array and one buffer of conj(c_(n+1)), reused for conj(c_(n+2)).
+    A sector state has no n -> n+1 coupling: its <S+> and <[S+, Sz]_+> are
+    exact zeros, set by parity, and <S+^2> couples neighbouring entries.
     Every product and sum is an einsum, row by row, so a row of a stack gives
     the bits it gives alone (a BLAS product rounds a row by the shape of the
     stack, and numpy's in-place complex multiply rounds one element apart)."""
-    m = np.arange(n_qubits + 1) - n_qubits / 2.0
+    n_qubits, c, parity = state.n_qubits, state.entries, state.parity
+    first, step = (0, 1) if parity is None else (parity, 2)
+    m = (np.arange(n_qubits + 1) - n_qubits / 2.0)[first::step]
     a = ladder_coefficients(n_qubits)
-    probs = np.abs(c)
-    probs *= probs
-    mean_sz = np.einsum("...i,...i->...", probs, m)
-    sz2 = np.einsum("...i,...i->...", probs, m * m)
-    del probs  # so that the conjugate buffer is the only full-size array alive
-    conj = np.conjugate(c[..., 1:])  # <S+> couples n -> n+1
-    sp_mean = np.einsum("...i,...i,...i->...", conj, c[..., :-1], a)
-    anti_sp_sz = np.einsum("...i,...i,...i->...", conj, c[..., :-1], a * (m[:-1] + m[1:]))
-    conj = np.conjugate(c[..., 2:], out=conj[..., :-1])  # <S+^2> couples n -> n+2
-    sp2 = np.einsum("...i,...i,...i->...", conj, c[..., :-2], a[1:] * a[:-1])
+    mean_sz = np.einsum("...i,...i->...", state.probabilities, m)
+    sz2 = np.einsum("...i,...i->...", state.probabilities, m * m)
+    conj = np.conjugate(c[..., 1:])  # the next entry: n -> n+1, or n -> n+2 in a sector
+    if parity is None:
+        sp_mean = np.einsum("...i,...i,...i->...", conj, c[..., :-1], a)
+        anti_sp_sz = np.einsum("...i,...i,...i->...", conj, c[..., :-1], a * (m[:-1] + m[1:]))
+        conj = np.conjugate(c[..., 2:], out=conj[..., :-1])  # <S+^2> couples n -> n+2
+    else:
+        sp_mean = anti_sp_sz = np.zeros(c.shape[:-1], dtype=complex)[()]
+    sp2 = np.einsum("...i,...i,...i->...", conj, c[..., :conj.shape[-1]],
+                    (a[1:] * a[:-1])[first::step])
     return sp_mean, sp2, anti_sp_sz, mean_sz, sz2
 
 
 def collective_moments(state: SymmetricState) -> CollectiveMoments:
-    """All collective first/second moments, exact to floating precision.
+    """All collective first/second moments, exact to floating precision, of a
+    full state or stack or of a sector one, through the one kernel
+    `_moment_sums`: <Sz> and <Sz^2> from |c|^2 over the stored entries, <S+^2>
+    from entries two Dicke indices apart. For a sector state (every state
+    `evolution.propagate` gives from all-down) <S+> and <[S+, Sz]_+> are
+    exact zeros, set by parity and not summed.
 
     A stack is taken whole, in one pass per sum: besides the result, the
-    kernel holds one full-size array at a time, at most the stack's own
-    size. A long time grid should still come in blocks, as
-    `evolution.evolve_blocks` yields them, since that buffer grows with
-    the stack."""
+    kernel holds one array the size of the entries at a time. A long time
+    grid should still come in blocks, as `evolution.evolve_blocks` yields
+    them, since that buffer grows with the stack."""
     n_qubits = state.n_qubits
-    sp_mean, sp2, anti_sp_sz, mean_sz, sz2 = _moment_sums(state.amplitudes, n_qubits)
+    sp_mean, sp2, anti_sp_sz, mean_sz, sz2 = _moment_sums(state)
 
     # Sx^2 + Sy^2 = J(J+1) - Sz^2 and Sx^2 - Sy^2 + i[Sx,Sy]_+ = S+^2
     j = n_qubits / 2.0

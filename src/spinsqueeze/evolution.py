@@ -16,9 +16,11 @@ are kept: the smallest-weight modes are dropped while their summed weight
 stays within m eps^2, which moves every propagated state by at most
 sqrt(m) eps. Every trajectory point is computed directly as
 D V exp(-i Lambda t) V^T D^dag c(0), so there is no step-to-step error
-accumulation and arbitrary times are equally accurate. `evolve_blocks`
-propagates a long grid one block of times at a time, so its memory does
-not grow with the number of times.
+accumulation and arbitrary times are equally accurate. H keeps the parity
+of n, so a state of one sector (all-down is even) is propagated and handed
+on as that sector's (T, m) entries alone, never as a (T, N+1) stack.
+`evolve_blocks` propagates a long grid one block of times at a time, so
+its memory does not grow with the number of times.
 """
 
 from __future__ import annotations
@@ -246,11 +248,17 @@ def _checked_times(times) -> np.ndarray:
 
 
 def propagate(propagator: Propagator, times) -> SymmetricState:
-    """The stack of states at `times`, one row per time, from the solved sectors."""
+    """The stack of states at `times`, one row per time, from the solved
+    sectors. A propagator of one sector, as every one from all-down is, gives
+    a sector state: each row holds only that sector's m entries, written as
+    contiguous (T, m) rows. One of both sectors gives full (T, N+1) rows."""
     c0 = propagator.initial.amplitudes
     times = _checked_times(times)
-    amps = np.zeros((times.size, c0.size), dtype=complex)
-    for sector_eigen in propagator.sectors:
+    sectors = propagator.sectors
+    parity = sectors[0].band.parity if len(sectors) == 1 else None
+    width = sectors[0].band.dim if parity is not None else c0.size
+    entries = np.empty((times.size, width), dtype=complex)  # the sectors fill every column
+    for sector_eigen in sectors:
         band, v = sector_eigen.band, sector_eigen.eigenvectors
         sector, gauge = band.indices, band.gauge()
         x = gauge.conj() * c0[sector]
@@ -258,22 +266,15 @@ def propagate(propagator: Propagator, times) -> SymmetricState:
         phase = np.outer(times, sector_eigen.eigenvalues)
         cos, sin = np.cos(phase), np.sin(phase)
         # exp(-i lambda t) (wr + i wi), split into two real GEMMs
-        block = amps[:, sector]
+        block = entries if parity is not None else entries[:, sector]
         block.real = (cos * wr + sin * wi) @ v.T
         block.imag = (cos * wi - sin * wr) @ v.T
         block *= gauge
-    amps.flags.writeable = False  # so SymmetricState need not copy it
+    entries.flags.writeable = False  # so SymmetricState need not copy it
     try:
-        return SymmetricState(propagator.initial.n_qubits, amps)
+        return SymmetricState(propagator.initial.n_qubits, entries, parity)
     except ValueError as exc:  # exact propagation is unitary: a lost norm is numerical
         raise NumericalError(f"propagated state lost its norm: {exc}") from exc
-
-
-def evolve_grid(spec: HamiltonianSpec, initial: SymmetricState, times) -> SymmetricState:
-    """Solve the sectors of H that `initial` occupies, then return the stack
-    of states at all of `times` at once, one row per time."""
-    times = _checked_times(times)  # before the solve
-    return propagate(hermitian_eigen(spec, initial), times)
 
 
 def evolve_blocks(spec: HamiltonianSpec, initial: SymmetricState, times):

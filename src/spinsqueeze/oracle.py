@@ -75,20 +75,21 @@ def embed_symmetric(state: SymmetricState) -> FullState:
 
 
 def collective_pauli_sums(n_qubits: int):
-    """Full-space S_x, S_y, S_z as explicit sums of single-qubit Paulis / 2,
-    read off the bits of the basis index: sigma_x and sigma_y of a site flip
-    its bit (sigma_y gives -i where the row's bit is 0, i where it is 1), and
-    sigma_z is +1 on a zero bit, -1 on a one bit. Equal, bit for bit, to the
-    sums of Kronecker chains; each call builds new arrays."""
+    """The real X, Y and Z of S_x = X, S_y = iY and S_z = Z on the full space,
+    as explicit sums of single-qubit Paulis / 2, read off the bits of the
+    basis index: sigma_x and sigma_y of a site flip its bit (Y gives -1/2
+    where the row's bit is 0, +1/2 where it is 1), and sigma_z is +1 on a
+    zero bit, -1 on a one bit. Equal, bit for bit, to the real (X, Z) and
+    imaginary (Y) parts of the sums of Kronecker chains; each call builds
+    new arrays."""
     dim = 2**n_qubits
     idx = np.arange(dim)
-    sx, sy, sz = (np.zeros((dim, dim), dtype=complex) for _ in range(3))
+    x, y = np.zeros((dim, dim)), np.zeros((dim, dim))
     for bit in range(n_qubits):
         flipped = idx ^ (1 << bit)
-        sx.real[flipped, idx] = 0.5
-        sy.imag[flipped, idx] = np.where((flipped >> bit) & 1, 0.5, -0.5)
-    sz.real[idx, idx] = _excitation_counts(n_qubits) - n_qubits / 2.0
-    return sx, sy, sz
+        x[flipped, idx] = 0.5
+        y[flipped, idx] = np.where((flipped >> bit) & 1, 0.5, -0.5)
+    return x, y, np.diag(_excitation_counts(n_qubits) - n_qubits / 2.0)
 
 
 def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
@@ -96,9 +97,8 @@ def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
     from real ones (S_y^2 = -Y^2, S+- = X -+ Y): sums of quarters, exact."""
     if n_qubits > MAX_QUBITS_EVOLVE:  # before any 2^N allocation
         raise CapacityError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
-    sx, sy, sz = collective_pauli_sums(n_qubits)
-    x, y, z = sx.real, sy.imag, sz.real
-    h = np.zeros_like(sx)
+    x, y, z = collective_pauli_sums(n_qubits)
+    h = np.zeros(x.shape, dtype=complex)
     if spec.mu:
         h.real += spec.mu * (x @ x)
     if spec.chi:
@@ -134,11 +134,11 @@ def full_collective_moments(state: FullState) -> CollectiveMoments:
     """Moments evaluated with explicit full-space operators, for one state or
     every row of a stack: per row, inner products of x = X psi, y = Y psi and
     z = Z psi, with S_y psi = i y and S+- psi = x -+ y."""
-    sx, sy, sz = collective_pauli_sums(state.n_qubits)
+    ops = collective_pauli_sums(state.n_qubits)
     c = state.amplitudes
     rows = []
     for psi in c.reshape(-1, c.shape[-1]):
-        x, y, z = (_real_times_complex(op, psi) for op in (sx.real, sy.imag, sz.real))
+        x, y, z = (_real_times_complex(op, psi) for op in ops)
         sp, sm = x - y, x + y
         rows.append(dict(
             mean_sx=np.vdot(psi, x).real,
@@ -238,25 +238,30 @@ def flat_dirichlet(exps):
 
 @dataclass(frozen=True)
 class OneAxisMoments:
-    """Closed-form one-axis-twisting second moments at scaled phase 2*mu*t.
+    """Closed-form one-axis-twisting moments of all-down under mu Sx^2: the
+    second moments at scaled phase 2 mu t, and <Sz> = -(N/2) cos^(N-1)(mu t)
+    and Im<S+^2> = <[Sx, Sy]_+> = (N(N-1)/2) sin(mu t) cos^(N-2)(mu t). With
+    <S+> = <[S+, Sz]_+> = 0 by parity, every moment the analysis reads has a
+    closed form (Kitagawa and Ueda, PRA 47, 5138 (1993))."""
 
-    The literature gives only Re<S+^2> (= <Sx^2 - Sy^2>); the imaginary part
-    must be obtained numerically.
-    """
-
+    mean_sz: float
     sx2: float
     sy2: float
     sz2: float
     sp2_re: float
+    sp2_im: float
 
 
 def one_axis_analytic_moments(n_qubits: int, mu: float, t: float) -> OneAxisMoments:
     if n_qubits < 2:
         raise ValueError(f"need at least two qubits, got {n_qubits}")
     n = n_qubits
-    phase = 2.0 * mu * t
-    cos_pow = np.cos(phase) ** (n - 2)
+    cos, sin = np.cos(mu * t), np.sin(mu * t)
+    cos_pow = np.cos(2.0 * mu * t) ** (n - 2)
     sx2 = n / 4.0
     sy2 = (n * n + n - n * (n - 1) * cos_pow) / 8.0
     sz2 = (n * n + n + n * (n - 1) * cos_pow) / 8.0
-    return OneAxisMoments(sx2=sx2, sy2=sy2, sz2=sz2, sp2_re=sx2 - sy2)
+    return OneAxisMoments(
+        mean_sz=-0.5 * n * cos ** (n - 1), sx2=sx2, sy2=sy2, sz2=sz2, sp2_re=sx2 - sy2,
+        sp2_im=0.5 * n * (n - 1) * sin * cos ** (n - 2),
+    )

@@ -6,6 +6,7 @@ import numpy as np
 
 from spinsqueeze import cli
 from spinsqueeze.dicke import NORM_TOL, CollectiveMoments, SymmetricState, squared_norm
+from spinsqueeze.evolution import hermitian_eigen, propagate
 from spinsqueeze.oracle import FullState, collective_pauli_sums
 
 
@@ -23,6 +24,12 @@ def make_state(n_qubits, amplitudes):
     if not NORM_TOL < norm < math.inf:
         raise ValueError(f"amplitude vector has near-zero or non-finite norm {norm!r}")
     return SymmetricState(n_qubits, amps / norm), norm
+
+
+def evolve_states(spec, initial: SymmetricState, times) -> SymmetricState:
+    """The stack of states at `times`, one row per time: one sector solve,
+    then `evolution.propagate`."""
+    return propagate(hermitian_eigen(spec, initial), times)
 
 
 def evolve_columns(cfg: cli.RunConfig) -> dict:
@@ -52,9 +59,19 @@ def rk4_evolve(h: np.ndarray, initial: SymmetricState, t: float, n_steps: int) -
 # The complex 2^N oracle routines that the real-arithmetic ones of
 # `spinsqueeze.oracle` replaced: references for the tests only.
 
+def complex_pauli_sums(n_qubits: int):
+    """S_x, S_y and S_z as complex matrices, from the real X, Y and Z of
+    `oracle.collective_pauli_sums`: S_x = X, S_y = iY, S_z = Z, with every
+    other part +0.0."""
+    x, y, z = collective_pauli_sums(n_qubits)
+    sx, sy, sz = (np.zeros(x.shape, dtype=complex) for _ in range(3))
+    sx.real, sy.imag, sz.real = x, y, z
+    return sx, sy, sz
+
+
 def complex_full_hamiltonian(spec, n_qubits: int) -> np.ndarray:
     """The full Hamiltonian from complex Pauli-product GEMMs."""
-    sx, sy, sz = collective_pauli_sums(n_qubits)
+    sx, sy, sz = complex_pauli_sums(n_qubits)
     h = np.zeros_like(sx)
     if spec.mu:
         h += spec.mu * (sx @ sx)
@@ -83,7 +100,7 @@ def complex_full_evolve(hamiltonian: np.ndarray, times) -> FullState:
 
 def complex_full_collective_moments(state: FullState) -> CollectiveMoments:
     """Moments as <psi| O |psi> of the complex operator products."""
-    sx, sy, sz = collective_pauli_sums(state.n_qubits)
+    sx, sy, sz = complex_pauli_sums(state.n_qubits)
     c = state.amplitudes
     rows = c.reshape(-1, c.shape[-1])
 

@@ -6,7 +6,7 @@ report. Tolerances are fixed here and are not meant to be tuned.
 
 import numpy as np
 import pytest
-from helpers import evolve_columns, make_state
+from helpers import evolve_columns, evolve_states, make_state
 
 from spinsqueeze import cli
 from spinsqueeze.dicke import (
@@ -15,7 +15,7 @@ from spinsqueeze.dicke import (
     make_all_down,
     make_dicke_state,
 )
-from spinsqueeze.evolution import evolve_grid, time_grid
+from spinsqueeze.evolution import time_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.oracle import embed_symmetric, partial_trace_pair
 from spinsqueeze.pairwise import concurrence_spectral, concurrence_x_form, reduced_two_qubit
@@ -113,7 +113,7 @@ def test_criterion_6_oracle_equivalence():
         # evolved (even) states: closed-form vs spectral concurrence on the
         # literally traced matrix
         for spec in specs:
-            states = evolve_grid(spec, make_all_down(n), (0.1, 0.5, 1.5))
+            states = evolve_states(spec, make_all_down(n), (0.1, 0.5, 1.5))
             closed = concurrence_x_form(
                 reduced_two_qubit(collective_moments(states))
             ).concurrence
@@ -177,7 +177,7 @@ def test_criterion_8_dicke_states():
 
 def test_criterion_9_structural_invariants():
     checks = suite_parity()
-    states = evolve_grid(HamiltonianSpec.two_axis(1.0), make_all_down(6), time_grid(3.0, 0.05))
+    states = evolve_states(HamiltonianSpec.two_axis(1.0), make_all_down(6), time_grid(3.0, 0.05))
     m = collective_moments(states)
     xi2 = squeezing_even_odd(m)
     # xi^2 >= 1 - (2/N)|<S+^2>|, from <Sz^2> <= N^2/4

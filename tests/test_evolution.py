@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import make_state, rk4_evolve
+from helpers import evolve_states, make_state, rk4_evolve
 
 from spinsqueeze import evolution, hamiltonians
 from spinsqueeze.dicke import (
@@ -18,7 +18,6 @@ from spinsqueeze.dicke import (
 from spinsqueeze.errors import NumericalError
 from spinsqueeze.evolution import (
     evolve_blocks,
-    evolve_grid,
     hermitian_eigen,
     solve_band,
     time_grid,
@@ -43,7 +42,7 @@ def band(diagonal, off_diagonal=None):
 
 def evolve_to(spec, initial, t):
     """The state at one time."""
-    return SymmetricState(initial.n_qubits, evolve_grid(spec, initial, [t]).amplitudes[0])
+    return SymmetricState(initial.n_qubits, evolve_states(spec, initial, [t]).amplitudes[0])
 
 
 def test_diagonal_eigen():
@@ -77,7 +76,7 @@ def test_evolve_t0_is_identity():
 
 def test_one_axis_n2_analytic_amplitudes():
     t = np.linspace(0, 2 * np.pi, 17)
-    states = evolve_grid(H1, make_all_down(2), t)
+    states = evolve_states(H1, make_all_down(2), t)
     phase = np.exp(-1j * t)
     expected = np.stack([(phase + 1) / 2, 0 * phase, (phase - 1) / 2], axis=-1)
     np.testing.assert_allclose(states.amplitudes, expected, atol=1e-12)
@@ -93,13 +92,16 @@ def test_forward_backward_roundtrip():
 def test_stack_of_initial_states_is_refused():
     stack = SymmetricState(2, np.tile(make_all_down(2).amplitudes, (3, 1)))
     with pytest.raises(ValueError, match=r"one initial state, got amplitudes of shape \(3, 3\)"):
-        evolve_grid(H1, stack, [0.0, 1.0])
+        hermitian_eigen(H1, stack)
 
 
 def test_non_finite_times_are_refused():
+    propagator = hermitian_eigen(H1, make_all_down(2))
     for times in ([0.0, np.nan], [np.inf]):
         with pytest.raises(ValueError, match="non-finite time"):
-            evolve_grid(H1, make_all_down(2), times)
+            evolution.propagate(propagator, times)
+        with pytest.raises(ValueError, match="non-finite time"):
+            evolve_blocks(H1, make_all_down(2), times)
 
 
 def test_empty_grid_is_refused_before_any_solve(monkeypatch):
@@ -109,8 +111,6 @@ def test_empty_grid_is_refused_before_any_solve(monkeypatch):
     for times in ([], np.zeros(0), np.zeros((0, 3))):
         with pytest.raises(ValueError, match="empty time grid"):
             evolution.propagate(propagator, times)
-        with pytest.raises(ValueError, match="empty time grid"):
-            evolve_grid(H1, make_all_down(2), times)
         with pytest.raises(ValueError, match="empty time grid"):
             evolve_blocks(H1, make_all_down(2), times)
     assert solved == []
@@ -394,7 +394,7 @@ def test_sector_path_matches_dense(model, n):
         c0 = vectors.conj().T @ initial.amplitudes
         dense = (vectors @ (np.exp(-1j * np.outer(energies, times)) * c0[:, None])).T
         assert [s.band.parity for s in hermitian_eigen(spec, initial).sectors] == parities
-        got = evolve_grid(spec, initial, times).amplitudes
+        got = evolve_states(spec, initial, times).amplitudes
         assert np.max(np.abs(got - dense)) <= tol
 
 
@@ -416,7 +416,7 @@ def test_all_down_diagonalizes_only_the_even_sector(monkeypatch):
 def test_traced_layers_exist_and_trajectory_calls_each_once(monkeypatch):
     # the benchmark's tracer times these functions and reads Propagator.dim
     for module, name in [(hamiltonians, "build_hamiltonian"), (evolution, "hermitian_eigen"),
-                         (evolution, "propagate"), (evolution, "evolve_grid"),
+                         (evolution, "propagate"),
                          (evolution, "trajectory")]:
         assert callable(getattr(module, name))
     calls = []
@@ -461,7 +461,7 @@ def test_evolve_blocks_solve_once_and_match_the_grid(n, monkeypatch):
     assert len(solved) == 1
     assert [len(t) for t, _ in blocks] == [40] * 5 + [1]
     assert np.array_equal(np.concatenate([t for t, _ in blocks]), times)
-    whole = evolve_grid(spec, make_all_down(n), times).amplitudes
+    whole = evolve_states(spec, make_all_down(n), times).amplitudes
     stacked = np.concatenate([s.amplitudes for _, s in blocks])
     # the last, 1-row block runs through GEMV, whose sums may round differently
     np.testing.assert_allclose(stacked, whole, rtol=0, atol=1e-14)
@@ -469,7 +469,7 @@ def test_evolve_blocks_solve_once_and_match_the_grid(n, monkeypatch):
 
 def test_evolve_blocks_refuses_a_stack_and_non_finite_times():
     with pytest.raises(ValueError, match="one initial state"):
-        evolve_blocks(H1, evolve_grid(H1, make_all_down(2), [0.0, 1.0]), [0.0])
+        evolve_blocks(H1, evolve_states(H1, make_all_down(2), [0.0, 1.0]), [0.0])
     with pytest.raises(ValueError, match="non-finite"):
         evolve_blocks(H1, make_all_down(2), [0.0, np.nan])
 
@@ -489,7 +489,7 @@ def test_trajectory_grid_and_parity():
     times = time_grid(np.pi, np.pi / 100)
     assert len(times) == 101
     assert times[-1] == pytest.approx(np.pi)
-    amps = evolve_grid(H1, make_all_down(2), times).amplitudes
+    amps = evolve_states(H1, make_all_down(2), times).amplitudes
     assert amps.shape == (101, 3)
     # every row is an even state: no weight on odd excitation numbers
     assert np.all(np.sum(np.abs(amps[:, 1::2]) ** 2, axis=1) <= 1e-12)
@@ -512,7 +512,7 @@ def test_invalid_grid():
 
 
 def test_transverse_means_vanish_with_field():
-    states = evolve_grid(HamiltonianSpec.one_axis_field(1.0, 2.0), make_all_down(10),
+    states = evolve_states(HamiltonianSpec.one_axis_field(1.0, 2.0), make_all_down(10),
                          time_grid(5.0, 0.05))
     m = collective_moments(states)
     assert np.max(np.abs(m.mean_sx)) <= 1e-10
@@ -522,7 +522,7 @@ def test_transverse_means_vanish_with_field():
 def test_energy_conservation():
     for spec in (H1, HamiltonianSpec.two_axis(1.0)):
         h = build_hamiltonian(spec, 8)
-        c = evolve_grid(spec, make_all_down(8), time_grid(10.0, 0.25)).amplitudes
+        c = evolve_states(spec, make_all_down(8), time_grid(10.0, 0.25)).amplitudes
         energies = np.einsum("ti,ij,tj->t", c.conj(), h, c).real
         assert max(energies) - min(energies) <= 1e-10
 

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,11 @@ from helpers import (
     complex_full_collective_moments,
     complex_full_evolve,
     complex_full_hamiltonian,
+    complex_pauli_sums,
+    evolve_states,
     make_state,
 )
+from test_evolution import h_norm_bound
 
 from spinsqueeze import oracle, verify
 from spinsqueeze.dicke import (
@@ -21,7 +25,6 @@ from spinsqueeze.dicke import (
     make_dicke_state,
 )
 from spinsqueeze.errors import CapacityError
-from spinsqueeze.evolution import evolve_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.oracle import (
     FullState,
@@ -70,11 +73,14 @@ class TestEmbedding:
             assert np.linalg.norm(full.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
     def test_each_time_independent_of_the_others(self):
-        h = full_hamiltonian(HamiltonianSpec.one_axis_field(1.0, 0.5), 4)
-        together = full_evolve(h, [0.1, 0.3, 1.0])
+        # each row of an embedded stack is the embedding of that row alone, bit for bit
+        times = [0.1, 0.3, 1.0]
+        states = evolve_states(HamiltonianSpec.one_axis_field(1.0, 0.5), make_all_down(4), times)
+        together = embed_symmetric(states)
         assert together.amplitudes.shape == (3, 16)
-        for t, amps in zip([0.1, 0.3, 1.0], together.amplitudes):
-            assert np.array_equal(amps, full_evolve(h, [t]).amplitudes[0])
+        for row, amps in zip(states.amplitudes, together.amplitudes):
+            alone = embed_symmetric(SymmetricState(4, row)).amplitudes
+            assert np.array_equal(amps.view(np.uint64), alone.view(np.uint64))
 
     def test_capacity(self):
         with pytest.raises(CapacityError):
@@ -100,8 +106,9 @@ def kron_pauli_sums(n_qubits):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_pauli_sums_equal_kronecker_chains_bit_for_bit(n):
-    # uint64 views: the sign of every zero must match too
-    for op, ref in zip(collective_pauli_sums(n), kron_pauli_sums(n)):
+    # real X, Y, Z with S_y = iY; uint64 views: the sign of every zero must match too
+    assert all(op.dtype == np.dtype(float) for op in collective_pauli_sums(n))
+    for op, ref in zip(complex_pauli_sums(n), kron_pauli_sums(n)):
         assert np.array_equal(op.view(np.uint64), ref.view(np.uint64))
 
 
@@ -115,7 +122,7 @@ class TestFullEvolve:
     def test_h1_n2_matches_analytic(self):
         t = np.pi / 4
         full = full_evolve(full_hamiltonian(HamiltonianSpec.one_axis(1.0), 2), [t])
-        states = evolve_grid(HamiltonianSpec.one_axis(1.0), make_all_down(2), [t])
+        states = evolve_states(HamiltonianSpec.one_axis(1.0), make_all_down(2), [t])
         sub = SymmetricState(2, states.amplitudes[0])
         overlap = abs(np.vdot(embed_symmetric(sub).amplitudes, full.amplitudes[0]))
         assert overlap == pytest.approx(1.0, abs=1e-12)
@@ -123,7 +130,7 @@ class TestFullEvolve:
     def test_h3_moments_match_subspace(self):
         spec = HamiltonianSpec.two_axis(1.0)
         full = full_evolve(full_hamiltonian(spec, 4), [0.3])
-        states = evolve_grid(spec, make_all_down(4), [0.3])
+        states = evolve_states(spec, make_all_down(4), [0.3])
         sub = SymmetricState(4, states.amplitudes[0])
         mf = full_collective_moments(full)
         ms = collective_moments(sub)
@@ -347,7 +354,7 @@ class TestSeparableSampler:
             rho = np.eye(1)
             for _ in range(n):
                 rho = np.kron(rho, single)
-            sx, sy, sz = collective_pauli_sums(n)
+            sx, sy, sz = complex_pauli_sums(n)
             m = product_moments(bloch, n)
             assert np.trace(rho @ sz).real == pytest.approx(m.mean_sz, abs=1e-12)
             assert np.trace(rho @ sz @ sz).real == pytest.approx(m.sz2, abs=1e-12)
@@ -376,3 +383,16 @@ class TestOneAxisAnalytic:
     def test_n2_time_independent_sz2(self):
         for t in (0.0, 0.4, 2.0):
             assert one_axis_analytic_moments(2, 1.0, t).sz2 == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 20, 400])
+    def test_every_moment_matches_the_propagated_state(self, n):
+        # <Sz>, Im<S+^2> and the second moments of all-down under mu Sx^2,
+        # within the error model eps * N^2 * max(1, ||H|| t)
+        spec, times = HamiltonianSpec.one_axis(0.7), np.linspace(0.0, 3.0, 61)
+        m = collective_moments(evolve_states(spec, make_all_down(n), times))
+        ref = one_axis_analytic_moments(n, spec.mu, times)
+        tol = sys.float_info.epsilon * n * n * np.maximum(1.0, h_norm_bound(spec, n) * times)
+        for got, want in ((m.mean_sz, ref.mean_sz), (m.sp2.imag, ref.sp2_im),
+                          (m.sp2.real, ref.sp2_re), (m.sz2, ref.sz2),
+                          (m.sx2, ref.sx2), (m.sy2, ref.sy2)):
+            assert np.all(np.abs(got - want) <= tol)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import make_state
+from helpers import evolve_states, make_state
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +13,6 @@ from spinsqueeze.dicke import (
     make_dicke_state,
 )
 from spinsqueeze.errors import NotXFormError
-from spinsqueeze.evolution import evolve_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.pairwise import (
     COHERENCE_DOMINATED,
@@ -29,7 +28,7 @@ from spinsqueeze.verify import random_x_form
 
 
 def h1_moments(n, t):
-    states = evolve_grid(HamiltonianSpec.one_axis(1.0), make_all_down(n), [t])
+    states = evolve_states(HamiltonianSpec.one_axis(1.0), make_all_down(n), [t])
     return collective_moments(SymmetricState(n, states.amplitudes[0]))
 
 
@@ -171,7 +170,7 @@ class TestCondition:
         assert not margin > 0.0
 
     def test_h1_n2_half_period(self):
-        states = evolve_grid(HamiltonianSpec.one_axis(1.0), make_all_down(2), [np.pi / 2])
+        states = evolve_states(HamiltonianSpec.one_axis(1.0), make_all_down(2), [np.pi / 2])
         margin, xi2 = self.row(states)
         assert margin == pytest.approx(0.5, abs=1e-12)
         assert xi2 == pytest.approx(0.0, abs=1e-12)

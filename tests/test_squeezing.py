@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import make_state
+from helpers import evolve_states, make_state
 
 from spinsqueeze.dicke import (
     SymmetricState,
@@ -14,13 +14,12 @@ from spinsqueeze.dicke import (
     make_dicke_state,
 )
 from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
-from spinsqueeze.evolution import evolve_grid
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.squeezing import squeezing_even_odd, squeezing_general
 
 
 def h1_state(n, t):
-    states = evolve_grid(HamiltonianSpec.one_axis(1.0), make_all_down(n), [t])
+    states = evolve_states(HamiltonianSpec.one_axis(1.0), make_all_down(n), [t])
     return SymmetricState(n, states.amplitudes[0])
 
 
