@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 
 from . import verify as verify_mod
-from .dicke import SymmetricState, make_dicke_state
+from .dicke import make_dicke_state
 from .errors import NumericalError
 from .evolution import trajectory
 from .hamiltonians import HamiltonianSpec
@@ -231,9 +231,7 @@ def cmd_scan(cfg: RunConfig, n_list, workers: int) -> int:
 
 
 def cmd_dicke(n_qubits: int, n_excited: int) -> int:
-    # a one-row stack: a zero mean spin reads xi2_general NaN instead of raising
-    state = make_dicke_state(n_qubits, n_excited)
-    row = {c: v[0] for c, v in analyse(SymmetricState(n_qubits, state.amplitudes[None])).items()}
+    row = analyse(make_dicke_state(n_qubits, n_excited))
     print(f"Dicke state: N = {n_qubits}, excitations = {n_excited}")
     print(f"xi2          = {row['xi2_closed']:.17g}")
     print(f"concurrence  = {row['concurrence']:.17g}  (branch: {row['branch']})")

@@ -9,10 +9,6 @@ class CapacityError(ValueError):
     """Requested system size exceeds the full tensor-product oracle's cap."""
 
 
-class MeanSpinDegenerateError(ValueError):
-    """Mean spin too small to define a perpendicular squeezing plane."""
-
-
 class NotEvenOddError(ValueError):
     """State lacks the vanishing transverse moments of an even/odd state."""
 

@@ -1,24 +1,24 @@
 """Exact unitary evolution in the symmetric subspace.
 
-H is diagonalized once per parity sector: each sector is a real symmetric
-tridiagonal band T of size m about N/2 under a diagonal phase gauge D
-(`hamiltonians.SectorBand`), and only the sectors the initial state
-occupies are solved. At even N the bands of the one-axis, two-axis and
-even-f `general` Hamiltonians are unchanged by the spin flip n <-> N-n:
-each is palindromic (J T J = T, J the row reversal) and splits exactly
-into a J-even and a J-odd band of half the size (Cantoni and Butler, 1976),
-each solved on its own; a zero-diagonal band of even size is the exception
-and is not folded. A band with a zero diagonal (two-axis, and `general`
-with mu + chi = 0 and no f) is bipartite, and its eigenpairs come from the
-SVD of its bidiagonal half; every other band, or half of one, goes to
-`eigh`. Of each solved sector only the modes the initial state occupies
-are kept: the smallest-weight modes are dropped while their summed weight
-stays within m eps^2, which moves every propagated state by at most
-sqrt(m) eps. Every trajectory point is computed directly as
-D V exp(-i Lambda t) V^T D^dag c(0), so there is no step-to-step error
-accumulation and arbitrary times are equally accurate. H keeps the parity
-of n, so a state of one sector (all-down is even) is propagated and handed
-on as that sector's (T, m) entries alone, never as a (T, N+1) stack.
+H keeps the parity of n, so it is diagonalized on the one parity sector the
+initial state occupies (all-down is even), and a state of both parities is
+refused. The sector is a real symmetric tridiagonal band T of size m about
+N/2 under a diagonal phase gauge D (`hamiltonians.SectorBand`). At even N
+the bands of the one-axis, two-axis and even-f `general` Hamiltonians are
+unchanged by the spin flip n <-> N-n: each is palindromic (J T J = T, J the
+row reversal) and splits exactly into a J-even and a J-odd band of half the
+size (Cantoni and Butler, 1976), each solved on its own; a zero-diagonal
+band of even size is the exception and is not folded. A band with a zero
+diagonal (two-axis, and `general` with mu + chi = 0 and no f) is bipartite,
+and its eigenpairs come from the SVD of its bidiagonal half; every other
+band, or half of one, goes to `eigh`. Of the solved sector only the modes
+the initial state occupies are kept: the smallest-weight modes are dropped
+while their summed weight stays within m eps^2, which moves every
+propagated state by at most sqrt(m) eps. Every trajectory point is computed
+directly as D V exp(-i Lambda t) w, with w = V^T D^dag c(0) the initial
+state's mode amplitudes, computed once, so there is no step-to-step error
+accumulation and arbitrary times are equally accurate. The states are
+handed on as the sector's (T, m) entries alone, never as a (T, N+1) stack.
 `evolve_blocks` propagates a long grid one block of times at a time, so
 its memory does not grow with the number of times.
 """
@@ -41,36 +41,30 @@ CONTRACT_ELEMENTS = 2**15  # entries of V per row window of the residual contrac
 
 
 @dataclass(frozen=True)
-class SectorEigen:
-    """Eigenpairs of one sector's band T, energies ascending: all m from
-    `solve_band`, the occupied ones in a `Propagator`. The eigenvectors are
-    real columns over the gauged sector basis. For a folded (palindromic)
-    band the columns alternate between J-even and J-odd vectors, which the
-    interlacing of the two halves' spectra puts in ascending order; two
-    energies that agree to rounding may come in either order. A zero-diagonal
-    band of even size is not folded."""
+class Propagator:
+    """The solved parity sector of H for one initial state: the kept modes,
+    energies ascending, and the initial state's amplitudes on them. The
+    eigenvectors are real columns over the gauged sector basis. For a folded
+    (palindromic) band the columns alternate between J-even and J-odd
+    vectors, which the interlacing of the two halves' spectra puts in
+    ascending order; two energies that agree to rounding may come in either
+    order. A zero-diagonal band of even size is not folded."""
 
     band: SectorBand
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass(frozen=True)
-class Propagator:
-    """The solved parity sectors of H for one initial state."""
-
-    initial: SymmetricState  # one state, amplitudes of shape (N+1,)
-    sectors: tuple  # SectorEigen, one per occupied sector
+    eigenvalues: np.ndarray  # (k,), the kept modes
+    eigenvectors: np.ndarray  # (m, k)
+    mode_re: np.ndarray  # (k,), real part of V^T D^dag c(0)
+    mode_im: np.ndarray  # (k,), imaginary part
 
     @property
     def dim(self) -> int:
-        """Total size of the solved sectors."""
-        return sum(s.band.dim for s in self.sectors)
+        """Size m of the solved sector."""
+        return self.band.dim
 
     @property
     def modes(self) -> int:
-        """Total number of modes kept for propagation (at most `dim`)."""
-        return sum(s.eigenvalues.size for s in self.sectors)
+        """Number of modes kept for propagation (at most `dim`)."""
+        return self.eigenvalues.size
 
 
 def _is_chiral(d: np.ndarray) -> bool:
@@ -175,15 +169,16 @@ def _reconstruction_residual(d, e, energies, vectors) -> float:
     return np.max(worst)  # a NaN anywhere gives NaN
 
 
-def solve_band(band: SectorBand) -> SectorEigen:
-    """Diagonalize one sector's band, then verify the reconstruction and
-    orthonormality contracts on the assembled V. An exactly palindromic
-    band (one-axis, two-axis and `general` with an even f, all at even N)
-    is folded into two half-size bands by `_folded_eigh`, unless it has a
-    zero diagonal and even m. Otherwise a band with a zero diagonal and
-    m > 1 (two-axis, and `general` with mu + chi = 0 and no f) is solved by
-    `_chiral_eigh`, every other band by `eigh`; the halves of a fold are
-    dispatched the same way."""
+def solve_band(band: SectorBand):
+    """(energies, vectors): the m eigenpairs of one sector's band, energies
+    ascending, after the reconstruction and orthonormality contracts are
+    verified on the assembled V. An exactly palindromic band (one-axis,
+    two-axis and `general` with an even f, all at even N) is folded into
+    two half-size bands by `_folded_eigh`, unless it has a zero diagonal
+    and even m. Otherwise a band with a zero diagonal and m > 1 (two-axis,
+    and `general` with mu + chi = 0 and no f) is solved by `_chiral_eigh`,
+    every other band by `eigh`; the halves of a fold are dispatched the
+    same way."""
     d, e = band.diagonal, band.off_diagonal
     if _folds(d, e):
         vectors = np.empty((band.dim, band.dim))
@@ -192,7 +187,7 @@ def solve_band(band: SectorBand) -> SectorEigen:
         vectors = np.empty((band.dim, band.dim))
         energies = _chiral_eigh(e, vectors)
     else:
-        energies, vectors = np.linalg.eigh(band.tridiagonal())
+        energies, vectors = np.linalg.eigh(tridiagonal(d, e))
     scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
     residual = _reconstruction_residual(d, e, energies, vectors)
     if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
@@ -202,39 +197,35 @@ def solve_band(band: SectorBand) -> SectorEigen:
     ortho = np.max(np.abs(gram, out=gram))
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
-    return SectorEigen(band=band, eigenvalues=energies, eigenvectors=vectors)
+    return energies, vectors
 
 
-def _occupied_modes(sector_eigen: SectorEigen, c0: np.ndarray) -> SectorEigen:
-    """`sector_eigen` without the modes the initial state c0 leaves empty:
-    the smallest-weight modes are dropped while their summed weight stays
-    within m eps^2, so each propagated state moves by at most sqrt(m) eps
-    in 2-norm at every time, the propagation being unitary. The kept modes
-    stay in ascending-energy order."""
-    band, v = sector_eigen.band, sector_eigen.eigenvectors
+def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagator:
+    """Solve the one sector of H that `initial` occupies and keep the modes
+    it occupies: the smallest-weight modes are dropped while their summed
+    weight stays within m eps^2, so each propagated state moves by at most
+    sqrt(m) eps in 2-norm at every time, the propagation being unitary. The
+    kept modes stay in ascending-energy order. A stack of states, or a state
+    of both parities, is refused before any solve."""
+    c0 = initial.amplitudes
+    if c0.ndim != 1:
+        raise ValueError(f"expected one initial state, got amplitudes of shape {c0.shape}")
+    occupied = [band for band in sector_bands(spec, initial.n_qubits) if np.any(c0[band.indices])]
+    if len(occupied) != 1:
+        raise ValueError("initial state has weight in both parity sectors; "
+                         "expected an even or an odd state")
+    [band] = occupied
+    energies, v = solve_band(band)
     x = band.gauge().conj() * c0[band.indices]
     wr, wi = x.real @ v, x.imag @ v
     weights = wr * wr + wi * wi
     order = np.argsort(weights)
     bound = band.dim * np.finfo(float).eps ** 2
     dropped = int(np.searchsorted(np.cumsum(weights[order]), bound, side="right"))
-    if not dropped:
-        return sector_eigen
-    keep = np.sort(order[dropped:])
-    return SectorEigen(band, sector_eigen.eigenvalues[keep], v[:, keep])
-
-
-def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagator:
-    """Build the sector bands of H, solve each sector that `initial` occupies
-    and keep the modes it occupies."""
-    c0 = initial.amplitudes
-    if c0.ndim != 1:
-        raise ValueError(f"expected one initial state, got amplitudes of shape {c0.shape}")
-    return Propagator(initial, tuple(
-        _occupied_modes(solve_band(band), c0)
-        for band in sector_bands(spec, initial.n_qubits)
-        if np.any(c0[band.indices])
-    ))
+    if dropped:  # else V itself: v[:, keep] is not C-contiguous and rounds the GEMM otherwise
+        keep = np.sort(order[dropped:])
+        energies, v, wr, wi = energies[keep], v[:, keep], wr[keep], wi[keep]
+    return Propagator(band, energies, v, wr, wi)
 
 
 def _checked_times(times) -> np.ndarray:
@@ -248,40 +239,32 @@ def _checked_times(times) -> np.ndarray:
 
 
 def propagate(propagator: Propagator, times) -> SymmetricState:
-    """The stack of states at `times`, one row per time, from the solved
-    sectors. A propagator of one sector, as every one from all-down is, gives
-    a sector state: each row holds only that sector's m entries, written as
-    contiguous (T, m) rows. One of both sectors gives full (T, N+1) rows."""
-    c0 = propagator.initial.amplitudes
+    """The stack of states at `times`, one row per time, as a sector state:
+    each row holds only the sector's m entries, written as contiguous (T, m)
+    rows."""
     times = _checked_times(times)
-    sectors = propagator.sectors
-    parity = sectors[0].band.parity if len(sectors) == 1 else None
-    width = sectors[0].band.dim if parity is not None else c0.size
-    entries = np.empty((times.size, width), dtype=complex)  # the sectors fill every column
-    for sector_eigen in sectors:
-        band, v = sector_eigen.band, sector_eigen.eigenvectors
-        sector, gauge = band.indices, band.gauge()
-        x = gauge.conj() * c0[sector]
-        wr, wi = x.real @ v, x.imag @ v  # modes of the gauged initial state
-        phase = np.outer(times, sector_eigen.eigenvalues)
-        cos, sin = np.cos(phase), np.sin(phase)
-        # exp(-i lambda t) (wr + i wi), split into two real GEMMs
-        block = entries if parity is not None else entries[:, sector]
-        block.real = (cos * wr + sin * wi) @ v.T
-        block.imag = (cos * wi - sin * wr) @ v.T
-        block *= gauge
+    band, v = propagator.band, propagator.eigenvectors
+    wr, wi = propagator.mode_re, propagator.mode_im
+    phase = np.outer(times, propagator.eigenvalues)
+    cos, sin = np.cos(phase), np.sin(phase)
+    entries = np.empty((times.size, band.dim), dtype=complex)
+    # exp(-i lambda t) (wr + i wi), split into two real GEMMs
+    entries.real = (cos * wr + sin * wi) @ v.T
+    entries.imag = (cos * wi - sin * wr) @ v.T
+    entries *= band.gauge()
     entries.flags.writeable = False  # so SymmetricState need not copy it
     try:
-        return SymmetricState(propagator.initial.n_qubits, entries, parity)
+        return SymmetricState(band.n_qubits, entries, band.parity)
     except ValueError as exc:  # exact propagation is unitary: a lost norm is numerical
         raise NumericalError(f"propagated state lost its norm: {exc}") from exc
 
 
 def evolve_blocks(spec: HamiltonianSpec, initial: SymmetricState, times):
-    """Solve the sectors once, then return a generator of (times, states) for
-    consecutive blocks of at most BLOCK_AMPLITUDES // (N+1) rows, so that
-    memory stays bounded whatever the length of `times`. Bad input is refused
-    by the call, not at the first block."""
+    """Solve the occupied sector once, then return a generator of (times,
+    states) for consecutive blocks of at most BLOCK_AMPLITUDES // (N+1) rows,
+    so that memory stays bounded whatever the length of `times`. Bad input,
+    a state of both parities included, is refused by the call, not at the
+    first block."""
     times = _checked_times(times)  # before the solve
     propagator = hermitian_eigen(spec, initial)
     step = max(1, BLOCK_AMPLITUDES // (initial.n_qubits + 1))
@@ -301,6 +284,6 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
 
 def trajectory(spec: HamiltonianSpec, n_qubits: int, t_max: float, dt: float):
     """The all-down state evolved over `time_grid(t_max, dt)`, as the (times,
-    states) blocks of `evolve_blocks`: the call solves the sectors and each
-    block is propagated when drawn. All-down is even: one sector is solved."""
+    states) blocks of `evolve_blocks`: the call solves the even sector, the
+    one all-down occupies, and each block is propagated when drawn."""
     return evolve_blocks(spec, make_all_down(n_qubits), time_grid(t_max, dt))

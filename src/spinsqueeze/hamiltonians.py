@@ -114,10 +114,6 @@ class SectorBand:
         steps[0] = 1.0
         return np.cumprod(steps)
 
-    def tridiagonal(self) -> np.ndarray:
-        """T as a dense real (m, m) matrix."""
-        return tridiagonal(self.diagonal, self.off_diagonal)
-
 
 def tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> np.ndarray:
     """The dense real symmetric tridiagonal matrix with these diagonals."""
@@ -153,8 +149,8 @@ def assemble_sectors(bands) -> np.ndarray:
     dim = bands[0].n_qubits + 1
     h = np.zeros((dim, dim), dtype=complex)
     for band in bands:
-        d = band.gauge()
-        h[band.indices, band.indices] = d[:, None] * band.tridiagonal() * d.conj()
+        d, t = band.gauge(), tridiagonal(band.diagonal, band.off_diagonal)
+        h[band.indices, band.indices] = d[:, None] * t * d.conj()
     return h
 
 

@@ -163,9 +163,9 @@ def prop3_residual(xi2: float, concurrence: float, n_qubits: int) -> float:
 
 def analyse(states: SymmetricState) -> dict:
     """The one analysis path of the commands: moments, both xi^2 routes, the
-    pair reduction and its X-form concurrence of a (T, N+1) stack of even or
-    odd states, as column name -> array, one value per state; a row gives the
-    bits it gives as a one-row stack. The columns are those of the `evolve`
+    pair reduction and its X-form concurrence of one even or odd state, or
+    a stack of them, as column name -> array, one value per state; a row
+    gives the bits it gives as a one-row stack. The columns are those of the `evolve`
     CSV but `t`, then `margin` (the squeezing criterion |u| - y > 0 of
     even/odd states) and the coherences `x_plus` and `x_minus`. A row with a
     vanishing mean spin has `xi2_general` NaN and `degenerate_flag` 1."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dicke import CollectiveMoments
-from .errors import MeanSpinDegenerateError, NotEvenOddError
+from .errors import NotEvenOddError
 
 MEAN_SPIN_TOL = 1e-8
 EVEN_ODD_TOL = 1e-8
@@ -40,16 +40,10 @@ def _perpendicular_min(mean_spin: np.ndarray, cov: np.ndarray):
 def squeezing_general(m: CollectiveMoments):
     """xi^2 as 4/N times the minimal variance perpendicular to the mean spin.
 
-    A single state with a vanishing mean spin raises; in a stack such rows
-    read NaN.
+    A state with a vanishing mean spin, alone or as a row of a stack, reads
+    NaN: no perpendicular plane is defined.
     """
-    norm = m.mean_spin_norm
-    degenerate = norm < MEAN_SPIN_TOL
-    if np.ndim(norm) == 0 and degenerate:
-        raise MeanSpinDegenerateError(
-            f"mean spin norm {norm:.3e} below {MEAN_SPIN_TOL}; "
-            "no perpendicular plane is defined"
-        )
+    degenerate = m.mean_spin_norm < MEAN_SPIN_TOL
     lam = _perpendicular_min(m.mean_spin, m.covariance)
     return np.where(degenerate, np.nan, np.maximum(4.0 * lam / m.n_qubits, 0.0))[()]
 

@@ -36,6 +36,7 @@ from .oracle import (
     full_collective_moments,
     full_evolve,
     full_hamiltonian,
+    one_axis_analytic_moments,
     partial_trace_pair,
     sample_separable,
 )
@@ -117,8 +118,6 @@ def suite_lemma2(seed: int, per_n: int = 100, n_values=range(2, 9)):
 
 def suite_lemma3(n_values=(2, 3, 4, 6, 10, 20), points: int = 200):
     """Numeric one-axis moments match the closed cosine formulas."""
-    from .oracle import one_axis_analytic_moments
-
     mu = 1.0
     checks = []
     for n in n_values:

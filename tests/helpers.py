@@ -7,6 +7,7 @@ import numpy as np
 from spinsqueeze import cli
 from spinsqueeze.dicke import NORM_TOL, CollectiveMoments, SymmetricState, squared_norm
 from spinsqueeze.evolution import hermitian_eigen, propagate
+from spinsqueeze.hamiltonians import build_hamiltonian
 from spinsqueeze.oracle import FullState, collective_pauli_sums
 
 
@@ -30,6 +31,16 @@ def evolve_states(spec, initial: SymmetricState, times) -> SymmetricState:
     """The stack of states at `times`, one row per time: one sector solve,
     then `evolution.propagate`."""
     return propagate(hermitian_eigen(spec, initial), times)
+
+
+def dense_evolve(spec, initial: SymmetricState, times) -> np.ndarray:
+    """The (T, N+1) amplitudes of `initial` at `times` through the complex
+    `eigh` of the dense H of `build_hamiltonian`, which does not assume the
+    parity sectors: a reference, and the one way here to evolve a state of
+    both parities."""
+    energies, vectors = np.linalg.eigh(build_hamiltonian(spec, initial.n_qubits))
+    c0 = vectors.conj().T @ initial.amplitudes
+    return (vectors @ (np.exp(-1j * np.outer(energies, times)) * c0[:, None])).T
 
 
 def evolve_columns(cfg: cli.RunConfig) -> dict:

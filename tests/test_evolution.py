@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import evolve_states, make_state, rk4_evolve
+from helpers import dense_evolve, evolve_states, make_state, rk4_evolve
 
 from spinsqueeze import evolution, hamiltonians
 from spinsqueeze.dicke import (
@@ -28,6 +28,7 @@ from spinsqueeze.hamiltonians import (
     SectorBand,
     build_hamiltonian,
     sector_bands,
+    tridiagonal,
 )
 
 H1 = HamiltonianSpec.one_axis(1.0)
@@ -46,22 +47,21 @@ def evolve_to(spec, initial, t):
 
 
 def test_diagonal_eigen():
-    prop = solve_band(band([1.0, 2.0, 3.0]))
-    np.testing.assert_allclose(prop.eigenvalues, [1, 2, 3])
-    np.testing.assert_allclose(np.abs(prop.eigenvectors), np.eye(3), atol=1e-14)
+    energies, vectors = solve_band(band([1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(energies, [1, 2, 3])
+    np.testing.assert_allclose(np.abs(vectors), np.eye(3), atol=1e-14)
 
 
 def test_one_axis_n2_spectrum():
-    energies = np.concatenate([solve_band(b).eigenvalues for b in sector_bands(H1, 2)])
+    energies = np.concatenate([solve_band(b)[0] for b in sector_bands(H1, 2)])
     np.testing.assert_allclose(np.sort(energies), [0, 1, 1], atol=1e-14)
 
 
 def test_random_hermitian_contracts():
     rng = np.random.default_rng(2)
     b = band(rng.normal(size=50), rng.normal(size=49))
-    prop = solve_band(b)
-    v, e = prop.eigenvectors, prop.eigenvalues
-    assert np.max(np.abs(v @ np.diag(e) @ v.T - b.tridiagonal())) <= 1e-10
+    e, v = solve_band(b)
+    assert np.max(np.abs(v @ np.diag(e) @ v.T - tridiagonal(b.diagonal, b.off_diagonal))) <= 1e-10
     assert np.max(np.abs(v.T @ v - np.eye(50))) <= 1e-11
 
 
@@ -93,6 +93,26 @@ def test_stack_of_initial_states_is_refused():
     stack = SymmetricState(2, np.tile(make_all_down(2).amplitudes, (3, 1)))
     with pytest.raises(ValueError, match=r"one initial state, got amplitudes of shape \(3, 3\)"):
         hermitian_eigen(H1, stack)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_a_state_of_both_parities_is_refused_before_any_solve(n, monkeypatch):
+    solved = []
+    original = evolution.solve_band
+
+    def spy(b):
+        solved.append((b.parity, b.dim))
+        return original(b)
+
+    monkeypatch.setattr(evolution, "solve_band", spy)
+    both, _ = make_state(n, np.ones(n + 1))
+    with pytest.raises(ValueError, match="both parity sectors"):
+        hermitian_eigen(H1, both)
+    with pytest.raises(ValueError, match="both parity sectors"):
+        evolve_blocks(H1, both, [0.0, 1.0])
+    assert solved == []
+    hermitian_eigen(H1, make_all_down(n))  # the spy sees a solve
+    assert solved == [(0, n // 2 + 1)]
 
 
 def test_non_finite_times_are_refused():
@@ -249,12 +269,11 @@ def test_zero_diagonal_band_is_solved_by_svd(model, n, monkeypatch):
         m = b.dim
         assert not np.any(b.diagonal)
         solved_by_svd.clear()
-        solved = solve_band(b)
+        energies, vectors = solve_band(b)
         # at even N a band of odd m folds into halves of (m + 1) // 2 and m // 2
         halves = [(m + 1) // 2, m // 2] if n % 2 == 0 and m % 2 else [m]
         assert solved_by_svd == [((k + 1) // 2, k // 2) for k in halves if k > 1]
-        energies, vectors = solved.eigenvalues, solved.eigenvectors
-        reference = np.linalg.eigh(b.tridiagonal())[0]
+        reference = np.linalg.eigh(tridiagonal(b.diagonal, b.off_diagonal))[0]
         assert np.array_equal(energies, -energies[::-1])
         assert np.max(np.abs(energies - reference)) <= (
             sys.float_info.epsilon * m * np.max(np.abs(reference)))
@@ -304,12 +323,12 @@ def test_exactly_palindromic_bands_fold(case, monkeypatch):
 def assert_eigenpairs_match_eigh(b):
     """solve_band's eigenvalues against eigh of the dense band, and its
     residual, within eps m ||T||."""
-    solved = solve_band(b)
-    reference = np.linalg.eigh(b.tridiagonal())[0]
+    energies, vectors = solve_band(b)
+    reference = np.linalg.eigh(tridiagonal(b.diagonal, b.off_diagonal))[0]
     bound = sys.float_info.epsilon * b.dim * max(np.max(np.abs(reference)), 1.0)
-    assert np.max(np.abs(solved.eigenvalues - reference)) <= bound
+    assert np.max(np.abs(energies - reference)) <= bound
     assert evolution._reconstruction_residual(
-        b.diagonal, b.off_diagonal, solved.eigenvalues, solved.eigenvectors) <= bound
+        b.diagonal, b.off_diagonal, energies, vectors) <= bound
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -347,7 +366,9 @@ def test_mode_cut_moves_each_state_by_at_most_sqrt_m_eps(model):
     times = time_grid(10.0, 0.5)
     cut = hermitian_eigen(spec, initial)
     odd = sector_bands(spec, n)[1]
-    uncut = evolution.Propagator(initial, (solve_band(odd),))
+    energies, vectors = solve_band(odd)
+    x = odd.gauge().conj() * initial.amplitudes[odd.indices]
+    uncut = evolution.Propagator(odd, energies, vectors, x.real @ vectors, x.imag @ vectors)
     assert cut.dim == uncut.modes == odd.dim and cut.modes < cut.dim
     diff = (evolution.propagate(cut, times).amplitudes
             - evolution.propagate(uncut, times).amplitudes)
@@ -386,16 +407,13 @@ def test_sector_path_matches_dense(model, n):
     spec = SECTOR_SPECS[model]
     times = np.array([0.0, 0.7, 3.1])
     tol = sys.float_info.epsilon * n * n * max(1.0, h_norm_bound(spec, n) * times[-1])
-    energies, vectors = np.linalg.eigh(build_hamiltonian(spec, n))
     rng = np.random.default_rng(n)
-    mixed, _ = make_state(n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+    rng.normal(size=(2, n + 1))  # the dropped two-parity case's draws: the odd state is kept
     odd, _ = make_state(n, np.where(np.arange(n + 1) % 2, rng.normal(size=n + 1), 0.0))
-    for initial, parities in ((make_all_down(n), [0]), (mixed, [0, 1]), (odd, [1])):
-        c0 = vectors.conj().T @ initial.amplitudes
-        dense = (vectors @ (np.exp(-1j * np.outer(energies, times)) * c0[:, None])).T
-        assert [s.band.parity for s in hermitian_eigen(spec, initial).sectors] == parities
+    for initial, parity in ((make_all_down(n), 0), (odd, 1)):
+        assert hermitian_eigen(spec, initial).band.parity == parity
         got = evolve_states(spec, initial, times).amplitudes
-        assert np.max(np.abs(got - dense)) <= tol
+        assert np.max(np.abs(got - dense_evolve(spec, initial, times))) <= tol
 
 
 def test_all_down_diagonalizes_only_the_even_sector(monkeypatch):

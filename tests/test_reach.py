@@ -3,9 +3,11 @@
 The commands below run in process under `sys.setprofile`, which sees each
 entry into a Python function. A function or method defined in
 `src/spinsqueeze` that none of them enters is code that no user reaches:
-it should go, or move to the tests that use it.
+it should go, or move to the tests that use it. Likewise every exception
+class of `errors.py` must be raised somewhere in the package.
 """
 
+import ast
 import contextlib
 import inspect
 import io
@@ -86,3 +88,21 @@ def test_every_function_is_reached_by_a_command(tmp_path):
     reached = {key(code) for code in entered} | UNREACHED
     unreached = sorted(label(code) for k, code in defined_functions().items() if k not in reached)
     assert not unreached, "no command enters " + ", ".join(unreached)
+
+
+def test_every_exception_class_is_raised_by_another_module():
+    errors = PACKAGE / "errors.py"
+    classes = {node.name for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        if path == errors:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    assert classes and not classes - raised, "never raised: " + ", ".join(sorted(classes - raised))

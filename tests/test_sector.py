@@ -1,12 +1,13 @@
 """The parity-sector states that `evolution.propagate` gives and the analysis reads.
 
-A propagator of one parity sector (every one from all-down, or from the odd
-Dicke state |1>) gives a `SymmetricState` that holds only the sector's m
-entries per row. Its analysis must agree with that of the full (T, N+1)
-state built from it, within the error model; a row must give the bits it
-gives alone; a lost norm must stay a numerical error; and a state of both
-parities must keep its n -> n+1 cross moments. Nothing on the `evolve` or
-`scan` path may build a (T, N+1) amplitude array.
+A propagator solves the one parity sector its initial state occupies (the
+even one from all-down, the odd one from the Dicke state |1>) and gives a
+`SymmetricState` that holds only the sector's m entries per row. Its
+analysis must agree with that of the full (T, N+1) state built from it,
+within the error model; a row must give the bits it gives alone; a lost
+norm must stay a numerical error; and a state of both parities, evolved
+through the dense H, must keep its n -> n+1 cross moments. Nothing on the
+`evolve` or `scan` path may build a (T, N+1) amplitude array.
 """
 
 import dataclasses
@@ -14,7 +15,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import evolve_states, make_state
+from helpers import dense_evolve, evolve_states, make_state
 from test_evolution import SECTOR_SPECS, h_norm_bound
 
 from spinsqueeze import cli, evolution
@@ -76,14 +77,12 @@ def test_a_sector_row_gives_the_bits_it_gives_alone(n, excitations):
 
 def leaky(propagator):
     """`propagator` with eigenvectors scaled by 1+1e-6: its states lose their norm."""
-    return dataclasses.replace(propagator, sectors=tuple(
-        dataclasses.replace(s, eigenvectors=s.eigenvectors * (1 + 1e-6))
-        for s in propagator.sectors))
+    return dataclasses.replace(propagator, eigenvectors=propagator.eigenvectors * (1 + 1e-6))
 
 
 def test_a_lost_norm_on_sector_rows_is_a_numerical_error(monkeypatch, capsys):
     propagator = evolution.hermitian_eigen(SECTOR_SPECS["two-axis"], make_all_down(6))
-    assert len(propagator.sectors) == 1
+    assert propagator.band.parity == 0
     with pytest.raises(NumericalError, match="lost its norm"):
         evolution.propagate(leaky(propagator), TIMES)
     entries = evolution.propagate(propagator, TIMES).entries * (1 + 1e-6)
@@ -101,7 +100,7 @@ def test_a_lost_norm_on_sector_rows_is_a_numerical_error(monkeypatch, capsys):
 def test_a_state_of_both_parities_keeps_its_cross_moments(n):
     rng = np.random.default_rng(2100 + n)
     initial, _ = make_state(n, rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
-    states = evolve_states(SECTOR_SPECS["general"], initial, TIMES)
+    states = SymmetricState(n, dense_evolve(SECTOR_SPECS["general"], initial, TIMES))
     assert states.parity is None and states.entries.shape == (TIMES.size, n + 1)
     m = collective_moments(states)
     sx, sy, sz, sp, _ = collective_operators(n)

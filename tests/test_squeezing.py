@@ -13,7 +13,7 @@ from spinsqueeze.dicke import (
     make_all_down,
     make_dicke_state,
 )
-from spinsqueeze.errors import MeanSpinDegenerateError, NotEvenOddError
+from spinsqueeze.errors import NotEvenOddError
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.squeezing import squeezing_even_odd, squeezing_general
 
@@ -37,10 +37,10 @@ def test_h1_n2_quarter_period():
     assert squeezing_even_odd(m) == pytest.approx(expected, abs=1e-12)
 
 
-def test_degenerate_mean_spin_raises():
+def test_degenerate_mean_spin_reads_nan():
     state, _ = make_state(2, [1, 0, 1])
-    with pytest.raises(MeanSpinDegenerateError):
-        squeezing_general(collective_moments(state))
+    xi2 = squeezing_general(collective_moments(state))
+    assert np.ndim(xi2) == 0 and np.isnan(xi2)
 
 
 def test_even_odd_rejects_mixed_parity_state():
