@@ -225,10 +225,10 @@ def mix_moments(weights, moments: CollectiveMoments) -> CollectiveMoments:
     total = np.sum(weights, axis=-1)
     if not np.all(np.abs(total - 1.0) <= 1e-12):
         raise ValueError(f"weights sum to {total!r}, expected 1")
-    # a row that sample_separable padded with zero-weight components must equal
-    # the same draw unpadded: cumsum adds left to right, so the padding terms
-    # come last (np.sum's pairwise order would regroup the row), and + 0.0
-    # gives a -0.0 total the +0.0 that a padding term would give it
+    # a row that sample_separable padded with zero-weight components must
+    # equal its live components mixed alone: cumsum adds left to right, so the
+    # padding terms come last (np.sum's pairwise order would regroup the row),
+    # and + 0.0 gives a -0.0 total the +0.0 that a padding term would give it
     return CollectiveMoments(moments.n_qubits, **{
         f: np.cumsum(weights * getattr(moments, f), axis=-1)[..., -1] + 0.0
         for f in MOMENT_FIELDS

@@ -6,7 +6,7 @@ separable-state sampler works from single-qubit Bloch vectors. With
 S_x = X, S_y = iY, S_z = Z and X, Y, Z real, the 2^N work is real where it can
 be; two-axis H is purely imaginary and keeps a complex `eigh` (a gauge making
 it real would repeat the sector bands' trick in their reference). The sampler
-returns the moments of a list of random ensembles as one stack, built by one
+returns the moments of a stack of random ensembles, built by one
 `product_moments` call on every component's Bloch vector and one
 `mix_moments` call over the components. Convention:
 |1> is the single-qubit ground state, so the all-down state is the all-ones
@@ -199,30 +199,29 @@ def product_moments(bloch, n_qubits: int) -> CollectiveMoments:
     )
 
 
-def sample_separable(n_qubits: int, draws) -> CollectiveMoments:
-    """Moments of random symmetric separable ensembles, one row per draw.
+def sample_separable(n_qubits: int, rng, samples: int) -> CollectiveMoments:
+    """Moments of `samples` random symmetric separable ensembles, one row each.
 
-    Each draw (n_components, seed) is one ensemble: Bloch vectors uniform in
-    the unit ball (mixed single-qubit states included) and weights from a
-    flat Dirichlet, drawn from its own numpy PCG64 generator, so a row does
-    not depend on the other draws. Ensembles narrower than the widest are
-    padded with zero-weight components. Only the raw variates are drawn per
-    draw; they are transformed once, on the stack.
+    An ensemble has 1 to 8 components: Bloch vectors uniform in the unit ball
+    (mixed single-qubit states included) and weights from a flat Dirichlet.
+    The raw variates of all rows come from `rng` in four stacked calls: the
+    component counts, then (samples, 8, 3) normals, (samples, 8) uniforms and
+    (samples, 8) standard exponentials. The slots at or beyond a row's count
+    become zero-weight padding, and the variates are transformed once, on
+    the stack.
     """
-    counts = [k for k, _ in draws]
-    if n_qubits < 2 or not counts or min(counts) < 1:
-        raise ValueError("need n_qubits >= 2 and at least one draw, each with n_components >= 1")
-    shape = (len(draws), max(counts))
-    normals = np.ones(shape + (3,))  # padding: a nonzero norm, so no 0/0
-    uniforms = np.zeros(shape)
-    exps = np.zeros(shape)
-    for row, (k, seed) in enumerate(draws):
-        rng = np.random.default_rng(seed)
-        normals[row, :k] = rng.normal(size=(k, 3))
-        uniforms[row, :k] = rng.random(k)
-        exps[row, :k] = rng.standard_exponential(k)
+    if n_qubits < 2 or samples < 1:
+        raise ValueError("need n_qubits >= 2 and samples >= 1")
+    counts = rng.integers(1, 9, size=samples)
+    normals = rng.normal(size=(samples, 8, 3))
+    uniforms = rng.random((samples, 8))
+    exps = rng.standard_exponential((samples, 8))
+    padding = np.arange(8) >= counts[:, None]
+    normals[padding] = 1.0  # a nonzero norm, so no 0/0
+    uniforms[padding] = 0.0
+    exps[padding] = 0.0
     # norm, power and product are elementwise or per length-3 row, so on the
-    # stack they give each draw's bits; a padding row is +0.0 (radius 0)
+    # stack they give each component's bits; a padding row is +0.0 (radius 0)
     directions = normals / np.linalg.norm(normals, axis=-1, keepdims=True)
     bloch = directions * (uniforms ** (1.0 / 3.0))[..., None]
     return mix_moments(flat_dirichlet(exps), product_moments(bloch, n_qubits))

@@ -73,15 +73,6 @@ def _random_symmetric_states(rng, n_qubits: int, count: int) -> SymmetricState:
     return SymmetricState(n_qubits, amps / norm[:, None])
 
 
-def _separable_draws(rng, samples: int):
-    """`samples` (n_components, seed) pairs: per sample the component count
-    in [1, 8], then a sub-seed, as the RNG stream fixes."""
-    # with array bounds numpy draws element by element, in C order, through the
-    # bounded-integer routines of scalar calls: the stream of 2 * samples calls
-    pairs = rng.integers([1, 0], [9, 2**63 - 1], size=(samples, 2))
-    return [tuple(pair) for pair in pairs.tolist()]
-
-
 def _model_specs():
     return {
         "one-axis": HamiltonianSpec.one_axis(1.0),
@@ -91,11 +82,12 @@ def _model_specs():
 
 
 def suite_lemma1(seed: int, samples: int = 1000, n_values=range(2, 7)):
-    """Separable symmetric states never show negative perpendicular correlation."""
+    """Separable symmetric states never show negative perpendicular correlation:
+    per N, `samples` random ensembles drawn stacked from one generator."""
     rng = np.random.default_rng(seed)
     checks = []
     for n in n_values:
-        m = sample_separable(n, _separable_draws(rng, samples))
+        m = sample_separable(n, rng, samples)
         worst_corr = np.min(perpendicular_correlation_min(m))
         xi2 = squeezing_general(m)  # NaN where the mean spin vanishes
         worst_xi2 = np.min(xi2[~np.isnan(xi2)], initial=np.inf)
@@ -254,13 +246,13 @@ def suite_oracle(seed: int, n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
 
 def random_x_form(rng, n_qubits: int = 4, samples=None) -> pairwise.TwoQubitReduced:
     """Random valid (v+, v-, y, u) with unit trace and X-block positivity: one
-    reduction, or a stack of `samples` drawn one after another from `rng`."""
-    # per sample, the stream of `rng.dirichlet(np.ones(3))` then two `rng.random()`
+    reduction, or a stack of `samples` from two stacked draws of `rng`, the
+    (samples, 3) standard exponentials of the flat-Dirichlet populations, then
+    (samples, 2) uniforms. One reduction draws the stream of
+    `rng.dirichlet(np.ones(3))` then two `rng.random()`."""
     count = 1 if samples is None else samples
-    exps, uniforms = np.empty((count, 3)), np.empty((count, 2))
-    for row in range(count):
-        exps[row] = rng.standard_exponential(3)
-        uniforms[row] = rng.random(2)
+    exps = rng.standard_exponential((count, 3))
+    uniforms = rng.random((count, 2))
     draws = np.column_stack([flat_dirichlet(exps), uniforms])
     v_plus, v_minus, two_y, scale, turn = (draws[0] if samples is None else draws).T
     mod_u = scale * np.sqrt(v_plus * v_minus)

@@ -5,10 +5,16 @@ import math
 import numpy as np
 
 from spinsqueeze import cli
-from spinsqueeze.dicke import NORM_TOL, CollectiveMoments, SymmetricState, squared_norm
+from spinsqueeze.dicke import (
+    NORM_TOL,
+    CollectiveMoments,
+    SymmetricState,
+    mix_moments,
+    squared_norm,
+)
 from spinsqueeze.evolution import hermitian_eigen, propagate
 from spinsqueeze.hamiltonians import build_hamiltonian
-from spinsqueeze.oracle import FullState, collective_pauli_sums
+from spinsqueeze.oracle import FullState, collective_pauli_sums, product_moments
 
 
 def make_state(n_qubits, amplitudes):
@@ -48,6 +54,37 @@ def evolve_columns(cfg: cli.RunConfig) -> dict:
     array, one value per time, from the blocks of `cli.row_blocks`."""
     blocks = list(cli.row_blocks(cfg))
     return {c: np.concatenate([block[c] for block in blocks]) for c in cli.EVOLVE_COLUMNS}
+
+
+def dirichlet_row(exps):
+    """Flat-Dirichlet weights as numpy's `Generator.dirichlet(np.ones(k))`
+    forms them from its k unit-shape gammas (standard exponentials): each
+    times the reciprocal of their left-to-right sum."""
+    total = 0.0
+    for e in exps:
+        total += e
+    return exps * (1.0 / total)
+
+
+def separable_variates(rng, samples):
+    """The raw variates of `oracle.sample_separable`, drawn as it draws them:
+    counts, then (samples, 8, 3) normals, (samples, 8) uniforms and
+    (samples, 8) standard exponentials."""
+    counts = rng.integers(1, 9, size=samples)
+    normals = rng.normal(size=(samples, 8, 3))
+    return counts, normals, rng.random((samples, 8)), rng.standard_exponential((samples, 8))
+
+
+def separable_rows(n_qubits, variates):
+    """Per-ensemble reference of `oracle.sample_separable`: one moment record
+    per row, from the row's live components alone (no padding), with a
+    per-row norm, cube-root radii and `dirichlet_row` weights."""
+    rows = []
+    for k, normal, uniform, exps in zip(*variates):
+        directions = normal[:k] / np.linalg.norm(normal[:k], axis=1, keepdims=True)
+        bloch = directions * (uniform[:k] ** (1.0 / 3.0))[:, None]
+        rows.append(mix_moments(dirichlet_row(exps[:k]), product_moments(bloch, n_qubits)))
+    return rows
 
 
 def rk4_evolve(h: np.ndarray, initial: SymmetricState, t: float, n_steps: int) -> np.ndarray:

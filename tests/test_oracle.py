@@ -315,16 +315,21 @@ class TestPartialTrace:
 
 class TestSeparableSampler:
     def test_deterministic(self):
-        a = sample_separable(4, [(5, 7), (2, 8)])
-        b = sample_separable(4, [(5, 7), (2, 8)])
+        a = sample_separable(4, np.random.default_rng(7), 2)
+        b = sample_separable(4, np.random.default_rng(7), 2)
         assert a.mean_sx.shape == (2,)
         for f in MOMENT_FIELDS:
             np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
 
-    @pytest.mark.parametrize("n, draws", [(1, [(2, 0)]), (4, []), (4, [(2, 0), (0, 1)])])
+    # draws: (seed, samples)
+    @pytest.mark.parametrize("n, draws", [(1, (0, 2)), (4, (0, 0)), (4, (0, -1))])
     def test_rejects_invalid_draws(self, n, draws):
+        seed, samples = draws
+        rng = np.random.default_rng(seed)
         with pytest.raises(ValueError):
-            sample_separable(n, draws)
+            sample_separable(n, rng, samples)
+        # refused before any draw
+        assert rng.random() == np.random.default_rng(seed).random()
 
     def test_product_moments_down(self):
         m = product_moments(np.array([0.0, 0.0, -1.0]), 4)

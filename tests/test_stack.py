@@ -11,7 +11,7 @@ entry raises alone.
 
 import numpy as np
 import pytest
-from helpers import make_state
+from helpers import make_state, separable_rows, separable_variates
 
 from spinsqueeze import verify
 from spinsqueeze.dicke import (
@@ -32,6 +32,7 @@ from spinsqueeze.oracle import (
     sample_separable,
 )
 from spinsqueeze.pairwise import (
+    TwoQubitReduced,
     analyse,
     concurrence_spectral,
     concurrence_x_form,
@@ -158,11 +159,9 @@ def test_product_moments_of_a_stack(n):
 
 @pytest.mark.parametrize("n", (2, 3, 6))
 def test_correlation_of_separable_moments(n):
-    # every row of one padded call equals the unpadded call for its draw alone
-    rng = np.random.default_rng(300 + n)
-    draws = [(int(rng.integers(1, 9)), int(rng.integers(0, 2**63 - 1))) for _ in range(ROWS)]
-    m = sample_separable(n, draws)
-    singles = [moment_row(sample_separable(n, [draw]), 0) for draw in draws]
+    # every row of one padded stack equals its ensemble mixed alone, unpadded
+    m = sample_separable(n, np.random.default_rng(300 + n), ROWS)
+    singles = separable_rows(n, separable_variates(np.random.default_rng(300 + n), ROWS))
     assert_rows_equal(m, singles)
     corr = assert_correlation_rows_equal(m, singles)
     assert np.all(corr >= -1e-12)  # Lemma 1
@@ -254,17 +253,21 @@ def test_spectral_concurrence_of_a_stack(kind):
 
 
 def test_random_x_form_stack_draws_as_single_calls():
-    stacked = verify.random_x_form(np.random.default_rng(601), samples=ROWS)
-    rng = np.random.default_rng(601)
-    singles = [verify.random_x_form(rng) for _ in range(ROWS)]
+    # a one-row stack draws what a single call draws; each row of a stack
+    # gives the matrix that its fields give alone
+    single = verify.random_x_form(np.random.default_rng(601))
+    one_row = verify.random_x_form(np.random.default_rng(601), samples=1)
     for name in ("v_plus", "v_minus", "y", "u"):  # the coherences are a shared 0
-        column = getattr(stacked, name)
-        for k, single in enumerate(singles):
-            assert np.array_equal(column[k], getattr(single, name)), (name, k)
+        assert np.array_equal(getattr(one_row, name), [getattr(single, name)]), name
+    assert np.array_equal(one_row.as_matrix(), [single.as_matrix()])
+    stacked = verify.random_x_form(np.random.default_rng(601), samples=ROWS)
     matrices = stacked.as_matrix()
-    rng = np.random.default_rng(601)
     for k in range(ROWS):
-        assert np.array_equal(matrices[k], verify.random_x_form(rng).as_matrix()), k
+        alone = TwoQubitReduced(
+            v_plus=stacked.v_plus[k], v_minus=stacked.v_minus[k], y=stacked.y[k],
+            x_plus=0.0, x_minus=0.0, u=stacked.u[k], n_qubits=stacked.n_qubits,
+        )
+        assert np.array_equal(matrices[k], alone.as_matrix()), k
 
 
 @pytest.mark.parametrize("n", N_VALUES)
