@@ -26,13 +26,13 @@ from .evolution import trajectory
 from .hamiltonians import HamiltonianSpec
 from .pairwise import analyse
 
-MODELS = ("one-axis", "one-axis-field", "two-axis", "general")
-# the coefficient flags each model's Hamiltonian reads (see RunConfig.spec)
-MODEL_COEFFS = {
-    "one-axis": ("mu",),
-    "one-axis-field": ("mu", "omega"),
-    "two-axis": ("gamma",),
-    "general": ("mu", "chi", "gamma", "f_coeffs"),
+# model -> (its HamiltonianSpec constructor, the coefficients it reads, in
+# argument order); a coefficient flag a model does not read is refused
+MODELS = {
+    "one-axis": (HamiltonianSpec.one_axis, ("mu",)),
+    "one-axis-field": (HamiltonianSpec.one_axis_field, ("mu", "omega")),
+    "two-axis": (HamiltonianSpec.two_axis, ("gamma",)),
+    "general": (HamiltonianSpec, ("mu", "chi", "gamma", "f_coeffs")),
 }
 
 EVOLVE_COLUMNS = (
@@ -64,23 +64,16 @@ class RunConfig:
 
     def __post_init__(self):
         # checked before any computation, so a bad value leaves no output file
+        if self.model not in MODELS:
+            raise ValueError(f"unknown model {self.model!r}")
         if self.n_qubits < 2:
             raise ValueError(f"--n must be at least 2, got {self.n_qubits}")
         if self.precision < 0:
             raise ValueError(f"--precision must be at least 0, got {self.precision}")
 
     def spec(self) -> HamiltonianSpec:
-        if self.model == "one-axis":
-            return HamiltonianSpec.one_axis(self.mu)
-        if self.model == "one-axis-field":
-            return HamiltonianSpec.one_axis_field(self.mu, self.omega)
-        if self.model == "two-axis":
-            return HamiltonianSpec.two_axis(self.gamma)
-        if self.model == "general":
-            return HamiltonianSpec(
-                mu=self.mu, chi=self.chi, gamma=self.gamma, f_coeffs=self.f_coeffs
-            )
-        raise ValueError(f"unknown model {self.model!r}")
+        build, reads = MODELS[self.model]
+        return build(*(getattr(self, c) for c in reads))
 
 
 def evolve_rows(times, states) -> dict:
@@ -158,16 +151,16 @@ class Extremes:
         self.max_xi2 = _running(np.argmax, self.max_xi2, xi2, times)
         self.max_concurrence = _running(np.argmax, self.max_concurrence, concurrence, times)
 
+    def track(self, blocks):
+        """Add each table of `blocks`, then yield it."""
+        for block in blocks:
+            self.add(block["t"], block["xi2_closed"], block["concurrence"])
+            yield block
+
 
 def cmd_evolve(cfg: RunConfig) -> int:
     extremes = Extremes()
-
-    def tracked():
-        for block in row_blocks(cfg):
-            extremes.add(block["t"], block["xi2_closed"], block["concurrence"])
-            yield block
-
-    write_csv(cfg.output_path, EVOLVE_COLUMNS, tracked(), cfg.precision)
+    write_csv(cfg.output_path, EVOLVE_COLUMNS, extremes.track(row_blocks(cfg)), cfg.precision)
     (xi2, t_xi2), (conc, t_conc) = extremes.min_xi2, extremes.max_concurrence
     print(
         f"min xi2 = {xi2:.6g} at t = {t_xi2:.6g}; "
@@ -180,8 +173,8 @@ def cmd_evolve(cfg: RunConfig) -> int:
 def _scan_point(cfg: RunConfig) -> dict:
     """The scan row of one grid point, from the trajectory `evolve` writes for `cfg`."""
     extremes = Extremes()
-    for block in row_blocks(cfg):
-        extremes.add(block["t"], block["xi2_closed"], block["concurrence"])
+    for _ in extremes.track(row_blocks(cfg)):
+        pass
     min_xi2, t_min_xi2 = extremes.min_xi2
     max_concurrence, t_max_concurrence = extremes.max_concurrence
     max_xi2 = extremes.max_xi2[0]
@@ -303,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--f-coeffs", dest="f_coeffs", type=_parse_floats, default=None)
         p.add_argument("--t-max", dest="t_max", type=float, default=None)
         p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--out", default=None)
+        p.add_argument("--out", dest="output_path", default=None)
         p.add_argument("--precision", type=int, default=None)
         p.add_argument("--config", default=None)
 
     evolve = sub.add_parser("evolve", help="trajectory CSV for one configuration")
     add_common(evolve)
-    evolve.add_argument("--n", type=int, default=None)
+    evolve.add_argument("--n", dest="n_qubits", type=int, default=None)
 
     scan = sub.add_parser("scan", help="grid scan over N and coefficients")
     add_common(scan, listy=True)
@@ -328,15 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flag name -> RunConfig field; a flag given neither on the command line nor
-# in the config file keeps the RunConfig default.
-_RUN_FIELDS = {
-    "model": "model", "n": "n_qubits", "mu": "mu", "chi": "chi", "gamma": "gamma",
-    "omega": "omega", "f_coeffs": "f_coeffs", "t_max": "t_max", "dt": "dt",
-    "out": "output_path", "precision": "precision",
-}
-
-
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
@@ -345,7 +329,7 @@ def _check_coefficients(args) -> None:
     """Refuse a coefficient flag, given on the command line or in the config
     file, that the model does not read: it would change nothing."""
     model = args.model or RunConfig.model
-    reads = MODEL_COEFFS[model]
+    reads = MODELS[model][1]
     for name in ("mu", "chi", "gamma", "omega", "f_coeffs"):
         if getattr(args, name) is not None and name not in reads:
             raise ValueError(
@@ -355,10 +339,12 @@ def _check_coefficients(args) -> None:
 
 
 def _run_config(args) -> RunConfig:
+    """Each argparse dest is named after its RunConfig field; a flag given
+    neither on the command line nor in the config file keeps the default."""
     return RunConfig(**{
-        field: getattr(args, flag)
-        for flag, field in _RUN_FIELDS.items()
-        if getattr(args, flag, None) is not None
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunConfig)
+        if getattr(args, f.name, None) is not None
     })
 
 

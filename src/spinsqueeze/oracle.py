@@ -235,32 +235,24 @@ def flat_dirichlet(exps):
     return exps * (1.0 / np.cumsum(exps, axis=-1)[..., -1:])
 
 
-@dataclass(frozen=True)
-class OneAxisMoments:
-    """Closed-form one-axis-twisting moments of all-down under mu Sx^2: the
-    second moments at scaled phase 2 mu t, and <Sz> = -(N/2) cos^(N-1)(mu t)
-    and Im<S+^2> = <[Sx, Sy]_+> = (N(N-1)/2) sin(mu t) cos^(N-2)(mu t). With
-    <S+> = <[S+, Sz]_+> = 0 by parity, every moment the analysis reads has a
-    closed form (Kitagawa and Ueda, PRA 47, 5138 (1993))."""
-
-    mean_sz: float
-    sx2: float
-    sy2: float
-    sz2: float
-    sp2_re: float
-    sp2_im: float
-
-
-def one_axis_analytic_moments(n_qubits: int, mu: float, t: float) -> OneAxisMoments:
+def one_axis_analytic_moments(n_qubits: int, mu: float, t) -> CollectiveMoments:
+    """Closed-form one-axis-twisting moments of all-down under mu Sx^2 at time
+    `t` (a scalar or an array): the second moments at scaled phase 2 mu t,
+    <Sz> = -(N/2) cos^(N-1)(mu t) and Im<S+^2> = <[Sx, Sy]_+> =
+    (N(N-1)/2) sin(mu t) cos^(N-2)(mu t); <Sx>, <Sy>, <S+> and <[S+, Sz]_+>
+    vanish by parity. So every moment the analysis reads has a closed form
+    (Kitagawa and Ueda, PRA 47, 5138 (1993))."""
     if n_qubits < 2:
         raise ValueError(f"need at least two qubits, got {n_qubits}")
     n = n_qubits
     cos, sin = np.cos(mu * t), np.sin(mu * t)
     cos_pow = np.cos(2.0 * mu * t) ** (n - 2)
-    sx2 = n / 4.0
+    zero = np.zeros_like(cos)
+    sx2 = zero + n / 4.0
     sy2 = (n * n + n - n * (n - 1) * cos_pow) / 8.0
     sz2 = (n * n + n + n * (n - 1) * cos_pow) / 8.0
-    return OneAxisMoments(
-        mean_sz=-0.5 * n * cos ** (n - 1), sx2=sx2, sy2=sy2, sz2=sz2, sp2_re=sx2 - sy2,
-        sp2_im=0.5 * n * (n - 1) * sin * cos ** (n - 2),
+    sp2_im = 0.5 * n * (n - 1) * sin * cos ** (n - 2)
+    return CollectiveMoments(
+        n, mean_sx=zero, mean_sy=zero, mean_sz=-0.5 * n * cos ** (n - 1), sz2=sz2, sx2=sx2,
+        sy2=sy2, sp_mean=zero, sp2=(sx2 - sy2) + 1j * sp2_im, anti_sp_sz=zero, anti_sx_sy=sp2_im,
     )

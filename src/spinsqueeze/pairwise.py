@@ -40,7 +40,6 @@ class TwoQubitReduced:
     x_plus: complex
     x_minus: complex
     u: complex
-    n_qubits: int
 
     def __post_init__(self):
         trace = self.v_plus + self.v_minus + 2.0 * self.y
@@ -92,15 +91,7 @@ def reduced_two_qubit(m: CollectiveMoments) -> TwoQubitReduced:
     u = m.sp2 / (n * (n - 1))
     x_plus = ((n - 1) * m.sp_mean + m.anti_sp_sz) / (2.0 * n * (n - 1))
     x_minus = ((n - 1) * m.sp_mean - m.anti_sp_sz) / (2.0 * n * (n - 1))
-    return TwoQubitReduced(
-        v_plus=v_plus,
-        v_minus=v_minus,
-        y=y,
-        x_plus=x_plus,
-        x_minus=x_minus,
-        u=u,
-        n_qubits=n,
-    )
+    return TwoQubitReduced(v_plus=v_plus, v_minus=v_minus, y=y, x_plus=x_plus, x_minus=x_minus, u=u)
 
 
 def concurrence_x_form(r: TwoQubitReduced) -> ConcurrenceResult:

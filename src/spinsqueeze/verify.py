@@ -122,7 +122,7 @@ def suite_lemma3(n_values=(2, 3, 4, 6, 10, 20), points: int = 200):
             np.abs(m.sx2 - ref.sx2),
             np.abs(m.sy2 - ref.sy2),
             np.abs(m.sz2 - ref.sz2),
-            np.abs(m.sp2.imag - ref.sp2_im),
+            np.abs(m.sp2.imag - ref.sp2.imag),
             np.abs((m.sx2 - m.sy2) - (m.sz2 - n * n / 4.0)),
         )
         checks.append(Check(f"lemma3_moments_N{n}", worst, 1e-9))
@@ -244,7 +244,7 @@ def suite_oracle(seed: int, n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
     return checks
 
 
-def random_x_form(rng, n_qubits: int = 4, samples=None) -> pairwise.TwoQubitReduced:
+def random_x_form(rng, samples=None) -> pairwise.TwoQubitReduced:
     """Random valid (v+, v-, y, u) with unit trace and X-block positivity: one
     reduction, or a stack of `samples` from two stacked draws of `rng`, the
     (samples, 3) standard exponentials of the flat-Dirichlet populations, then
@@ -263,7 +263,6 @@ def random_x_form(rng, n_qubits: int = 4, samples=None) -> pairwise.TwoQubitRedu
         x_plus=0.0,
         x_minus=0.0,
         u=mod_u * np.exp(2j * np.pi * turn),
-        n_qubits=n_qubits,
     )
 
 

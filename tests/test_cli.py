@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from spinsqueeze import cli, evolution, pairwise, verify
 from spinsqueeze.dicke import CollectiveMoments
+from spinsqueeze.hamiltonians import HamiltonianSpec
 
 # doubles from random bit patterns (every finite, subnormal, infinite and NaN
 # encoding), plus the special values named explicitly
@@ -249,6 +250,22 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert flag in err and err.rstrip().endswith(f"reads only {reads}")
         assert not out.exists()
+
+    def test_spec_is_the_models_named_constructor(self):
+        # every coefficient, read or not, differs from its default, so a
+        # model that reads the wrong one, or in the wrong order, is caught
+        cfg = dict(mu=0.3, chi=0.4, gamma=0.5, omega=0.6, f_coeffs=(0.7, 0.8))
+        expected = {
+            "one-axis": HamiltonianSpec.one_axis(0.3),
+            "one-axis-field": HamiltonianSpec.one_axis_field(0.3, 0.6),
+            "two-axis": HamiltonianSpec.two_axis(0.5),
+            "general": HamiltonianSpec(mu=0.3, chi=0.4, gamma=0.5, f_coeffs=(0.7, 0.8)),
+        }
+        assert set(cli.MODELS) == set(expected)
+        for model, spec in expected.items():
+            assert cli.RunConfig(model=model, **cfg).spec() == spec, model
+        with pytest.raises(ValueError, match="unknown model 'nope'"):
+            cli.RunConfig(model="nope")
 
 
 class TestStreaming:
@@ -777,7 +794,6 @@ class TestVerify:
             return pairwise.TwoQubitReduced(
                 v_plus=r.v_minus, v_minus=r.v_plus,  # sign of the <Sz> shift flipped
                 y=r.y, x_plus=r.x_plus, x_minus=r.x_minus, u=r.u,
-                n_qubits=r.n_qubits,
             )
 
         monkeypatch.setattr(pairwise, "reduced_two_qubit", mutated)

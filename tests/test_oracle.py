@@ -38,6 +38,8 @@ from spinsqueeze.oracle import (
     product_moments,
     sample_separable,
 )
+from spinsqueeze.pairwise import analyse, reduced_two_qubit
+from spinsqueeze.squeezing import squeezing_even_odd
 
 
 def test_full_state_rejects_nan_amplitudes():
@@ -397,7 +399,29 @@ class TestOneAxisAnalytic:
         m = collective_moments(evolve_states(spec, make_all_down(n), times))
         ref = one_axis_analytic_moments(n, spec.mu, times)
         tol = sys.float_info.epsilon * n * n * np.maximum(1.0, h_norm_bound(spec, n) * times)
-        for got, want in ((m.mean_sz, ref.mean_sz), (m.sp2.imag, ref.sp2_im),
-                          (m.sp2.real, ref.sp2_re), (m.sz2, ref.sz2),
+        for got, want in ((m.mean_sz, ref.mean_sz), (m.sp2.imag, ref.sp2.imag),
+                          (m.sp2.real, ref.sp2.real), (m.sz2, ref.sz2),
                           (m.sx2, ref.sx2), (m.sy2, ref.sy2)):
             assert np.all(np.abs(got - want) <= tol)
+
+    @pytest.mark.parametrize("mu", [0.7, 2.3])
+    @pytest.mark.parametrize("n", [2, 3, 6, 20, 400, 2000])
+    def test_closed_form_is_a_reference_for_the_analysis_columns(self, n, mu):
+        # The closed form, through the analysis pieces, gives the evolve
+        # table's columns at any N, within 4 eps N^2 max(1, ||H|| t) per unit
+        # of max(1, |value|). Left out: concurrence, since sqrt(v+ v-)
+        # amplifies errors near v+ = 0; branch, which flips at ties; and
+        # xi2_general and mean_spin_norm, whose frame degenerates where the
+        # mean spin <Sz> = -(N/2) cos^(N-1)(mu t) vanishes.
+        spec, times = HamiltonianSpec.one_axis(mu), np.linspace(0.0, 3.0, 301)
+        table = analyse(evolve_states(spec, make_all_down(n), times))
+        ref = one_axis_analytic_moments(n, mu, times)
+        r = reduced_two_qubit(ref)
+        expected = {
+            "xi2_closed": squeezing_even_odd(ref), "v_plus": r.v_plus, "v_minus": r.v_minus,
+            "y": r.y, "u_re": r.u.real, "u_im": r.u.imag, "sz_mean": ref.mean_sz,
+            "sz2": ref.sz2, "sp2_re": ref.sp2.real, "sp2_im": ref.sp2.imag,
+        }
+        unit = 4.0 * sys.float_info.epsilon * n * n * np.maximum(1.0, h_norm_bound(spec, n) * times)
+        for name, want in expected.items():
+            assert np.all(np.abs(table[name] - want) <= unit * np.maximum(1.0, np.abs(want))), name

@@ -72,14 +72,14 @@ class TestReduction:
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
-            TwoQubitReduced(0.5, 0.5, 0.2, 0, 0, 0, 4)  # trace 1.4
+            TwoQubitReduced(0.5, 0.5, 0.2, 0, 0, 0)  # trace 1.4
         with pytest.raises(ValueError):
-            TwoQubitReduced(0.1, 0.1, 0.4, 0, 0, 0.5, 4)  # |u|^2 > v+ v-
+            TwoQubitReduced(0.1, 0.1, 0.4, 0, 0, 0.5)  # |u|^2 > v+ v-
 
     @pytest.mark.parametrize("fields", [
-        (np.nan, 0.5, 0.25, 0, 0, 0, 4),  # trace
-        (0.5, 0.5, np.nan, 0, 0, 0, 4),
-        (0.5, 0.5, 0.0, 0, 0, np.nan, 4),  # X-block positivity
+        (np.nan, 0.5, 0.25, 0, 0, 0),  # trace
+        (0.5, 0.5, np.nan, 0, 0, 0),
+        (0.5, 0.5, 0.0, 0, 0, np.nan),  # X-block positivity
     ])
     def test_nan_entries_enforced(self, fields):
         with pytest.raises(ValueError):
@@ -88,7 +88,7 @@ class TestReduction:
 
 class TestXForm:
     def test_bell_pair(self):
-        r = TwoQubitReduced(0.5, 0.5, 0.0, 0, 0, 0.5, 2)
+        r = TwoQubitReduced(0.5, 0.5, 0.0, 0, 0, 0.5)
         result = concurrence_x_form(r)
         assert result.concurrence == pytest.approx(1.0, abs=1e-12)
         assert result.branch == COHERENCE_DOMINATED
@@ -100,15 +100,15 @@ class TestXForm:
         assert result.branch == POPULATION_DOMINATED
 
     def test_product_pair(self):
-        r = TwoQubitReduced(1.0, 0.0, 0.0, 0, 0, 0.0, 3)
+        r = TwoQubitReduced(1.0, 0.0, 0.0, 0, 0, 0.0)
         assert concurrence_x_form(r).concurrence == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_coherences(self):
-        r = TwoQubitReduced(0.4, 0.4, 0.1, 0.05, 0, 0.1, 4)
+        r = TwoQubitReduced(0.4, 0.4, 0.1, 0.05, 0, 0.1)
         with pytest.raises(NotXFormError):
             concurrence_x_form(r)
         with pytest.raises(NotXFormError):
-            concurrence_x_form(TwoQubitReduced(0.4, 0.4, 0.1, np.nan, 0, 0.1, 4))
+            concurrence_x_form(TwoQubitReduced(0.4, 0.4, 0.1, np.nan, 0, 0.1))
 
     def test_lambda_identity(self):
         rng = np.random.default_rng(3)

@@ -36,7 +36,7 @@ def assert_rows_same_bits(stacked, rows):
             assert_same_bits(column[k], getattr(row, field), (field, k))
 
 
-def reference_random_x_form(rng, n_qubits=4, samples=None):
+def reference_random_x_form(rng, samples=None):
     count = 1 if samples is None else samples
     exps, uniforms = rng.standard_exponential((count, 3)), rng.random((count, 2))
     draws = np.array([(*dirichlet_row(e), *u) for e, u in zip(exps, uniforms)])
@@ -49,7 +49,6 @@ def reference_random_x_form(rng, n_qubits=4, samples=None):
         x_plus=0.0,
         x_minus=0.0,
         u=mod_u * np.exp(2j * np.pi * turn),
-        n_qubits=n_qubits,
     )
 
 

@@ -265,7 +265,7 @@ def test_random_x_form_stack_draws_as_single_calls():
     for k in range(ROWS):
         alone = TwoQubitReduced(
             v_plus=stacked.v_plus[k], v_minus=stacked.v_minus[k], y=stacked.y[k],
-            x_plus=0.0, x_minus=0.0, u=stacked.u[k], n_qubits=stacked.n_qubits,
+            x_plus=0.0, x_minus=0.0, u=stacked.u[k],
         )
         assert np.array_equal(matrices[k], alone.as_matrix()), k
 
