@@ -82,9 +82,11 @@ def evolve_rows(times, states) -> dict:
 
 
 def row_blocks(cfg: RunConfig):
-    """The table of each block of the trajectory, from `evolve_rows`."""
-    for times, states in trajectory(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt):
-        yield evolve_rows(times, states)
+    """The table of each block of the trajectory, from `evolve_rows`. A
+    block's states are let go once its table is made, before the next
+    block is propagated."""
+    yield from itertools.starmap(
+        evolve_rows, trajectory(cfg.spec(), cfg.n_qubits, cfg.t_max, cfg.dt))
 
 
 def write_csv(path, columns, blocks, precision: int):
@@ -93,21 +95,25 @@ def write_csv(path, columns, blocks, precision: int):
     `%.<precision>g` for floats (it prints nan, inf and -0 exactly as
     `format(v, ".<precision>g")` does), `%d` for ints, `%s` for strings.
     A regular file is written whole or not at all: the lines go to a
-    temporary file beside it, which replaces it only after the last block."""
+    temporary file beside it, which replaces it only after the last block.
+    No table is held while the next one is drawn."""
     if precision < 0:  # "%.-1g" would fail only after the first block was computed
         raise ValueError(f"--precision must be at least 0, got {precision}")
     conversions = {"f": f"%.{precision}g", "i": "%d", "U": "%s"}
 
+    def table_lines(table):
+        arrays = [np.asarray(table[c]) for c in columns]
+        for name, values in zip(columns, arrays):
+            if values.dtype.kind not in conversions:
+                raise ValueError(
+                    f"CSV column {name!r} holds {values.dtype}, not float, int or str")
+        template = ",".join(conversions[a.dtype.kind] for a in arrays) + "\n"
+        return (template % row for row in zip(*(a.tolist() for a in arrays)))
+
     def lines():
         yield ",".join(columns) + "\n"
-        for table in blocks:
-            arrays = [np.asarray(table[c]) for c in columns]
-            for name, values in zip(columns, arrays):
-                if values.dtype.kind not in conversions:
-                    raise ValueError(
-                        f"CSV column {name!r} holds {values.dtype}, not float, int or str")
-            template = ",".join(conversions[a.dtype.kind] for a in arrays) + "\n"
-            yield from (template % row for row in zip(*(a.tolist() for a in arrays)))
+        # chain drops each table's lines before it draws the next table
+        yield from itertools.chain.from_iterable(map(table_lines, blocks))
 
     if path in ("", "-"):
         sys.stdout.writelines(lines())
@@ -156,6 +162,7 @@ class Extremes:
         for block in blocks:
             self.add(block["t"], block["xi2_closed"], block["concurrence"])
             yield block
+            del block  # not held while the next block is propagated
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     dicke.add_argument("--excitations", type=int, required=True)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
-    ver.add_argument("suite", choices=verify_mod.SUITES + ("all",))
+    ver.add_argument("suite", choices=(*verify_mod.RUNNERS, "all"))
     ver.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -330,7 +337,8 @@ def _check_coefficients(args) -> None:
     file, that the model does not read: it would change nothing."""
     model = args.model or RunConfig.model
     reads = MODELS[model][1]
-    for name in ("mu", "chi", "gamma", "omega", "f_coeffs"):
+    coefficients = {name for _, names in MODELS.values() for name in names}
+    for name in (f.name for f in dataclasses.fields(RunConfig) if f.name in coefficients):
         if getattr(args, name) is not None and name not in reads:
             raise ValueError(
                 f"{_flag(name)} is not read by --model {model}, which reads only "

@@ -19,8 +19,11 @@ directly as D V exp(-i Lambda t) w, with w = V^T D^dag c(0) the initial
 state's mode amplitudes, computed once, so there is no step-to-step error
 accumulation and arbitrary times are equally accurate. The states are
 handed on as the sector's (T, m) entries alone, never as a (T, N+1) stack.
-`evolve_blocks` propagates a long grid one block of times at a time, so
-its memory does not grow with the number of times.
+`evolve_blocks` propagates a long grid one block of at most BLOCK_ROWS
+times at a time, and the `TimeGrid` of `time_grid` forms each block's times
+only when it is drawn, so memory does not grow with the number of times. The
+contracts on V are checked in windows of rows or columns, so that besides
+V a solve holds no (m, m) array but the solver's own.
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ from .hamiltonians import HamiltonianSpec, SectorBand, sector_bands, tridiagonal
 RECONSTRUCTION_TOL = 1e-10
 ORTHONORMALITY_TOL = 1e-11
 BLOCK_AMPLITUDES = 2**18  # complex amplitudes per block that evolve_blocks propagates
-CONTRACT_ELEMENTS = 2**15  # entries of V per row window of the residual contract (256 KiB)
+# at most this many times per block: each row also carries about 1 KB of
+# analysis columns and CSV objects, whatever N is
+BLOCK_ROWS = 1024
+CONTRACT_ELEMENTS = 2**15  # entries of V per row or column window of the contracts (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -169,6 +175,20 @@ def _reconstruction_residual(d, e, energies, vectors) -> float:
     return np.max(worst)  # a NaN anywhere gives NaN
 
 
+def _orthonormality_residual(vectors) -> float:
+    """max |V^T V - I| for the (m, m) V, without forming V^T V: V is taken
+    in windows of columns, each multiplied against the columns at or after
+    it, which covers the upper triangle of the symmetric V^T V."""
+    m = vectors.shape[1]
+    columns = max(1, CONTRACT_ELEMENTS // vectors.shape[0])
+    worst = []
+    for i in range(0, m, columns):
+        gram = vectors.T[i:i + columns] @ vectors[:, i:]  # a band of V^T V's rows, from column i on
+        gram.ravel()[::gram.shape[1] + 1] -= 1.0  # its leading diagonal, in place
+        worst.append(np.max(np.abs(gram, out=gram)))
+    return np.max(worst)  # a NaN anywhere gives NaN
+
+
 def solve_band(band: SectorBand):
     """(energies, vectors): the m eigenpairs of one sector's band, energies
     ascending, after the reconstruction and orthonormality contracts are
@@ -192,9 +212,7 @@ def solve_band(band: SectorBand):
     residual = _reconstruction_residual(d, e, energies, vectors)
     if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
         raise NumericalError(f"eigendecomposition residual {residual:.3e}")
-    gram = vectors.T @ vectors  # the only (m, m) array besides V
-    gram.ravel()[::band.dim + 1] -= 1.0  # V^T V - I, in place
-    ortho = np.max(np.abs(gram, out=gram))
+    ortho = _orthonormality_residual(vectors)
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
     return energies, vectors
@@ -246,11 +264,17 @@ def propagate(propagator: Propagator, times) -> SymmetricState:
     band, v = propagator.band, propagator.eigenvectors
     wr, wi = propagator.mode_re, propagator.mode_im
     phase = np.outer(times, propagator.eigenvalues)
-    cos, sin = np.cos(phase), np.sin(phase)
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)
     entries = np.empty((times.size, band.dim), dtype=complex)
-    # exp(-i lambda t) (wr + i wi), split into two real GEMMs
-    entries.real = (cos * wr + sin * wi) @ v.T
-    entries.imag = (cos * wi - sin * wr) @ v.T
+    # exp(-i lambda t) (wr + i wi), split into two real GEMMs whose left
+    # operands, cos wr + sin wi and cos wi - sin wr, share one buffer
+    operand = cos * wr
+    operand += sin * wi
+    entries.real = operand @ v.T
+    np.multiply(cos, wi, out=operand)
+    operand -= sin * wr
+    entries.imag = operand @ v.T
     entries *= band.gauge()
     entries.flags.writeable = False  # so SymmetricState need not copy it
     try:
@@ -261,25 +285,37 @@ def propagate(propagator: Propagator, times) -> SymmetricState:
 
 def evolve_blocks(spec: HamiltonianSpec, initial: SymmetricState, times):
     """Solve the occupied sector once, then return a generator of (times,
-    states) for consecutive blocks of at most BLOCK_AMPLITUDES // (N+1) rows,
-    so that memory stays bounded whatever the length of `times`. Bad input,
-    a state of both parities included, is refused by the call, not at the
-    first block."""
-    times = _checked_times(times)  # before the solve
+    states) for consecutive blocks of at most min(BLOCK_AMPLITUDES // (N+1),
+    BLOCK_ROWS) rows, so that memory stays bounded whatever the length of
+    `times`, an array or a `TimeGrid`. Bad input, a state of both parities
+    included, is refused by the call, not at the first block."""
+    if not isinstance(times, TimeGrid):  # a TimeGrid is finite and not empty
+        times = _checked_times(times)  # before the solve
     propagator = hermitian_eigen(spec, initial)
-    step = max(1, BLOCK_AMPLITUDES // (initial.n_qubits + 1))
-    return (
-        (times[i:i + step], propagate(propagator, times[i:i + step]))
-        for i in range(0, times.size, step)
-    )
+    step = max(1, min(BLOCK_AMPLITUDES // (initial.n_qubits + 1), BLOCK_ROWS))
+    blocks = (times[i:i + step] for i in range(0, times.size, step))
+    return ((block, propagate(propagator, block)) for block in blocks)
 
 
-def time_grid(t_max: float, dt: float) -> np.ndarray:
+@dataclass(frozen=True)
+class TimeGrid:
+    """The `size` times dt * k, k = 0, 1, ..., from `time_grid`. A slice is
+    formed when it is taken, with the values of the same slice of
+    dt * np.arange(size), so a grid holds no memory per time; `grid[:]` is
+    the whole array."""
+
+    dt: float
+    size: int
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        return self.dt * np.arange(*rows.indices(self.size))
+
+
+def time_grid(t_max: float, dt: float) -> TimeGrid:
     """0, dt, 2dt, ... extended so the last point covers t_max."""
     if not (t_max > 0 and 0 < dt <= t_max and math.isfinite(t_max / dt)):
         raise ValueError(f"invalid time grid: t_max={t_max}, dt={dt}")
-    n_steps = math.ceil(t_max / dt - 1e-9)
-    return dt * np.arange(n_steps + 1)
+    return TimeGrid(dt, math.ceil(t_max / dt - 1e-9) + 1)
 
 
 def trajectory(spec: HamiltonianSpec, n_qubits: int, t_max: float, dt: float):

@@ -177,7 +177,8 @@ def test_criterion_8_dicke_states():
 
 def test_criterion_9_structural_invariants():
     checks = suite_parity()
-    states = evolve_states(HamiltonianSpec.two_axis(1.0), make_all_down(6), time_grid(3.0, 0.05))
+    states = evolve_states(HamiltonianSpec.two_axis(1.0), make_all_down(6),
+                           time_grid(3.0, 0.05)[:])
     m = collective_moments(states)
     xi2 = squeezing_even_odd(m)
     # xi^2 >= 1 - (2/N)|<S+^2>|, from <Sz^2> <= N^2/4

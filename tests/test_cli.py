@@ -12,6 +12,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -333,6 +334,40 @@ class TestStreaming:
         reader.join(timeout=60)
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert received == [plain.read_bytes()]
+
+    def test_one_block_is_live_at_a_time(self, monkeypatch, tmp_path):
+        # when a block is propagated, no earlier block's states or table remain
+        monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 8 * 5)  # 8 rows at N=4
+        propagate, evolve_rows, earlier = evolution.propagate, cli.evolve_rows, []
+
+        def watched_propagate(propagator, times):
+            assert [ref for ref in earlier if ref() is not None] == []
+            states = propagate(propagator, times)
+            earlier.append(weakref.ref(states))
+            return states
+
+        def watched_rows(times, states):
+            table = evolve_rows(times, states)
+            earlier.extend(weakref.ref(table[c]) for c in ("t", "xi2_closed", "concurrence"))
+            return table
+
+        monkeypatch.setattr(evolution, "propagate", watched_propagate)
+        monkeypatch.setattr(cli, "evolve_rows", watched_rows)
+        assert run_cli(self.ARGS + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert len(earlier) == 7 * 4  # 51 rows in 7 blocks
+
+    def test_long_run_peak_at_the_real_block_size(self, tmp_path):
+        # the benchmark's evolve-long: N=50 over 20001 times, in 1024-row blocks
+        out = tmp_path / "long.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli(["evolve", "--model", "one-axis-field", "--n", "50", "--omega", "0.5",
+                            "--t-max", "200", "--dt", "0.01", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 5 * 2**20  # 12.4 MiB in 5140-row blocks with the former block held
 
     def test_memory_does_not_grow_with_grid_length(self, monkeypatch, tmp_path):
         # 321 rows per block at N=50, so that both grids span several blocks
@@ -711,6 +746,21 @@ class TestVerify:
 
     def test_lemma3_suite_passes(self):
         assert run_cli(["verify", "lemma3"]) == 0
+
+    def test_named_only_suite_runs_by_name_and_not_under_all(self, monkeypatch, capsys):
+        # a suite put in the registry alone is offered and run by name only
+        monkeypatch.setitem(verify.RUNNERS, "extra",
+                            lambda seed: [verify.Check("extra_check", 0.0, 1.0)])
+        with pytest.raises(SystemExit) as err:
+            run_cli(["verify", "--help"])
+        assert err.value.code == 0
+        assert "extra" in capsys.readouterr().out
+        assert run_cli(["verify", "extra"]) == 0
+        out = capsys.readouterr().out
+        assert "pass  extra_check" in out and out.endswith("1/1 checks passed\n")
+        assert run_cli(["verify", "all", "--seed", "42"]) == 0
+        out = capsys.readouterr().out
+        assert "extra_check" not in out and out.endswith("129/129 checks passed\n")
 
     @pytest.mark.parametrize("suite, target, field, failing", [
         (lambda: verify.suite_lemma1(0, samples=20, n_values=[3]),

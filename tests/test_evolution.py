@@ -219,8 +219,49 @@ def test_duplicated_column_fails_orthonormality(route, monkeypatch):
         energies[1], vectors[:, 1] = energies[0], vectors[:, 0]  # an exact eigenpair twice
         return energies, vectors
 
+    # one window of columns, then 1-column windows, where the copies fall apart
+    for columns in (None, 1):
+        with monkeypatch.context() as patch:
+            if columns:
+                patch.setattr(evolution, "CONTRACT_ELEMENTS", columns * 11)
+            with pytest.raises(NumericalError, match="orthonormality residual"):
+                solve_mutated(route, 11, duplicate, patch)
+
+
+@pytest.mark.parametrize("window", [None, 3])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_overlap_across_a_window_edge_fails_orthonormality(route, window, monkeypatch):
+    # m = 11; with 3-column windows, columns 2 and 3 fall in different windows
+    if window:
+        monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", window * 11)
+
+    def overlap(energies, vectors):
+        # column 3 overlaps column 2 by 1e-10: ten times ORTHONORMALITY_TOL, while
+        # its residual, 1e-10 |lambda_2 - lambda_3|, stays within RECONSTRUCTION_TOL
+        vectors[:, 3] += 1e-10 * vectors[:, 2]
+        return energies, vectors
+
     with pytest.raises(NumericalError, match="orthonormality residual"):
-        solve_mutated(route, 11, duplicate, monkeypatch)
+        solve_mutated(route, 11, overlap, monkeypatch)
+
+
+@pytest.mark.parametrize("columns", range(1, 13))
+def test_orthonormality_windows_report_every_entry(columns, monkeypatch):
+    # V is orthonormal but for one overlap (a, b), which alone sets max |V^T V - I|
+    m = 11
+    q = np.linalg.qr(np.random.default_rng(columns).normal(size=(m, m)))[0]
+    monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", columns * m)
+    for a in range(m):
+        for b in range(a, m):
+            v = q.copy()
+            v[:, b] += 1e-3 * q[:, a]  # a == b scales the column
+            gram = v.T @ v - np.eye(m)
+            expected = np.max(np.abs(gram))
+            assert expected == pytest.approx(np.abs(gram[a, b]), rel=1e-9), (a, b)
+            got = evolution._orthonormality_residual(v)
+            assert got == pytest.approx(expected, rel=1e-12), (a, b)
+    v[0, 0] = np.nan
+    assert np.isnan(evolution._orthonormality_residual(v))
 
 
 @pytest.mark.parametrize("rows", [1, 2, 3, 4, 10, 11, 12])
@@ -240,9 +281,14 @@ def test_residual_windows_report_every_row(rows, monkeypatch):
         assert got == pytest.approx(expected, rel=1e-12), worst_row
 
 
+# peak of solve_band at m = 1001, in m^2 doubles: V (1), the solver's own
+# arrays, and the contracts' windows (about 0.03). eigh takes the dense T.
+SOLVE_BUDGET = {"fold-svd": 1.25, "fold-eigh": 1.55, "svd": 1.8, "eigh": 2.05}
+
+
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_solve_band_memory_budget(route):
-    # besides V the contracts hold one (m, m) array; the former ones peaked at 4 m^2 doubles
+    # the contracts form no (m, m) array: the one V^T V used to add 1 m^2
     band = route_band(route, 1001)
     tracemalloc.start()
     try:
@@ -250,7 +296,7 @@ def test_solve_band_memory_budget(route):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * band.dim**2 * 8
+    assert peak <= SOLVE_BUDGET[route] * band.dim**2 * 8
 
 
 # bands with a zero diagonal, which solve_band takes to the SVD of their bidiagonal half
@@ -363,7 +409,7 @@ def test_mode_cut_moves_each_state_by_at_most_sqrt_m_eps(model):
     spec = {"one-axis": HamiltonianSpec.one_axis(1.0),
             "two-axis": HamiltonianSpec.two_axis(1.5 / n)}[model]
     initial = make_dicke_state(n, 1)  # odd: only the odd sector is solved
-    times = time_grid(10.0, 0.5)
+    times = time_grid(10.0, 0.5)[:]
     cut = hermitian_eigen(spec, initial)
     odd = sector_bands(spec, n)[1]
     energies, vectors = solve_band(odd)
@@ -465,7 +511,8 @@ def test_traced_layers_exist_and_trajectory_calls_each_once(monkeypatch):
 @pytest.mark.parametrize("n", [7, 50])
 def test_evolve_blocks_solve_once_and_match_the_grid(n, monkeypatch):
     spec = HamiltonianSpec.one_axis_field(1.0, 0.7)
-    times = time_grid(2.0, 0.01)  # 201 times
+    grid = time_grid(2.0, 0.01)  # 201 times
+    times = grid[:]
     solved = []
     original = evolution.hermitian_eigen
 
@@ -475,14 +522,25 @@ def test_evolve_blocks_solve_once_and_match_the_grid(n, monkeypatch):
 
     monkeypatch.setattr(evolution, "hermitian_eigen", counted)
     monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 40 * (n + 1))
-    blocks = list(evolve_blocks(spec, make_all_down(n), times))
-    assert len(solved) == 1
-    assert [len(t) for t, _ in blocks] == [40] * 5 + [1]
-    assert np.array_equal(np.concatenate([t for t, _ in blocks]), times)
     whole = evolve_states(spec, make_all_down(n), times).amplitudes
-    stacked = np.concatenate([s.amplitudes for _, s in blocks])
-    # the last, 1-row block runs through GEMV, whose sums may round differently
-    np.testing.assert_allclose(stacked, whole, rtol=0, atol=1e-14)
+    for given in (times, grid):  # an array, and the grid that forms each block's times
+        solved.clear()
+        blocks = list(evolve_blocks(spec, make_all_down(n), given))
+        assert len(solved) == 1
+        assert [len(t) for t, _ in blocks] == [40] * 5 + [1]
+        assert np.array_equal(np.concatenate([t for t, _ in blocks]), times)
+        stacked = np.concatenate([s.amplitudes for _, s in blocks])
+        # the last, 1-row block runs through GEMV, whose sums may round differently
+        np.testing.assert_allclose(stacked, whole, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n, spec, rows", [
+    (50, HamiltonianSpec.one_axis_field(1.0, 0.5), 1024),  # BLOCK_ROWS
+    (2000, HamiltonianSpec.two_axis(1.5 / 2000), 131),  # BLOCK_AMPLITUDES // (N+1)
+])
+def test_rows_per_block(n, spec, rows):
+    times, states = next(trajectory(spec, n, 20.0, 0.01))  # 2001 times
+    assert len(times) == len(states.entries) == rows
 
 
 def test_evolve_blocks_refuses_a_stack_and_non_finite_times():
@@ -504,7 +562,7 @@ def test_trajectory_builds_no_dense_matrix():
 
 
 def test_trajectory_grid_and_parity():
-    times = time_grid(np.pi, np.pi / 100)
+    times = time_grid(np.pi, np.pi / 100)[:]
     assert len(times) == 101
     assert times[-1] == pytest.approx(np.pi)
     amps = evolve_states(H1, make_all_down(2), times).amplitudes
@@ -515,7 +573,7 @@ def test_trajectory_grid_and_parity():
 
 
 def test_trajectory_covers_t_max():
-    times = time_grid(1.0, 0.3)
+    times = time_grid(1.0, 0.3)[:]
     assert times[-1] >= 1.0 - 1e-12
     assert len(times) == 5
 
@@ -531,7 +589,7 @@ def test_invalid_grid():
 
 def test_transverse_means_vanish_with_field():
     states = evolve_states(HamiltonianSpec.one_axis_field(1.0, 2.0), make_all_down(10),
-                         time_grid(5.0, 0.05))
+                         time_grid(5.0, 0.05)[:])
     m = collective_moments(states)
     assert np.max(np.abs(m.mean_sx)) <= 1e-10
     assert np.max(np.abs(m.mean_sy)) <= 1e-10
@@ -540,7 +598,7 @@ def test_transverse_means_vanish_with_field():
 def test_energy_conservation():
     for spec in (H1, HamiltonianSpec.two_axis(1.0)):
         h = build_hamiltonian(spec, 8)
-        c = evolve_states(spec, make_all_down(8), time_grid(10.0, 0.25)).amplitudes
+        c = evolve_states(spec, make_all_down(8), time_grid(10.0, 0.25)[:]).amplitudes
         energies = np.einsum("ti,ij,tj->t", c.conj(), h, c).real
         assert max(energies) - min(energies) <= 1e-10
 

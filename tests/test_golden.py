@@ -125,6 +125,7 @@ def test_csv_bytes_match_golden(case, tmp_path):
 
 def dense_blocks(spec, initial, times):
     """`evolution.evolve_blocks` through a dense complex eigh, in one block."""
+    times = times[:]  # an array, or every time of a TimeGrid
     energies, vectors = np.linalg.eigh(build_hamiltonian(spec, initial.n_qubits))
     modes = vectors.conj().T @ initial.amplitudes
     amps = (np.exp(-1j * np.outer(times, energies)) * modes) @ vectors.T
@@ -171,6 +172,23 @@ def test_verify_report_matches_golden(suite, seed, capsys):
     assert cli.main(["verify", suite, "--seed", str(seed)]) == 0
     out = capsys.readouterr().out
     assert out.encode() == report_path(suite, seed).read_bytes()
+
+
+def test_verify_all_runs_the_pinned_suites(capsys):
+    # `verify all` is the eight suites of SUITES, in order, and no other: its
+    # report is their pinned reports, padded to its longest check name
+    assert verify.SUITES == ("lemma1", "lemma2", "lemma3", "prop3", "prop4", "parity",
+                             "oracle", "x-form")
+    checks = [line.split(None, 2)  # status, name, residual and tolerance
+              for suite in verify.SUITES
+              for line in report_path(suite, 42).read_text().splitlines()[1:-1]]
+    assert len(checks) == 129
+    width = max(len(name) for _, name, _ in checks)
+    expected = [f"suite: all   rng: {verify.RNG_ALGORITHM}   seed: 42",
+                *(f"{status}  {name:<{width}}  {rest}" for status, name, rest in checks),
+                "129/129 checks passed"]
+    assert cli.main(["verify", "all", "--seed", "42"]) == 0
+    assert capsys.readouterr().out == "\n".join(expected) + "\n"
 
 
 def test_dicke_reports_match_golden():
