@@ -41,12 +41,6 @@ EVOLVE_COLUMNS = (
     "sz_mean", "sz2", "sp2_re", "sp2_im",
 )
 
-SCAN_COLUMNS = (
-    "model", "n", "mu", "chi", "gamma", "omega", "min_xi2", "t_min_xi2",
-    "mubar_min_xi2", "max_concurrence", "t_max_concurrence", "max_xi2",
-    "max_xi2_exceeds_one",
-)
-
 
 @dataclasses.dataclass
 class RunConfig:
@@ -74,6 +68,18 @@ class RunConfig:
     def spec(self) -> HamiltonianSpec:
         build, reads = MODELS[self.model]
         return build(*(getattr(self, c) for c in reads))
+
+
+# the RunConfig fields that some model reads, in field order: each has a flag,
+# and each but the one polynomial f_coeffs is an axis of the scan grid
+COEFFICIENTS = tuple(f.name for f in dataclasses.fields(RunConfig)
+                     if any(f.name in reads for _, reads in MODELS.values()))
+SCAN_AXES = tuple(c for c in COEFFICIENTS if c != "f_coeffs")
+
+SCAN_COLUMNS = (
+    "model", "n", *SCAN_AXES, "min_xi2", "t_min_xi2", "mubar_min_xi2",
+    "max_concurrence", "t_max_concurrence", "max_xi2", "max_xi2_exceeds_one",
+)
 
 
 def evolve_rows(times, states) -> dict:
@@ -188,10 +194,7 @@ def _scan_point(cfg: RunConfig) -> dict:
     return {
         "model": cfg.model,
         "n": cfg.n_qubits,
-        "mu": cfg.mu,
-        "chi": cfg.chi,
-        "gamma": cfg.gamma,
-        "omega": cfg.omega,
+        **{c: getattr(cfg, c) for c in SCAN_AXES},
         "min_xi2": min_xi2,
         "t_min_xi2": t_min_xi2,
         "mubar_min_xi2": 2.0 * cfg.mu * t_min_xi2,
@@ -203,17 +206,20 @@ def _scan_point(cfg: RunConfig) -> dict:
 
 
 def cmd_scan(cfg: RunConfig, n_list, workers: int) -> int:
-    """One CSV row per point of the grid n_list x cfg.mu x cfg.chi x cfg.gamma
-    x cfg.omega (each a tuple of values or one scalar), in sorted order. Each
-    point is `cfg` with those five fields replaced, as `evolve` would run it,
-    and every point is checked before the first one runs."""
-    axes = (_as_tuple(cfg.mu), _as_tuple(cfg.chi), _as_tuple(cfg.gamma), _as_tuple(cfg.omega))
+    """One CSV row per point of the grid n_list x the SCAN_AXES fields of cfg
+    (each a tuple of values or one scalar), in sorted order. Each point is
+    `cfg` with N and those fields replaced, as `evolve` would run it, and
+    every point, its Hamiltonian included, is checked before the first one
+    runs."""
+    axes = (_as_tuple(getattr(cfg, c)) for c in SCAN_AXES)
     grid = [
-        dataclasses.replace(cfg, n_qubits=n, mu=mu, chi=chi, gamma=gamma, omega=omega)
-        for n, mu, chi, gamma, omega in sorted(itertools.product(n_list, *axes))
+        dataclasses.replace(cfg, n_qubits=n, **dict(zip(SCAN_AXES, values)))
+        for n, *values in sorted(itertools.product(n_list, *axes))
     ]
     if not grid:
         raise ValueError("empty scan grid")
+    for point in grid:
+        point.spec()  # a non-finite coefficient raises here, not at its point
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
     workers = min(workers, len(grid))
@@ -259,15 +265,15 @@ def cmd_verify(suite: str, seed: int) -> int:
     return 0 if failures == 0 else 1
 
 
-def _parse_floats(text: str):
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_ints(text: str):
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError:  # argparse names the flag: "argument --n: ..."
-        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
+def _comma_list(kind, noun: str):
+    """The argparse type of a comma-separated list of `kind` values, empty
+    items skipped; a bad item is reported as "expected <noun>"."""
+    def parse(text: str):
+        try:
+            return tuple(kind(part) for part in text.split(",") if part.strip())
+        except ValueError:  # argparse names the flag: "argument --n: ..."
+            raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}") from None
+    return parse
 
 
 def load_config_file(path: str) -> list:
@@ -294,13 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, listy=False):
-        number = _parse_floats if listy else float
         p.add_argument("--model", choices=MODELS, default=None)
-        p.add_argument("--mu", type=number, default=None)
-        p.add_argument("--chi", type=number, default=None)
-        p.add_argument("--gamma", type=number, default=None)
-        p.add_argument("--omega", type=number, default=None)
-        p.add_argument("--f-coeffs", dest="f_coeffs", type=_parse_floats, default=None)
+        for name in COEFFICIENTS:  # a scan sweeps a list of each axis
+            kind = _comma_list(float, "numbers") if listy or name not in SCAN_AXES else float
+            p.add_argument(_flag(name), dest=name, type=kind, default=None)
         p.add_argument("--t-max", dest="t_max", type=float, default=None)
         p.add_argument("--dt", type=float, default=None)
         p.add_argument("--out", dest="output_path", default=None)
@@ -314,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     scan = sub.add_parser("scan", help="grid scan over N and coefficients")
     add_common(scan, listy=True)
     # dest n_list: the scan's N axis, not the n_qubits of one RunConfig
-    scan.add_argument("--n", dest="n_list", type=_parse_ints, default=tuple(range(2, 11)))
+    scan.add_argument("--n", dest="n_list", type=_comma_list(int, "integers"),
+                      default=tuple(range(2, 11)))
     scan.add_argument("--workers", type=int, default=1)
 
     dicke = sub.add_parser("dicke", help="squeezing/concurrence of a Dicke state")
@@ -337,8 +341,7 @@ def _check_coefficients(args) -> None:
     file, that the model does not read: it would change nothing."""
     model = args.model or RunConfig.model
     reads = MODELS[model][1]
-    coefficients = {name for _, names in MODELS.values() for name in names}
-    for name in (f.name for f in dataclasses.fields(RunConfig) if f.name in coefficients):
+    for name in COEFFICIENTS:
         if getattr(args, name) is not None and name not in reads:
             raise ValueError(
                 f"{_flag(name)} is not read by --model {model}, which reads only "

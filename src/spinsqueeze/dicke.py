@@ -74,14 +74,12 @@ class SymmetricState:
 class CollectiveMoments:
     """First and second moments of the collective spin operators.
 
-    sp_mean, sp2 and anti_sp_sz are the complex expectations <S+>, <S+^2>
-    and <[S+, Sz]_+>; everything else is real. Each field has shape () for
-    one state and (T,) for a stack.
+    sp_mean, sp2 and anti_sp_sz are the complex <S+>, <S+^2> and <[S+, Sz]_+>,
+    so also <Sx> + i<Sy> and <Sx^2> - <Sy^2> + i<[Sx, Sy]_+>; the rest are real.
+    Each field has shape () for one state and (T,) for a stack.
     """
 
     n_qubits: int
-    mean_sx: float
-    mean_sy: float
     mean_sz: float
     sz2: float
     sx2: float
@@ -89,12 +87,11 @@ class CollectiveMoments:
     sp_mean: complex
     sp2: complex
     anti_sp_sz: complex
-    anti_sx_sy: float
 
     @property
     def mean_spin(self) -> np.ndarray:
         """<S>, shape (3,) or (T, 3)."""
-        return np.stack([self.mean_sx, self.mean_sy, self.mean_sz], axis=-1)
+        return np.stack([self.sp_mean.real, self.sp_mean.imag, self.mean_sz], axis=-1)
 
     @property
     def mean_spin_norm(self):
@@ -104,7 +101,7 @@ class CollectiveMoments:
     @property
     def covariance(self) -> np.ndarray:
         """Symmetrized second-moment matrix <[S_a, S_b]_+>/2, (3, 3) or (T, 3, 3)."""
-        cxy = 0.5 * self.anti_sx_sy
+        cxy = 0.5 * self.sp2.imag
         cxz = 0.5 * self.anti_sp_sz.real
         cyz = 0.5 * self.anti_sp_sz.imag
         rows = [[self.sx2, cxy, cxz], [cxy, self.sy2, cyz], [cxz, cyz, self.sz2]]
@@ -200,8 +197,6 @@ def collective_moments(state: SymmetricState) -> CollectiveMoments:
 
     return CollectiveMoments(
         n_qubits=n_qubits,
-        mean_sx=sp_mean.real,
-        mean_sy=sp_mean.imag,
         mean_sz=mean_sz,
         sz2=sz2,
         sx2=sx2,
@@ -209,7 +204,6 @@ def collective_moments(state: SymmetricState) -> CollectiveMoments:
         sp_mean=sp_mean,
         sp2=sp2,
         anti_sp_sz=anti_sp_sz,
-        anti_sx_sy=sp2.imag,
     )
 
 

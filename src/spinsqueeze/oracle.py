@@ -141,8 +141,6 @@ def full_collective_moments(state: FullState) -> CollectiveMoments:
         x, y, z = (_real_times_complex(op, psi) for op in ops)
         sp, sm = x - y, x + y
         rows.append(dict(
-            mean_sx=np.vdot(psi, x).real,
-            mean_sy=-np.vdot(psi, y).imag,
             mean_sz=np.vdot(psi, z).real,
             sz2=np.vdot(z, z).real,
             sx2=np.vdot(x, x).real,
@@ -150,7 +148,6 @@ def full_collective_moments(state: FullState) -> CollectiveMoments:
             sp_mean=np.vdot(psi, sp),
             sp2=np.vdot(sm, sp),
             anti_sp_sz=np.vdot(sm, z) + np.vdot(z, sp),
-            anti_sx_sy=-2.0 * np.vdot(x, y).imag,
         ))
     return CollectiveMoments(state.n_qubits, **{
         name: np.array([row[name] for row in rows]).reshape(c.shape[:-1])[()] for name in rows[0]
@@ -182,20 +179,15 @@ def product_moments(bloch, n_qubits: int) -> CollectiveMoments:
     rx, ry, rz = bloch[..., 0], bloch[..., 1], bloch[..., 2]
     n = n_qubits
     pairs = n * (n - 1)
-    # <sigma_+> = (rx + i ry) / 2 on every site, so <S+> = <Sx> + i <Sy>
-    mean_sx, mean_sy = 0.5 * n * rx, 0.5 * n * ry
     return CollectiveMoments(
         n_qubits=n,
-        mean_sx=mean_sx,
-        mean_sy=mean_sy,
         mean_sz=0.5 * n * rz,
         sz2=0.25 * (n + pairs * (rz * rz)),
         sx2=0.25 * (n + pairs * (rx * rx)),
         sy2=0.25 * (n + pairs * (ry * ry)),
-        sp_mean=mean_sx + 1j * mean_sy,
+        sp_mean=0.5 * n * rx + 1j * (0.5 * n * ry),  # <sigma_+> = (rx + i ry) / 2 per site
         sp2=0.25 * pairs * (rx * rx - ry * ry) + 1j * (0.5 * pairs * rx * ry),
         anti_sp_sz=0.5 * pairs * rx * rz + 1j * (0.5 * pairs * ry * rz),
-        anti_sx_sy=pairs * 0.5 * rx * ry,
     )
 
 
@@ -239,7 +231,7 @@ def one_axis_analytic_moments(n_qubits: int, mu: float, t) -> CollectiveMoments:
     """Closed-form one-axis-twisting moments of all-down under mu Sx^2 at time
     `t` (a scalar or an array): the second moments at scaled phase 2 mu t,
     <Sz> = -(N/2) cos^(N-1)(mu t) and Im<S+^2> = <[Sx, Sy]_+> =
-    (N(N-1)/2) sin(mu t) cos^(N-2)(mu t); <Sx>, <Sy>, <S+> and <[S+, Sz]_+>
+    (N(N-1)/2) sin(mu t) cos^(N-2)(mu t); <S+> = <Sx> + i<Sy> and <[S+, Sz]_+>
     vanish by parity. So every moment the analysis reads has a closed form
     (Kitagawa and Ueda, PRA 47, 5138 (1993))."""
     if n_qubits < 2:
@@ -253,6 +245,6 @@ def one_axis_analytic_moments(n_qubits: int, mu: float, t) -> CollectiveMoments:
     sz2 = (n * n + n + n * (n - 1) * cos_pow) / 8.0
     sp2_im = 0.5 * n * (n - 1) * sin * cos ** (n - 2)
     return CollectiveMoments(
-        n, mean_sx=zero, mean_sy=zero, mean_sz=-0.5 * n * cos ** (n - 1), sz2=sz2, sx2=sx2,
-        sy2=sy2, sp_mean=zero, sp2=(sx2 - sy2) + 1j * sp2_im, anti_sp_sz=zero, anti_sx_sy=sp2_im,
+        n, mean_sz=-0.5 * n * cos ** (n - 1), sz2=sz2, sx2=sx2, sy2=sy2,
+        sp_mean=zero, sp2=(sx2 - sy2) + 1j * sp2_im, anti_sp_sz=zero,
     )

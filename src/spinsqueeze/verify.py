@@ -197,7 +197,7 @@ def suite_parity(n_values=(2, 3, 6, 10), t_max: float = 5.0, dt: float = 0.05):
             dense = (np.exp(-1j * np.outer(times, energies)) * modes) @ vectors.T
             both = np.concatenate([c, dense])
             m = collective_moments(SymmetricState(n, both))
-            worst_transverse = _worst(np.abs(m.mean_sx), np.abs(m.mean_sy))
+            worst_transverse = _worst(np.abs(m.sp_mean.real), np.abs(m.sp_mean.imag))
             worst_leak = np.max(np.sum(np.abs(both[:, 1::2]) ** 2, axis=-1))
             worst_norm = np.max(np.abs(np.sqrt(squared_norm(c)) - 1.0))
             energy = np.einsum("ti,ij,tj->t", c.conj(), h, c).real

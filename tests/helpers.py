@@ -1,6 +1,7 @@
 """Reference integrators and helpers that the tests share."""
 
 import math
+import sys
 
 import numpy as np
 
@@ -13,8 +14,31 @@ from spinsqueeze.dicke import (
     squared_norm,
 )
 from spinsqueeze.evolution import hermitian_eigen, propagate
-from spinsqueeze.hamiltonians import build_hamiltonian
+from spinsqueeze.hamiltonians import HamiltonianSpec, build_hamiltonian
 from spinsqueeze.oracle import FullState, collective_pauli_sums, product_moments
+
+
+# one spec per model, for the sector-path tests against a dense reference
+SECTOR_SPECS = {
+    "one-axis": HamiltonianSpec.one_axis(1.0),
+    "one-axis-field": HamiltonianSpec.one_axis_field(1.0, 0.7),
+    "two-axis": HamiltonianSpec.two_axis(1.0),
+    "general": HamiltonianSpec(mu=0.4, chi=-0.9, gamma=1.3, f_coeffs=(0.3, 0.7, 0.2)),
+}
+
+
+def h_norm_bound(spec, n):
+    """Upper bound on ||H||: perfbench's bound for mu, gamma and a linear
+    field, plus chi Sy^2 and every power of f(Sz)."""
+    j = n / 2.0
+    return ((abs(spec.mu) + abs(spec.chi)) * j * j + abs(spec.gamma) * j * (j + 1.0)
+            + sum(abs(coeff) * j**k for k, coeff in enumerate(spec.f_coeffs)))
+
+
+def error_model(spec, n, t):
+    """The tests' error model eps * N^2 * max(1, ||H|| t) of an evolution to
+    time t (a scalar or an array), with ||H|| from `h_norm_bound`."""
+    return sys.float_info.epsilon * n * n * np.maximum(1.0, h_norm_bound(spec, n) * t)
 
 
 def make_state(n_qubits, amplitudes):
@@ -146,21 +170,24 @@ def complex_full_evolve(hamiltonian: np.ndarray, times) -> FullState:
     return FullState(dim.bit_length() - 1, np.array(rows))
 
 
+def complex_expectation(state: FullState, op: np.ndarray):
+    """<psi| op |psi> of one state, or of each row of a stack, as complex."""
+    c = state.amplitudes
+    rows = c.reshape(-1, c.shape[-1])
+    values = np.array([complex(row.conj() @ (op @ row)) for row in rows])
+    return values.reshape(c.shape[:-1])[()]
+
+
 def complex_full_collective_moments(state: FullState) -> CollectiveMoments:
     """Moments as <psi| O |psi> of the complex operator products."""
     sx, sy, sz = complex_pauli_sums(state.n_qubits)
-    c = state.amplitudes
-    rows = c.reshape(-1, c.shape[-1])
 
     def ev(op):
-        values = np.array([complex(row.conj() @ (op @ row)) for row in rows])
-        return values.reshape(c.shape[:-1])[()]
+        return complex_expectation(state, op)
 
     sp = sx + 1j * sy
     return CollectiveMoments(
         n_qubits=state.n_qubits,
-        mean_sx=ev(sx).real,
-        mean_sy=ev(sy).real,
         mean_sz=ev(sz).real,
         sz2=ev(sz @ sz).real,
         sx2=ev(sx @ sx).real,
@@ -168,5 +195,4 @@ def complex_full_collective_moments(state: FullState) -> CollectiveMoments:
         sp_mean=ev(sp),
         sp2=ev(sp @ sp),
         anti_sp_sz=ev(sp @ sz + sz @ sp),
-        anti_sx_sy=ev(sx @ sy + sy @ sx).real,
     )

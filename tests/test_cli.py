@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import math
 import os
@@ -43,6 +44,20 @@ def read_rows(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
     return [dict(zip(header, line.split(","))) for line in lines[1:]]
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_csv_headers_are_the_benchmark_workloads_headers(monkeypatch):
+    # the benchmark checks each CSV against headers of its own, so a header
+    # change must fail here first; the file is read, not changed
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    assert cli.EVOLVE_COLUMNS == workloads.EVOLVE_COLUMNS
+    assert cli.SCAN_COLUMNS == workloads.SCAN_COLUMNS
 
 
 class TestEvolve:
@@ -638,6 +653,34 @@ class TestScan:
         assert "--n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--mu", "--omega", "--f-coeffs"])
+    @pytest.mark.parametrize("command", ["scan", "evolve"])
+    def test_non_number_coefficient_is_usage_error(self, command, flag, tmp_path, capsys):
+        # a list flag used to print "invalid _parse_floats value"
+        out = tmp_path / "x.csv"
+        for value in ("abc", "1,x"):
+            with pytest.raises(SystemExit) as err:
+                run_cli([command, "--model", "general", flag, value, "--out", str(out)])
+            assert err.value.code == 2
+            message = capsys.readouterr().err
+            assert f"argument {flag}: " in message and "_parse" not in message
+            if command == "scan" or flag == "--f-coeffs":  # a list of numbers
+                assert f"expected numbers, got {value!r}" in message
+            else:  # evolve's one number
+                assert f"invalid float value: {value!r}" in message
+            assert not out.exists()
+
+    def test_non_finite_coefficient_is_refused_before_any_point_runs(self, monkeypatch,
+                                                                     tmp_path, capsys):
+        # the NaN point used to be refused only when the scan reached it
+        rows = TestStreaming.record_blocks(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert run_cli(["scan", "--model", "one-axis-field", "--n", "4,6", "--omega", "0.5,nan",
+                        "--t-max", "5", "--dt", "0.01", "--out", str(out)]) == 2
+        assert rows == []
+        assert "non-finite Hamiltonian coefficient" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_integer_n_in_config_is_usage_error(self, tmp_path, capsys):
         config = tmp_path / "scan.cfg"
         config.write_text("n = 2.9, 4\nt_max = 1\ndt = 0.5\n")
@@ -772,7 +815,7 @@ class TestVerify:
         (lambda: verify.suite_prop4(n_values=[4], t_max=0.5),
          (pairwise, "squeezing_even_odd"), None, ["prop4_xi2_bound_N4", "prop4_identity_N4"]),
         (lambda: verify.suite_parity(n_values=[4], t_max=0.5),
-         (verify, "collective_moments"), "mean_sy",
+         (verify, "collective_moments"), "sp_mean",
          [f"parity_transverse_{name}_N4" for name in verify._model_specs()]),
     ], ids=["lemma1", "lemma3", "prop3", "prop4", "parity"])
     def test_nan_residual_fails(self, suite, target, field, failing, monkeypatch):

@@ -91,6 +91,10 @@ class TestConstruction:
 
 
 class TestMoments:
+    def test_each_moment_is_stored_once(self):
+        # <Sx>, <Sy> and <[Sx, Sy]_+> are read off sp_mean and sp2, not stored
+        assert MOMENT_FIELDS == ("mean_sz", "sz2", "sx2", "sy2", "sp_mean", "sp2", "anti_sp_sz")
+
     def test_lowest_weight_state(self):
         m = collective_moments(make_all_down(4))
         assert m.mean_sz == -2.0
@@ -118,9 +122,12 @@ class TestMoments:
     @settings(max_examples=50, deadline=None)
     def test_sp2_decomposition(self, n, seed):
         rng = np.random.default_rng(seed)
-        m = collective_moments(random_state(rng, n))
+        state = random_state(rng, n)
+        m = collective_moments(state)
+        sx, sy, _, _, _ = collective_operators(n)
+        c = state.amplitudes
         assert m.sx2 - m.sy2 == pytest.approx(m.sp2.real, abs=1e-12)
-        assert m.anti_sx_sy == pytest.approx(m.sp2.imag, abs=1e-12)
+        assert m.sp2.imag == pytest.approx(np.vdot(c, (sx @ sy + sy @ sx) @ c).real, abs=1e-12)
 
     def test_even_states_have_zero_transverse_mean(self):
         rng = np.random.default_rng(11)
@@ -129,8 +136,7 @@ class TestMoments:
             amps[0::2] = rng.normal(size=amps[0::2].size)
             state, _ = make_state(n, amps)
             m = collective_moments(state)
-            assert abs(m.mean_sx) <= 1e-12
-            assert abs(m.mean_sy) <= 1e-12
+            assert np.all(np.abs(m.mean_spin[:2]) <= 1e-12)
             assert abs(m.sp_mean) <= 1e-12
 
 
@@ -147,21 +153,29 @@ def parity_stack(rng, n, rows, parity):
 
 @functools.lru_cache(maxsize=1)
 def dense_operators(n):
-    """The dense operator of every moment field, from `collective_operators`."""
+    """From `collective_operators`: the dense operator of every moment
+    field, then (Sx, Sy, Sz) and their anticommutators [S_a, S_b]_+."""
     sx, sy, sz, sp, _ = collective_operators(n)
-    return {
-        "mean_sx": sx, "mean_sy": sy, "mean_sz": sz, "sz2": sz @ sz, "sx2": sx @ sx,
-        "sy2": sy @ sy, "sp_mean": sp, "sp2": sp @ sp, "anti_sp_sz": sp @ sz + sz @ sp,
-        "anti_sx_sy": sx @ sy + sy @ sx,
+    fields = {
+        "mean_sz": sz, "sz2": sz @ sz, "sx2": sx @ sx, "sy2": sy @ sy,
+        "sp_mean": sp, "sp2": sp @ sp, "anti_sp_sz": sp @ sz + sz @ sp,
     }
+    spin = (sx, sy, sz)
+    return fields, spin, [[a @ b + b @ a for b in spin] for a in spin]
 
 
 def dense_moments(c, n):
-    """Every moment field of the state c as np.vdot(c, A c); the fields that
-    CollectiveMoments holds as real numbers are compared as real parts."""
+    """Every moment field of the state c as np.vdot(c, A c), the fields that
+    CollectiveMoments holds as real numbers as real parts; and `mean_spin`
+    and `covariance` as <S_a> and <[S_a, S_b]_+>/2 of the dense S_a."""
+    fields, spin, anti = dense_operators(n)
     complex_fields = ("sp_mean", "sp2", "anti_sp_sz")
-    return {name: np.vdot(c, op @ c) if name in complex_fields else np.vdot(c, op @ c).real
-            for name, op in dense_operators(n).items()}
+    moments = {name: np.vdot(c, op @ c) if name in complex_fields else np.vdot(c, op @ c).real
+               for name, op in fields.items()}
+    moments["mean_spin"] = np.array([np.vdot(c, op @ c).real for op in spin])
+    moments["covariance"] = np.array([[0.5 * np.vdot(c, op @ c).real for op in row]
+                                      for row in anti])
+    return moments
 
 
 def ladder_moments(c, n):
@@ -193,13 +207,18 @@ class TestMomentReference:
 
     def check(self, n, parity, reference):
         amps = parity_stack(np.random.default_rng(n), n, self.ROWS, parity)
-        m = collective_moments(SymmetricState(n, amps))
+        stacks = [SymmetricState(n, amps)]
+        if parity != "mixed":  # the same states held as their one sector's entries
+            p = {"even": 0, "odd": 1}[parity]
+            stacks.append(SymmetricState(n, amps[:, p::2], parity=p))
         tol = 4 * sys.float_info.epsilon * n * n
-        for k in range(self.ROWS):
-            for name, value in reference(amps[k], n).items():
-                assert abs(getattr(m, name)[k] - value) <= tol, (name, k)
-        if parity != "mixed":  # one sector: no n -> n+1 coupling at all
-            assert not np.any(m.sp_mean) and not np.any(m.anti_sp_sz)
+        for stack in stacks:
+            m = collective_moments(stack)
+            for k in range(self.ROWS):
+                for name, value in reference(amps[k], n).items():
+                    assert np.max(np.abs(getattr(m, name)[k] - value)) <= tol, (name, k)
+            if parity != "mixed":  # one sector: no n -> n+1 coupling at all
+                assert not np.any(m.sp_mean) and not np.any(m.anti_sp_sz)
 
     @pytest.mark.parametrize("parity", ["mixed", "even", "odd"])
     @pytest.mark.parametrize("n", [1, 2, 3, 10, 101, 400])

@@ -6,7 +6,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import dense_evolve, evolve_states, make_state, rk4_evolve
+from helpers import (
+    SECTOR_SPECS,
+    dense_evolve,
+    error_model,
+    evolve_states,
+    make_state,
+    rk4_evolve,
+)
 
 from spinsqueeze import evolution, hamiltonians
 from spinsqueeze.dicke import (
@@ -430,29 +437,13 @@ def test_modes_counts_the_kept_modes():
         assert long.modes == long.dim == 26
 
 
-SECTOR_SPECS = {
-    "one-axis": HamiltonianSpec.one_axis(1.0),
-    "one-axis-field": HamiltonianSpec.one_axis_field(1.0, 0.7),
-    "two-axis": HamiltonianSpec.two_axis(1.0),
-    "general": HamiltonianSpec(mu=0.4, chi=-0.9, gamma=1.3, f_coeffs=(0.3, 0.7, 0.2)),
-}
-
-
-def h_norm_bound(spec, n):
-    """Upper bound on ||H||: perfbench's bound for mu, gamma and a linear
-    field, plus chi Sy^2 and every power of f(Sz)."""
-    j = n / 2.0
-    return ((abs(spec.mu) + abs(spec.chi)) * j * j + abs(spec.gamma) * j * (j + 1.0)
-            + sum(abs(coeff) * j**k for k, coeff in enumerate(spec.f_coeffs)))
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 13, 64, 200])
 @pytest.mark.parametrize("model", sorted(SECTOR_SPECS))
 def test_sector_path_matches_dense(model, n):
     # error model eps * N^2 * max(1, ||H|| t) against the dense complex eigh
     spec = SECTOR_SPECS[model]
     times = np.array([0.0, 0.7, 3.1])
-    tol = sys.float_info.epsilon * n * n * max(1.0, h_norm_bound(spec, n) * times[-1])
+    tol = error_model(spec, n, times[-1])
     rng = np.random.default_rng(n)
     rng.normal(size=(2, n + 1))  # the dropped two-parity case's draws: the odd state is kept
     odd, _ = make_state(n, np.where(np.arange(n + 1) % 2, rng.normal(size=n + 1), 0.0))
@@ -591,8 +582,8 @@ def test_transverse_means_vanish_with_field():
     states = evolve_states(HamiltonianSpec.one_axis_field(1.0, 2.0), make_all_down(10),
                          time_grid(5.0, 0.05)[:])
     m = collective_moments(states)
-    assert np.max(np.abs(m.mean_sx)) <= 1e-10
-    assert np.max(np.abs(m.mean_sy)) <= 1e-10
+    assert np.max(np.abs(m.sp_mean.real)) <= 1e-10
+    assert np.max(np.abs(m.sp_mean.imag)) <= 1e-10
 
 
 def test_energy_conservation():

@@ -21,13 +21,11 @@ import contextlib
 import csv
 import dataclasses
 import io
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import evolve_columns
-from test_evolution import h_norm_bound
+from helpers import error_model, evolve_columns
 
 from spinsqueeze import cli, evolution, verify
 from spinsqueeze.dicke import SymmetricState, make_all_down
@@ -98,10 +96,10 @@ def error_scale(cfg, row):
     if "n" in row:
         cfg = dataclasses.replace(
             cfg, n_qubits=int(row["n"]),
-            **{c: float(row[c]) for c in ("mu", "chi", "gamma", "omega")})
+            **{c: float(row[c]) for c in cli.SCAN_AXES})
     t = float(row.get("t", cfg.t_max))
     n = cfg.n_qubits
-    return sys.float_info.epsilon * n * n * max(1.0, h_norm_bound(cfg.spec(), n) * t)
+    return error_model(cfg.spec(), n, t)
 
 
 def numeric_columns(rows):

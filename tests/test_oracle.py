@@ -2,19 +2,19 @@
 
 import ast
 import inspect
-import sys
 
 import numpy as np
 import pytest
 from helpers import (
+    complex_expectation,
     complex_full_collective_moments,
     complex_full_evolve,
     complex_full_hamiltonian,
     complex_pauli_sums,
+    error_model,
     evolve_states,
     make_state,
 )
-from test_evolution import h_norm_bound
 
 from spinsqueeze import oracle, verify
 from spinsqueeze.dicke import (
@@ -154,16 +154,14 @@ class TestFullEvolve:
 
 def test_moments_match_oracle_on_random_states():
     rng = np.random.default_rng(8)
-    fields = ("mean_sx", "mean_sy", "mean_sz", "sz2", "sx2", "sy2",
-              "sp_mean", "sp2", "anti_sp_sz", "anti_sx_sy")
     for n in range(2, 9):
         for _ in range(20):
             amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
             state, _ = make_state(n, amps)
             ms = collective_moments(state)
             mf = full_collective_moments(embed_symmetric(state))
-            for name in fields:
-                assert abs(getattr(ms, name) - getattr(mf, name)) <= 1e-10
+            for name in (*MOMENT_FIELDS, "mean_spin", "covariance"):
+                assert np.max(np.abs(getattr(ms, name) - getattr(mf, name))) <= 1e-10, name
 
 
 # the three verify specs, a weaker field, and the general H with and without gamma
@@ -230,6 +228,11 @@ def test_vector_moments_match_operator_products(n):
         value = getattr(single, name)
         assert np.shape(value) == (), name
         assert abs(value - getattr(ref, name)[3]) <= 1e-12, name
+    # <X>, <Y> and <[X, Y]_+> are read off <S+> and <S+^2>
+    sx, sy, _ = complex_pauli_sums(n)
+    for name, got, op in (("<X>", m.sp_mean.real, sx), ("<Y>", m.sp_mean.imag, sy),
+                          ("<[X, Y]_+>", m.sp2.imag, sx @ sy + sy @ sx)):
+        assert np.max(np.abs(got - complex_expectation(full, op).real)) <= 1e-12, name
 
 
 def imported_names(source):
@@ -319,7 +322,7 @@ class TestSeparableSampler:
     def test_deterministic(self):
         a = sample_separable(4, np.random.default_rng(7), 2)
         b = sample_separable(4, np.random.default_rng(7), 2)
-        assert a.mean_sx.shape == (2,)
+        assert a.sp_mean.shape == (2,)
         for f in MOMENT_FIELDS:
             np.testing.assert_array_equal(getattr(a, f), getattr(b, f))
 
@@ -398,7 +401,7 @@ class TestOneAxisAnalytic:
         spec, times = HamiltonianSpec.one_axis(0.7), np.linspace(0.0, 3.0, 61)
         m = collective_moments(evolve_states(spec, make_all_down(n), times))
         ref = one_axis_analytic_moments(n, spec.mu, times)
-        tol = sys.float_info.epsilon * n * n * np.maximum(1.0, h_norm_bound(spec, n) * times)
+        tol = error_model(spec, n, times)
         for got, want in ((m.mean_sz, ref.mean_sz), (m.sp2.imag, ref.sp2.imag),
                           (m.sp2.real, ref.sp2.real), (m.sz2, ref.sz2),
                           (m.sx2, ref.sx2), (m.sy2, ref.sy2)):
@@ -422,6 +425,6 @@ class TestOneAxisAnalytic:
             "y": r.y, "u_re": r.u.real, "u_im": r.u.imag, "sz_mean": ref.mean_sz,
             "sz2": ref.sz2, "sp2_re": ref.sp2.real, "sp2_im": ref.sp2.imag,
         }
-        unit = 4.0 * sys.float_info.epsilon * n * n * np.maximum(1.0, h_norm_bound(spec, n) * times)
+        unit = 4.0 * error_model(spec, n, times)
         for name, want in expected.items():
             assert np.all(np.abs(table[name] - want) <= unit * np.maximum(1.0, np.abs(want))), name

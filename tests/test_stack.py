@@ -89,7 +89,7 @@ def test_moments_reduction_and_general_xi2(n):
     stack = random_stack(np.random.default_rng(100 + n), n)
     singles = [collective_moments(state) for state in rows_of(stack)]
     m = collective_moments(stack)
-    assert m.mean_sx.shape == (ROWS,)
+    assert m.sp_mean.shape == (ROWS,)
     assert_rows_equal(m, singles, extra=("mean_spin", "mean_spin_norm", "covariance"))
     assert_rows_equal(reduced_two_qubit(m), [reduced_two_qubit(s) for s in singles])
     assert_rows_equal(squeezing_general(m), [squeezing_general(s) for s in singles])
