@@ -129,7 +129,10 @@ def write_csv(path, columns, blocks, precision: int):
         with open(target, "w", newline="\n") as handle:
             handle.writelines(lines())
         return
-    fd, temporary = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    try:
+        fd, temporary = tempfile.mkstemp(dir=os.path.dirname(target), suffix=".tmp")
+    except OSError as exc:  # it names its own random file: name the user's path
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         umask = os.umask(0)
         os.umask(umask)
@@ -209,8 +212,8 @@ def cmd_scan(cfg: RunConfig, n_list, workers: int) -> int:
     """One CSV row per point of the grid n_list x the SCAN_AXES fields of cfg
     (each a tuple of values or one scalar), in sorted order. Each point is
     `cfg` with N and those fields replaced, as `evolve` would run it, and
-    every point, its Hamiltonian included, is checked before the first one
-    runs."""
+    every point, its Hamiltonian included, is checked and the output file
+    made before the first one runs."""
     axes = (_as_tuple(getattr(cfg, c)) for c in SCAN_AXES)
     grid = [
         dataclasses.replace(cfg, n_qubits=n, **dict(zip(SCAN_AXES, values)))
@@ -223,16 +226,18 @@ def cmd_scan(cfg: RunConfig, n_list, workers: int) -> int:
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
     workers = min(workers, len(grid))
-    if workers > 1:
-        # imported here: a serial run never loads concurrent.futures or multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_scan_point, grid))
-    else:
-        rows = [_scan_point(point) for point in grid]
-    write_csv(cfg.output_path, SCAN_COLUMNS,
-              [{c: [row[c] for row in rows] for c in SCAN_COLUMNS}], cfg.precision)
+    def table():  # drawn by write_csv once it has made the file
+        if workers > 1:
+            # imported here: a serial run never loads concurrent.futures or multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_scan_point, grid))
+        else:
+            rows = [_scan_point(point) for point in grid]
+        yield {c: [row[c] for row in rows] for c in SCAN_COLUMNS}
+    write_csv(cfg.output_path, SCAN_COLUMNS, table(), cfg.precision)
     return 0
 
 

@@ -130,12 +130,13 @@ def sector_bands(spec: HamiltonianSpec, n_qubits: int) -> tuple:
     a = ladder_coefficients(n_qubits)
     a2 = np.zeros(n_qubits + 2)  # a_(n-1)^2 at index n, zero at both ends
     a2[1:-1] = a * a
-    diagonal = 0.25 * (spec.mu + spec.chi) * (a2[:-1] + a2[1:])
-    if spec.f_coeffs:
-        m = np.arange(n_qubits + 1) - n_qubits / 2.0
-        diagonal = diagonal + np.polynomial.polynomial.polyval(m, spec.f_coeffs)
-    c = complex(0.25 * (spec.mu - spec.chi), -0.5 * spec.gamma)
-    coupling = abs(c) * (a[:-1] * a[1:])  # n <-> n+2, for n = 0..N-2
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        diagonal = 0.25 * (spec.mu + spec.chi) * (a2[:-1] + a2[1:])
+        if spec.f_coeffs:
+            m = np.arange(n_qubits + 1) - n_qubits / 2.0
+            diagonal = diagonal + np.polynomial.polynomial.polyval(m, spec.f_coeffs)
+        c = complex(0.25 * (spec.mu - spec.chi), -0.5 * spec.gamma)
+        coupling = abs(c) * (a[:-1] * a[1:])  # n <-> n+2, for n = 0..N-2
     if not (np.all(np.isfinite(diagonal)) and np.all(np.isfinite(coupling))):
         raise ValueError("Hamiltonian entries overflow")
     phase = c / abs(c) if c else 1.0 + 0.0j

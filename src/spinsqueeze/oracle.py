@@ -43,8 +43,8 @@ class FullState:
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps is self.amplitudes and amps.flags.writeable:
             amps = amps.copy()  # freezing it below must not freeze the caller's array
-        if amps.ndim not in (1, 2) or amps.shape[-1] != 2**self.n_qubits:
-            raise ValueError(f"expected 2^{self.n_qubits} amplitudes, got {amps.shape}")
+        if amps.ndim not in (1, 2) or amps.shape[-1] != 2**self.n_qubits or not amps.size:
+            raise ValueError(f"expected rows of 2^{self.n_qubits} amplitudes, got {amps.shape}")
         norm = np.ravel(np.sqrt(squared_norm(amps)))
         bad = ~(np.abs(norm - 1.0) <= 1e-10)  # a NaN row fails too
         if np.any(bad):
@@ -115,43 +115,37 @@ def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
 def full_evolve(hamiltonian: np.ndarray, times) -> FullState:
     """Evolve the all-down product state under a `full_hamiltonian` matrix to
     each of `times`, from one eigendecomposition (real when H is): a stack,
-    one row per time, each from its own matrix-vector product."""
-    dim = len(hamiltonian)
+    one row per time, each from its own product in one broadcast call."""
     real = not np.any(hamiltonian.imag)
     energies, vectors = np.linalg.eigh(hamiltonian.real if real else hamiltonian)
     coeffs = vectors[-1].conj()  # overlaps with the all-ones bitstring, every qubit down
-    apply = _real_times_complex if real else np.matmul
-    rows = [apply(vectors, np.exp(-1j * energies * t) * coeffs) for t in times]
-    return FullState(dim.bit_length() - 1, np.array(rows))  # dim = 2^N
+    phases = np.exp(-1j * energies * np.asarray(times)[:, None]) * coeffs
+    rows = _real_apply(vectors, phases) if real else (vectors @ phases[..., None])[..., 0]
+    return FullState(len(hamiltonian).bit_length() - 1, rows)  # H is 2^N x 2^N
 
 
-def _real_times_complex(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """op @ psi for a real op, as one real product on psi's (Re, Im) columns."""
-    return (op @ psi.view(float).reshape(-1, 2)).view(complex)[:, 0]
+def _real_apply(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """op @ psi for a real op: per row of psi, one real product on its (Re, Im) columns."""
+    return (op @ psi.view(float).reshape(*psi.shape, 2)).view(complex)[..., 0]
+
+
+def _vdot(a: np.ndarray, b: np.ndarray):
+    """np.vdot, bit for bit, of each row pair: one (1, D) x (D, 1) product per row."""
+    return (a.conj()[..., None, :] @ b[..., :, None])[..., 0, 0][()]
 
 
 def full_collective_moments(state: FullState) -> CollectiveMoments:
     """Moments evaluated with explicit full-space operators, for one state or
-    every row of a stack: per row, inner products of x = X psi, y = Y psi and
+    every row of a stack: per-row inner products of x = X psi, y = Y psi and
     z = Z psi, with S_y psi = i y and S+- psi = x -+ y."""
-    ops = collective_pauli_sums(state.n_qubits)
-    c = state.amplitudes
-    rows = []
-    for psi in c.reshape(-1, c.shape[-1]):
-        x, y, z = (_real_times_complex(op, psi) for op in ops)
-        sp, sm = x - y, x + y
-        rows.append(dict(
-            mean_sz=np.vdot(psi, z).real,
-            sz2=np.vdot(z, z).real,
-            sx2=np.vdot(x, x).real,
-            sy2=np.vdot(y, y).real,
-            sp_mean=np.vdot(psi, sp),
-            sp2=np.vdot(sm, sp),
-            anti_sp_sz=np.vdot(sm, z) + np.vdot(z, sp),
-        ))
-    return CollectiveMoments(state.n_qubits, **{
-        name: np.array([row[name] for row in rows]).reshape(c.shape[:-1])[()] for name in rows[0]
-    })
+    psi = state.amplitudes
+    x, y, z = (_real_apply(op, psi) for op in collective_pauli_sums(state.n_qubits))
+    sp, sm = x - y, x + y
+    return CollectiveMoments(
+        state.n_qubits, mean_sz=_vdot(psi, z).real, sz2=_vdot(z, z).real,
+        sx2=_vdot(x, x).real, sy2=_vdot(y, y).real, sp_mean=_vdot(psi, sp),
+        sp2=_vdot(sm, sp), anti_sp_sz=_vdot(sm, z) + _vdot(z, sp),
+    )
 
 
 def partial_trace_pair(state: FullState, i: int, j: int) -> np.ndarray:

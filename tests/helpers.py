@@ -196,3 +196,48 @@ def complex_full_collective_moments(state: FullState) -> CollectiveMoments:
         sp2=ev(sp @ sp),
         anti_sp_sz=ev(sp @ sz + sz @ sp),
     )
+
+
+# The per-row 2^N oracle routines that the stacked ones of `spinsqueeze.oracle`
+# replaced, kept as they were: each stacked row must keep their bits.
+
+def looped_full_evolve(hamiltonian: np.ndarray, times) -> FullState:
+    """Evolve the all-down product state under a `full_hamiltonian` matrix to
+    each of `times`, from one eigendecomposition (real when H is): a stack,
+    one row per time, each from its own matrix-vector product."""
+    dim = len(hamiltonian)
+    real = not np.any(hamiltonian.imag)
+    energies, vectors = np.linalg.eigh(hamiltonian.real if real else hamiltonian)
+    coeffs = vectors[-1].conj()  # overlaps with the all-ones bitstring, every qubit down
+    apply = real_times_complex if real else np.matmul
+    rows = [apply(vectors, np.exp(-1j * energies * t) * coeffs) for t in times]
+    return FullState(dim.bit_length() - 1, np.array(rows))  # dim = 2^N
+
+
+def real_times_complex(op: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """op @ psi for a real op, as one real product on psi's (Re, Im) columns."""
+    return (op @ psi.view(float).reshape(-1, 2)).view(complex)[:, 0]
+
+
+def looped_full_collective_moments(state: FullState) -> CollectiveMoments:
+    """Moments evaluated with explicit full-space operators, for one state or
+    every row of a stack: per row, inner products of x = X psi, y = Y psi and
+    z = Z psi, with S_y psi = i y and S+- psi = x -+ y."""
+    ops = collective_pauli_sums(state.n_qubits)
+    c = state.amplitudes
+    rows = []
+    for psi in c.reshape(-1, c.shape[-1]):
+        x, y, z = (real_times_complex(op, psi) for op in ops)
+        sp, sm = x - y, x + y
+        rows.append(dict(
+            mean_sz=np.vdot(psi, z).real,
+            sz2=np.vdot(z, z).real,
+            sx2=np.vdot(x, x).real,
+            sy2=np.vdot(y, y).real,
+            sp_mean=np.vdot(psi, sp),
+            sp2=np.vdot(sm, sp),
+            anti_sp_sz=np.vdot(sm, z) + np.vdot(z, sp),
+        ))
+    return CollectiveMoments(state.n_qubits, **{
+        name: np.array([row[name] for row in rows]).reshape(c.shape[:-1])[()] for name in rows[0]
+    })

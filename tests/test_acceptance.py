@@ -100,7 +100,7 @@ def test_criterion_5_two_axis_even_n_relation():
 
 def test_criterion_6_oracle_equivalence():
     lemma2 = suite_lemma2(seed=SEED, per_n=100, n_values=range(2, 9))
-    oracle = suite_oracle(seed=SEED, n_values=range(2, 9))
+    oracle = suite_oracle(n_values=range(2, 9))
     worst_conc = 0.0
     worst_spectral = 0.0
     rng = np.random.default_rng(SEED)

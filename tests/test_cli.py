@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import importlib.util
+import inspect
 import io
 import math
 import os
@@ -190,6 +191,22 @@ class TestEvolve:
             ["evolve", "--n", "2", "--t-max", "1", "--dt", "0.5",
              "--out", "/nonexistent/dir/x.csv"]
         ) == 2
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--gamma", "1e308"), ("--mu", "1e308"), ("--f-coeffs", "1e308,1e308,1e308"),
+    ])
+    def test_overflowing_coefficient_prints_only_the_error(self, flag, value):
+        # run as a user runs it, so a numpy warning would reach stderr
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import sys\nfrom spinsqueeze import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+        args = ["evolve", "--model", "general", "--n", "4", flag, value,
+                "--t-max", "1", "--dt", "0.5", "--out", os.devnull]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 2
+        assert done.stderr == "error: Hamiltonian entries overflow\n"
 
     def test_byte_stability(self, tmp_path):
         out_a = tmp_path / "a.csv"
@@ -543,6 +560,23 @@ class TestCsvWriter:
         assert buffer.getvalue() == "x,n,s\n" + expected
 
 
+@pytest.mark.parametrize("args", [
+    ["evolve", "--n", "4"], ["scan", "--model", "one-axis-field", "--n", "2,4", "--omega", "1,2"],
+], ids=["evolve", "scan"])
+def test_output_in_missing_directory_is_named(args, tmp_path, monkeypatch, capsys):
+    # the error names the given path, not the temporary file beside it, and
+    # comes before any block is propagated
+    calls = []
+    monkeypatch.setattr(evolution, "propagate", lambda *a: calls.append(a))
+    out = tmp_path / "missing" / "x.csv"
+    assert run_cli(args + ["--t-max", "1", "--dt", "0.5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert ".tmp" not in err
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestScan:
     def test_one_axis_field_inequality(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -789,6 +823,21 @@ class TestVerify:
 
     def test_lemma3_suite_passes(self):
         assert run_cli(["verify", "lemma3"]) == 0
+
+    def test_only_randomized_suites_take_a_seed(self, capsys):
+        # per the module docstring; the registry passes the seed only to these
+        randomized = ("lemma1", "lemma2", "x-form")
+        for name in verify.RUNNERS:
+            suite = getattr(verify, "suite_" + name.replace("-", "_"))
+            takes_seed = "seed" in inspect.signature(suite).parameters
+            assert takes_seed == (name in randomized), name
+        for name in randomized:
+            printed = []
+            for seed in ("1", "2"):
+                assert run_cli(["verify", name, "--seed", seed]) == 0
+                lines = capsys.readouterr().out.splitlines()
+                printed.append([line for line in lines if "residual" in line])
+            assert printed[0] != printed[1], name
 
     def test_named_only_suite_runs_by_name_and_not_under_all(self, monkeypatch, capsys):
         # a suite put in the registry alone is offered and run by name only

@@ -1,5 +1,7 @@
 """Hamiltonian builder: matrix elements, structure, parity symmetry."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,17 @@ def test_named_models_have_exact_gauges():
 def test_overflowing_band_is_refused():
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
         sector_bands(HamiltonianSpec(mu=1e308), 4)
+
+
+@pytest.mark.parametrize("spec", [
+    HamiltonianSpec(mu=1e308),
+    HamiltonianSpec(gamma=1e308),
+    HamiltonianSpec(f_coeffs=(1e308, 1e308, 1e308)),
+    HamiltonianSpec(mu=-1e308, f_coeffs=(0.0, -1e308)),  # -inf + inf on the diagonal
+], ids=["mu", "gamma", "f", "mu-and-f"])
+def test_overflowing_band_is_refused_without_a_warning(spec):
+    # the refusal is the only report: no numpy warning on the way to it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            sector_bands(spec, 6)

@@ -13,6 +13,8 @@ from helpers import (
     complex_pauli_sums,
     error_model,
     evolve_states,
+    looped_full_collective_moments,
+    looped_full_evolve,
     make_state,
 )
 
@@ -45,6 +47,11 @@ from spinsqueeze.squeezing import squeezing_even_odd
 def test_full_state_rejects_nan_amplitudes():
     with pytest.raises(ValueError, match="norm"):
         FullState(1, [np.nan, 0.0])
+
+
+def test_full_state_rejects_an_empty_stack():
+    with pytest.raises(ValueError):
+        FullState(3, np.zeros((0, 8)))
 
 
 def test_full_state_keeps_the_callers_array_writeable():
@@ -140,11 +147,20 @@ class TestFullEvolve:
             assert abs(getattr(mf, name)[0] - getattr(ms, name)) <= 1e-10
 
     def test_each_time_independent_of_the_others(self):
-        h = full_hamiltonian(HamiltonianSpec.one_axis_field(1.0, 0.5), 4)
-        together = full_evolve(h, [0.1, 0.3, 1.0])
-        assert together.amplitudes.shape == (3, 16)
-        for t, amps in zip([0.1, 0.3, 1.0], together.amplitudes):
-            assert np.array_equal(amps, full_evolve(h, [t]).amplitudes[0])
+        # a real H (real eigh) and a complex one (complex eigh), bit for bit
+        for spec in (HamiltonianSpec.one_axis_field(1.0, 0.5), HamiltonianSpec.two_axis(1.0)):
+            h = full_hamiltonian(spec, 4)
+            together = full_evolve(h, [0.1, 0.3, 1.0])
+            assert together.amplitudes.shape == (3, 16)
+            for t, amps in zip([0.1, 0.3, 1.0], together.amplitudes):
+                alone = full_evolve(h, [t]).amplitudes[0]
+                assert np.array_equal(amps.view(np.uint64), alone.view(np.uint64))
+
+    @pytest.mark.parametrize("spec", [HamiltonianSpec.one_axis(1.0), HamiltonianSpec.two_axis(1.0)],
+                             ids=["real", "complex"])
+    def test_no_times_is_refused(self, spec):
+        with pytest.raises(ValueError):
+            full_evolve(full_hamiltonian(spec, 3), [])
 
     def test_capacity(self):
         # raised by the Hamiltonian builder, before any 2^N matrix exists
@@ -181,6 +197,38 @@ def test_hamiltonian_from_real_products_is_bit_equal_to_complex_products(name, n
     assert h.dtype == complex
     # uint64 views: the sign of every zero must match too
     assert np.array_equal(h.view(np.uint64), reference.view(np.uint64))
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays or numpy scalars have one shape, dtype and bit pattern
+    (uint64 views: the sign of every zero counts)."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", REAL_ROUTE_SPECS)
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_oracle_keeps_the_per_row_bits(name, n):
+    # one broadcast product per call, yet every row rounds as when it was
+    # taken alone: the per-time and per-row loops of the references
+    h = full_hamiltonian(REAL_ROUTE_SPECS[name], n)
+    times = (0.0, 0.1, 0.3, 1.0)
+    stack = full_evolve(h, times)
+    assert same_bits(stack.amplitudes, looped_full_evolve(h, times).amplitudes)
+    one_time = full_evolve(h, [0.3])
+    assert same_bits(one_time.amplitudes, looped_full_evolve(h, [0.3]).amplitudes)
+    rng = np.random.default_rng(900 + n)
+    amps = rng.normal(size=(5, n + 1)) + 1j * rng.normal(size=(5, n + 1))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    embedded = embed_symmetric(SymmetricState(n, amps))
+    for state in (stack, one_time, FullState(n, stack.amplitudes[2]), embedded,
+                  FullState(n, embedded.amplitudes[4])):
+        m, ref = full_collective_moments(state), looped_full_collective_moments(state)
+        for field in MOMENT_FIELDS:
+            got, want = getattr(m, field), getattr(ref, field)
+            assert type(got) is type(want), field
+            assert same_bits(got, want), field
 
 
 def recorded_eigh_dtypes(monkeypatch):
