@@ -22,8 +22,8 @@ import numpy as np
 from . import verify as verify_mod
 from .dicke import make_dicke_state
 from .errors import NumericalError
-from .evolution import trajectory
-from .hamiltonians import HamiltonianSpec
+from .evolution import time_grid, trajectory
+from .hamiltonians import HamiltonianSpec, sector_bands
 from .pairwise import analyse
 
 # model -> (its HamiltonianSpec constructor, the coefficients it reads, in
@@ -64,6 +64,7 @@ class RunConfig:
             raise ValueError(f"--n must be at least 2, got {self.n_qubits}")
         if self.precision < 0:
             raise ValueError(f"--precision must be at least 0, got {self.precision}")
+        time_grid(self.t_max, self.dt)
 
     def spec(self) -> HamiltonianSpec:
         build, reads = MODELS[self.model]
@@ -175,6 +176,7 @@ class Extremes:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
+    sector_bands(cfg.spec(), cfg.n_qubits)  # a bad coefficient raises before the header
     extremes = Extremes()
     write_csv(cfg.output_path, EVOLVE_COLUMNS, extremes.track(row_blocks(cfg)), cfg.precision)
     (xi2, t_xi2), (conc, t_conc) = extremes.min_xi2, extremes.max_concurrence
@@ -222,7 +224,7 @@ def cmd_scan(cfg: RunConfig, n_list, workers: int) -> int:
     if not grid:
         raise ValueError("empty scan grid")
     for point in grid:
-        point.spec()  # a non-finite coefficient raises here, not at its point
+        sector_bands(point.spec(), point.n_qubits)  # a bad coefficient raises here, not later
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
     workers = min(workers, len(grid))

@@ -22,7 +22,6 @@ from math import comb
 import numpy as np
 
 from .dicke import CollectiveMoments, SymmetricState, mix_moments, squared_norm
-from .errors import CapacityError
 from .hamiltonians import HamiltonianSpec
 
 MAX_QUBITS_STATIC = 12
@@ -39,7 +38,7 @@ class FullState:
 
     def __post_init__(self):
         if self.n_qubits > MAX_QUBITS_STATIC:
-            raise CapacityError(f"N={self.n_qubits} exceeds oracle cap {MAX_QUBITS_STATIC}")
+            raise ValueError(f"N={self.n_qubits} exceeds oracle cap {MAX_QUBITS_STATIC}")
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amps is self.amplitudes and amps.flags.writeable:
             amps = amps.copy()  # freezing it below must not freeze the caller's array
@@ -67,7 +66,7 @@ def embed_symmetric(state: SymmetricState) -> FullState:
     applied to one state or to every row of a stack."""
     n_qubits = state.n_qubits
     if n_qubits > MAX_QUBITS_STATIC:
-        raise CapacityError(f"N={n_qubits} exceeds oracle cap {MAX_QUBITS_STATIC}")
+        raise ValueError(f"N={n_qubits} exceeds oracle cap {MAX_QUBITS_STATIC}")
     counts = _excitation_counts(n_qubits)
     weights = np.array([1.0 / np.sqrt(comb(n_qubits, n)) for n in range(n_qubits + 1)])
     full = state.amplitudes[..., counts] * weights[counts]
@@ -96,7 +95,7 @@ def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
     """The dense complex 2^N x 2^N Hamiltonian as a sum of Pauli products,
     from real ones (S_y^2 = -Y^2, S+- = X -+ Y): sums of quarters, exact."""
     if n_qubits > MAX_QUBITS_EVOLVE:  # before any 2^N allocation
-        raise CapacityError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
+        raise ValueError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
     x, y, z = collective_pauli_sums(n_qubits)
     h = np.zeros(x.shape, dtype=complex)
     if spec.mu:

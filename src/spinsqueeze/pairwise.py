@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dicke import CollectiveMoments, SymmetricState, collective_moments
-from .errors import NotXFormError, NumericalError
+from .errors import NumericalError
 from .squeezing import squeezing_even_odd, squeezing_general
 
 X_FORM_TOL = 1e-8
@@ -98,7 +98,7 @@ def concurrence_x_form(r: TwoQubitReduced) -> ConcurrenceResult:
     """Closed-form concurrence for the X-shaped reduction (x+- = 0)."""
     coherence = np.maximum(np.abs(r.x_plus), np.abs(r.x_minus))
     if not np.all(coherence <= X_FORM_TOL):
-        raise NotXFormError(
+        raise ValueError(
             f"coherences max(|x+|, |x-|) = {np.max(coherence):.3e} too large for the X form"
         )
     root = np.sqrt(np.maximum(r.v_plus * r.v_minus, 0.0))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .dicke import CollectiveMoments
-from .errors import NotEvenOddError
 
 MEAN_SPIN_TOL = 1e-8
 EVEN_ODD_TOL = 1e-8
@@ -52,7 +51,7 @@ def squeezing_even_odd(m: CollectiveMoments):
     """xi^2 by the closed form for states with vanishing transverse moments."""
     transverse = np.abs(m.sp_mean)  # |<Sx> + i<Sy>|
     if not np.all(transverse <= EVEN_ODD_TOL):
-        raise NotEvenOddError(
+        raise ValueError(
             "transverse moments do not vanish; not an even/odd state "
             f"(|<S+>| = {np.max(transverse):.3e})"
         )

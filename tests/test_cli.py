@@ -505,10 +505,21 @@ class TestCsvWriter:
         assert "--precision" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("args", [["evolve", "--n", "1"], ["scan", "--n", "1,4"]],
-                             ids=["evolve", "scan"])
-    def test_one_qubit_is_refused_before_computing(self, args, monkeypatch, capsys):
-        # evolve used to print the CSV header and propagate before refusing --n 1
+    @pytest.mark.parametrize("args, message", [
+        (["evolve", "--n", "1"], "--n"),
+        (["scan", "--n", "1,4"], "--n"),
+        (["evolve", "--n", "4", "--mu", "nan"], "non-finite Hamiltonian coefficient"),
+        (["evolve", "--n", "4", "--dt", "0"], "invalid time grid"),
+        (["evolve", "--n", "4", "--t-max", "nan"], "invalid time grid"),
+        (["evolve", "--n", "4", "--model", "two-axis", "--gamma", "1e308"], "overflow"),
+        (["evolve", "--n", "4", "--model", "general", "--f-coeffs", "1,inf"], "non-finite"),
+        (["scan", "--n", "2", "--dt", "0"], "invalid time grid"),
+        (["scan", "--model", "two-axis", "--n", "2,4", "--gamma", "1,1e308"], "overflow"),
+    ], ids=["evolve", "scan", "evolve-nan-mu", "evolve-zero-dt", "evolve-nan-t-max",
+            "evolve-overflowing-gamma", "evolve-infinite-f", "scan-zero-dt",
+            "scan-overflowing-gamma"])
+    def test_one_qubit_is_refused_before_computing(self, args, message, monkeypatch, capsys):
+        # every usage error is refused before the CSV header or the first block
         original, calls = evolution.evolve_blocks, []
 
         def spy(*call_args):
@@ -516,11 +527,12 @@ class TestCsvWriter:
             return original(*call_args)
 
         monkeypatch.setattr(evolution, "evolve_blocks", spy)
-        assert run_cli(args + ["--t-max", "1", "--dt", "0.5"]) == 2
+        # the case's own --t-max or --dt comes last, so it wins
+        assert run_cli(args[:1] + ["--t-max", "1", "--dt", "0.5"] + args[1:]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert calls == []
-        assert "--n" in err
+        assert err.count("error:") == 1 and message in err
 
     def test_precision_zero_keeps_format_output(self, tmp_path):
         out = tmp_path / "p0.csv"

@@ -12,7 +12,6 @@ from spinsqueeze.dicke import (
     make_all_down,
     make_dicke_state,
 )
-from spinsqueeze.errors import NotXFormError
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.pairwise import (
     COHERENCE_DOMINATED,
@@ -105,9 +104,9 @@ class TestXForm:
 
     def test_rejects_coherences(self):
         r = TwoQubitReduced(0.4, 0.4, 0.1, 0.05, 0, 0.1)
-        with pytest.raises(NotXFormError):
+        with pytest.raises(ValueError, match="too large for the X form"):
             concurrence_x_form(r)
-        with pytest.raises(NotXFormError):
+        with pytest.raises(ValueError, match="too large for the X form"):
             concurrence_x_form(TwoQubitReduced(0.4, 0.4, 0.1, np.nan, 0, 0.1))
 
     def test_lambda_identity(self):

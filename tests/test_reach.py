@@ -106,3 +106,10 @@ def test_every_exception_class_is_raised_by_another_module():
                 elif isinstance(exc, ast.Attribute):
                     raised.add(exc.attr)
     assert classes and not classes - raised, "never raised: " + ", ".join(sorted(classes - raised))
+    # a class exists only where the CLI tells it apart from the others
+    caught = set()
+    for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught |= {t.id for t in types if isinstance(t, ast.Name)}
+    assert not classes - caught, "not caught by the CLI: " + ", ".join(sorted(classes - caught))

@@ -13,7 +13,6 @@ from spinsqueeze.dicke import (
     make_all_down,
     make_dicke_state,
 )
-from spinsqueeze.errors import NotEvenOddError
 from spinsqueeze.hamiltonians import HamiltonianSpec
 from spinsqueeze.squeezing import squeezing_even_odd, squeezing_general
 
@@ -45,13 +44,13 @@ def test_degenerate_mean_spin_reads_nan():
 
 def test_even_odd_rejects_mixed_parity_state():
     state, _ = make_state(2, [1, 1, 0])
-    with pytest.raises(NotEvenOddError):
+    with pytest.raises(ValueError, match="not an even/odd state"):
         squeezing_even_odd(collective_moments(state))
 
 
 def test_even_odd_rejects_nan_transverse_moment():
     m = dataclasses.replace(collective_moments(make_all_down(2)), sp_mean=complex(np.nan, 0.0))
-    with pytest.raises(NotEvenOddError):
+    with pytest.raises(ValueError, match="not an even/odd state"):
         squeezing_even_odd(m)
 
 

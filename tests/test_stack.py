@@ -22,7 +22,6 @@ from spinsqueeze.dicke import (
     make_dicke_state,
     mix_moments,
 )
-from spinsqueeze.errors import NotEvenOddError
 from spinsqueeze.oracle import (
     FullState,
     embed_symmetric,
@@ -232,7 +231,7 @@ def test_degenerate_row_reads_nan_in_a_stack():
 def test_mixed_parity_row_rejects_the_stack():
     even = np.array([1, 0, 0])
     mixed = np.array([1, 1, 0]) / np.sqrt(2)
-    with pytest.raises(NotEvenOddError):
+    with pytest.raises(ValueError, match="not an even/odd state"):
         squeezing_even_odd(collective_moments(SymmetricState(2, np.array([even, mixed]))))
 
 
