@@ -104,8 +104,6 @@ def write_csv(path, columns, blocks, precision: int):
     A regular file is written whole or not at all: the lines go to a
     temporary file beside it, which replaces it only after the last block.
     No table is held while the next one is drawn."""
-    if precision < 0:  # "%.-1g" would fail only after the first block was computed
-        raise ValueError(f"--precision must be at least 0, got {precision}")
     conversions = {"f": f"%.{precision}g", "i": "%d", "U": "%s"}
 
     def table_lines(table):

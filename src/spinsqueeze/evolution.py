@@ -14,7 +14,13 @@ and its eigenpairs come from the SVD of its bidiagonal half; every other
 band, or half of one, goes to `eigh`. Of the solved sector only the modes
 the initial state occupies are kept: the smallest-weight modes are dropped
 while their summed weight stays within m eps^2, which moves every
-propagated state by at most sqrt(m) eps. Every trajectory point is computed
+propagated state by at most sqrt(m) eps. The eigen contracts, reconstruction
+and orthonormality, are checked on the kept modes V_k alone, together with
+the capture residual ||x - V_k w_k|| <= 4 sqrt(m) eps, x = D^dag c(0) and
+w_k = V_k^T x: the kept modes are exact eigenpairs, orthonormal, and hold
+the initial state up to the drop bound and rounding, which covers every
+propagated state. A defect confined to a dropped column is not reported;
+it cannot reach the output. Every trajectory point is computed
 directly as D V exp(-i Lambda t) w, with w = V^T D^dag c(0) the initial
 state's mode amplitudes, computed once, so there is no step-to-step error
 accumulation and arbitrary times are equally accurate. The states are
@@ -22,7 +28,7 @@ handed on as the sector's (T, m) entries alone, never as a (T, N+1) stack.
 `evolve_blocks` propagates a long grid one block of at most BLOCK_ROWS
 times at a time, and the `TimeGrid` of `time_grid` forms each block's times
 only when it is drawn, so memory does not grow with the number of times. The
-contracts on V are checked in windows of rows or columns, so that besides
+contracts on V_k are checked in windows of rows or columns, so that besides
 V a solve holds no (m, m) array but the solver's own.
 """
 
@@ -157,12 +163,12 @@ def _folded_eigh(d: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def _reconstruction_residual(d, e, energies, vectors) -> float:
     """max |T V - V Lambda| for the tridiagonal T with diagonal d and
-    off-diagonal e, from the band in O(m^2). V is taken in windows of rows
-    small enough that each window's temporaries stay in cache: a window
-    carries one neighbour row on each side, whose own residual it does
-    not report."""
+    off-diagonal e and the (m, k) V, from the band in O(m k). V is taken in
+    windows of CONTRACT_ELEMENTS entries, small enough that each window's
+    temporaries stay in cache: a window carries one neighbour row on each
+    side, whose own residual it does not report."""
     m = d.size
-    rows = max(1, CONTRACT_ELEMENTS // m)
+    rows = max(1, CONTRACT_ELEMENTS // vectors.shape[1])
     worst = []
     for i in range(0, m, rows):
         lo, hi = max(i - 1, 0), min(i + rows + 1, m)
@@ -176,7 +182,7 @@ def _reconstruction_residual(d, e, energies, vectors) -> float:
 
 
 def _orthonormality_residual(vectors) -> float:
-    """max |V^T V - I| for the (m, m) V, without forming V^T V: V is taken
+    """max |V^T V - I| for the (m, k) V, without forming V^T V: V is taken
     in windows of columns, each multiplied against the columns at or after
     it, which covers the upper triangle of the symmetric V^T V."""
     m = vectors.shape[1]
@@ -191,40 +197,59 @@ def _orthonormality_residual(vectors) -> float:
 
 def solve_band(band: SectorBand):
     """(energies, vectors): the m eigenpairs of one sector's band, energies
-    ascending, after the reconstruction and orthonormality contracts are
-    verified on the assembled V. An exactly palindromic band (one-axis,
-    two-axis and `general` with an even f, all at even N) is folded into
-    two half-size bands by `_folded_eigh`, unless it has a zero diagonal
-    and even m. Otherwise a band with a zero diagonal and m > 1 (two-axis,
-    and `general` with mu + chi = 0 and no f) is solved by `_chiral_eigh`,
-    every other band by `eigh`; the halves of a fold are dispatched the
-    same way."""
+    ascending; `_kept_modes` checks the ones that are propagated. An exactly
+    palindromic band (one-axis, two-axis and `general` with an even f, all
+    at even N) is folded into two half-size bands by `_folded_eigh`, unless
+    it has a zero diagonal and even m. Otherwise a band with a zero diagonal
+    and m > 1 (two-axis, and `general` with mu + chi = 0 and no f) is solved
+    by `_chiral_eigh`, every other band by `eigh`; the halves of a fold are
+    dispatched the same way."""
     d, e = band.diagonal, band.off_diagonal
     if _folds(d, e):
         vectors = np.empty((band.dim, band.dim))
-        energies = _folded_eigh(d, e, vectors)
-    elif _is_chiral(d):
+        return _folded_eigh(d, e, vectors), vectors
+    if _is_chiral(d):
         vectors = np.empty((band.dim, band.dim))
-        energies = _chiral_eigh(e, vectors)
-    else:
-        energies, vectors = np.linalg.eigh(tridiagonal(d, e))
+        return _chiral_eigh(e, vectors), vectors
+    return np.linalg.eigh(tridiagonal(d, e))
+
+
+def _kept_modes(band: SectorBand, x: np.ndarray):
+    """(energies, vectors, mode_re, mode_im) of the modes of `band` that the
+    sector state x = D^dag c(0) occupies, in ascending-energy order: the
+    smallest-weight modes are dropped while their summed weight stays within
+    m eps^2. The kept (m, k) V_k must pass the reconstruction and
+    orthonormality contracts and hold x: ||x - V_k w_k|| <= 4 sqrt(m) eps,
+    with w_k = V_k^T x, formed as a residual vector."""
+    energies, v = solve_band(band)
+    wr, wi = x.real @ v, x.imag @ v
+    weights = wr * wr + wi * wi
+    order = np.argsort(weights)
+    eps = np.finfo(float).eps
+    dropped = int(np.searchsorted(np.cumsum(weights[order]), band.dim * eps**2, side="right"))
+    if dropped:  # else V itself: v[:, keep] is not C-contiguous and rounds the GEMM otherwise
+        keep = np.sort(order[dropped:])
+        energies, v, wr, wi = energies[keep], v[:, keep], wr[keep], wi[keep]
+    d, e = band.diagonal, band.off_diagonal
     scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
-    residual = _reconstruction_residual(d, e, energies, vectors)
+    residual = _reconstruction_residual(d, e, energies, v)
     if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
         raise NumericalError(f"eigendecomposition residual {residual:.3e}")
-    ortho = _orthonormality_residual(vectors)
+    ortho = _orthonormality_residual(v)
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
-    return energies, vectors
+    capture = math.hypot(np.linalg.norm(x.real - v @ wr), np.linalg.norm(x.imag - v @ wi))
+    if not capture <= 4.0 * math.sqrt(band.dim) * eps:
+        raise NumericalError(f"capture residual {capture:.3e} of the kept modes")
+    return energies, v, wr, wi
 
 
 def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagator:
     """Solve the one sector of H that `initial` occupies and keep the modes
-    it occupies: the smallest-weight modes are dropped while their summed
-    weight stays within m eps^2, so each propagated state moves by at most
-    sqrt(m) eps in 2-norm at every time, the propagation being unitary. The
-    kept modes stay in ascending-energy order. A stack of states, or a state
-    of both parities, is refused before any solve."""
+    it occupies (`_kept_modes`), each propagated state moving by at most
+    sqrt(m) eps in 2-norm at every time, the propagation being unitary. A
+    stack of states, or a state of both parities, is refused before any
+    solve."""
     c0 = initial.amplitudes
     if c0.ndim != 1:
         raise ValueError(f"expected one initial state, got amplitudes of shape {c0.shape}")
@@ -233,17 +258,7 @@ def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagato
         raise ValueError("initial state has weight in both parity sectors; "
                          "expected an even or an odd state")
     [band] = occupied
-    energies, v = solve_band(band)
-    x = band.gauge().conj() * c0[band.indices]
-    wr, wi = x.real @ v, x.imag @ v
-    weights = wr * wr + wi * wi
-    order = np.argsort(weights)
-    bound = band.dim * np.finfo(float).eps ** 2
-    dropped = int(np.searchsorted(np.cumsum(weights[order]), bound, side="right"))
-    if dropped:  # else V itself: v[:, keep] is not C-contiguous and rounds the GEMM otherwise
-        keep = np.sort(order[dropped:])
-        energies, v, wr, wi = energies[keep], v[:, keep], wr[keep], wi[keep]
-    return Propagator(band, energies, v, wr, wi)
+    return Propagator(band, *_kept_modes(band, band.gauge().conj() * c0[band.indices]))
 
 
 def _checked_times(times) -> np.ndarray:

@@ -518,7 +518,7 @@ class TestCsvWriter:
     ], ids=["evolve", "scan", "evolve-nan-mu", "evolve-zero-dt", "evolve-nan-t-max",
             "evolve-overflowing-gamma", "evolve-infinite-f", "scan-zero-dt",
             "scan-overflowing-gamma"])
-    def test_one_qubit_is_refused_before_computing(self, args, message, monkeypatch, capsys):
+    def test_usage_errors_are_refused_before_computing(self, args, message, monkeypatch, capsys):
         # every usage error is refused before the CSV header or the first block
         original, calls = evolution.evolve_blocks, []
 
@@ -547,7 +547,7 @@ class TestCsvWriter:
 
     @pytest.mark.parametrize("values, precision, message", [
         (np.array([1j]), 17, "column 'c'"), (np.array([True]), 17, "column 'c'"),
-        ([b"x"], 17, "column 'c'"), ([1.0], -1, "--precision"),
+        ([b"x"], 17, "column 'c'"),
     ])
     def test_bad_table_is_value_error_before_open(self, values, precision, message, tmp_path):
         out = tmp_path / "x.csv"

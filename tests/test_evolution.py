@@ -143,6 +143,19 @@ def test_empty_grid_is_refused_before_any_solve(monkeypatch):
     assert solved == []
 
 
+def full_weight(b):
+    """A seeded random unit vector of the band's size: it has weight on
+    every mode, so `_kept_modes` keeps and checks all of V."""
+    rng = np.random.default_rng(b.dim)
+    x = rng.normal(size=b.dim) + 1j * rng.normal(size=b.dim)
+    return x / np.linalg.norm(x)
+
+
+def check_all_modes(b):
+    """`_kept_modes` of the band, from a state that occupies every mode."""
+    return evolution._kept_modes(b, full_weight(b))
+
+
 def test_nan_eigenvalue_is_numerical_error(monkeypatch):
     eigh = np.linalg.eigh
 
@@ -153,7 +166,7 @@ def test_nan_eigenvalue_is_numerical_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", nan_first)
     with pytest.raises(NumericalError, match="residual nan"):
-        solve_band(band([0.0, 1.0]))
+        check_all_modes(band([0.0, 1.0]))
 
 
 def test_nan_singular_value_is_numerical_error(monkeypatch):
@@ -166,7 +179,7 @@ def test_nan_singular_value_is_numerical_error(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", nan_first)
     with pytest.raises(NumericalError, match="residual nan"):
-        solve_band(band([0.0, 0.0, 0.0], [1.0, 2.0]))
+        check_all_modes(band([0.0, 0.0, 0.0], [1.0, 2.0]))
 
 
 # the routes of solve_band: eigh (one-axis) and the SVD of the bidiagonal half
@@ -187,9 +200,9 @@ def route_band(route, m):
 
 
 def solve_mutated(route, m, mutate, monkeypatch):
-    """solve_band on the route's band of size m, with the route's eigenpairs
-    passed through mutate(energies, vectors) first; for a fold, the
-    assembled V."""
+    """`_kept_modes` on the route's band of size m, from a state that keeps
+    every mode, with the route's eigenpairs passed through mutate(energies,
+    vectors) first; for a fold, the assembled V."""
     if route == "eigh":
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: mutate(*eigh(a)))
@@ -201,7 +214,7 @@ def solve_mutated(route, m, mutate, monkeypatch):
         fold = evolution._folded_eigh
         monkeypatch.setattr(evolution, "_folded_eigh",
                             lambda d, e, out: mutate(fold(d, e, out), out)[0])
-    return solve_band(route_band(route, m))
+    return check_all_modes(route_band(route, m))
 
 
 @pytest.mark.parametrize("window", [None, 3])
@@ -279,17 +292,23 @@ def test_residual_windows_report_every_row(rows, monkeypatch):
     d, e, energies = rng.normal(size=m), rng.normal(size=m - 1), rng.normal(size=m)
     vectors = rng.normal(size=(m, m))
     t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", rows * m)
-    for worst_row in range(m):
-        v = vectors.copy()
-        v[worst_row] *= 1e3
-        expected = np.max(np.abs(t @ v - v * energies))
-        got = evolution._reconstruction_residual(d, e, energies, v)
-        assert got == pytest.approx(expected, rel=1e-12), worst_row
+    # the square V, then a (m, k) V_k of kept modes: a window of `rows` rows
+    # holds rows * k entries
+    for k in (m, 4):
+        if k < m:
+            energies, vectors = rng.normal(size=k), rng.normal(size=(m, k))
+        monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", rows * k)
+        for worst_row in range(m):
+            v = vectors.copy()
+            v[worst_row] *= 1e3
+            expected = np.max(np.abs(t @ v - v * energies))
+            got = evolution._reconstruction_residual(d, e, energies, v)
+            assert got == pytest.approx(expected, rel=1e-12), (k, worst_row)
 
 
-# peak of solve_band at m = 1001, in m^2 doubles: V (1), the solver's own
-# arrays, and the contracts' windows (about 0.03). eigh takes the dense T.
+# peak of a solve at m = 1001 whose contracts check every mode, in m^2
+# doubles: V (1), the solver's own arrays, and the contracts' windows (about
+# 0.03). eigh takes the dense T.
 SOLVE_BUDGET = {"fold-svd": 1.25, "fold-eigh": 1.55, "svd": 1.8, "eigh": 2.05}
 
 
@@ -297,9 +316,10 @@ SOLVE_BUDGET = {"fold-svd": 1.25, "fold-eigh": 1.55, "svd": 1.8, "eigh": 2.05}
 def test_solve_band_memory_budget(route):
     # the contracts form no (m, m) array: the one V^T V used to add 1 m^2
     band = route_band(route, 1001)
+    x = full_weight(band)
     tracemalloc.start()
     try:
-        solve_band(band)
+        evolution._kept_modes(band, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -435,6 +455,48 @@ def test_modes_counts_the_kept_modes():
     for omega in (0.1, 1.0, 5.0):  # evolve-long: one-axis-field at N=50, mu=1
         long = hermitian_eigen(HamiltonianSpec.one_axis_field(1.0, omega), make_all_down(50))
         assert long.modes == long.dim == 26
+
+
+def test_a_dropped_defective_column_fails_the_capture_residual(monkeypatch):
+    # zero the mode that holds most of all-down: the zero column has no weight
+    # and is dropped, so both contracts pass on the kept modes
+    spec, initial = HamiltonianSpec.two_axis(1.0), make_all_down(10)
+    even = sector_bands(spec, 10)[0]
+    x = even.gauge().conj() * initial.amplitudes[even.indices]
+    solve = evolution.solve_band
+
+    def zero_largest(b):
+        energies, vectors = solve(b)
+        vectors[:, np.argmax(np.abs(x @ vectors))] = 0.0
+        return energies, vectors
+
+    monkeypatch.setattr(evolution, "solve_band", zero_largest)
+    with pytest.raises(NumericalError, match="capture residual"):
+        hermitian_eigen(spec, initial)
+
+
+def test_contracts_see_only_the_kept_modes(monkeypatch):
+    n = 2000  # evolve-large: two-axis with gamma in [1, 2] / N, from all-down
+    shapes = {"reconstruction": [], "orthonormality": []}
+    for name in shapes:
+        original = getattr(evolution, f"_{name}_residual")
+
+        def spy(*args, original=original, seen=shapes[name]):
+            seen.append(args[-1].shape)
+            return original(*args)
+
+        monkeypatch.setattr(evolution, f"_{name}_residual", spy)
+    large = hermitian_eigen(HamiltonianSpec.two_axis(1.5 / n), make_all_down(n))
+    assert large.modes < large.dim == 1001
+    assert shapes == {name: [(1001, large.modes)] for name in shapes}
+
+
+@pytest.mark.parametrize("n", [2, 3, 50, 401, 2000])
+@pytest.mark.parametrize("model", ["one-axis", "one-axis-field", "two-axis"])
+def test_kept_modes_capture_all_down_and_one_excitation(model, n):
+    # the capture residual stays within 4 sqrt(m) eps, or hermitian_eigen raises
+    for initial, parity in ((make_all_down(n), 0), (make_dicke_state(n, 1), 1)):
+        assert hermitian_eigen(SECTOR_SPECS[model], initial).band.parity == parity
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 13, 64, 200])
