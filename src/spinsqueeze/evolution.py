@@ -27,9 +27,9 @@ accumulation and arbitrary times are equally accurate. The states are
 handed on as the sector's (T, m) entries alone, never as a (T, N+1) stack.
 `evolve_blocks` propagates a long grid one block of at most BLOCK_ROWS
 times at a time, and the `TimeGrid` of `time_grid` forms each block's times
-only when it is drawn, so memory does not grow with the number of times. The
-contracts on V_k are checked in windows of rows or columns, so that besides
-V a solve holds no (m, m) array but the solver's own.
+only when it is drawn, so memory does not grow with the number of times. Both
+contracts on V_k are checked in one walk over windows of whole columns, so
+that besides V a solve holds no (m, m) array but the solver's own.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ BLOCK_AMPLITUDES = 2**18  # complex amplitudes per block that evolve_blocks prop
 # at most this many times per block: each row also carries about 1 KB of
 # analysis columns and CSV objects, whatever N is
 BLOCK_ROWS = 1024
-CONTRACT_ELEMENTS = 2**15  # entries of V per row or column window of the contracts (256 KiB)
+CONTRACT_ELEMENTS = 2**15  # entries of V per column window of the contracts (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -161,38 +161,26 @@ def _folded_eigh(d: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
     return energies
 
 
-def _reconstruction_residual(d, e, energies, vectors) -> float:
-    """max |T V - V Lambda| for the tridiagonal T with diagonal d and
-    off-diagonal e and the (m, k) V, from the band in O(m k). V is taken in
-    windows of CONTRACT_ELEMENTS entries, small enough that each window's
-    temporaries stay in cache: a window carries one neighbour row on each
-    side, whose own residual it does not report."""
-    m = d.size
-    rows = max(1, CONTRACT_ELEMENTS // vectors.shape[1])
+def _contract_residuals(d, e, energies, vectors):
+    """(max |T V - V Lambda|, max |V^T V - I|) for the tridiagonal T with
+    diagonal d and off-diagonal e and the (m, k) V, in one walk over windows
+    of CONTRACT_ELEMENTS // m whole columns, small enough that each window's
+    temporaries stay in cache. T v - v lambda of a column reads that column
+    alone, from the band in O(m). A window's rows of V^T V are multiplied
+    against the columns at or after it, which covers the upper triangle of
+    the symmetric V^T V without forming it. A NaN anywhere gives NaN."""
+    columns = max(1, CONTRACT_ELEMENTS // d.size)
     worst = []
-    for i in range(0, m, rows):
-        lo, hi = max(i - 1, 0), min(i + rows + 1, m)
-        v = vectors[lo:hi]
-        tv = d[lo:hi, None] * v
-        tv[:-1] += e[lo:hi - 1, None] * v[1:]
-        tv[1:] += e[lo:hi - 1, None] * v[:-1]
-        tv -= v * energies
-        worst.append(np.max(np.abs(tv[i - lo:i - lo + rows])))
-    return np.max(worst)  # a NaN anywhere gives NaN
-
-
-def _orthonormality_residual(vectors) -> float:
-    """max |V^T V - I| for the (m, k) V, without forming V^T V: V is taken
-    in windows of columns, each multiplied against the columns at or after
-    it, which covers the upper triangle of the symmetric V^T V."""
-    m = vectors.shape[1]
-    columns = max(1, CONTRACT_ELEMENTS // vectors.shape[0])
-    worst = []
-    for i in range(0, m, columns):
-        gram = vectors.T[i:i + columns] @ vectors[:, i:]  # a band of V^T V's rows, from column i on
+    for i in range(0, energies.size, columns):
+        v = vectors[:, i:i + columns]
+        tv = d[:, None] * v
+        tv[:-1] += e[:, None] * v[1:]
+        tv[1:] += e[:, None] * v[:-1]
+        tv -= v * energies[i:i + columns]
+        gram = v.T @ vectors[:, i:]  # a band of V^T V's rows, from column i on
         gram.ravel()[::gram.shape[1] + 1] -= 1.0  # its leading diagonal, in place
-        worst.append(np.max(np.abs(gram, out=gram)))
-    return np.max(worst)  # a NaN anywhere gives NaN
+        worst.append((np.max(np.abs(tv)), np.max(np.abs(gram, out=gram))))
+    return np.max(worst, axis=0)
 
 
 def solve_band(band: SectorBand):
@@ -232,10 +220,9 @@ def _kept_modes(band: SectorBand, x: np.ndarray):
         energies, v, wr, wi = energies[keep], v[:, keep], wr[keep], wi[keep]
     d, e = band.diagonal, band.off_diagonal
     scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
-    residual = _reconstruction_residual(d, e, energies, v)
+    residual, ortho = _contract_residuals(d, e, energies, v)
     if not residual <= RECONSTRUCTION_TOL * scale:  # NaN fails too
         raise NumericalError(f"eigendecomposition residual {residual:.3e}")
-    ortho = _orthonormality_residual(v)
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
     capture = math.hypot(np.linalg.norm(x.real - v @ wr), np.linalg.norm(x.imag - v @ wi))

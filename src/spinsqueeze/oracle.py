@@ -81,6 +81,8 @@ def collective_pauli_sums(n_qubits: int):
     zero bit, -1 on a one bit. Equal, bit for bit, to the real (X, Z) and
     imaginary (Y) parts of the sums of Kronecker chains; each call builds
     new arrays."""
+    if n_qubits > MAX_QUBITS_EVOLVE:  # before any 2^N x 2^N allocation
+        raise ValueError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
     dim = 2**n_qubits
     idx = np.arange(dim)
     x, y = np.zeros((dim, dim)), np.zeros((dim, dim))
@@ -94,9 +96,7 @@ def collective_pauli_sums(n_qubits: int):
 def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
     """The dense complex 2^N x 2^N Hamiltonian as a sum of Pauli products,
     from real ones (S_y^2 = -Y^2, S+- = X -+ Y): sums of quarters, exact."""
-    if n_qubits > MAX_QUBITS_EVOLVE:  # before any 2^N allocation
-        raise ValueError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
-    x, y, z = collective_pauli_sums(n_qubits)
+    x, y, z = collective_pauli_sums(n_qubits)  # refuses N > MAX_QUBITS_EVOLVE first
     h = np.zeros(x.shape, dtype=complex)
     if spec.mu:
         h.real += spec.mu * (x @ x)

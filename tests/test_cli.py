@@ -545,14 +545,11 @@ class TestCsvWriter:
             assert row["t"] == format(cols["t"][k], ".0g")
             assert row["sz2"] == format(cols["sz2"][k], ".0g")
 
-    @pytest.mark.parametrize("values, precision, message", [
-        (np.array([1j]), 17, "column 'c'"), (np.array([True]), 17, "column 'c'"),
-        ([b"x"], 17, "column 'c'"),
-    ])
-    def test_bad_table_is_value_error_before_open(self, values, precision, message, tmp_path):
+    @pytest.mark.parametrize("values", [np.array([1j]), np.array([True]), [b"x"]])
+    def test_bad_table_is_value_error_before_open(self, values, tmp_path):
         out = tmp_path / "x.csv"
-        with pytest.raises(ValueError, match=message):
-            cli.write_csv(str(out), ("c",), [{"c": values}], precision)
+        with pytest.raises(ValueError, match="column 'c'"):
+            cli.write_csv(str(out), ("c",), [{"c": values}], 17)
         assert not out.exists()
 
     @settings(max_examples=300, deadline=None)

@@ -221,7 +221,7 @@ def solve_mutated(route, m, mutate, monkeypatch):
 @pytest.mark.parametrize("row", [0, 2, 3, 10])
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_perturbed_column_fails_the_residual(route, row, window, monkeypatch):
-    # m = 11; with 3-row windows, rows 2 and 3 sit on a window edge
+    # m = 11; with 3-column windows, column 0 is checked in the first of four
     if window:
         monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", window * 11)
 
@@ -270,6 +270,7 @@ def test_orthonormality_windows_report_every_entry(columns, monkeypatch):
     # V is orthonormal but for one overlap (a, b), which alone sets max |V^T V - I|
     m = 11
     q = np.linalg.qr(np.random.default_rng(columns).normal(size=(m, m)))[0]
+    d, e, energies = np.zeros(m), np.zeros(m - 1), np.zeros(m)  # T V - V Lambda is 0
     monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", columns * m)
     for a in range(m):
         for b in range(a, m):
@@ -278,32 +279,57 @@ def test_orthonormality_windows_report_every_entry(columns, monkeypatch):
             gram = v.T @ v - np.eye(m)
             expected = np.max(np.abs(gram))
             assert expected == pytest.approx(np.abs(gram[a, b]), rel=1e-9), (a, b)
-            got = evolution._orthonormality_residual(v)
+            got = evolution._contract_residuals(d, e, energies, v)[1]
             assert got == pytest.approx(expected, rel=1e-12), (a, b)
     v[0, 0] = np.nan
-    assert np.isnan(evolution._orthonormality_residual(v))
+    assert np.isnan(evolution._contract_residuals(d, e, energies, v)[1])
 
 
-@pytest.mark.parametrize("rows", [1, 2, 3, 4, 10, 11, 12])
-def test_residual_windows_report_every_row(rows, monkeypatch):
-    # each row's residual is distinct, so any row left out changes the max
+@pytest.mark.parametrize("columns", [1, 2, 3, 4, 10, 11, 12])
+def test_residual_windows_report_every_row(columns, monkeypatch):
+    # each row's residual is distinct, so any row left out changes the max;
+    # likewise each column's, so any window left out does
     m = 11
-    rng = np.random.default_rng(rows)
+    rng = np.random.default_rng(columns)
     d, e, energies = rng.normal(size=m), rng.normal(size=m - 1), rng.normal(size=m)
     vectors = rng.normal(size=(m, m))
     t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-    # the square V, then a (m, k) V_k of kept modes: a window of `rows` rows
-    # holds rows * k entries
+    # the square V, then a (m, k) V_k of kept modes: a window of `columns`
+    # columns holds columns * m entries
+    monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", columns * m)
     for k in (m, 4):
         if k < m:
             energies, vectors = rng.normal(size=k), rng.normal(size=(m, k))
-        monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", rows * k)
-        for worst_row in range(m):
+        for worst in [np.s_[row] for row in range(m)] + [np.s_[:, col] for col in range(k)]:
             v = vectors.copy()
-            v[worst_row] *= 1e3
+            v[worst] *= 1e3
             expected = np.max(np.abs(t @ v - v * energies))
-            got = evolution._reconstruction_residual(d, e, energies, v)
-            assert got == pytest.approx(expected, rel=1e-12), (k, worst_row)
+            got = evolution._contract_residuals(d, e, energies, v)[0]
+            assert got == pytest.approx(expected, rel=1e-12), (k, worst)
+
+
+def test_a_window_never_changes_the_reconstruction_bits(monkeypatch):
+    spec, n = HamiltonianSpec.two_axis(1.0), 200
+    even = sector_bands(spec, n)[0]
+    seen = []
+    contracts = evolution._contract_residuals
+    monkeypatch.setattr(evolution, "_contract_residuals",
+                        lambda *args: seen.append(args) or contracts(*args))
+    hermitian_eigen(spec, make_all_down(n))  # V_k: the kept columns of V, F-ordered
+    d, e = even.diagonal, even.off_diagonal
+    square = solve_band(even)  # V itself, C-ordered
+    assert square[1].flags.c_contiguous and not seen[0][3].flags.c_contiguous
+    for energies, vectors in (square, seen[0][2:]):
+        m, k = vectors.shape
+        residuals = []
+        for columns in range(1, k + 1):
+            monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", columns * m)
+            residuals.append(contracts(d, e, energies, vectors))
+        reconstruction, ortho = np.array(residuals).T
+        assert np.array_equal(reconstruction.view(np.uint64),
+                              np.full(k, reconstruction[0]).view(np.uint64)), k
+        # GEMM blocking moves the last bits of V^T V with the window
+        assert np.ptp(ortho) <= 1e-15, k
 
 
 # peak of a solve at m = 1001 whose contracts check every mode, in m^2
@@ -400,8 +426,8 @@ def assert_eigenpairs_match_eigh(b):
     reference = np.linalg.eigh(tridiagonal(b.diagonal, b.off_diagonal))[0]
     bound = sys.float_info.epsilon * b.dim * max(np.max(np.abs(reference)), 1.0)
     assert np.max(np.abs(energies - reference)) <= bound
-    assert evolution._reconstruction_residual(
-        b.diagonal, b.off_diagonal, energies, vectors) <= bound
+    assert evolution._contract_residuals(
+        b.diagonal, b.off_diagonal, energies, vectors)[0] <= bound
 
 
 @pytest.mark.parametrize("m", range(1, 13))
@@ -477,18 +503,12 @@ def test_a_dropped_defective_column_fails_the_capture_residual(monkeypatch):
 
 def test_contracts_see_only_the_kept_modes(monkeypatch):
     n = 2000  # evolve-large: two-axis with gamma in [1, 2] / N, from all-down
-    shapes = {"reconstruction": [], "orthonormality": []}
-    for name in shapes:
-        original = getattr(evolution, f"_{name}_residual")
-
-        def spy(*args, original=original, seen=shapes[name]):
-            seen.append(args[-1].shape)
-            return original(*args)
-
-        monkeypatch.setattr(evolution, f"_{name}_residual", spy)
+    shapes, contracts = [], evolution._contract_residuals
+    monkeypatch.setattr(evolution, "_contract_residuals",
+                        lambda *args: shapes.append(args[-1].shape) or contracts(*args))
     large = hermitian_eigen(HamiltonianSpec.two_axis(1.5 / n), make_all_down(n))
     assert large.modes < large.dim == 1001
-    assert shapes == {name: [(1001, large.modes)] for name in shapes}
+    assert shapes == [(1001, large.modes)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 50, 401, 2000])

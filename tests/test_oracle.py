@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,6 +166,21 @@ class TestFullEvolve:
         # raised by the Hamiltonian builder, before any 2^N matrix exists
         with pytest.raises(ValueError, match="exceeds"):
             full_hamiltonian(HamiltonianSpec.one_axis(1.0), 11)
+
+
+def test_moments_above_the_evolution_cap_are_refused_before_any_operator():
+    # FullState takes N up to MAX_QUBITS_STATIC = 12, but the three 2^N x 2^N
+    # operators of collective_pauli_sums would be 96 MiB at N = 11
+    n = oracle.MAX_QUBITS_EVOLVE + 1
+    state = FullState(n, np.eye(1, 2**n, dtype=complex)[0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds"):
+            full_collective_moments(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_moments_match_oracle_on_random_states():
