@@ -65,6 +65,7 @@ class RunConfig:
         if self.precision < 0:
             raise ValueError(f"--precision must be at least 0, got {self.precision}")
         time_grid(self.t_max, self.dt)
+        sector_bands(self.spec(), self.n_qubits)  # a coefficient that is not finite or overflows
 
     def spec(self) -> HamiltonianSpec:
         build, reads = MODELS[self.model]
@@ -174,7 +175,6 @@ class Extremes:
 
 
 def cmd_evolve(cfg: RunConfig) -> int:
-    sector_bands(cfg.spec(), cfg.n_qubits)  # a bad coefficient raises before the header
     extremes = Extremes()
     write_csv(cfg.output_path, EVOLVE_COLUMNS, extremes.track(row_blocks(cfg)), cfg.precision)
     (xi2, t_xi2), (conc, t_conc) = extremes.min_xi2, extremes.max_concurrence
@@ -208,21 +208,13 @@ def _scan_point(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_scan(cfg: RunConfig, n_list, workers: int) -> int:
-    """One CSV row per point of the grid n_list x the SCAN_AXES fields of cfg
-    (each a tuple of values or one scalar), in sorted order. Each point is
-    `cfg` with N and those fields replaced, as `evolve` would run it, and
-    every point, its Hamiltonian included, is checked and the output file
-    made before the first one runs."""
-    axes = (_as_tuple(getattr(cfg, c)) for c in SCAN_AXES)
-    grid = [
-        dataclasses.replace(cfg, n_qubits=n, **dict(zip(SCAN_AXES, values)))
-        for n, *values in sorted(itertools.product(n_list, *axes))
-    ]
+def cmd_scan(grid, workers: int) -> int:
+    """One CSV row per RunConfig of `grid`, in its order, from the trajectory
+    `evolve` would write for it. Every point was checked, its Hamiltonian
+    included, when it was made, and the output file is made before the
+    first one runs."""
     if not grid:
         raise ValueError("empty scan grid")
-    for point in grid:
-        sector_bands(point.spec(), point.n_qubits)  # a bad coefficient raises here, not later
     if workers < 1:
         raise ValueError(f"--workers must be at least 1, got {workers}")
     workers = min(workers, len(grid))
@@ -237,7 +229,7 @@ def cmd_scan(cfg: RunConfig, n_list, workers: int) -> int:
         else:
             rows = [_scan_point(point) for point in grid]
         yield {c: [row[c] for row in rows] for c in SCAN_COLUMNS}
-    write_csv(cfg.output_path, SCAN_COLUMNS, table(), cfg.precision)
+    write_csv(grid[0].output_path, SCAN_COLUMNS, table(), grid[0].precision)
     return 0
 
 
@@ -321,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scan = sub.add_parser("scan", help="grid scan over N and coefficients")
     add_common(scan, listy=True)
-    # dest n_list: the scan's N axis, not the n_qubits of one RunConfig
-    scan.add_argument("--n", dest="n_list", type=_comma_list(int, "integers"),
-                      default=tuple(range(2, 11)))
+    scan.add_argument("--n", dest="n_qubits", type=_comma_list(int, "integers"),
+                      default=tuple(range(2, 11)), metavar="N_LIST")
     scan.add_argument("--workers", type=int, default=1)
 
     dicke = sub.add_parser("dicke", help="squeezing/concurrence of a Dicke state")
@@ -341,31 +332,26 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _check_coefficients(args) -> None:
-    """Refuse a coefficient flag, given on the command line or in the config
-    file, that the model does not read: it would change nothing."""
-    model = args.model or RunConfig.model
+def _run_configs(args) -> list:
+    """The RunConfig of each point of the run, in sorted order. Each argparse
+    dest is named after its RunConfig field; a flag given neither on the
+    command line nor in the config file keeps the default. N and each
+    SCAN_AXES field given as a list (by `scan`) are the axes of the grid, so
+    `evolve` gives one point. A coefficient flag that the model does not
+    read is refused: it would change nothing."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
+             if getattr(args, f.name, None) is not None}
+    model = given.get("model", RunConfig.model)
     reads = MODELS[model][1]
     for name in COEFFICIENTS:
-        if getattr(args, name) is not None and name not in reads:
+        if name in given and name not in reads:
             raise ValueError(
                 f"{_flag(name)} is not read by --model {model}, which reads only "
                 + ", ".join(map(_flag, reads))
             )
-
-
-def _run_config(args) -> RunConfig:
-    """Each argparse dest is named after its RunConfig field; a flag given
-    neither on the command line nor in the config file keeps the default."""
-    return RunConfig(**{
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(RunConfig)
-        if getattr(args, f.name, None) is not None
-    })
-
-
-def _as_tuple(value):
-    return value if isinstance(value, tuple) else (value,)
+    axes = [c for c in ("n_qubits", *SCAN_AXES) if isinstance(given.get(c), tuple)]
+    return [RunConfig(**{**given, **dict(zip(axes, point))})
+            for point in sorted(itertools.product(*(given[c] for c in axes)))]
 
 
 def main(argv=None) -> int:
@@ -381,11 +367,10 @@ def main(argv=None) -> int:
             # file entries go before the command-line flags, which therefore win
             rest = argv[argv.index(args.command) + 1:]
             args = parser.parse_args([args.command, *load_config_file(args.config), *rest])
-        _check_coefficients(args)
-        cfg = _run_config(args)
+        grid = _run_configs(args)
         if args.command == "evolve":
-            return cmd_evolve(cfg)
-        return cmd_scan(cfg, args.n_list, args.workers)
+            return cmd_evolve(*grid)
+        return cmd_scan(grid, args.workers)
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -143,8 +143,6 @@ def make_dicke_state(n_qubits: int, n_excited: int) -> SymmetricState:
 
 def make_all_down(n_qubits: int) -> SymmetricState:
     """The all-qubits-down product state |0>, the standard initial state."""
-    if n_qubits < 1:
-        raise ValueError(f"need at least one qubit, got {n_qubits}")
     return make_dicke_state(n_qubits, 0)
 
 

@@ -243,17 +243,16 @@ def suite_oracle(n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
     return checks
 
 
-def random_x_form(rng, samples=None) -> pairwise.TwoQubitReduced:
-    """Random valid (v+, v-, y, u) with unit trace and X-block positivity: one
-    reduction, or a stack of `samples` from two stacked draws of `rng`, the
-    (samples, 3) standard exponentials of the flat-Dirichlet populations, then
-    (samples, 2) uniforms. One reduction draws the stream of
+def random_x_form(rng, samples: int) -> pairwise.TwoQubitReduced:
+    """A stack of `samples` random valid (v+, v-, y, u) with unit trace and
+    X-block positivity, from two stacked draws of `rng`: the (samples, 3)
+    standard exponentials of the flat-Dirichlet populations, then
+    (samples, 2) uniforms. One sample draws the stream of
     `rng.dirichlet(np.ones(3))` then two `rng.random()`."""
-    count = 1 if samples is None else samples
-    exps = rng.standard_exponential((count, 3))
-    uniforms = rng.random((count, 2))
+    exps = rng.standard_exponential((samples, 3))
+    uniforms = rng.random((samples, 2))
     draws = np.column_stack([flat_dirichlet(exps), uniforms])
-    v_plus, v_minus, two_y, scale, turn = (draws[0] if samples is None else draws).T
+    v_plus, v_minus, two_y, scale, turn = draws.T
     mod_u = scale * np.sqrt(v_plus * v_minus)
     return pairwise.TwoQubitReduced(
         v_plus=v_plus,

@@ -300,6 +300,26 @@ class TestEvolve:
         with pytest.raises(ValueError, match="unknown model 'nope'"):
             cli.RunConfig(model="nope")
 
+    def test_a_run_config_that_exists_can_run(self):
+        # its Hamiltonian is checked when it is made, not when it runs
+        with pytest.raises(ValueError, match="overflow"):
+            cli.RunConfig(model="two-axis", n_qubits=4, gamma=1e308)
+        with pytest.raises(ValueError, match="non-finite"):
+            cli.RunConfig(mu=math.nan)
+
+    def test_evolve_is_one_point(self):
+        argv = ["evolve", "--model", "general", "--n", "7", "--mu", "0.4", "--chi", "-0.9",
+                "--gamma", "1.3", "--f-coeffs", "0,0.7,0.2", "--t-max", "2", "--dt", "0.1",
+                "--precision", "9", "--out", "x.csv"]
+        grids = [cli._run_configs(cli.build_parser().parse_args(args))
+                 for args in (argv, ["evolve"])]
+        assert grids == [
+            [cli.RunConfig(model="general", n_qubits=7, mu=0.4, chi=-0.9, gamma=1.3,
+                           f_coeffs=(0.0, 0.7, 0.2), t_max=2.0, dt=0.1,
+                           output_path="x.csv", precision=9)],
+            [cli.RunConfig()],
+        ]
+
 
 class TestStreaming:
     """`evolve` propagates, analyses and writes one block of times at a time."""
@@ -515,9 +535,12 @@ class TestCsvWriter:
         (["evolve", "--n", "4", "--model", "general", "--f-coeffs", "1,inf"], "non-finite"),
         (["scan", "--n", "2", "--dt", "0"], "invalid time grid"),
         (["scan", "--model", "two-axis", "--n", "2,4", "--gamma", "1,1e308"], "overflow"),
+        (["scan", "--n", ""], "empty scan grid"),
+        # an empty grid makes no RunConfig, so its bad --precision is never read
+        (["scan", "--n", "", "--precision", "-1"], "empty scan grid"),
     ], ids=["evolve", "scan", "evolve-nan-mu", "evolve-zero-dt", "evolve-nan-t-max",
             "evolve-overflowing-gamma", "evolve-infinite-f", "scan-zero-dt",
-            "scan-overflowing-gamma"])
+            "scan-overflowing-gamma", "scan-empty-grid", "scan-empty-grid-bad-precision"])
     def test_usage_errors_are_refused_before_computing(self, args, message, monkeypatch, capsys):
         # every usage error is refused before the CSV header or the first block
         original, calls = evolution.evolve_blocks, []
@@ -682,6 +705,17 @@ class TestScan:
         assert run_cli(args) == 2
         assert "--f-coeffs is not read by --model " + model in capsys.readouterr().err
         assert not out.exists()
+
+    def test_grid_is_sorted_points_of_scalars(self):
+        args = cli.build_parser().parse_args(
+            ["scan", "--model", "general", "--n", "4,2", "--mu", "1,2", "--gamma", "0.5",
+             "--f-coeffs", "0,1"])
+        grid = cli._run_configs(args)
+        assert [(cfg.n_qubits, cfg.mu) for cfg in grid] == [(2, 1.0), (2, 2.0), (4, 1.0), (4, 2.0)]
+        for cfg in grid:
+            assert type(cfg.n_qubits) is int
+            assert all(type(getattr(cfg, c)) is float for c in cli.SCAN_AXES)
+            assert cfg.f_coeffs == (0.0, 1.0) and cfg.gamma == 0.5
 
     def test_empty_grid_usage_error(self, tmp_path):
         assert run_cli(["scan", "--n", "", "--out", str(tmp_path / "x.csv")]) == 2

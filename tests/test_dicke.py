@@ -43,8 +43,10 @@ class TestConstruction:
     def test_all_down(self):
         np.testing.assert_array_equal(make_all_down(2).amplitudes, [1, 0, 0])
         np.testing.assert_array_equal(make_all_down(1).amplitudes, [1, 0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need at least one qubit, got 0"):
             make_all_down(0)
+        with pytest.raises(ValueError, match="out of range for N=-1"):
+            make_all_down(-1)
 
     def test_make_state_normalizes(self):
         state, norm = make_state(2, [1, 0, 1])

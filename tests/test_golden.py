@@ -84,8 +84,9 @@ def read_csv(path):
 
 
 def run_config(argv):
-    """The RunConfig that the CLI builds from `argv`."""
-    return cli._run_config(cli.build_parser().parse_args(argv))
+    """The first RunConfig that the CLI builds from `argv`: an `evolve`
+    run's one point, or a scan's first grid point."""
+    return cli._run_configs(cli.build_parser().parse_args(argv))[0]
 
 
 def error_scale(cfg, row):

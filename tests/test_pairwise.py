@@ -112,10 +112,10 @@ class TestXForm:
     def test_lambda_identity(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            result = concurrence_x_form(random_x_form(rng))
-            lam = result.lambdas
+            result = concurrence_x_form(random_x_form(rng, samples=1))
+            lam = result.lambdas[0]
             assert np.all(np.diff(lam) <= 1e-15)
-            assert result.concurrence == pytest.approx(
+            assert result.concurrence[0] == pytest.approx(
                 lam[0] - lam[1] - lam[2] - lam[3], abs=1e-12
             )
 
@@ -148,9 +148,9 @@ class TestSpectral:
     @settings(max_examples=200, deadline=None)
     def test_matches_x_form(self, seed):
         rng = np.random.default_rng(seed)
-        r = random_x_form(rng)
-        closed = concurrence_x_form(r).concurrence
-        spectral = concurrence_spectral(r.as_matrix()).concurrence
+        r = random_x_form(rng, samples=1)
+        closed = concurrence_x_form(r).concurrence[0]
+        spectral = concurrence_spectral(r.as_matrix()).concurrence[0]
         assert abs(closed - spectral) <= 1e-10
 
 

@@ -36,11 +36,10 @@ def assert_rows_same_bits(stacked, rows):
             assert_same_bits(column[k], getattr(row, field), (field, k))
 
 
-def reference_random_x_form(rng, samples=None):
-    count = 1 if samples is None else samples
-    exps, uniforms = rng.standard_exponential((count, 3)), rng.random((count, 2))
+def reference_random_x_form(rng, samples):
+    exps, uniforms = rng.standard_exponential((samples, 3)), rng.random((samples, 2))
     draws = np.array([(*dirichlet_row(e), *u) for e, u in zip(exps, uniforms)])
-    v_plus, v_minus, two_y, scale, turn = (draws[0] if samples is None else draws).T
+    v_plus, v_minus, two_y, scale, turn = draws.T
     mod_u = scale * np.sqrt(v_plus * v_minus)
     return TwoQubitReduced(
         v_plus=v_plus,
@@ -127,7 +126,7 @@ def test_flat_dirichlet_is_generators_dirichlet(k):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("samples", (None, 1, 50))
+@pytest.mark.parametrize("samples", (1, 50))
 def test_random_x_form_matches_per_draw_code(seed, samples):
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for call in range(3):  # successive calls continue the same stream
@@ -138,11 +137,10 @@ def test_random_x_form_matches_per_draw_code(seed, samples):
     assert_same_bits(rng.random(), ref_rng.random(), "stream after the draws")
 
 
-@pytest.mark.parametrize("samples", (None, 1))
-def test_one_x_form_draws_the_stream_of_generator_calls(samples):
+def test_one_x_form_draws_the_stream_of_generator_calls():
     # one reduction: the stream of rng.dirichlet(np.ones(3)), then two rng.random()
     rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
-    got = verify.random_x_form(rng, samples=samples)
+    got = verify.random_x_form(rng, samples=1)
     v_plus, v_minus, two_y = ref_rng.dirichlet(np.ones(3))
     scale, turn = ref_rng.random(), ref_rng.random()
     assert_same_bits(np.ravel(got.v_plus), np.array([v_plus]), "v_plus")
