@@ -137,10 +137,11 @@ def test_random_x_form_matches_per_draw_code(seed, samples):
     assert_same_bits(rng.random(), ref_rng.random(), "stream after the draws")
 
 
-def test_one_x_form_draws_the_stream_of_generator_calls():
+@pytest.mark.parametrize("samples", (1,))
+def test_one_x_form_draws_the_stream_of_generator_calls(samples):
     # one reduction: the stream of rng.dirichlet(np.ones(3)), then two rng.random()
     rng, ref_rng = np.random.default_rng(42), np.random.default_rng(42)
-    got = verify.random_x_form(rng, samples=1)
+    got = verify.random_x_form(rng, samples=samples)
     v_plus, v_minus, two_y = ref_rng.dirichlet(np.ones(3))
     scale, turn = ref_rng.random(), ref_rng.random()
     assert_same_bits(np.ravel(got.v_plus), np.array([v_plus]), "v_plus")
