@@ -338,7 +338,8 @@ def _run_configs(args) -> list:
     command line nor in the config file keeps the default. N and each
     SCAN_AXES field given as a list (by `scan`) are the axes of the grid, so
     `evolve` gives one point. A coefficient flag that the model does not
-    read is refused: it would change nothing."""
+    read is refused: it would change nothing. So is a value repeated in a
+    list: it would run the same point again."""
     given = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)
              if getattr(args, f.name, None) is not None}
     model = given.get("model", RunConfig.model)
@@ -350,6 +351,12 @@ def _run_configs(args) -> list:
                 + ", ".join(map(_flag, reads))
             )
     axes = [c for c in ("n_qubits", *SCAN_AXES) if isinstance(given.get(c), tuple)]
+    for axis in axes:
+        values = given[axis]
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            flag = _flag("n" if axis == "n_qubits" else axis)
+            raise ValueError(f"{flag} lists {repeated[0]!r} more than once")
     return [RunConfig(**{**given, **dict(zip(axes, point))})
             for point in sorted(itertools.product(*(given[c] for c in axes)))]
 

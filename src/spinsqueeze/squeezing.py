@@ -1,9 +1,11 @@
 """The Kitagawa-Ueda squeezing parameter xi^2.
 
 Two routes are provided: the general definition (minimal variance in the
-plane perpendicular to the mean spin, scaled by 4/N) and the closed form
-for even/odd states, xi^2 = 1 + N/2 - (2/N)(<Sz^2> + |<S+^2>|). A value
-below 1 means the state is spin squeezed.
+plane perpendicular to the mean spin, scaled by 4/N; Kitagawa and Ueda,
+Phys. Rev. A 47, 5138, 1993) and the closed form for even/odd states,
+xi^2 = 1 + N/2 - (2/N)(<Sz^2> + |<S+^2>|). A value below 1 means the state
+is spin squeezed. For a state of one parity sector the mean spin lies on
+z, and the general route takes the fixed frame x, y of its plane.
 """
 
 from __future__ import annotations
@@ -36,14 +38,27 @@ def _perpendicular_min(mean_spin: np.ndarray, cov: np.ndarray):
     return (g11 + g22) / 2.0 - np.hypot(g11 - g22, 2.0 * g12) / 2.0
 
 
+def _z_frame_min(m: CollectiveMoments):
+    """`_perpendicular_min` of moments whose mean spin lies on z, <S+> = 0 in
+    every row: its frame is then x, +-y, so g11 = <Sx^2>, g22 = <Sy^2> and
+    g12 = +-<[Sx, Sy]_+>/2, and this is its arithmetic with the zero terms
+    dropped, bit for bit."""
+    return (m.sx2 + m.sy2) / 2.0 - np.hypot(m.sx2 - m.sy2, 2.0 * (0.5 * m.sp2.imag)) / 2.0
+
+
 def squeezing_general(m: CollectiveMoments):
     """xi^2 as 4/N times the minimal variance perpendicular to the mean spin.
+    When no row has a transverse mean (every state of one parity sector) the
+    frame is fixed (`_z_frame_min`); otherwise it is built row by row.
 
     A state with a vanishing mean spin, alone or as a row of a stack, reads
     NaN: no perpendicular plane is defined.
     """
     degenerate = m.mean_spin_norm < MEAN_SPIN_TOL
-    lam = _perpendicular_min(m.mean_spin, m.covariance)
+    if np.all(m.sp_mean == 0):
+        lam = _z_frame_min(m)
+    else:
+        lam = _perpendicular_min(m.mean_spin, m.covariance)
     return np.where(degenerate, np.nan, np.maximum(4.0 * lam / m.n_qubits, 0.0))[()]
 
 

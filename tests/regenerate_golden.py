@@ -3,7 +3,8 @@ change of output. Run from the root of a checkout:
 
     PYTHONPATH=src python tests/regenerate_golden.py
 
-The cases and reports are `test_golden.CASES` and `test_golden.REPORTS`.
+The cases and reports are `test_golden.CASES` and `test_golden.REPORTS`;
+a case runs with its `test_golden.CASE_BLOCK_ROWS`, as the test runs it.
 For each CSV column the script prints the worst absolute change against
 the file it replaces, and the worst change as a share of the error model
 eps * N^2 * max(1, ||H|| t) * max(1, |value|); a column of tokens prints
@@ -22,6 +23,7 @@ from test_golden import (
     DICKE_PATH,
     GOLDEN,
     REPORTS,
+    case_blocks,
     dicke_reports,
     error_scale,
     numeric_columns,
@@ -63,7 +65,9 @@ def compare_csv(argv, old, new):
 def regenerate_csv(case, argv):
     path = GOLDEN / f"{case}.csv"
     old = read_csv(path) if path.exists() else None
-    if cli.main(argv + ["--out", str(path)]) != 0:
+    with case_blocks(case):
+        status = cli.main(argv + ["--out", str(path)])
+    if status != 0:
         raise SystemExit(f"{case}: {' '.join(argv)} failed")
     print(path.name)
     if old is None:

@@ -538,9 +538,15 @@ class TestCsvWriter:
         (["scan", "--n", ""], "empty scan grid"),
         # an empty grid makes no RunConfig, so its bad --precision is never read
         (["scan", "--n", "", "--precision", "-1"], "empty scan grid"),
+        # a repeated value would run the same point again and print its row twice
+        (["scan", "--model", "one-axis-field", "--n", "3,2,3", "--omega", "1"],
+         "--n lists 3 more than once"),
+        (["scan", "--model", "one-axis-field", "--n", "2", "--omega", "1,0.5,1"],
+         "--omega lists 1.0 more than once"),
     ], ids=["evolve", "scan", "evolve-nan-mu", "evolve-zero-dt", "evolve-nan-t-max",
             "evolve-overflowing-gamma", "evolve-infinite-f", "scan-zero-dt",
-            "scan-overflowing-gamma", "scan-empty-grid", "scan-empty-grid-bad-precision"])
+            "scan-overflowing-gamma", "scan-empty-grid", "scan-empty-grid-bad-precision",
+            "scan-repeated-n", "scan-repeated-omega"])
     def test_usage_errors_are_refused_before_computing(self, args, message, monkeypatch, capsys):
         # every usage error is refused before the CSV header or the first block
         original, calls = evolution.evolve_blocks, []

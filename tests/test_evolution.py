@@ -616,6 +616,28 @@ def test_rows_per_block(n, spec, rows):
     assert len(times) == len(states.entries) == rows
 
 
+@pytest.mark.parametrize("n, spec, t_max, blocks", [
+    (50, HamiltonianSpec.one_axis_field(1.0, 0.5), 200.0, 20),  # evolve-long
+    (2000, HamiltonianSpec.two_axis(1.5 / 2000), 10.0, 8),  # evolve-large
+])
+def test_phase_table_agrees_with_the_direct_route(n, spec, t_max, blocks):
+    # the blocks of a TimeGrid share the first block's phase table; the same
+    # times as an array are evaluated directly, block by block
+    grid = time_grid(t_max, 0.01)
+    table = evolve_blocks(spec, make_all_down(n), grid)
+    direct = evolve_blocks(spec, make_all_down(n), grid[:])
+    drawn = 0
+    for (times, a), (same, b) in zip(table, direct, strict=True):
+        assert np.array_equal(times, same)
+        if drawn == 0:
+            assert np.array_equal(a.entries, b.entries)  # the first block is the direct one
+        assert np.array_equal(a.entries[0], b.entries[0])  # as is each block's first row
+        gap = np.max(np.abs(a.entries - b.entries), axis=1)
+        assert np.all(gap <= 4 * error_model(spec, n, times)), drawn
+        drawn += 1
+    assert drawn == blocks
+
+
 def test_evolve_blocks_refuses_a_stack_and_non_finite_times():
     with pytest.raises(ValueError, match="one initial state"):
         evolve_blocks(H1, evolve_states(H1, make_all_down(2), [0.0, 1.0]), [0.0])

@@ -2,9 +2,11 @@
 
 Each CSV case runs one `evolve` or `scan` through the CLI and compares the
 CSV with `tests/golden/<case>.csv`. Sizes stay at N <= 10, where the output
-does not depend on the BLAS thread count. The report of every `verify`
-suite is compared with `tests/golden/verify_<suite>_seed42.txt` (`-` in a
-suite name becomes `_`); they pin every printed residual. The suites that
+does not depend on the BLAS thread count. A case of `CASE_BLOCK_ROWS` runs
+in several blocks, so that its file pins rows after a first block. The
+report of every `verify` suite is compared with
+`tests/golden/verify_<suite>_seed42.txt` (`-` in a suite name becomes
+`_`); they pin every printed residual. The suites that
 draw random inputs (lemma1, lemma2, x-form) are also pinned at seed 7, in
 `verify_<suite>_seed7.txt`. The stdout of `dicke` for the (N, excitations)
 pairs of `DICKE`, one run after another, is pinned in `dicke.txt`.
@@ -22,6 +24,7 @@ import csv
 import dataclasses
 import io
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,9 +50,25 @@ CASES = {
     "evolve_two_axis": ["evolve", "--model", "two-axis", "--n", "10", "--gamma", "0.3", *GRID],
     "evolve_general": ["evolve", "--model", "general", "--n", "7", "--mu", "0.4",
                        "--chi", "-0.9", "--gamma", "1.3", "--f-coeffs", "0,0.7,0.2", *GRID],
+    # 151 rows in five blocks (CASE_BLOCK_ROWS): the rows after the first
+    # block come from the first block's phase table
+    "evolve_one_axis_field_blocks": ["evolve", "--model", "one-axis-field", "--n", "4",
+                                     "--mu", "1", "--omega", "0.7", "--t-max", "1.5",
+                                     "--dt", "0.01"],
     "scan_one_axis_field": ["scan", "--model", "one-axis-field", "--n", "2,4", "--mu", "1",
                             "--omega", "0.5,2", *GRID],
 }
+
+# the cases that run with `evolution.BLOCK_ROWS` set to fewer rows than they
+# have; every other case is one block
+CASE_BLOCK_ROWS = {"evolve_one_axis_field_blocks": 32}
+
+
+def case_blocks(case):
+    """A context in which `case` runs with its CASE_BLOCK_ROWS, if it has one."""
+    return mock.patch.object(evolution, "BLOCK_ROWS",
+                             CASE_BLOCK_ROWS.get(case, evolution.BLOCK_ROWS))
+
 
 # (suite, seed) of every pinned verify report: each suite at seed 42, and a
 # second seed for the suites that draw random inputs
@@ -118,7 +137,8 @@ def numeric_columns(rows):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_csv_bytes_match_golden(case, tmp_path):
     out = tmp_path / f"{case}.csv"
-    assert cli.main(CASES[case] + ["--out", str(out)]) == 0
+    with case_blocks(case):
+        assert cli.main(CASES[case] + ["--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
 
 

@@ -29,6 +29,9 @@ def commands(tmp_path):
     return [
         (["evolve", "--model", "one-axis", "--n", "4", *grid], 0),
         (["evolve", "--model", "one-axis-field", "--n", "5", "--omega", "0.7", *grid], 0),
+        # 1101 times: more than one block of BLOCK_ROWS, so the phase table runs
+        (["evolve", "--model", "one-axis-field", "--n", "4", "--omega", "0.7",
+          "--t-max", "11", "--dt", "0.01", "--out", str(tmp_path / "blocks.csv")], 0),
         (["evolve", "--model", "two-axis", "--n", "6", "--gamma", "0.3", *grid], 0),
         (["evolve", "--model", "general", "--n", "5", "--chi", "0.4",
           "--f-coeffs", "0,0.7", *grid, "--out", str(tmp_path / "general.csv")], 0),

@@ -6,7 +6,10 @@ import dataclasses
 import numpy as np
 import pytest
 from helpers import evolve_states, make_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spinsqueeze import squeezing
 from spinsqueeze.dicke import (
     SymmetricState,
     collective_moments,
@@ -14,7 +17,7 @@ from spinsqueeze.dicke import (
     make_dicke_state,
 )
 from spinsqueeze.hamiltonians import HamiltonianSpec
-from spinsqueeze.squeezing import squeezing_even_odd, squeezing_general
+from spinsqueeze.squeezing import MEAN_SPIN_TOL, squeezing_even_odd, squeezing_general
 
 
 def h1_state(n, t):
@@ -125,3 +128,57 @@ def test_rotation_invariance_about_z():
             assert squeezing_even_odd(collective_moments(rotated)) == pytest.approx(
                 base, abs=1e-12
             )
+
+
+def sector_row(rng, n, parity, kind, scale):
+    """One row of sector entries: random, or with |c|^2 reversal-symmetric
+    (<Sz> = 0 to rounding, even N), or that plus a perturbation of size
+    `scale` (<Sz> near MEAN_SPIN_TOL), or one Dicke state (<Sx^2> = <Sy^2>
+    and <S+^2> = 0, a double eigenvalue)."""
+    m = (n + 2 - parity) // 2
+    c = rng.normal(size=m) + 1j * rng.normal(size=m)
+    if kind == "dicke":
+        c = np.zeros(m, dtype=complex)
+        c[rng.integers(m)] = 1.0
+    elif kind != "random" and n % 2 == 0:
+        c = np.sqrt(np.abs(c) * np.abs(c[::-1])) * np.exp(1j * np.angle(c))
+        if kind == "near":
+            c += scale * (rng.normal(size=m) + 1j * rng.normal(size=m))
+    return c / np.linalg.norm(c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 1), st.integers(0, 2**32 - 1),
+       st.lists(st.sampled_from(["random", "zero", "near", "dicke"]), min_size=1, max_size=8),
+       st.floats(1e-12, 1e-6))
+def test_z_frame_equals_the_general_frame_bit_for_bit(n, parity, seed, kinds, scale):
+    rng = np.random.default_rng(seed)
+    entries = np.array([sector_row(rng, n, parity, kind, scale) for kind in kinds])
+    m = collective_moments(SymmetricState(n, entries, parity))
+    assert np.all(m.sp_mean == 0)
+    general = squeezing._perpendicular_min(m.mean_spin, m.covariance)
+    fixed = squeezing._z_frame_min(m)
+    live = m.mean_spin_norm >= MEAN_SPIN_TOL  # the rows whose value is read
+    assert fixed[live].tobytes() == general[live].tobytes()
+    expected = np.where(live, np.maximum(4.0 * general / n, 0.0), np.nan)
+    xi2 = squeezing_general(m)
+    assert np.array_equal(np.isnan(xi2), ~live)
+    assert xi2[live].tobytes() == expected[live].tobytes()
+
+
+def test_a_transverse_mean_in_any_row_takes_the_general_frame(monkeypatch):
+    original, calls = squeezing._perpendicular_min, []
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(squeezing, "_perpendicular_min", spy)
+    tilted, _ = make_state(4, [1, 0.5, 0.2, 0, 0.1])  # <S+> != 0
+    stack = SymmetricState(4, np.array([make_all_down(4).amplitudes, tilted.amplitudes]))
+    m = collective_moments(stack)
+    assert m.sp_mean[0] == 0 and m.sp_mean[1] != 0
+    xi2 = squeezing_general(m)
+    assert len(calls) == 1
+    assert xi2[0] == squeezing_general(collective_moments(make_all_down(4)))
+    assert len(calls) == 1  # all-down alone has no transverse mean: the fixed frame
