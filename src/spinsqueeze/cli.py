@@ -104,7 +104,8 @@ def write_csv(path, columns, blocks, precision: int):
     `format(v, ".<precision>g")` does), `%d` for ints, `%s` for strings.
     A regular file is written whole or not at all: the lines go to a
     temporary file beside it, which replaces it only after the last block.
-    No table is held while the next one is drawn."""
+    The header goes with the first line, and no table is held while the
+    next one is drawn."""
     conversions = {"f": f"%.{precision}g", "i": "%d", "U": "%s"}
 
     def table_lines(table):
@@ -117,9 +118,11 @@ def write_csv(path, columns, blocks, precision: int):
         return (template % row for row in zip(*(a.tolist() for a in arrays)))
 
     def lines():
-        yield ",".join(columns) + "\n"
-        # chain drops each table's lines before it draws the next table
-        yield from itertools.chain.from_iterable(map(table_lines, blocks))
+        # chain drops each table's lines before it draws the next table; the
+        # header waits for the first line, so a run that fails before it prints nothing
+        body = itertools.chain.from_iterable(map(table_lines, blocks))
+        yield ",".join(columns) + "\n" + next(body, "")
+        yield from body
 
     if path in ("", "-"):
         sys.stdout.writelines(lines())

@@ -30,8 +30,8 @@ handed on as the sector's (T, m) entries alone, never as a (T, N+1) stack.
 `evolve_blocks` propagates a long grid one block of at most BLOCK_ROWS
 times at a time, and the `TimeGrid` of `time_grid` forms each block's times
 only when it is drawn, so memory does not grow with the number of times. Both
-contracts on V_k are checked in one walk over windows of whole columns, so
-that besides V a solve holds no (m, m) array but the solver's own.
+contracts on V_k are checked in one walk over windows of whole columns; a fold
+forms V only if every mode is kept: no other (m, m) array but the solver's own.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ BLOCK_AMPLITUDES = 2**18  # complex amplitudes per block that evolve_blocks prop
 # analysis columns and CSV objects, whatever N is
 BLOCK_ROWS = 1024
 CONTRACT_ELEMENTS = 2**15  # entries of V per column window of the contracts (256 KiB)
+ROOT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -100,13 +101,12 @@ def _chiral_eigh(e: np.ndarray, out: np.ndarray) -> np.ndarray:
     np.fill_diagonal(b, e[0::2])
     np.fill_diagonal(b[1:], e[1::2])
     u, s, vt = np.linalg.svd(b)  # s descending
-    root2 = math.sqrt(2.0)
-    np.divide(u[:, :q], root2, out=out[0::2, :q])  # -s, ascending
-    np.divide(vt.T, -root2, out=out[1::2, :q])
+    np.divide(u[:, :q], ROOT2, out=out[0::2, :q])  # -s, ascending
+    np.divide(vt.T, -ROOT2, out=out[1::2, :q])
     out[0::2, q:m - q] = u[:, q:]  # the null mode, when m is odd
     out[1::2, q:m - q] = 0.0
-    np.divide(u[:, q - 1::-1], root2, out=out[0::2, m - q:])  # +s, ascending
-    np.divide(vt[::-1].T, root2, out=out[1::2, m - q:])
+    np.divide(u[:, q - 1::-1], ROOT2, out=out[0::2, m - q:])  # +s, ascending
+    np.divide(vt[::-1].T, ROOT2, out=out[1::2, m - q:])
     return np.concatenate([-s, np.zeros(m - 2 * q), s[::-1]])
 
 
@@ -120,28 +120,29 @@ def _folds(d: np.ndarray, e: np.ndarray) -> bool:
             and not (d.size % 2 == 0 and _is_chiral(d)))
 
 
-def _folded_eigh(d: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Eigenpairs of a palindromic band from its J-even and J-odd halves
-    (Cantoni and Butler, 1976); the vectors are written into the (m, m)
-    array `out` and the energies returned. With m = 2p + 1 the J-even half
-    is d[:p+1], e[:p] with its last coupling times sqrt(2), the J-odd half
-    d[:p], e[:p-1]; with m = 2p both are d[:p], e[:p-1] with e[p-1] added
-    to (J-even) or subtracted from (J-odd) the last diagonal entry. Each
-    half goes to `_chiral_eigh` or `eigh` like an unfolded band, and its
-    vector u becomes (u, +-Ju)/sqrt(2), with the centre entry u_p of a
-    J-even vector when m is odd. The halves' spectra interlace (Cauchy for
-    odd m, where the J-odd half is the J-even one's leading block; the
-    rank-one update 2 e[p-1] for even m), so one half fills the even
-    columns and the other the odd ones in ascending order, up to rounding
-    between a J-even and a J-odd energy that agree to rounding."""
+def _folded_eigh(d: np.ndarray, e: np.ndarray):
+    """(energies, top, signs) of a palindromic band from its J-even and J-odd
+    halves (Cantoni and Butler, 1976). With m = 2p + 1 the J-even half is
+    d[:p+1], e[:p] with its last coupling times sqrt(2), the J-odd half
+    d[:p], e[:p-1]; with m = 2p both are d[:p], e[:p-1] with e[p-1] added to
+    (J-even) or subtracted from (J-odd) the last diagonal entry. Each half
+    goes to `_chiral_eigh` or `eigh` like an unfolded band, and its vector u
+    becomes (u, sign Ju)/sqrt(2), with the centre entry u_p of a J-even vector
+    when m is odd: only V's top m - p rows are written, into `top`, and
+    `signs` holds each J-sign. The halves' spectra interlace (Cauchy for odd
+    m, where the J-odd half is the J-even one's leading block; the rank-one
+    update 2 e[p-1] for even m), so one half fills the even columns and the
+    other the odd ones in ascending order, up to rounding between a J-even
+    and a J-odd energy that agree to rounding."""
     m = d.size
     p = m // 2
+    top, signs, energies = np.empty((m - p, m)), np.empty(m), np.empty(m)
     if m % 2:
         even_d, even_e = d[:p + 1], e[:p].copy()
-        even_e[-1:] *= math.sqrt(2.0)  # no coupling when m = 1
+        even_e[-1:] *= ROOT2  # no coupling when m = 1
         halves = ((even_d, even_e, 1.0, slice(0, None, 2)),
                   (d[:p], e[:p - 1], -1.0, slice(1, None, 2)))
-        out[p, 1::2] = 0.0  # J-odd vectors vanish at the centre
+        top[p, 1::2] = 0.0  # J-odd vectors vanish at the centre
     else:
         even_d, odd_d = d[:p].copy(), d[:p].copy()
         even_d[-1] += e[p - 1]
@@ -150,17 +151,35 @@ def _folded_eigh(d: np.ndarray, e: np.ndarray, out: np.ndarray) -> np.ndarray:
         if e[p - 1] < 0:
             lower, upper = upper, lower
         halves = ((even_d, e[:p - 1], 1.0, upper), (odd_d, e[:p - 1], -1.0, lower))
-    energies = np.empty(m)
     for half_d, half_e, sign, columns in halves:  # the J-odd half is empty when m = 1
-        block = out[:half_d.size, columns]
+        block = top[:half_d.size, columns]
         if _is_chiral(half_d):
             energies[columns] = _chiral_eigh(half_e, block)
         else:
             energies[columns], block[...] = np.linalg.eigh(tridiagonal(half_d, half_e))
-        top = out[:p, columns]
-        np.divide(top, sign * math.sqrt(2.0), out=out[::-1][:p, columns])
-        top /= math.sqrt(2.0)
-    return energies
+        signs[columns] = sign
+    top[:p] /= ROOT2
+    return energies, top, signs
+
+
+def _unfold(top: np.ndarray, signs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`out`, (m, j), filled with j columns of a fold's V from their top rows, which may be
+    out's own, and J-signs: row m-1-i is sign times row i, u/(sign sqrt(2)) bit for bit."""
+    out[:top.shape[0]] = top
+    np.multiply(out[:out.shape[0] // 2], signs, out=out[::-1][:out.shape[0] // 2])
+    return out
+
+
+def _fold_amplitudes(top: np.ndarray, signs: np.ndarray, x: np.ndarray):
+    """(x.real @ V, x.imag @ V) of a fold, CONTRACT_ELEMENTS // m columns at a time."""
+    m = x.size
+    columns = max(1, CONTRACT_ELEMENTS // m)
+    window, w = np.empty((m, min(columns, m))), np.empty((2, m))
+    for i in range(0, m, columns):
+        v = _unfold(top[:, i:i + columns], signs[i:i + columns], window[:, :min(columns, m - i)])
+        np.matmul(x.real, v, out=w[0, i:i + columns])
+        np.matmul(x.imag, v, out=w[1, i:i + columns])
+    return w
 
 
 def _contract_residuals(d, e, energies, vectors):
@@ -186,22 +205,22 @@ def _contract_residuals(d, e, energies, vectors):
 
 
 def solve_band(band: SectorBand):
-    """(energies, vectors): the m eigenpairs of one sector's band, energies
-    ascending; `_kept_modes` checks the ones that are propagated. An exactly
-    palindromic band (one-axis, two-axis and `general` with an even f, all
-    at even N) is folded into two half-size bands by `_folded_eigh`, unless
-    it has a zero diagonal and even m. Otherwise a band with a zero diagonal
-    and m > 1 (two-axis, and `general` with mu + chi = 0 and no f) is solved
-    by `_chiral_eigh`, every other band by `eigh`; the halves of a fold are
-    dispatched the same way."""
+    """(energies, vectors, signs): the m eigenpairs of one sector's band,
+    energies ascending; `_kept_modes` checks the ones that are propagated. An
+    exactly palindromic band (one-axis, two-axis and `general` with an even
+    f, all at even N) is folded into two half-size bands by `_folded_eigh`,
+    unless it has a zero diagonal and even m: `vectors` are then V's top
+    ceil(m/2) rows, `signs` the J-signs. Otherwise `vectors` is V and `signs`
+    None: a band with a zero diagonal and m > 1 (two-axis, and `general`
+    with mu + chi = 0 and no f) is solved by `_chiral_eigh`, every other
+    band by `eigh`; the halves of a fold are dispatched the same way."""
     d, e = band.diagonal, band.off_diagonal
     if _folds(d, e):
-        vectors = np.empty((band.dim, band.dim))
-        return _folded_eigh(d, e, vectors), vectors
+        return _folded_eigh(d, e)
     if _is_chiral(d):
         vectors = np.empty((band.dim, band.dim))
-        return _chiral_eigh(e, vectors), vectors
-    return np.linalg.eigh(tridiagonal(d, e))
+        return _chiral_eigh(e, vectors), vectors, None
+    return *np.linalg.eigh(tridiagonal(d, e)), None
 
 
 def _kept_modes(band: SectorBand, x: np.ndarray):
@@ -210,16 +229,27 @@ def _kept_modes(band: SectorBand, x: np.ndarray):
     smallest-weight modes are dropped while their summed weight stays within
     m eps^2. The kept (m, k) V_k must pass the reconstruction and
     orthonormality contracts and hold x: ||x - V_k w_k|| <= 4 sqrt(m) eps,
-    with w_k = V_k^T x, formed as a residual vector."""
-    energies, v = solve_band(band)
-    wr, wi = x.real @ v, x.imag @ v
+    with w_k = V_k^T x, formed as a residual vector. A fold forms w in column
+    windows and then V_k alone, or V in place when every mode is kept."""
+    energies, v, signs = solve_band(band)
+    m = band.dim
+    wr, wi = (x.real @ v, x.imag @ v) if signs is None else _fold_amplitudes(v, signs, x)
     weights = wr * wr + wi * wi
     order = np.argsort(weights)
     eps = np.finfo(float).eps
-    dropped = int(np.searchsorted(np.cumsum(weights[order]), band.dim * eps**2, side="right"))
+    dropped = int(np.searchsorted(np.cumsum(weights[order]), m * eps**2, side="right"))
     if dropped:  # else V itself: v[:, keep] is not C-contiguous and rounds the GEMM otherwise
         keep = np.sort(order[dropped:])
         energies, v, wr, wi = energies[keep], v[:, keep], wr[keep], wi[keep]
+        if signs is not None:  # F-ordered, as v[:, keep] of V itself
+            v = _unfold(v, signs[keep], np.empty((m, keep.size), order="F"))
+    elif signs is not None:  # every mode: the top rows grow into V in place
+        try:
+            v.resize((m, m))
+        except ValueError:  # referenced elsewhere, as under sys.setprofile: grow by a copy
+            v = np.concatenate((v, np.empty((m // 2, m))))
+        _unfold(v[:m - m // 2], signs, v)
+        wr, wi = x.real @ v, x.imag @ v  # the windows' bits can follow BLAS's thread split
     d, e = band.diagonal, band.off_diagonal
     scale = max(1.0, float(np.max(np.abs(d))), float(np.max(np.abs(e), initial=0.0)))
     residual, ortho = _contract_residuals(d, e, energies, v)
@@ -228,7 +258,7 @@ def _kept_modes(band: SectorBand, x: np.ndarray):
     if not ortho <= ORTHONORMALITY_TOL:
         raise NumericalError(f"eigenvector orthonormality residual {ortho:.3e}")
     capture = math.hypot(np.linalg.norm(x.real - v @ wr), np.linalg.norm(x.imag - v @ wi))
-    if not capture <= 4.0 * math.sqrt(band.dim) * eps:
+    if not capture <= 4.0 * math.sqrt(m) * eps:
         raise NumericalError(f"capture residual {capture:.3e} of the kept modes")
     return energies, v, wr, wi
 

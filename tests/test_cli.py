@@ -99,7 +99,7 @@ class TestEvolve:
     def test_non_finite_grid_is_usage_error(self, t_max, dt):
         assert run_cli(["evolve", "--n", "2", "--t-max", t_max, "--dt", dt]) == 2
 
-    def test_lost_norm_is_numerical_error(self, monkeypatch):
+    def test_lost_norm_is_numerical_error(self, monkeypatch, capsys):
         # eigenvectors scaled by 1+1e-6 after the decomposition checks leave
         # every propagated state unnormalized: a numerical failure
         original = evolution.hermitian_eigen
@@ -110,8 +110,9 @@ class TestEvolve:
 
         monkeypatch.setattr(evolution, "hermitian_eigen", leaky)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
+        assert capsys.readouterr().out == ""
 
-    def test_nan_decomposition_is_numerical_error(self, monkeypatch):
+    def test_nan_decomposition_is_numerical_error(self, monkeypatch, capsys):
         eigh = np.linalg.eigh
 
         def nan_first(a):
@@ -121,8 +122,9 @@ class TestEvolve:
 
         monkeypatch.setattr(np.linalg, "eigh", nan_first)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
+        assert capsys.readouterr().out == ""
 
-    def test_nan_singular_value_is_numerical_error(self, monkeypatch):
+    def test_nan_singular_value_is_numerical_error(self, monkeypatch, capsys):
         svd = np.linalg.svd
 
         def nan_first(a):
@@ -133,6 +135,7 @@ class TestEvolve:
         monkeypatch.setattr(np.linalg, "svd", nan_first)
         argv = ["evolve", "--model", "two-axis", "--n", "4", "--t-max", "1", "--dt", "0.5"]
         assert run_cli(argv) == 3
+        assert capsys.readouterr().out == ""
 
     def test_corrupt_eigenvector_is_numerical_error(self, monkeypatch, capsys):
         # two sector eigenvectors swapped: still orthonormal, but T V != V Lambda
@@ -145,7 +148,8 @@ class TestEvolve:
 
         monkeypatch.setattr(np.linalg, "eigh", swapped)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 3
-        assert "eigendecomposition residual" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert out == "" and "eigendecomposition residual" in err
 
     def test_cli_imports_no_scipy(self, tmp_path):
         # the run must not pay scipy's import time and memory
@@ -185,6 +189,17 @@ class TestEvolve:
         monkeypatch.setattr(evolution, "evolve_blocks", too_large)
         assert run_cli(["evolve", "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["evolve", "scan"])
+    def test_a_solve_out_of_memory_prints_no_header(self, command, monkeypatch, capsys):
+        # as `--n 1000000` does: the sector solve cannot allocate its (500001, 500001) V
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 1.82 TiB for an array")
+
+        monkeypatch.setattr(evolution, "hermitian_eigen", too_large)
+        assert run_cli([command, "--n", "4", "--t-max", "1", "--dt", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: Unable to allocate")
 
     def test_unwritable_output(self):
         assert run_cli(

@@ -48,13 +48,33 @@ def band(diagonal, off_diagonal=None):
     return SectorBand(2 * len(diagonal), 0, diagonal, np.asarray(off_diagonal, float), 1.0)
 
 
+def mirror(vectors, signs):
+    """V from `solve_band`'s vectors and J-signs, assembled whole by this
+    test's own copy of the fold's mirror: a fold's vectors are V's top
+    ceil(m/2) rows, and row m - 1 - i of a column is its sign times row i.
+    V itself when signs is None."""
+    if signs is None:
+        return vectors
+    m = signs.size
+    v = np.empty((m, m))
+    v[:vectors.shape[0]] = vectors
+    v[vectors.shape[0]:] = (vectors[:m // 2] * signs)[::-1]
+    return v
+
+
+def eigenbasis(b):
+    """(energies, V) of the band: `solve_band`'s, a fold's V assembled by `mirror`."""
+    energies, vectors, signs = solve_band(b)
+    return energies, mirror(vectors, signs)
+
+
 def evolve_to(spec, initial, t):
     """The state at one time."""
     return SymmetricState(initial.n_qubits, evolve_states(spec, initial, [t]).amplitudes[0])
 
 
 def test_diagonal_eigen():
-    energies, vectors = solve_band(band([1.0, 2.0, 3.0]))
+    energies, vectors = eigenbasis(band([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(energies, [1, 2, 3])
     np.testing.assert_allclose(np.abs(vectors), np.eye(3), atol=1e-14)
 
@@ -67,7 +87,7 @@ def test_one_axis_n2_spectrum():
 def test_random_hermitian_contracts():
     rng = np.random.default_rng(2)
     b = band(rng.normal(size=50), rng.normal(size=49))
-    e, v = solve_band(b)
+    e, v = eigenbasis(b)
     assert np.max(np.abs(v @ np.diag(e) @ v.T - tridiagonal(b.diagonal, b.off_diagonal))) <= 1e-10
     assert np.max(np.abs(v.T @ v - np.eye(50))) <= 1e-11
 
@@ -151,6 +171,11 @@ def full_weight(b):
     return x / np.linalg.norm(x)
 
 
+def all_down(b):
+    """x = D^dag c(0) of all-down on the band, its even sector."""
+    return b.gauge().conj() * make_all_down(b.n_qubits).amplitudes[b.indices]
+
+
 def check_all_modes(b):
     """`_kept_modes` of the band, from a state that occupies every mode."""
     return evolution._kept_modes(b, full_weight(b))
@@ -202,18 +227,18 @@ def route_band(route, m):
 def solve_mutated(route, m, mutate, monkeypatch):
     """`_kept_modes` on the route's band of size m, from a state that keeps
     every mode, with the route's eigenpairs passed through mutate(energies,
-    vectors) first; for a fold, the assembled V."""
+    vectors, signs) first: for a fold, its half-height vectors and J-signs,
+    which hold row r of V in row min(r, m - 1 - r); else V and None."""
     if route == "eigh":
         eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a: mutate(*eigh(a)))
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: mutate(*eigh(a), None)[:2])
     elif route == "svd":
         chiral = evolution._chiral_eigh
         monkeypatch.setattr(evolution, "_chiral_eigh",
-                            lambda e, out: mutate(chiral(e, out), out)[0])
+                            lambda e, out: mutate(chiral(e, out), out, None)[0])
     else:
         fold = evolution._folded_eigh
-        monkeypatch.setattr(evolution, "_folded_eigh",
-                            lambda d, e, out: mutate(fold(d, e, out), out)[0])
+        monkeypatch.setattr(evolution, "_folded_eigh", lambda d, e: mutate(*fold(d, e)))
     return check_all_modes(route_band(route, m))
 
 
@@ -225,9 +250,10 @@ def test_perturbed_column_fails_the_residual(route, row, window, monkeypatch):
     if window:
         monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", window * 11)
 
-    def perturb(energies, vectors):
-        vectors[row, 0] += 1e-6  # column 0: the lowest energy, not 0
-        return energies, vectors
+    def perturb(energies, vectors, signs):
+        # column 0: the lowest energy, not 0
+        vectors[row if signs is None else min(row, 10 - row), 0] += 1e-6
+        return energies, vectors, signs
 
     with pytest.raises(NumericalError, match="eigendecomposition residual"):
         solve_mutated(route, 11, perturb, monkeypatch)
@@ -235,9 +261,11 @@ def test_perturbed_column_fails_the_residual(route, row, window, monkeypatch):
 
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_duplicated_column_fails_orthonormality(route, monkeypatch):
-    def duplicate(energies, vectors):
+    def duplicate(energies, vectors, signs):
         energies[1], vectors[:, 1] = energies[0], vectors[:, 0]  # an exact eigenpair twice
-        return energies, vectors
+        if signs is not None:
+            signs[1] = signs[0]
+        return energies, vectors, signs
 
     # one window of columns, then 1-column windows, where the copies fall apart
     for columns in (None, 1):
@@ -251,18 +279,88 @@ def test_duplicated_column_fails_orthonormality(route, monkeypatch):
 @pytest.mark.parametrize("window", [None, 3])
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_overlap_across_a_window_edge_fails_orthonormality(route, window, monkeypatch):
-    # m = 11; with 3-column windows, columns 2 and 3 fall in different windows
+    # m = 11; with 3-column windows, columns 1 and 2 fall in a window before column 3's
     if window:
         monkeypatch.setattr(evolution, "CONTRACT_ELEMENTS", window * 11)
 
-    def overlap(energies, vectors):
-        # column 3 overlaps column 2 by 1e-10: ten times ORTHONORMALITY_TOL, while
-        # its residual, 1e-10 |lambda_2 - lambda_3|, stays within RECONSTRUCTION_TOL
-        vectors[:, 3] += 1e-10 * vectors[:, 2]
-        return energies, vectors
+    def overlap(energies, vectors, signs):
+        # column 3 overlaps column j by 1e-10: ten times ORTHONORMALITY_TOL, while
+        # its residual, 1e-10 |lambda_j - lambda_3|, stays within RECONSTRUCTION_TOL.
+        # A fold's columns alternate J-signs, and in V an overlap of opposite
+        # signs cancels, so there j = 1, else 2
+        j = 2 if signs is None else 1
+        vectors[:, 3] += 1e-10 * vectors[:, j]
+        return energies, vectors, signs
 
     with pytest.raises(NumericalError, match="orthonormality residual"):
         solve_mutated(route, 11, overlap, monkeypatch)
+
+
+FOLD_ROUTES = ["fold-eigh", "fold-svd"]
+
+
+@pytest.mark.parametrize("state", ["full weight", "all-down"])
+@pytest.mark.parametrize("route", FOLD_ROUTES)
+def test_perturbed_mirrored_row_fails_the_residual(route, state, monkeypatch):
+    # each assembled window and V_k itself carry a defect in the last row of
+    # their first column, the mirror of its first row: the contracts see it
+    unfold = evolution._unfold
+
+    def perturbed(top, signs, out):
+        unfold(top, signs, out)[-1, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(evolution, "_unfold", perturbed)
+    b = route_band(route, 11)
+    with pytest.raises(NumericalError, match="eigendecomposition residual"):
+        evolution._kept_modes(b, full_weight(b) if state == "full weight" else all_down(b))
+
+
+@pytest.mark.parametrize("column", [0, 1])  # a J-even and a J-odd vector at m = 11
+@pytest.mark.parametrize("route", FOLD_ROUTES)
+def test_flipped_j_sign_fails_the_residual(route, column, monkeypatch):
+    def flip(energies, vectors, signs):
+        signs[column] = -signs[column]
+        return energies, vectors, signs
+
+    with pytest.raises(NumericalError, match="eigendecomposition residual"):
+        solve_mutated(route, 11, flip, monkeypatch)
+
+
+@pytest.mark.parametrize("state", ["full weight", "all-down"])
+@pytest.mark.parametrize("route", FOLD_ROUTES)
+def test_folded_kept_modes_match_the_whole_v_bit_for_bit(route, state, monkeypatch):
+    # the same solve, its V assembled whole by `mirror` and cut as an unfolded V
+    b = route_band(route, 1001)
+    x = full_weight(b) if state == "full weight" else all_down(b)
+    solve, whole = evolution.solve_band, []
+
+    def spy(band):
+        energies, vectors, signs = solve(band)
+        whole.append((energies.copy(), mirror(vectors, signs), None))
+        return energies, vectors, signs
+
+    monkeypatch.setattr(evolution, "solve_band", spy)
+    got = evolution._kept_modes(b, x)
+    monkeypatch.setattr(evolution, "solve_band", lambda band: whole[0])
+    expected = evolution._kept_modes(b, x)
+    assert (got[1].shape[1] == b.dim) == (state == "full weight")
+    for a, e in zip(got, expected):
+        assert a.shape == e.shape and a.strides == e.strides
+        assert np.array_equal(a.view(np.uint64), e.view(np.uint64))
+
+
+def test_a_referenced_fold_grows_into_v_by_a_copy(monkeypatch):
+    # a reference held elsewhere stops the in-place growth, not the solve
+    b = route_band("fold-eigh", 11)
+    x = full_weight(b)
+    expected = evolution._kept_modes(b, x)
+    solve, held = evolution.solve_band, []
+    monkeypatch.setattr(evolution, "solve_band", lambda band: held.append(solve(band)) or held[0])
+    got = evolution._kept_modes(b, x)
+    assert held[0][1].shape == (6, 11)  # the top rows, unchanged
+    for a, e in zip(got, expected):
+        assert a.strides == e.strides and np.array_equal(a.view(np.uint64), e.view(np.uint64))
 
 
 @pytest.mark.parametrize("columns", range(1, 13))
@@ -316,10 +414,12 @@ def test_a_window_never_changes_the_reconstruction_bits(monkeypatch):
     monkeypatch.setattr(evolution, "_contract_residuals",
                         lambda *args: seen.append(args) or contracts(*args))
     hermitian_eigen(spec, make_all_down(n))  # V_k: the kept columns of V, F-ordered
+    check_all_modes(even)  # V itself, grown in place from the fold's top rows, C-ordered
     d, e = even.diagonal, even.off_diagonal
-    square = solve_band(even)  # V itself, C-ordered
-    assert square[1].flags.c_contiguous and not seen[0][3].flags.c_contiguous
-    for energies, vectors in (square, seen[0][2:]):
+    (_, _, *kept), (_, _, *square) = seen
+    assert square[1].shape == (even.dim, even.dim) and square[1].flags.c_contiguous
+    assert kept[1].shape[1] < even.dim and kept[1].flags.f_contiguous
+    for energies, vectors in (square, kept):
         m, k = vectors.shape
         residuals = []
         for columns in range(1, k + 1):
@@ -332,24 +432,32 @@ def test_a_window_never_changes_the_reconstruction_bits(monkeypatch):
         assert np.ptp(ortho) <= 1e-15, k
 
 
-# peak of a solve at m = 1001 whose contracts check every mode, in m^2
-# doubles: V (1), the solver's own arrays, and the contracts' windows (about
-# 0.03). eigh takes the dense T.
-SOLVE_BUDGET = {"fold-svd": 1.25, "fold-eigh": 1.55, "svd": 1.8, "eigh": 2.05}
+# peak of a solve at m = 1001, in m^2 doubles, from a state that keeps every
+# mode: V (1), the solver's own arrays, and the contracts' windows (about
+# 0.03); eigh takes the dense T. A fold's solve holds its half-height vectors
+# (0.5) and its solver's arrays, then grows them into V in place. From
+# all-down, where it never forms V, only the kept (m, k) V_k is added.
+SOLVE_BUDGET = {
+    ("fold-svd", "full weight"): 1.15, ("fold-eigh", "full weight"): 1.15,
+    ("svd", "full weight"): 1.8, ("eigh", "full weight"): 2.05,
+    ("fold-svd", "all-down"): 0.8, ("fold-eigh", "all-down"): 1.05,
+}
 
 
-@pytest.mark.parametrize("route", sorted(ROUTES))
-def test_solve_band_memory_budget(route):
+@pytest.mark.parametrize("route, state", [  # a full-weight case has the route's name
+    pytest.param(route, state, id=route if state == "full weight" else f"{route}-{state}")
+    for route, state in sorted(SOLVE_BUDGET)])
+def test_solve_band_memory_budget(route, state):
     # the contracts form no (m, m) array: the one V^T V used to add 1 m^2
     band = route_band(route, 1001)
-    x = full_weight(band)
+    x = full_weight(band) if state == "full weight" else all_down(band)
     tracemalloc.start()
     try:
         evolution._kept_modes(band, x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= SOLVE_BUDGET[route] * band.dim**2 * 8
+    assert peak <= SOLVE_BUDGET[route, state] * band.dim**2 * 8
 
 
 # bands with a zero diagonal, which solve_band takes to the SVD of their bidiagonal half
@@ -368,7 +476,7 @@ def test_zero_diagonal_band_is_solved_by_svd(model, n, monkeypatch):
         m = b.dim
         assert not np.any(b.diagonal)
         solved_by_svd.clear()
-        energies, vectors = solve_band(b)
+        energies, vectors = eigenbasis(b)
         # at even N a band of odd m folds into halves of (m + 1) // 2 and m // 2
         halves = [(m + 1) // 2, m // 2] if n % 2 == 0 and m % 2 else [m]
         assert solved_by_svd == [((k + 1) // 2, k // 2) for k in halves if k > 1]
@@ -403,7 +511,7 @@ def spy_on_fold(monkeypatch):
     """The list to which each `_folded_eigh` call appends its band size."""
     fold, folded = evolution._folded_eigh, []
     monkeypatch.setattr(evolution, "_folded_eigh",
-                        lambda d, e, out: folded.append(d.size) or fold(d, e, out))
+                        lambda d, e: folded.append(d.size) or fold(d, e))
     return folded
 
 
@@ -422,7 +530,7 @@ def test_exactly_palindromic_bands_fold(case, monkeypatch):
 def assert_eigenpairs_match_eigh(b):
     """solve_band's eigenvalues against eigh of the dense band, and its
     residual, within eps m ||T||."""
-    energies, vectors = solve_band(b)
+    energies, vectors = eigenbasis(b)
     reference = np.linalg.eigh(tridiagonal(b.diagonal, b.off_diagonal))[0]
     bound = sys.float_info.epsilon * b.dim * max(np.max(np.abs(reference)), 1.0)
     assert np.max(np.abs(energies - reference)) <= bound
@@ -465,7 +573,7 @@ def test_mode_cut_moves_each_state_by_at_most_sqrt_m_eps(model):
     times = time_grid(10.0, 0.5)[:]
     cut = hermitian_eigen(spec, initial)
     odd = sector_bands(spec, n)[1]
-    energies, vectors = solve_band(odd)
+    energies, vectors = eigenbasis(odd)
     x = odd.gauge().conj() * initial.amplitudes[odd.indices]
     uncut = evolution.Propagator(odd, energies, vectors, x.real @ vectors, x.imag @ vectors)
     assert cut.dim == uncut.modes == odd.dim and cut.modes < cut.dim
@@ -492,9 +600,10 @@ def test_a_dropped_defective_column_fails_the_capture_residual(monkeypatch):
     solve = evolution.solve_band
 
     def zero_largest(b):
-        energies, vectors = solve(b)
+        energies, vectors, signs = solve(b)
+        assert signs is None  # the even band, m = 6, has a zero diagonal: not folded
         vectors[:, np.argmax(np.abs(x @ vectors))] = 0.0
-        return energies, vectors
+        return energies, vectors, signs
 
     monkeypatch.setattr(evolution, "solve_band", zero_largest)
     with pytest.raises(NumericalError, match="capture residual"):
