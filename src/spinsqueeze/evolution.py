@@ -22,14 +22,14 @@ the initial state up to the drop bound and rounding, which covers every
 propagated state. A defect confined to a dropped column is not reported;
 it cannot reach the output. A state at time t is D V exp(-i Lambda t) w,
 with w = V^T D^dag c(0) the initial state's mode amplitudes, computed once.
-Each phase of an array of times is evaluated directly; on a uniform
-`TimeGrid` the first block's cos and sin are the phase table of every
-block (`GridBlock`), so no point is more than one product from two direct
-evaluations and no error builds up along the grid. The states are
-handed on as the sector's (T, m) entries alone, never as a (T, N+1) stack.
-`evolve_blocks` propagates a long grid one block of at most BLOCK_ROWS
-times at a time, and the `TimeGrid` of `time_grid` forms each block's times
-only when it is drawn, so memory does not grow with the number of times. Both
+`propagate` evaluates each phase of an array of times directly, unless it
+is handed a phase table: `evolve_blocks` propagates the `TimeGrid` of
+`time_grid` one block of at most BLOCK_ROWS times at a time, forms each
+block's times only when it is drawn, and hands every block the first
+block's cos and sin when there are more than one, so memory does not grow
+with the number of times, no point is more than one product from two direct
+evaluations, and no error builds up along the grid. The states are handed
+on as the sector's (T, m) entries alone, never as a (T, N+1) stack. Both
 contracts on V_k are checked in one walk over windows of whole columns; a fold
 forms V only if every mode is kept: no other (m, m) array but the solver's own.
 """
@@ -280,57 +280,37 @@ def hermitian_eigen(spec: HamiltonianSpec, initial: SymmetricState) -> Propagato
     return Propagator(band, *_kept_modes(band, band.gauge().conj() * c0[band.indices]))
 
 
-def _checked_times(times) -> np.ndarray:
-    """`times` as a float array, refused if it is empty or not finite."""
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
-        raise ValueError("empty time grid")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("non-finite time in the grid")
-    return times
-
-
-@dataclass(frozen=True)
-class GridBlock:
-    """One block of a `TimeGrid` for `propagate`: its `times` dt (s + r) and
-    the phase table that every block of the grid shares, cos and sin of
-    lambda dt r over the rows r of the first block. Row s + r is then
-    exp(-i lambda dt r) exp(-i lambda dt s) w: one product from two direct
-    evaluations, so no error builds up along the grid. The first block,
-    and the first row of every block, are the direct route bit for bit."""
-
-    times: np.ndarray
-    cos: np.ndarray  # (rows of the first block, k)
-    sin: np.ndarray
-
-    def __len__(self) -> int:
-        return self.times.size
-
-
 def _phases(times: np.ndarray, energies: np.ndarray):
     """cos and sin of the (T, k) phases t lambda, each evaluated directly."""
     phase = np.outer(times, energies)
     return np.cos(phase), np.sin(phase, out=phase)
 
 
-def propagate(propagator: Propagator, times) -> SymmetricState:
+def propagate(propagator: Propagator, times, table=None) -> SymmetricState:
     """The stack of states at `times`, one row per time, as a sector state:
     each row holds only the sector's m entries, written as contiguous (T, m)
-    rows. Each exp(-i lambda t) of an array of times is evaluated directly;
-    a `GridBlock` is propagated from its phase table."""
+    rows. Empty or non-finite `times` are refused. Without a `table` each
+    exp(-i lambda t) is evaluated directly. A `table` is the (cos, sin) that
+    `_phases` gives for the first block dt r of a uniform grid, and `times`
+    are any block dt (s + r) of that grid, of no more rows: row s + r is then
+    exp(-i lambda dt r) exp(-i lambda dt s) w, one product from two direct
+    evaluations, so no error builds up along the grid. The first block, and
+    the first row of every block, are the direct route bit for bit."""
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("empty time grid")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("non-finite time in the grid")
     band, v = propagator.band, propagator.eigenvectors
     wr, wi = propagator.mode_re, propagator.mode_im
-    if isinstance(times, GridBlock):
-        rows = len(times)
-        cos, sin = times.cos[:rows], times.sin[:rows]
-        if times.times[0]:  # carry w to a later block's first time; t = 0 needs nothing
-            [c], [s] = _phases(times.times[:1], propagator.eigenvalues)
-            wr, wi = c * wr + s * wi, c * wi - s * wr
-    else:
-        times = _checked_times(times)
-        rows = times.size
+    if table is None:
         cos, sin = _phases(times, propagator.eigenvalues)
-    entries = np.empty((rows, band.dim), dtype=complex)
+    else:
+        cos, sin = (part[:times.size] for part in table)
+        if times[0]:  # carry w to a later block's first time; t = 0 needs nothing
+            [c], [s] = _phases(times[:1], propagator.eigenvalues)
+            wr, wi = c * wr + s * wi, c * wi - s * wr
+    entries = np.empty((times.size, band.dim), dtype=complex)
     # exp(-i lambda t) (wr + i wi), split into two real GEMMs whose left
     # operands, cos wr + sin wi and cos wi - sin wr, share one buffer
     operand = cos * wr
@@ -347,23 +327,18 @@ def propagate(propagator: Propagator, times) -> SymmetricState:
         raise NumericalError(f"propagated state lost its norm: {exc}") from exc
 
 
-def evolve_blocks(spec: HamiltonianSpec, initial: SymmetricState, times):
+def evolve_blocks(spec: HamiltonianSpec, initial: SymmetricState, grid: TimeGrid):
     """Solve the occupied sector once, then return a generator of (times,
-    states) for consecutive blocks of at most min(BLOCK_AMPLITUDES // (N+1),
-    BLOCK_ROWS) rows, so that memory stays bounded whatever the length of
-    `times`, an array or a `TimeGrid`, whose blocks go to `propagate` as
-    `GridBlock`s when there are more than one. Bad input, a state of both
-    parities included, is refused by the call, not at the first block."""
-    if not isinstance(times, TimeGrid):  # a TimeGrid is finite and not empty
-        times = _checked_times(times)  # before the solve
+    states) for consecutive blocks of the `TimeGrid` `grid` of at most
+    min(BLOCK_AMPLITUDES // (N+1), BLOCK_ROWS) rows, so that memory stays
+    bounded whatever its length. A grid of more than one block is propagated
+    from its first block's phase table; one block holds only its own phases.
+    A state of both parities is refused by the call, not at the first block."""
     propagator = hermitian_eigen(spec, initial)
     step = max(1, min(BLOCK_AMPLITUDES // (initial.n_qubits + 1), BLOCK_ROWS))
-    blocks = (times[i:i + step] for i in range(0, times.size, step))
-    if not isinstance(times, TimeGrid) or times.size <= step:  # one block needs no table
-        return ((block, propagate(propagator, block)) for block in blocks)
-    table = _phases(times[0:step], propagator.eigenvalues)
-    blocks = (GridBlock(block, *table) for block in blocks)
-    return ((block.times, propagate(propagator, block)) for block in blocks)
+    table = _phases(grid[0:step], propagator.eigenvalues) if grid.size > step else None
+    blocks = (grid[i:i + step] for i in range(0, grid.size, step))
+    return ((times, propagate(propagator, times, table)) for times in blocks)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .oracle import (
     partial_trace_pair,
     sample_separable,
 )
-from .squeezing import perpendicular_correlation_min, squeezing_general
+from .squeezing import MEAN_SPIN_TOL, perpendicular_correlation_min, squeezing_general
 
 RNG_ALGORITHM = "numpy PCG64 (default_rng)"
 
@@ -108,23 +108,34 @@ def suite_lemma2(seed: int, per_n: int = 100, n_values=range(2, 9)):
     return checks
 
 
+def _lemma3_worst(n, mu, times, states) -> float:
+    """The worst gap between the one-axis moments of `states` and the closed
+    cosine formulas at `times`."""
+    m = collective_moments(states)
+    ref = one_axis_analytic_moments(n, mu, times)
+    return _worst(
+        np.abs(m.mean_sz - ref.mean_sz),
+        np.abs(m.sx2 - ref.sx2),
+        np.abs(m.sy2 - ref.sy2),
+        np.abs(m.sz2 - ref.sz2),
+        np.abs(m.sp2.imag - ref.sp2.imag),
+        np.abs((m.sx2 - m.sy2) - (m.sz2 - n * n / 4.0)),
+    )
+
+
 def suite_lemma3(n_values=(2, 3, 4, 6, 10, 20), points: int = 200):
-    """Numeric one-axis moments match the closed cosine formulas."""
+    """Numeric one-axis moments match the closed cosine formulas over
+    0 <= mu t <= pi: at `points` times evaluated directly, and along the
+    1101 times of a `trajectory`, whose second block is propagated from the
+    first block's phase table (two blocks at N <= 20)."""
     mu = 1.0
+    spec = HamiltonianSpec.one_axis(mu)
     checks = []
     for n in n_values:
         times = np.linspace(0.0, 2.0 * np.pi, points) / (2.0 * mu)
-        states = propagate(hermitian_eigen(HamiltonianSpec.one_axis(mu), make_all_down(n)), times)
-        m = collective_moments(states)
-        ref = one_axis_analytic_moments(n, mu, times)
-        worst = _worst(
-            np.abs(m.mean_sz - ref.mean_sz),
-            np.abs(m.sx2 - ref.sx2),
-            np.abs(m.sy2 - ref.sy2),
-            np.abs(m.sz2 - ref.sz2),
-            np.abs(m.sp2.imag - ref.sp2.imag),
-            np.abs((m.sx2 - m.sy2) - (m.sz2 - n * n / 4.0)),
-        )
+        routes = [(times, propagate(hermitian_eigen(spec, make_all_down(n)), times)),
+                  *trajectory(spec, n, np.pi / mu, np.pi / (1100 * mu))]
+        worst = _worst(*(_lemma3_worst(n, mu, t, states) for t, states in routes))
         checks.append(Check(f"lemma3_moments_N{n}", worst, 1e-9))
     return checks
 
@@ -136,32 +147,39 @@ class TrajectoryWorst(NamedTuple):
     margin_deficit: float  # y - |u|
     prop3_squeezed: float  # |xi^2 - 1 + (N-1) C| where xi^2 <= 1
     prop3_all: float  # |xi^2 - 1 + (N-1) C| at every point
+    xi2_routes: float  # |general - closed xi^2| where the mean spin does not vanish
 
 
 def _trajectory_worst(spec, n, t_max=10.0, dt=0.01) -> TrajectoryWorst:
     """Each worst value, taken per block of the trajectory and then over the
-    blocks, so a NaN in any block makes it NaN."""
+    blocks, so a NaN in any block makes it NaN. The general xi^2 is NaN only
+    where the mean spin vanishes; a NaN on any other row makes `xi2_routes`
+    NaN."""
     blocks = []
     for _, states in trajectory(spec, n, t_max, dt):
         table = pairwise.analyse(states)
         xi2 = table["xi2_closed"]
         residual = np.abs(pairwise.prop3_residual(xi2, table["concurrence"], n))
+        defined = ~(table["mean_spin_norm"] < MEAN_SPIN_TOL)  # a NaN norm counts too
         blocks.append((
             _worst(xi2 - 1.0),
             _worst(-table["margin"]),
             _worst(residual[xi2 <= 1.0]),
             _worst(residual),
+            _worst(np.abs(table["xi2_general"] - xi2)[defined]),
         ))
     return TrajectoryWorst(*(_worst(per_block) for per_block in zip(*blocks)))
 
 
 def suite_prop3(n_values=(2, 3, 4, 6, 10, 20), t_max: float = 10.0, dt: float = 0.01):
-    """xi^2 = 1 - (N-1)C along one-axis trajectories, with and without field."""
+    """xi^2 = 1 - (N-1)C along one-axis trajectories, with and without field,
+    where both xi^2 routes, general and closed, agree."""
     checks = []
     for n in n_values:
         worst = _worst(*(
-            _trajectory_worst(spec, n, t_max, dt).prop3_squeezed
-            for spec in (HamiltonianSpec.one_axis(1.0), HamiltonianSpec.one_axis_field(1.0, 1.0))
+            _worst(w.prop3_squeezed, w.xi2_routes)
+            for w in (_trajectory_worst(spec, n, t_max, dt) for spec in
+                      (HamiltonianSpec.one_axis(1.0), HamiltonianSpec.one_axis_field(1.0, 1.0)))
         ))
         checks.append(Check(f"prop3_identity_N{n}", worst, 1e-9))
     return checks

@@ -346,12 +346,12 @@ class TestStreaming:
         original = evolution.propagate
         rows = []
 
-        def propagate(propagator, times):
+        def propagate(propagator, times, table=None):
             rows.append(len(times))
             if len(rows) == leaky_block:
                 propagator = dataclasses.replace(
                     propagator, eigenvectors=propagator.eigenvectors * (1 + 1e-6))
-            return original(propagator, times)
+            return original(propagator, times, table)
 
         monkeypatch.setattr(evolution, "propagate", propagate)
         return rows
@@ -407,9 +407,9 @@ class TestStreaming:
         monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 8 * 5)  # 8 rows at N=4
         propagate, evolve_rows, earlier = evolution.propagate, cli.evolve_rows, []
 
-        def watched_propagate(propagator, times):
+        def watched_propagate(propagator, times, table=None):
             assert [ref for ref in earlier if ref() is not None] == []
-            states = propagate(propagator, times)
+            states = propagate(propagator, times, table)
             earlier.append(weakref.ref(states))
             return states
 
@@ -959,9 +959,9 @@ class TestVerify:
         monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 20 * 5)  # 20 rows at N=4
         original_propagate, rows = evolution.propagate, []
 
-        def propagate(propagator, times):
+        def propagate(propagator, times, table=None):
             rows.append(len(times))
-            return original_propagate(propagator, times)
+            return original_propagate(propagator, times, table)
 
         monkeypatch.setattr(evolution, "propagate", propagate)
         checks = suite()

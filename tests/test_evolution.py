@@ -136,7 +136,7 @@ def test_a_state_of_both_parities_is_refused_before_any_solve(n, monkeypatch):
     with pytest.raises(ValueError, match="both parity sectors"):
         hermitian_eigen(H1, both)
     with pytest.raises(ValueError, match="both parity sectors"):
-        evolve_blocks(H1, both, [0.0, 1.0])
+        evolve_blocks(H1, both, time_grid(1.0, 1.0))
     assert solved == []
     hermitian_eigen(H1, make_all_down(n))  # the spy sees a solve
     assert solved == [(0, n // 2 + 1)]
@@ -147,8 +147,6 @@ def test_non_finite_times_are_refused():
     for times in ([0.0, np.nan], [np.inf]):
         with pytest.raises(ValueError, match="non-finite time"):
             evolution.propagate(propagator, times)
-        with pytest.raises(ValueError, match="non-finite time"):
-            evolve_blocks(H1, make_all_down(2), times)
 
 
 def test_empty_grid_is_refused_before_any_solve(monkeypatch):
@@ -158,8 +156,6 @@ def test_empty_grid_is_refused_before_any_solve(monkeypatch):
     for times in ([], np.zeros(0), np.zeros((0, 3))):
         with pytest.raises(ValueError, match="empty time grid"):
             evolution.propagate(propagator, times)
-        with pytest.raises(ValueError, match="empty time grid"):
-            evolve_blocks(H1, make_all_down(2), times)
     assert solved == []
 
 
@@ -705,15 +701,14 @@ def test_evolve_blocks_solve_once_and_match_the_grid(n, monkeypatch):
     monkeypatch.setattr(evolution, "hermitian_eigen", counted)
     monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 40 * (n + 1))
     whole = evolve_states(spec, make_all_down(n), times).amplitudes
-    for given in (times, grid):  # an array, and the grid that forms each block's times
-        solved.clear()
-        blocks = list(evolve_blocks(spec, make_all_down(n), given))
-        assert len(solved) == 1
-        assert [len(t) for t, _ in blocks] == [40] * 5 + [1]
-        assert np.array_equal(np.concatenate([t for t, _ in blocks]), times)
-        stacked = np.concatenate([s.amplitudes for _, s in blocks])
-        # the last, 1-row block runs through GEMV, whose sums may round differently
-        np.testing.assert_allclose(stacked, whole, rtol=0, atol=1e-14)
+    solved.clear()
+    blocks = list(evolve_blocks(spec, make_all_down(n), grid))  # forms each block's times
+    assert len(solved) == 1
+    assert [len(t) for t, _ in blocks] == [40] * 5 + [1]
+    assert np.array_equal(np.concatenate([t for t, _ in blocks]), times)
+    stacked = np.concatenate([s.amplitudes for _, s in blocks])
+    # the last, 1-row block runs through GEMV, whose sums may round differently
+    np.testing.assert_allclose(stacked, whole, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("n, spec, rows", [
@@ -731,13 +726,12 @@ def test_rows_per_block(n, spec, rows):
 ])
 def test_phase_table_agrees_with_the_direct_route(n, spec, t_max, blocks):
     # the blocks of a TimeGrid share the first block's phase table; the same
-    # times as an array are evaluated directly, block by block
+    # times are evaluated directly, block by block
     grid = time_grid(t_max, 0.01)
-    table = evolve_blocks(spec, make_all_down(n), grid)
-    direct = evolve_blocks(spec, make_all_down(n), grid[:])
+    propagator = hermitian_eigen(spec, make_all_down(n))
     drawn = 0
-    for (times, a), (same, b) in zip(table, direct, strict=True):
-        assert np.array_equal(times, same)
+    for times, a in evolve_blocks(spec, make_all_down(n), grid):
+        b = evolution.propagate(propagator, times)
         if drawn == 0:
             assert np.array_equal(a.entries, b.entries)  # the first block is the direct one
         assert np.array_equal(a.entries[0], b.entries[0])  # as is each block's first row
@@ -749,9 +743,31 @@ def test_phase_table_agrees_with_the_direct_route(n, spec, t_max, blocks):
 
 def test_evolve_blocks_refuses_a_stack_and_non_finite_times():
     with pytest.raises(ValueError, match="one initial state"):
-        evolve_blocks(H1, evolve_states(H1, make_all_down(2), [0.0, 1.0]), [0.0])
+        evolve_blocks(H1, evolve_states(H1, make_all_down(2), [0.0, 1.0]), time_grid(1.0, 1.0))
+    # a TimeGrid that `time_grid` would refuse: `propagate` refuses its first block
     with pytest.raises(ValueError, match="non-finite"):
-        evolve_blocks(H1, make_all_down(2), [0.0, np.nan])
+        next(evolve_blocks(H1, make_all_down(2), evolution.TimeGrid(np.nan, 2)))
+
+
+@pytest.mark.parametrize("size, blocks", [(1, 1), (40, 1), (41, 2), (201, 6)])
+def test_evolve_blocks_hand_propagate_a_table_beyond_one_block(size, blocks, monkeypatch):
+    # only a grid of more than one block shares its first block's phase table
+    n, given, original = 7, [], evolution.propagate
+
+    def spy(propagator, times, table=None):
+        given.append(table)
+        return original(propagator, times, table)
+
+    monkeypatch.setattr(evolution, "propagate", spy)
+    monkeypatch.setattr(evolution, "BLOCK_AMPLITUDES", 40 * (n + 1))  # 40 rows at N=7
+    list(evolve_blocks(H1, make_all_down(n), evolution.TimeGrid(0.01, size)))
+    assert len(given) == blocks
+    if blocks == 1:
+        assert given == [None]
+    else:
+        cos, sin = given[0]
+        assert cos.shape == sin.shape == (40, hermitian_eigen(H1, make_all_down(n)).modes)
+        assert all(table is given[0] for table in given)
 
 
 def test_trajectory_builds_no_dense_matrix():

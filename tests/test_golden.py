@@ -144,7 +144,7 @@ def test_csv_bytes_match_golden(case, tmp_path):
 
 def dense_blocks(spec, initial, times):
     """`evolution.evolve_blocks` through a dense complex eigh, in one block."""
-    times = times[:]  # an array, or every time of a TimeGrid
+    times = times[:]  # every time of the TimeGrid
     energies, vectors = np.linalg.eigh(build_hamiltonian(spec, initial.n_qubits))
     modes = vectors.conj().T @ initial.amplitudes
     amps = (np.exp(-1j * np.outer(times, energies)) * modes) @ vectors.T

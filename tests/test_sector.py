@@ -88,7 +88,7 @@ def test_a_lost_norm_on_sector_rows_is_a_numerical_error(monkeypatch, capsys):
         SymmetricState(6, entries, 0)
 
     original = evolution.propagate
-    monkeypatch.setattr(evolution, "propagate", lambda p, times: original(leaky(p), times))
+    monkeypatch.setattr(evolution, "propagate", lambda p, times, table=None: original(leaky(p), times, table))
     argv = ["evolve", "--model", "two-axis", "--n", "6", "--t-max", "1", "--dt", "0.5"]
     assert cli.main(argv + ["--out", "-"]) == 3
     assert "lost its norm" in capsys.readouterr().err
