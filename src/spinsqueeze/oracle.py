@@ -1,8 +1,9 @@
 """Independent ground truth on the full 2^N tensor-product space.
 
-Everything here deliberately avoids the Dicke-basis shortcuts: Hamiltonians
-are explicit Pauli sums, reductions are literal partial traces, and the
-separable-state sampler works from single-qubit Bloch vectors. With
+Everything here deliberately avoids the Dicke-basis shortcuts: H is a Pauli
+sum written from the bits of the basis index and evolved on all-down's parity
+block of bitstrings (checked uncoupled), reductions are literal partial traces,
+and the separable-state sampler works from single-qubit Bloch vectors. With
 S_x = X, S_y = iY, S_z = Z and X, Y, Z real, the 2^N work is real where it can
 be; two-axis H is purely imaginary and keeps a complex `eigh` (a gauge making
 it real would repeat the sector bands' trick in their reference). The sampler
@@ -17,6 +18,7 @@ equal-weight sum of the bitstrings with n zeros.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -94,33 +96,42 @@ def collective_pauli_sums(n_qubits: int):
 
 
 def full_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
-    """The dense complex 2^N x 2^N Hamiltonian as a sum of Pauli products,
-    from real ones (S_y^2 = -Y^2, S+- = X -+ Y): sums of quarters, exact."""
-    x, y, z = collective_pauli_sums(n_qubits)  # refuses N > MAX_QUBITS_EVOLVE first
-    h = np.zeros(x.shape, dtype=complex)
-    if spec.mu:
-        h.real += spec.mu * (x @ x)
-    if spec.chi:
-        h.real -= spec.chi * (y @ y)
-    if spec.gamma:
-        sp, sm = x - y, x + y
-        h.imag -= spec.gamma * (sp @ sp - sm @ sm) / 2
+    """The dense complex 2^N x 2^N H from the bits of each column: mu N/4 - chi (-N/4)
+    + f(Z) on the diagonal, mu/2 - chi s_a s_b / 2 - i gamma (s_a + s_b) / 2 where
+    qubits a < b flip (s = +-1 on a one/zero bit): the Pauli products' sums of quarters."""
+    if n_qubits > MAX_QUBITS_EVOLVE:  # before any 2^N x 2^N allocation
+        raise ValueError(f"N={n_qubits} exceeds evolution cap {MAX_QUBITS_EVOLVE}")
+    idx, z = np.arange(2**n_qubits), _excitation_counts(n_qubits) - n_qubits / 2.0
+    diag = 0.0 + spec.mu * (n_qubits / 4) - spec.chi * (-n_qubits / 4)
     for power, coeff in enumerate(spec.f_coeffs):
         if coeff:
-            h.real += coeff * np.linalg.matrix_power(z, power)
+            diag = diag + coeff * z**power  # exact: small powers of half-integers
+    h = np.zeros((idx.size, idx.size), dtype=complex)
+    h.real[idx, idx] = diag
+    s = 2.0 * ((idx >> np.arange(n_qubits)[:, None]) & 1) - 1.0  # s[a]: bit a of each column
+    for a, b in combinations(range(n_qubits), 2):
+        flipped = idx ^ (1 << a | 1 << b)
+        h.real[flipped, idx] = 0.0 + spec.mu * 0.5 - spec.chi * (0.5 * (s[a] * s[b]))
+        h.imag[flipped, idx] = 0.0 - spec.gamma * (s[a] + s[b]) / 2
     return h
 
 
 def full_evolve(hamiltonian: np.ndarray, times) -> FullState:
-    """Evolve the all-down product state under a `full_hamiltonian` matrix to
-    each of `times`, from one eigendecomposition (real when H is): a stack,
-    one row per time, each from its own product in one broadcast call."""
-    real = not np.any(hamiltonian.imag)
-    energies, vectors = np.linalg.eigh(hamiltonian.real if real else hamiltonian)
+    """Evolve all-down under a `full_hamiltonian` matrix to each of `times`, from
+    one eigendecomposition of all-down's parity block (real when H is; an H that
+    couples the blocks is refused): one row per time, +0.0 off the block."""
+    n_qubits = len(hamiltonian).bit_length() - 1  # H is 2^N x 2^N
+    even = _excitation_counts(n_qubits) % 2 == 0  # all-down's block: even zero count
+    if np.any(hamiltonian[np.ix_(even, ~even)]) or np.any(hamiltonian[np.ix_(~even, even)]):
+        raise ValueError("H couples the two parity blocks")
+    h = hamiltonian[np.ix_(even, even)]
+    real = not np.any(h.imag)
+    energies, vectors = np.linalg.eigh(h.real if real else h)
     coeffs = vectors[-1].conj()  # overlaps with the all-ones bitstring, every qubit down
     phases = np.exp(-1j * energies * np.asarray(times)[:, None]) * coeffs
-    rows = _real_apply(vectors, phases) if real else (vectors @ phases[..., None])[..., 0]
-    return FullState(len(hamiltonian).bit_length() - 1, rows)  # H is 2^N x 2^N
+    rows = np.zeros((len(phases), len(hamiltonian)), dtype=complex)
+    rows[:, even] = _real_apply(vectors, phases) if real else (vectors @ phases[..., None])[..., 0]
+    return FullState(n_qubits, rows)
 
 
 def _real_apply(op: np.ndarray, psi: np.ndarray) -> np.ndarray:

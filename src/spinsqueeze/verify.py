@@ -246,6 +246,7 @@ def suite_oracle(n_values=range(2, 9), times=(0.1, 0.3, 1.0)):
                 h_errors.append(np.abs(projected - h))
             sub_rows.append(propagate(hermitian_eigen(spec, initial), times).amplitudes)
             full_rows.append(full_evolve(h_full, times).amplitudes)
+            del h_full  # one 2^N x 2^N H at a time
         checks.append(Check(f"oracle_hamiltonian_projection_N{n}", _worst(*h_errors), 1e-10))
 
         # one row per (model, time), both spaces

@@ -203,15 +203,21 @@ def complex_full_collective_moments(state: FullState) -> CollectiveMoments:
 
 def looped_full_evolve(hamiltonian: np.ndarray, times) -> FullState:
     """Evolve the all-down product state under a `full_hamiltonian` matrix to
-    each of `times`, from one eigendecomposition (real when H is): a stack,
-    one row per time, each from its own matrix-vector product."""
+    each of `times`, from one eigendecomposition of all-down's parity block
+    (real when H is): a stack, one row per time, each from its own
+    matrix-vector product, with +0.0 on every bitstring of the other parity."""
     dim = len(hamiltonian)
-    real = not np.any(hamiltonian.imag)
-    energies, vectors = np.linalg.eigh(hamiltonian.real if real else hamiltonian)
+    n_qubits = dim.bit_length() - 1  # dim = 2^N
+    block = [format(i, f"0{n_qubits}b").count("0") % 2 == 0 for i in range(dim)]
+    h = hamiltonian[np.ix_(block, block)]
+    real = not np.any(h.imag)
+    energies, vectors = np.linalg.eigh(h.real if real else h)
     coeffs = vectors[-1].conj()  # overlaps with the all-ones bitstring, every qubit down
     apply = real_times_complex if real else np.matmul
-    rows = [apply(vectors, np.exp(-1j * energies * t) * coeffs) for t in times]
-    return FullState(dim.bit_length() - 1, np.array(rows))  # dim = 2^N
+    rows = np.zeros((len(times), dim), dtype=complex)
+    for row, t in zip(rows, times):
+        row[block] = apply(vectors, np.exp(-1j * energies * t) * coeffs)
+    return FullState(n_qubits, rows)
 
 
 def real_times_complex(op: np.ndarray, psi: np.ndarray) -> np.ndarray:

@@ -486,6 +486,20 @@ def test_zero_diagonal_band_is_solved_by_svd(model, n, monkeypatch):
             assert not np.any(vectors[1::2, m // 2])
 
 
+@pytest.mark.parametrize("mu", [1.0, -0.37])
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_one_axis_sectors_have_the_exact_energies(n, mu):
+    # mu Sx^2 has the energies mu k^2, k = -N/2..N/2; a parity sector of size
+    # m holds k = N/2 - m + 1..N/2: 0..N/2 and 1..N/2 at even N, 1/2..N/2 in
+    # either sector at odd N. Even N takes the fold route, odd N eigh.
+    bound = 2.0 * sys.float_info.epsilon * abs(mu) * (n / 2.0) ** 2  # 2 eps ||H||
+    for b in sector_bands(HamiltonianSpec.one_axis(mu), n):
+        energies, _, signs = solve_band(b)
+        assert (signs is not None) == (n % 2 == 0) and np.any(b.diagonal)
+        k = n / 2.0 - np.arange(b.dim)
+        assert np.max(np.abs(energies - np.sort(mu * k * k))) <= bound
+
+
 EVEN_F = HamiltonianSpec(mu=0.4, chi=-0.9, gamma=1.3, f_coeffs=(0.3, 0.0, 0.2))
 
 # (spec, N, whether the even and the odd band fold)

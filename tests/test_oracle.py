@@ -275,6 +275,60 @@ def test_full_evolve_route_agrees_with_complex_eigh(monkeypatch, name, real, n):
     assert np.max(np.abs(evolved.amplitudes - reference.amplitudes)) <= 1e-12
 
 
+def other_parity(n):
+    """Whether each bitstring has an odd number of zero bits: the parity
+    block that all-down, the all-ones bitstring, is not in."""
+    return np.array([format(i, f"0{n}b").count("0") % 2 == 1 for i in range(2**n)])
+
+
+@pytest.mark.parametrize("name", REAL_ROUTE_SPECS)
+@pytest.mark.parametrize("n", (2, 5, 8))
+def test_full_evolve_gives_plus_zero_on_the_other_parity(name, n):
+    evolved = full_evolve(full_hamiltonian(REAL_ROUTE_SPECS[name], n), (0.0, 0.1, 0.3, 1.0))
+    outside = np.ascontiguousarray(evolved.amplitudes[:, other_parity(n)])
+    assert outside.size and not np.any(outside.view(np.uint64))  # +0.0, sign bit clear
+
+
+@pytest.mark.parametrize("quadrant", ["upper", "lower"])
+@pytest.mark.parametrize("n", (2, 5))
+def test_full_evolve_refuses_one_entry_across_the_blocks(monkeypatch, quadrant, n):
+    h = full_hamiltonian(REAL_ROUTE_SPECS["one-axis-field"], n)
+    inside, outside = np.flatnonzero(~other_parity(n)), np.flatnonzero(other_parity(n))
+    row, column = (inside[-1], outside[0]) if quadrant == "upper" else (outside[0], inside[-1])
+    h[row, column] = 1e-300j
+    dtypes = recorded_eigh_dtypes(monkeypatch)
+    with pytest.raises(ValueError, match="parity blocks"):
+        full_evolve(h, (0.1,))
+    assert dtypes == []  # refused before any eigh
+
+
+def traced_peak(step, *args):
+    """`step(*args)` and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        return step(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# tracemalloc peaks at N = 8 in units of one H (1 MiB), measured on the three
+# verify specs: full_hamiltonian holds H and its (N, 2^N) sign table, 1.052-1.055
+# (the Pauli-product build took 3.0-4.5); full_evolve holds one quadrant of H at
+# a time for the coupling check, then all-down's block, its eigenvectors and the
+# rows, 0.41-0.54, so it never copies H whole. Each bound is 0.045-0.065 of H
+# above the largest reading.
+ORACLE_BUDGET = {"full_hamiltonian": 1.1, "full_evolve": 0.6}
+
+
+@pytest.mark.parametrize("name", verify._model_specs())
+def test_oracle_memory_budget(name):
+    h, build_peak = traced_peak(full_hamiltonian, verify._model_specs()[name], 8)
+    _, evolve_peak = traced_peak(full_evolve, h, (0.1, 0.3, 1.0))
+    assert h.nbytes == 2**20
+    assert build_peak <= ORACLE_BUDGET["full_hamiltonian"] * h.nbytes
+    assert evolve_peak <= ORACLE_BUDGET["full_evolve"] * h.nbytes
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_vector_moments_match_operator_products(n):
     rng = np.random.default_rng(700 + n)
