@@ -1,9 +1,10 @@
 """Command-line interface: evolve, scan, dicke, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (including a
-size too large for the available memory), 3 numerical error. CSV output is
-deterministic (LF line endings, '.' decimal separator, fixed
-significant-digit formatting), so identical configs produce identical bytes.
+size too large for the available memory), 3 numerical error, 141 a reader
+that closed the output pipe. CSV output is deterministic (LF line endings,
+'.' decimal separator, fixed significant-digit formatting), so identical
+configs produce identical bytes.
 `evolve` and `scan` propagate, analyse and write one block of times at a
 time, so their memory does not grow with the length of the time grid.
 """
@@ -126,6 +127,7 @@ def write_csv(path, columns, blocks, precision: int):
 
     if path in ("", "-"):
         sys.stdout.writelines(lines())
+        sys.stdout.flush()  # a closed pipe raises here, where main reports it
         return
     target = os.path.realpath(path)  # through a symlink, as open() writes
     if os.path.exists(target) and not os.path.isfile(target):  # a device or a pipe
@@ -211,26 +213,16 @@ def _scan_point(cfg: RunConfig) -> dict:
     }
 
 
-def cmd_scan(grid, workers: int) -> int:
+def cmd_scan(grid) -> int:
     """One CSV row per RunConfig of `grid`, in its order, from the trajectory
     `evolve` would write for it. Every point was checked, its Hamiltonian
     included, when it was made, and the output file is made before the
     first one runs."""
     if not grid:
         raise ValueError("empty scan grid")
-    if workers < 1:
-        raise ValueError(f"--workers must be at least 1, got {workers}")
-    workers = min(workers, len(grid))
 
     def table():  # drawn by write_csv once it has made the file
-        if workers > 1:
-            # imported here: a serial run never loads concurrent.futures or multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_scan_point, grid))
-        else:
-            rows = [_scan_point(point) for point in grid]
+        rows = [_scan_point(point) for point in grid]
         yield {c: [row[c] for row in rows] for c in SCAN_COLUMNS}
     write_csv(grid[0].output_path, SCAN_COLUMNS, table(), grid[0].precision)
     return 0
@@ -245,7 +237,7 @@ def cmd_dicke(n_qubits: int, n_excited: int) -> int:
         print(f"{name:<12} = {row[name]:.17g}")
     print(f"u            = {row['u_re']:.17g}{row['u_im']:+.17g}j")
     for name in ("x_plus", "x_minus"):
-        print(f"{name:<12} = {row[name].real:.17g}{row[name].imag:+.17g}j")
+        print(f"{name:<12} = {row[name].real:.17g}{row[name].imag:+.17g}j", flush=True)
     return 0
 
 
@@ -261,7 +253,7 @@ def cmd_verify(suite: str, seed: int) -> int:
             f"  tolerance {check.tolerance:.1e}"
         )
         failures += not check.passed
-    print(f"{len(checks) - failures}/{len(checks)} checks passed")
+    print(f"{len(checks) - failures}/{len(checks)} checks passed", flush=True)
     return 0 if failures == 0 else 1
 
 
@@ -380,7 +372,12 @@ def main(argv=None) -> int:
         grid = _run_configs(args)
         if args.command == "evolve":
             return cmd_evolve(*grid)
-        return cmd_scan(grid, args.workers)
+        if args.workers != 1:  # a scan runs in one process
+            raise ValueError(f"--workers accepts only 1, got {args.workers}")
+        return cmd_scan(grid)
+    except BrokenPipeError:  # the reader closed stdout: report it as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return 141
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3

@@ -128,6 +128,45 @@ def rk4_evolve(h: np.ndarray, initial: SymmetricState, t: float, n_steps: int) -
     return c
 
 
+def taylor_evolve(spec, initial: SymmetricState, times) -> np.ndarray:
+    """The (T, m) sector entries of `initial`, an even or an odd state, at
+    ascending `times` from 0, by truncated-Taylor steps on the complex band of
+    its sector, built here from the ladder formula with a_n =
+    sqrt((N-n)(n+1)): H[n, n] = (mu + chi)/4 (a_(n-1)^2 + a_n^2) + f(n - N/2)
+    and H[n+2, n] = ((mu - chi)/4 - i gamma/2) a_n a_(n+1). Each step has
+    ||H|| dt <= 1, with ||H|| from `h_norm_bound`, and adds terms of its
+    series until one has a norm below 1e-18 (Al-Mohy and Higham, SIAM J.
+    Sci. Comput. 33, 488, 2011, without their norm estimates). It uses no
+    eigensolver: a reference for `propagate` at any N."""
+    n, c = initial.n_qubits, initial.amplitudes
+    [parity] = [p for p in (0, 1) if np.any(c[p::2])]
+    k = np.arange(parity, n + 1, 2.0)  # the sector's Dicke indices
+    diagonal = ((spec.mu + spec.chi) / 4.0 * ((n - k + 1.0) * k + (n - k) * (k + 1.0))
+                + np.polynomial.polynomial.polyval(k - n / 2.0, (*spec.f_coeffs, 0.0)))
+    lower = complex((spec.mu - spec.chi) / 4.0, -spec.gamma / 2.0) * np.sqrt(
+        (n - k[:-1]) * (k[:-1] + 1.0) * (n - k[:-1] - 1.0) * (k[:-1] + 2.0))
+    upper = lower.conj()
+
+    def apply(x):
+        y = diagonal * x
+        y[1:] += lower * x[:-1]
+        y[:-1] += upper * x[1:]
+        return y
+
+    x, now, rows = c[parity::2].astype(complex), 0.0, []
+    for t in times:
+        steps = math.ceil((t - now) * h_norm_bound(spec, n))
+        for _ in range(steps):
+            term, order = x, 0
+            while np.linalg.norm(term) >= 1e-18:
+                order += 1
+                term = (-1j * (t - now) / steps / order) * apply(term)
+                x = x + term
+        rows.append(x)
+        now = t
+    return np.array(rows)
+
+
 # The complex 2^N oracle routines that the real-arithmetic ones of
 # `spinsqueeze.oracle` replaced: references for the tests only.
 

@@ -182,6 +182,20 @@ class TestEvolve:
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_a_closed_pipe_exits_141_quietly(self):
+        # as `evolve ... | head -1`: the reader takes one line and closes the pipe
+        src = Path(cli.__file__).resolve().parents[1]
+        child = subprocess.Popen(
+            [sys.executable, "-m", "spinsqueeze.cli", "evolve", "--model", "one-axis",
+             "--n", "20", "--t-max", "10", "--dt", "0.001"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert child.stdout.readline().startswith(b"t,xi2_closed,")
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert child.wait(timeout=120) == 141
+        assert stderr == b""
+
     def test_out_of_memory_is_usage_error(self, monkeypatch, capsys):
         def too_large(*args):
             raise MemoryError("cannot hold the Hamiltonian")
@@ -646,12 +660,13 @@ class TestScan:
             assert row["max_xi2_exceeds_one"] == "0"
 
     def test_sorted_deterministic_with_workers(self, tmp_path):
+        # `--workers 1`, the one value accepted, is the run without the flag
         out_a = tmp_path / "w1.csv"
-        out_b = tmp_path / "w2.csv"
+        out_b = tmp_path / "default.csv"
         args = ["scan", "--model", "two-axis", "--n", "4,2,6", "--gamma", "1",
                 "--t-max", "1", "--dt", "0.05"]
         assert run_cli(args + ["--out", str(out_a), "--workers", "1"]) == 0
-        assert run_cli(args + ["--out", str(out_b), "--workers", "3"]) == 0
+        assert run_cli(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
         ns = [int(r["n"]) for r in read_rows(out_a)]
         assert ns == sorted(ns)
@@ -824,31 +839,32 @@ class TestScan:
              "--out", str(tmp_path / "x.csv")]
         ) == 2
 
-    def test_workers_capped_at_grid_size(self, monkeypatch, tmp_path):
-        # a stub pool records the worker count and maps serially, so no
-        # process is started whatever the requested count
-        requested = []
+    def test_workers_capped_at_grid_size(self, monkeypatch, capsys, tmp_path):
+        # a scan runs in one process: any count but 1 is refused before the
+        # output file is made, and no run builds a process pool
+        built = []
 
         class StubPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs)
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", StubPool)
         args = ["scan", "--n", "2,3", "--t-max", "1", "--dt", "0.5"]
-        assert run_cli(args + ["--workers", "1000", "--out", str(tmp_path / "a.csv")]) == 0
-        assert requested == [2]
+        assert run_cli(args + ["--workers", "1000", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli(args + ["--workers", "1", "--out", str(tmp_path / "a.csv")]) == 0
         assert run_cli(args + ["--out", str(tmp_path / "b.csv")]) == 0
-        assert requested == [2]  # the default runs serially
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert built == []
+
+    def test_workers_from_config_other_than_one_is_usage_error(self, capsys, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("workers = 2\n")
+        out = tmp_path / "x.csv"
+        assert run_cli(["scan", "--config", str(config), "--n", "2", "--t-max", "1",
+                        "--dt", "0.5", "--out", str(out)]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDicke:

@@ -13,6 +13,7 @@ from helpers import (
     evolve_states,
     make_state,
     rk4_evolve,
+    taylor_evolve,
 )
 
 from spinsqueeze import evolution, hamiltonians
@@ -753,6 +754,30 @@ def test_phase_table_agrees_with_the_direct_route(n, spec, t_max, blocks):
         assert np.all(gap <= 4 * error_model(spec, n, times)), drawn
         drawn += 1
     assert drawn == blocks
+
+
+@pytest.mark.parametrize("model", sorted(SECTOR_SPECS))
+def test_taylor_reference_matches_dense(model):
+    spec, n = SECTOR_SPECS[model], 7
+    times = np.array([0.0, 0.7, 3.1])
+    for initial, parity in ((make_all_down(n), 0), (make_dicke_state(n, 1), 1)):
+        dense = dense_evolve(spec, initial, times)[:, parity::2]
+        assert np.max(np.abs(taylor_evolve(spec, initial, times) - dense)) <= error_model(
+            spec, n, times[-1])
+
+
+@pytest.mark.parametrize("n", [2000, 2001])
+def test_large_two_axis_agrees_with_the_taylor_reference(n):
+    # evolve-large's spec: N = 2000 is folded, each half solved by an SVD;
+    # N = 2001 is solved unfolded, by the SVD of its chiral band
+    spec = HamiltonianSpec.two_axis(1.5 / n)
+    band = sector_bands(spec, n)[0]
+    assert evolution._folds(band.diagonal, band.off_diagonal) == (n % 2 == 0)
+    assert evolution._is_chiral(band.diagonal)
+    times = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    got = evolution.propagate(hermitian_eigen(spec, make_all_down(n)), times).entries
+    gap = np.linalg.norm(got - taylor_evolve(spec, make_all_down(n), times), axis=1)
+    assert np.all(gap <= error_model(spec, n, times)), gap / error_model(spec, n, times)
 
 
 def test_evolve_blocks_refuses_a_stack_and_non_finite_times():

@@ -4,7 +4,9 @@ The commands below run in process under `sys.setprofile`, which sees each
 entry into a Python function. A function or method defined in
 `src/spinsqueeze` that none of them enters is code that no user reaches:
 it should go, or move to the tests that use it. Likewise every exception
-class of `errors.py` must be raised somewhere in the package.
+class of `errors.py` must be raised somewhere in the package, and no module
+imports a way to start a thread or a process: every command runs in one
+process, with BLAS's own threads.
 """
 
 import ast
@@ -13,6 +15,8 @@ import inspect
 import io
 import sys
 from pathlib import Path
+
+import pytest
 
 import spinsqueeze
 from spinsqueeze import cli
@@ -116,3 +120,38 @@ def test_every_exception_class_is_raised_by_another_module():
             types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             caught |= {t.id for t in types if isinstance(t, ast.Name)}
     assert not classes - caught, "not caught by the CLI: " + ", ".join(sorted(classes - caught))
+
+
+# the standard modules that start threads or processes of their own
+CONCURRENCY = {"concurrent", "multiprocessing", "threading"}
+
+
+def concurrency_imports(source):
+    """Every absolute import in `source` of a module in CONCURRENCY, or below one."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names if name.split(".")[0] in CONCURRENCY]
+    return found
+
+
+def test_the_package_runs_in_one_process():
+    found = {path.name: concurrency_imports(path.read_text()) for path in PACKAGE.glob("*.py")}
+    assert not any(found.values()), found
+
+
+@pytest.mark.parametrize("line", [
+    "from concurrent.futures import ProcessPoolExecutor",
+    "from concurrent import futures",
+    "import multiprocessing",
+    "import os, multiprocessing.pool as pool",
+    "import threading as th",
+    "def table():\n    from concurrent.futures import ProcessPoolExecutor",
+])
+def test_the_concurrency_guard_catches(line):
+    assert concurrency_imports(line) != []
