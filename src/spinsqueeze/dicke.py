@@ -12,6 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 NORM_TOL = 1e-12
+WINDOW_ELEMENTS = 2**15  # entries per window of a stack's <S+^2>, and of V in evolution's contracts
 
 
 def squared_norm(amps: np.ndarray):
@@ -148,28 +149,32 @@ def make_all_down(n_qubits: int) -> SymmetricState:
 
 def _moment_sums(state: SymmetricState):
     """<S+>, <S+^2>, <[S+, Sz]_+>, <Sz> and <Sz^2> of `state`'s entries, from
-    its |c_n|^2 array and one buffer of conj(c_(n+1)), reused for conj(c_(n+2)).
-    A sector state has no n -> n+1 coupling: its <S+> and <[S+, Sz]_+> are
-    exact zeros, set by parity, and <S+^2> couples neighbouring entries.
-    Every product and sum is an einsum, row by row, so a row of a stack gives
-    the bits it gives alone (a BLAS product rounds a row by the shape of the
-    stack, and numpy's in-place complex multiply rounds one element apart)."""
+    its |c_n|^2 array and one buffer of conj(c_(n+1)), reused for conj(c_(n+2)),
+    of a window of whole rows, WINDOW_ELEMENTS entries at most (32 rows at
+    m = 1001). A sector state has no n -> n+1 coupling: its <S+> and
+    <[S+, Sz]_+> are exact zeros, set by parity. Every product and sum is an
+    einsum, row by row, so a row gives its bits alone in any stack or window (a
+    BLAS product rounds a row by the stack's shape, and numpy's in-place
+    complex multiply rounds one element apart)."""
     n_qubits, c, parity = state.n_qubits, state.entries, state.parity
     first, step = (0, 1) if parity is None else (parity, 2)
     m = (np.arange(n_qubits + 1) - n_qubits / 2.0)[first::step]
     a = ladder_coefficients(n_qubits)
     mean_sz = np.einsum("...i,...i->...", state.probabilities, m)
     sz2 = np.einsum("...i,...i->...", state.probabilities, m * m)
-    conj = np.conjugate(c[..., 1:])  # the next entry: n -> n+1, or n -> n+2 in a sector
-    if parity is None:
-        sp_mean = np.einsum("...i,...i,...i->...", conj, c[..., :-1], a)
-        anti_sp_sz = np.einsum("...i,...i,...i->...", conj, c[..., :-1], a * (m[:-1] + m[1:]))
-        conj = np.conjugate(c[..., 2:], out=conj[..., :-1])  # <S+^2> couples n -> n+2
-    else:
-        sp_mean = anti_sp_sz = np.zeros(c.shape[:-1], dtype=complex)[()]
-    sp2 = np.einsum("...i,...i,...i->...", conj, c[..., :conj.shape[-1]],
-                    (a[1:] * a[:-1])[first::step])
-    return sp_mean, sp2, anti_sp_sz, mean_sz, sz2
+    sums = np.zeros((3,) + c.shape[:-1], dtype=complex)  # <S+>, <[S+, Sz]_+>, <S+^2>
+    stack, rows = c.reshape(-1, c.shape[-1]), max(1, WINDOW_ELEMENTS // c.shape[-1])
+    buffer = np.empty((min(rows, stack.shape[0]), c.shape[-1] - 1), dtype=complex)
+    for i in range(0, stack.shape[0], rows):
+        w, (sp_mean, anti_sp_sz, sp2) = stack[i:i + rows], sums.reshape(3, -1)[:, i:i + rows]
+        conj = np.conjugate(w[:, 1:], out=buffer[:w.shape[0]])  # n -> n+1, or n+2 in a sector
+        if parity is None:
+            np.einsum("...i,...i,...i->...", conj, w[:, :-1], a, out=sp_mean)
+            np.einsum("...i,...i,...i->...", conj, w[:, :-1], a * (m[:-1] + m[1:]), out=anti_sp_sz)
+            conj = np.conjugate(w[:, 2:], out=conj[:, :-1])  # <S+^2> couples n -> n+2
+        np.einsum("...i,...i,...i->...", conj, w[:, :conj.shape[-1]],
+                  (a[1:] * a[:-1])[first::step], out=sp2)
+    return sums[0][()], sums[2][()], sums[1][()], mean_sz, sz2
 
 
 def collective_moments(state: SymmetricState) -> CollectiveMoments:
@@ -180,10 +185,9 @@ def collective_moments(state: SymmetricState) -> CollectiveMoments:
     `evolution.propagate` gives from all-down) <S+> and <[S+, Sz]_+> are
     exact zeros, set by parity and not summed.
 
-    A stack is taken whole, in one pass per sum: besides the result, the
-    kernel holds one array the size of the entries at a time. A long time
-    grid should still come in blocks, as `evolution.evolve_blocks` yields
-    them, since that buffer grows with the stack."""
+    Besides the result, the kernel holds one window's buffer (WINDOW_ELEMENTS
+    entries, or one row if longer), whatever the stack's length; a long time
+    grid should still come in blocks, as `evolution.evolve_blocks` yields them."""
     n_qubits = state.n_qubits
     sp_mean, sp2, anti_sp_sz, mean_sz, sz2 = _moment_sums(state)
 

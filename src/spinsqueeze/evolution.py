@@ -30,8 +30,10 @@ block's cos and sin when there are more than one, so memory does not grow
 with the number of times, no point is more than one product from two direct
 evaluations, and no error builds up along the grid. The states are handed
 on as the sector's (T, m) entries alone, never as a (T, N+1) stack. Both
-contracts on V_k are checked in one walk over windows of whole columns; a fold
-forms V only if every mode is kept: no other (m, m) array but the solver's own.
+contracts on V_k are checked in one walk over windows of whole columns. A fold
+runs both halves' LAPACK calls before it writes V's top rows, so no workspace
+sits beside their pages, and forms V only if every mode is kept: no other
+(m, m) array but the solver's own.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import SymmetricState, make_all_down
+from .dicke import WINDOW_ELEMENTS, SymmetricState, make_all_down
 from .errors import NumericalError
 from .hamiltonians import HamiltonianSpec, SectorBand, sector_bands, tridiagonal
 
@@ -51,7 +53,7 @@ BLOCK_AMPLITUDES = 2**18  # complex amplitudes per block that evolve_blocks prop
 # at most this many times per block: each row also carries about 1 KB of
 # analysis columns and CSV objects, whatever N is
 BLOCK_ROWS = 1024
-CONTRACT_ELEMENTS = 2**15  # entries of V per column window of the contracts (256 KiB)
+CONTRACT_ELEMENTS = WINDOW_ELEMENTS  # entries of V per column window of the contracts
 ROOT2 = math.sqrt(2.0)
 
 
@@ -83,24 +85,27 @@ class Propagator:
 
 
 def _is_chiral(d: np.ndarray) -> bool:
-    """A band of size m > 1 with a zero diagonal, which `_chiral_eigh` solves."""
+    """A band of size m > 1 with a zero diagonal, which `_chiral_svd` and `_chiral_pairs` solve."""
     return d.size > 1 and not np.any(d)
 
 
-def _chiral_eigh(e: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Eigenpairs of the zero-diagonal tridiagonal T with off-diagonal `e`,
-    energies ascending, from the SVD of its bidiagonal half; the vectors are
-    written into `out`, an (m, m) array or view, and the energies returned.
-    In even/odd sub-index order T = [[0, B], [B^T, 0]] with B[i, i] = e[2i]
-    and B[i, i-1] = e[2i-1], so each singular triple (s, u, v) of B gives
-    the pair -s, +s with vectors (u, -v)/sqrt(2), (u, v)/sqrt(2) (Golub and
-    Kahan, 1965); an odd size adds the null mode (u0, 0) at energy 0."""
-    m = e.size + 1
-    q = m // 2
-    b = np.zeros((m - q, q))
+def _chiral_svd(e: np.ndarray):
+    """(u, s, vt), s descending, of the bidiagonal half B of the zero-diagonal
+    tridiagonal T with off-diagonal `e`: in even/odd sub-index order
+    T = [[0, B], [B^T, 0]] with B[i, i] = e[2i] and B[i, i-1] = e[2i-1]."""
+    q = (e.size + 1) // 2
+    b = np.zeros((e.size + 1 - q, q))
     np.fill_diagonal(b, e[0::2])
     np.fill_diagonal(b[1:], e[1::2])
-    u, s, vt = np.linalg.svd(b)  # s descending
+    return np.linalg.svd(b)
+
+
+def _chiral_pairs(u: np.ndarray, s: np.ndarray, vt: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The energies of T, ascending, from `_chiral_svd`'s factors, with the
+    vectors written into `out`, an (m, m) array or view: each singular triple
+    (s, u, v) gives -s, +s with vectors (u, -v)/sqrt(2), (u, v)/sqrt(2) (Golub
+    and Kahan, 1965), and an odd size adds the null mode (u0, 0) at energy 0."""
+    q, m = vt.shape[0], u.shape[0] + vt.shape[0]
     np.divide(u[:, :q], ROOT2, out=out[0::2, :q])  # -s, ascending
     np.divide(vt.T, -ROOT2, out=out[1::2, :q])
     out[0::2, q:m - q] = u[:, q:]  # the null mode, when m is odd
@@ -126,7 +131,7 @@ def _folded_eigh(d: np.ndarray, e: np.ndarray):
     d[:p+1], e[:p] with its last coupling times sqrt(2), the J-odd half
     d[:p], e[:p-1]; with m = 2p both are d[:p], e[:p-1] with e[p-1] added to
     (J-even) or subtracted from (J-odd) the last diagonal entry. Each half
-    goes to `_chiral_eigh` or `eigh` like an unfolded band, and its vector u
+    goes to `_chiral_svd` or `eigh` like an unfolded band, and its vector u
     becomes (u, sign Ju)/sqrt(2), with the centre entry u_p of a J-even vector
     when m is odd: only V's top m - p rows are written, into `top`, and
     `signs` holds each J-sign. The halves' spectra interlace (Cauchy for odd
@@ -136,13 +141,12 @@ def _folded_eigh(d: np.ndarray, e: np.ndarray):
     and a J-odd energy that agree to rounding."""
     m = d.size
     p = m // 2
-    top, signs, energies = np.empty((m - p, m)), np.empty(m), np.empty(m)
+    signs, energies = np.empty(m), np.empty(m)
     if m % 2:
         even_d, even_e = d[:p + 1], e[:p].copy()
         even_e[-1:] *= ROOT2  # no coupling when m = 1
         halves = ((even_d, even_e, 1.0, slice(0, None, 2)),
                   (d[:p], e[:p - 1], -1.0, slice(1, None, 2)))
-        top[p, 1::2] = 0.0  # J-odd vectors vanish at the centre
     else:
         even_d, odd_d = d[:p].copy(), d[:p].copy()
         even_d[-1] += e[p - 1]
@@ -151,12 +155,18 @@ def _folded_eigh(d: np.ndarray, e: np.ndarray):
         if e[p - 1] < 0:
             lower, upper = upper, lower
         halves = ((even_d, e[:p - 1], 1.0, upper), (odd_d, e[:p - 1], -1.0, lower))
-    for half_d, half_e, sign, columns in halves:  # the J-odd half is empty when m = 1
+    solved = [(half_d, sign, columns, _chiral_svd(half_e) if _is_chiral(half_d)
+               else np.linalg.eigh(tridiagonal(half_d, half_e)))
+              for half_d, half_e, sign, columns in halves]
+    top = np.empty((m - p, m))  # written only once both halves' LAPACK calls are done
+    top[p:, 1::2] = 0.0  # J-odd vectors vanish at the centre when m is odd
+    while solved:  # each half's factors go once written; the J-odd half is empty when m = 1
+        half_d, sign, columns, factors = solved.pop(0)
         block = top[:half_d.size, columns]
         if _is_chiral(half_d):
-            energies[columns] = _chiral_eigh(half_e, block)
+            energies[columns] = _chiral_pairs(*factors, block)
         else:
-            energies[columns], block[...] = np.linalg.eigh(tridiagonal(half_d, half_e))
+            energies[columns], block[...] = factors
         signs[columns] = sign
     top[:p] /= ROOT2
     return energies, top, signs
@@ -212,14 +222,14 @@ def solve_band(band: SectorBand):
     unless it has a zero diagonal and even m: `vectors` are then V's top
     ceil(m/2) rows, `signs` the J-signs. Otherwise `vectors` is V and `signs`
     None: a band with a zero diagonal and m > 1 (two-axis, and `general`
-    with mu + chi = 0 and no f) is solved by `_chiral_eigh`, every other
+    with mu + chi = 0 and no f) is solved by `_chiral_pairs`, every other
     band by `eigh`; the halves of a fold are dispatched the same way."""
     d, e = band.diagonal, band.off_diagonal
     if _folds(d, e):
         return _folded_eigh(d, e)
     if _is_chiral(d):
         vectors = np.empty((band.dim, band.dim))
-        return _chiral_eigh(e, vectors), vectors, None
+        return _chiral_pairs(*_chiral_svd(e), vectors), vectors, None
     return *np.linalg.eigh(tridiagonal(d, e)), None
 
 

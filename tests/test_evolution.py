@@ -230,9 +230,9 @@ def solve_mutated(route, m, mutate, monkeypatch):
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: mutate(*eigh(a), None)[:2])
     elif route == "svd":
-        chiral = evolution._chiral_eigh
-        monkeypatch.setattr(evolution, "_chiral_eigh",
-                            lambda e, out: mutate(chiral(e, out), out, None)[0])
+        pairs = evolution._chiral_pairs
+        monkeypatch.setattr(evolution, "_chiral_pairs",
+                            lambda u, s, vt, out: mutate(pairs(u, s, vt, out), out, None)[0])
     else:
         fold = evolution._folded_eigh
         monkeypatch.setattr(evolution, "_folded_eigh", lambda d, e: mutate(*fold(d, e)))
@@ -431,9 +431,11 @@ def test_a_window_never_changes_the_reconstruction_bits(monkeypatch):
 
 # peak of a solve at m = 1001, in m^2 doubles, from a state that keeps every
 # mode: V (1), the solver's own arrays, and the contracts' windows (about
-# 0.03); eigh takes the dense T. A fold's solve holds its half-height vectors
-# (0.5) and its solver's arrays, then grows them into V in place. From
-# all-down, where it never forms V, only the kept (m, k) V_k is added.
+# 0.03); eigh takes the dense T. A fold runs both halves' LAPACK calls first,
+# then holds its half-height vectors (0.5) beside both halves' factors, and
+# grows them into V in place. From all-down, where it never forms V, only the
+# kept (m, k) V_k is added: 0.77 (folded SVD, 143 modes) and 1.00 (folded
+# eigh, 250 modes).
 SOLVE_BUDGET = {
     ("fold-svd", "full weight"): 1.15, ("fold-eigh", "full weight"): 1.15,
     ("svd", "full weight"): 1.8, ("eigh", "full weight"): 2.05,
@@ -455,6 +457,29 @@ def test_solve_band_memory_budget(route, state):
     finally:
         tracemalloc.stop()
     assert peak <= SOLVE_BUDGET[route, state] * band.dim**2 * 8
+
+
+# what a fold holds at each LAPACK call at m = 1001, besides the call's own
+# input, in m^2 doubles: at most the other half's factors (eigh's vectors,
+# 0.25; the SVD's u and vt, 0.13). The half-height array alone would be 0.5.
+FOLD_CALL_BUDGET = 0.3
+
+
+@pytest.mark.parametrize("route", ["fold-eigh", "fold-svd"])
+def test_a_fold_writes_its_half_height_array_after_both_lapack_calls(route, monkeypatch):
+    band, held = route_band(route, 1001), []
+    for name in ("svd", "eigh"):
+        def spy(a, solver=getattr(np.linalg, name)):
+            held.append(tracemalloc.get_traced_memory()[0] - a.nbytes)
+            return solver(a)
+        monkeypatch.setattr(np.linalg, name, spy)
+    tracemalloc.start()
+    try:
+        evolution._folded_eigh(band.diagonal, band.off_diagonal)
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 2
+    assert max(held) <= FOLD_CALL_BUDGET * band.dim**2 * 8, np.array(held) / (8 * band.dim**2)
 
 
 # bands with a zero diagonal, which solve_band takes to the SVD of their bidiagonal half
@@ -775,6 +800,21 @@ def test_large_two_axis_agrees_with_the_taylor_reference(n):
     assert evolution._folds(band.diagonal, band.off_diagonal) == (n % 2 == 0)
     assert evolution._is_chiral(band.diagonal)
     times = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
+    got = evolution.propagate(hermitian_eigen(spec, make_all_down(n)), times).entries
+    gap = np.linalg.norm(got - taylor_evolve(spec, make_all_down(n), times), axis=1)
+    assert np.all(gap <= error_model(spec, n, times)), gap / error_model(spec, n, times)
+
+
+@pytest.mark.parametrize("spec, n, chiral, t_max", [
+    (HamiltonianSpec.two_axis(1.5 / 2002), 2002, True, 4.0),  # unfolded SVD, even m = 1002
+    (HamiltonianSpec.one_axis_field(1.0 / 2000, 0.5), 2000, False, 2.0),  # eigh, m = 1001
+], ids=["two-axis-2002", "one-axis-field-2000"])
+def test_other_large_routes_agree_with_the_taylor_reference(spec, n, chiral, t_max):
+    # the unfolded solve routes at evolve-large's size, each about 1 s
+    band = sector_bands(spec, n)[0]
+    assert not evolution._folds(band.diagonal, band.off_diagonal)
+    assert evolution._is_chiral(band.diagonal) == chiral
+    times = np.linspace(0.0, t_max, 5)
     got = evolution.propagate(hermitian_eigen(spec, make_all_down(n)), times).entries
     gap = np.linalg.norm(got - taylor_evolve(spec, make_all_down(n), times), axis=1)
     assert np.all(gap <= error_model(spec, n, times)), gap / error_model(spec, n, times)

@@ -9,11 +9,13 @@ full-space states, and a stack with one bad entry raises the error that
 entry raises alone.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import make_state, separable_rows, separable_variates
 
-from spinsqueeze import verify
+from spinsqueeze import dicke, verify
 from spinsqueeze.dicke import (
     MOMENT_FIELDS,
     CollectiveMoments,
@@ -133,6 +135,37 @@ def test_moment_kernel_rows_and_blocks(kernel, n):
     if kernel is analyse:
         assert np.isnan(table["xi2_general"][0]) and table["degenerate_flag"][0] == 1
         assert np.array_equal(table["degenerate_flag"], np.isnan(table["xi2_general"]))
+
+
+def evolve_large_block(rng):
+    """A (131, 1001) even-sector stack of random entries: the shape of an
+    evolve-large block (N = 2000)."""
+    entries = rng.normal(size=(131, 1001)) + 1j * rng.normal(size=(131, 1001))
+    return SymmetricState(2000, entries / np.linalg.norm(entries, axis=1, keepdims=True), 0)
+
+
+def test_windowed_sector_sp2_of_each_row_is_the_row_alone(monkeypatch):
+    # windows of 32 rows at m = 1001 (the last one 3 rows), of 1 and of 7
+    assert dicke.WINDOW_ELEMENTS // 1001 == 32
+    stack = evolve_large_block(np.random.default_rng(4000))
+    alone = np.array([collective_moments(SymmetricState(2000, entries, 0)).sp2
+                      for entries in stack.entries])
+    for rows in (32, 1, 7):
+        monkeypatch.setattr(dicke, "WINDOW_ELEMENTS", rows * 1001)
+        sp2 = collective_moments(stack).sp2
+        assert sp2.view(np.uint64).tolist() == alone.view(np.uint64).tolist(), rows
+
+
+def test_sector_moments_hold_no_copy_of_the_stack():
+    stack = evolve_large_block(np.random.default_rng(4001))
+    tracemalloc.start()
+    try:
+        collective_moments(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows, m = stack.entries.shape
+    assert peak < rows * (m - 1) * 16  # one (T, m-1) complex array
 
 
 def moment_row(m, k):
