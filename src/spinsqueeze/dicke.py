@@ -152,7 +152,8 @@ def _moment_sums(state: SymmetricState):
     its |c_n|^2 array and one buffer of conj(c_(n+1)), reused for conj(c_(n+2)),
     of a window of whole rows, WINDOW_ELEMENTS entries at most (32 rows at
     m = 1001). A sector state has no n -> n+1 coupling: its <S+> and
-    <[S+, Sz]_+> are exact zeros, set by parity. Every product and sum is an
+    <[S+, Sz]_+> are exact zeros, set by parity, that share one array, and
+    only its <S+^2> is summed. Every product and sum is an
     einsum, row by row, so a row gives its bits alone in any stack or window (a
     BLAS product rounds a row by the stack's shape, and numpy's in-place
     complex multiply rounds one element apart)."""
@@ -162,19 +163,25 @@ def _moment_sums(state: SymmetricState):
     a = ladder_coefficients(n_qubits)
     mean_sz = np.einsum("...i,...i->...", state.probabilities, m)
     sz2 = np.einsum("...i,...i->...", state.probabilities, m * m)
-    sums = np.zeros((3,) + c.shape[:-1], dtype=complex)  # <S+>, <[S+, Sz]_+>, <S+^2>
+    # <S+^2>, then a full state's <S+> and <[S+, Sz]_+>
+    sums = np.zeros((1 if parity is not None else 3,) + c.shape[:-1], dtype=complex)
     stack, rows = c.reshape(-1, c.shape[-1]), max(1, WINDOW_ELEMENTS // c.shape[-1])
     buffer = np.empty((min(rows, stack.shape[0]), c.shape[-1] - 1), dtype=complex)
     for i in range(0, stack.shape[0], rows):
-        w, (sp_mean, anti_sp_sz, sp2) = stack[i:i + rows], sums.reshape(3, -1)[:, i:i + rows]
+        w, out = stack[i:i + rows], sums.reshape(len(sums), -1)[:, i:i + rows]
         conj = np.conjugate(w[:, 1:], out=buffer[:w.shape[0]])  # n -> n+1, or n+2 in a sector
         if parity is None:
-            np.einsum("...i,...i,...i->...", conj, w[:, :-1], a, out=sp_mean)
-            np.einsum("...i,...i,...i->...", conj, w[:, :-1], a * (m[:-1] + m[1:]), out=anti_sp_sz)
+            np.einsum("...i,...i,...i->...", conj, w[:, :-1], a, out=out[1])
+            np.einsum("...i,...i,...i->...", conj, w[:, :-1], a * (m[:-1] + m[1:]), out=out[2])
             conj = np.conjugate(w[:, 2:], out=conj[:, :-1])  # <S+^2> couples n -> n+2
         np.einsum("...i,...i,...i->...", conj, w[:, :conj.shape[-1]],
-                  (a[1:] * a[:-1])[first::step], out=sp2)
-    return sums[0][()], sums[2][()], sums[1][()], mean_sz, sz2
+                  (a[1:] * a[:-1])[first::step], out=out[0])
+    if parity is None:
+        sp2, sp_mean, anti_sp_sz = sums
+    else:
+        (sp2,) = sums
+        sp_mean = anti_sp_sz = np.zeros(c.shape[:-1], dtype=complex)[()]
+    return sp_mean, sp2, anti_sp_sz, mean_sz, sz2
 
 
 def collective_moments(state: SymmetricState) -> CollectiveMoments:

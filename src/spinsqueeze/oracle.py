@@ -200,7 +200,9 @@ def sample_separable(n_qubits: int, rng, samples: int) -> CollectiveMoments:
 
     An ensemble has 1 to 8 components: Bloch vectors uniform in the unit ball
     (mixed single-qubit states included) and weights from a flat Dirichlet.
-    The raw variates of all rows come from `rng` in four stacked calls: the
+    The raw variates of all rows come from `rng`, any object with numpy
+    `Generator`'s `integers`, `normal`, `random` and `standard_exponential`
+    (`verify` passes a `verify.Variates`), in four stacked calls: the
     component counts, then (samples, 8, 3) normals, (samples, 8) uniforms and
     (samples, 8) standard exponentials. The slots at or beyond a row's count
     become zero-weight padding, and the variates are transformed once, on

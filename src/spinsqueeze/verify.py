@@ -1,12 +1,14 @@
 """Named machine-check suites behind the `verify` CLI subcommand.
 
 Each suite returns a list of Check records; a check passes when its observed
-residual does not exceed its tolerance. Randomized suites take a seed and use
-numpy's PCG64 generator, which is recorded in the report for reproducibility.
+residual does not exceed its tolerance. Randomized suites take a seed and draw
+from a `Variates` of it, CPython's Mersenne Twister, whose name the report
+records for reproducibility.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,7 +44,44 @@ from .oracle import (
 )
 from .squeezing import MEAN_SPIN_TOL, perpendicular_correlation_min, squeezing_general
 
-RNG_ALGORITHM = "numpy PCG64 (default_rng)"
+RNG_ALGORITHM = "MT19937 (random.Random(seed).randbytes, 64-bit words)"
+
+
+class Variates:
+    """The four draws of a numpy `Generator` that the samplers call, with its
+    call shapes, from CPython's Mersenne Twister (MT19937; Matsumoto and
+    Nishimura 1998). Every variate takes whole 64-bit words of
+    `random.Random(seed).randbytes`, so draws of sizes a and b give the bits
+    of one draw of size a + b (of normals, for an even a). numpy's random
+    package is not imported: its bit_generator imports `secrets`, hence
+    `hmac` and OpenSSL's libcrypto (about 6 MiB resident), while `random` is
+    already loaded (`tempfile` imports it)."""
+
+    def __init__(self, seed: int):
+        if seed < 0:  # Random(-s) would repeat the stream of s
+            raise ValueError(f"expected a non-negative seed, got {seed}")
+        self._mt = random.Random(seed)
+
+    def random(self, size):
+        """Uniforms on [0, 1): the top 53 bits of a word, times 2^-53."""
+        words = np.frombuffer(self._mt.randbytes(8 * int(np.prod(size))), dtype="<u8")
+        return (words >> np.uint64(11)).reshape(size) * 2.0**-53
+
+    def standard_exponential(self, size):
+        return -np.log1p(-self.random(size))
+
+    def normal(self, size):
+        """Box-Muller (1958): each pair of words (u, v) gives r cos(2 pi v) and
+        then r sin(2 pi v), r = sqrt(-2 log(1 - u)); an odd size drops its
+        last sine."""
+        n = int(np.prod(size))
+        u, v = self.random(((n + 1) // 2, 2)).T
+        r, turn = np.sqrt(-2.0 * np.log1p(-u)), 2.0 * np.pi * v
+        return np.stack([r * np.cos(turn), r * np.sin(turn)], axis=-1).ravel()[:n].reshape(size)
+
+    def integers(self, low: int, high: int, size):
+        """Integers in [low, high): low + floor(u (high - low))."""
+        return low + (self.random(size) * (high - low)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -65,7 +104,8 @@ def _worst(*values) -> float:
 
 def _random_symmetric_states(rng, n_qubits: int, count: int) -> SymmetricState:
     """A stack of `count` random states, drawn one after another (real parts,
-    then imaginary parts), each divided by its norm."""
+    then imaginary parts) from `rng.normal`, each divided by its norm. `rng`
+    is a `Variates` or anything with numpy `Generator`'s draw methods."""
     # one C-order normal call draws the stream of count * 2 calls of size N+1
     z = rng.normal(size=(count, 2, n_qubits + 1))
     amps = z[:, 0] + 1j * z[:, 1]
@@ -84,7 +124,7 @@ def _model_specs():
 def suite_lemma1(seed: int, samples: int = 1000, n_values=range(2, 7)):
     """Separable symmetric states never show negative perpendicular correlation:
     per N, `samples` random ensembles drawn stacked from one generator."""
-    rng = np.random.default_rng(seed)
+    rng = Variates(seed)
     checks = []
     for n in n_values:
         m = sample_separable(n, rng, samples)
@@ -98,7 +138,7 @@ def suite_lemma1(seed: int, samples: int = 1000, n_values=range(2, 7)):
 
 def suite_lemma2(seed: int, per_n: int = 100, n_values=range(2, 9)):
     """Moment-based pair reduction equals the literal partial trace."""
-    rng = np.random.default_rng(seed)
+    rng = Variates(seed)
     checks = []
     for n in n_values:
         states = _random_symmetric_states(rng, n, per_n)
@@ -266,8 +306,9 @@ def random_x_form(rng, samples: int) -> pairwise.TwoQubitReduced:
     """A stack of `samples` random valid (v+, v-, y, u) with unit trace and
     X-block positivity, from two stacked draws of `rng`: the (samples, 3)
     standard exponentials of the flat-Dirichlet populations, then
-    (samples, 2) uniforms. One sample draws the stream of
-    `rng.dirichlet(np.ones(3))` then two `rng.random()`."""
+    (samples, 2) uniforms. `rng` is a `Variates` or anything with numpy
+    `Generator`'s draw methods; from a numpy `Generator`, one sample draws
+    the stream of `rng.dirichlet(np.ones(3))` then two `rng.random()`."""
     exps = rng.standard_exponential((samples, 3))
     uniforms = rng.random((samples, 2))
     draws = np.column_stack([flat_dirichlet(exps), uniforms])
@@ -285,7 +326,7 @@ def random_x_form(rng, samples: int) -> pairwise.TwoQubitReduced:
 
 def suite_x_form(seed: int, samples: int = 1000):
     """Closed-form X-state concurrence against the spectral definition."""
-    r = random_x_form(np.random.default_rng(seed), samples=samples)
+    r = random_x_form(Variates(seed), samples=samples)
     closed = pairwise.concurrence_x_form(r).concurrence
     spectral = pairwise.concurrence_spectral(r.as_matrix()).concurrence
     return [Check("x_form_vs_spectral", _worst(np.abs(closed - spectral)), 1e-10)]

@@ -899,7 +899,7 @@ class TestVerify:
         assert run_cli(["verify", "x-form", "--seed", "5"]) == 0
         out = capsys.readouterr().out
         assert "pass" in out
-        assert "PCG64" in out  # RNG algorithm recorded
+        assert verify.RNG_ALGORITHM in out  # RNG algorithm recorded
 
     def test_lemma3_suite_passes(self):
         assert run_cli(["verify", "lemma3"]) == 0

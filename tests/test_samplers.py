@@ -6,9 +6,15 @@ variates in a few stacked calls on the caller's generator and transform
 them once, on the stack. Each reference draws the same variates and
 transforms them row by row, unpadded, with numpy's per-draw formulas; every
 output must equal the reference's in its `uint64` view, so the sign of a
-zero counts too. A suite builds one generator per call, whatever the
-number of draws.
+zero counts too. The samplers take any object with those draw methods; the
+suites pass a `verify.Variates`, one per call, whatever the number of draws.
+Its own draws are checked at the end.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,20 +161,20 @@ def test_one_generator_per_suite_call(monkeypatch):
     # lemma1 built one generator per ensemble, 5001 per call, before its
     # draws were stacked
     made = []
-    default_rng = np.random.default_rng
+    variates = verify.Variates
 
     def counting(*args, **kwargs):
         made.append(args)
-        return default_rng(*args, **kwargs)
+        return variates(*args, **kwargs)
 
-    monkeypatch.setattr(np.random, "default_rng", counting)
+    monkeypatch.setattr(verify, "Variates", counting)
     assert all(check.passed for check in verify.suite_lemma1(42))
     assert made == [(42,)]
     made.clear()
     assert all(check.passed for check in verify.suite_x_form(42))
     assert made == [(42,)]
     made.clear()
-    sample_separable(4, default_rng(0), 1000)
+    sample_separable(4, variates(0), 1000)
     assert made == []
 
 
@@ -176,6 +182,14 @@ def test_one_generator_per_suite_call(monkeypatch):
 def test_lemma1_passes_at_seed(seed):
     checks = verify.suite_lemma1(seed)
     assert len(checks) == 10
+    assert [c.name for c in checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("suite, count", [("lemma2", 7), ("x-form", 1)])
+def test_randomized_suite_passes_at_seed(suite, count, seed):
+    checks = verify.RUNNERS[suite](seed)
+    assert len(checks) == count
     assert [c.name for c in checks if not c.passed] == []
 
 
@@ -187,3 +201,89 @@ def test_random_symmetric_states_match_per_state_code(seed):
         ref = reference_random_symmetric_states(ref_rng, n, 30)
         assert_same_bits(got.amplitudes, ref.amplitudes, n)
     assert_same_bits(rng.random(), ref_rng.random(), "stream after the draws")
+
+
+# verify.Variates: the draws of the suites' generator
+
+DRAWS = {
+    "random": lambda v, size: v.random(size),
+    "standard_exponential": lambda v, size: v.standard_exponential(size),
+    "normal": lambda v, size: v.normal(size=size),
+    "integers": lambda v, size: v.integers(1, 9, size=size),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+def test_variates_repeat_per_seed_and_differ_across_seeds(draw):
+    first, again, other = (DRAWS[draw](verify.Variates(seed), (40, 3)) for seed in (42, 42, 43))
+    assert first.shape == (40, 3)
+    assert_same_bits(first, again, draw)
+    assert not np.array_equal(first, other)
+
+
+@pytest.mark.parametrize("draw", sorted(DRAWS))
+def test_two_draws_give_the_bits_of_one_draw_of_their_summed_size(draw):
+    # an even first size: a normal draw of odd size ends inside a pair of words
+    split, whole = verify.Variates(7), verify.Variates(7)
+    parts = [DRAWS[draw](split, 6), DRAWS[draw](split, (3, 3))]
+    assert_same_bits(np.concatenate([p.ravel() for p in parts]), DRAWS[draw](whole, 15), draw)
+    assert_same_bits(DRAWS[draw](split, 2), DRAWS[draw](whole, 2), "stream after the draws")
+
+
+def test_an_odd_normal_draw_is_an_even_one_less_its_last_sine():
+    odd, even = verify.Variates(7).normal(size=(5,)), verify.Variates(7).normal(size=(6,))
+    assert_same_bits(odd, even[:5], "normals")
+
+
+def test_uniforms_lie_in_the_unit_interval_on_the_53_bit_lattice():
+    u = verify.Variates(0).random(10**5)
+    assert u.dtype == np.float64
+    assert np.all((u >= 0.0) & (u < 1.0))
+    scaled = u * 2.0**53
+    assert np.array_equal(scaled, np.floor(scaled))
+    assert u.max() > 1.0 - 1e-3 and u.min() < 1e-3
+
+
+def test_integers_cover_the_half_open_range():
+    k = verify.Variates(0).integers(1, 9, size=10**4)
+    assert k.dtype == np.int64
+    assert set(k.tolist()) == set(range(1, 9))
+
+
+@pytest.mark.parametrize("draw, mean, variance, fourth", [
+    ("normal", 0.0, 1.0, 3.0),  # fourth central moment of N(0, 1)
+    ("standard_exponential", 1.0, 1.0, 9.0),  # and of Exp(1)
+])
+def test_normals_and_exponentials_have_their_mean_and_variance(draw, mean, variance, fourth):
+    # each sample statistic within 6 of its standard deviations
+    n = 10**5
+    x = DRAWS[draw](verify.Variates(42), n)
+    assert abs(x.mean() - mean) <= 6.0 * np.sqrt(variance / n)
+    assert abs(x.var() - variance) <= 6.0 * np.sqrt((fourth - variance**2) / n)
+
+
+def test_a_negative_seed_is_refused():
+    # random.Random(-s) would draw the stream of s
+    with pytest.raises(ValueError, match="non-negative"):
+        verify.Variates(-1)
+
+
+def test_verify_all_loads_neither_numpy_random_nor_hashlib():
+    # numpy.random's bit_generator imports secrets, hmac and _hashlib (OpenSSL's
+    # libcrypto); numpy 1.x imports numpy.random with numpy, so only the
+    # modules `import numpy` leaves out are required to stay out
+    watched = ("numpy.random", "_hashlib")
+    src = Path(verify.__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import numpy\n"
+        f"before = {{m for m in {watched!r} if m in sys.modules}}\n"
+        "from spinsqueeze import cli\n"
+        "assert cli.main(['verify', 'all', '--seed', '42']) == 0\n"
+        f"after = {{m for m in {watched!r} if m in sys.modules}}\n"
+        "assert after <= before, sorted(after - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

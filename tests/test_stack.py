@@ -168,6 +168,17 @@ def test_sector_moments_hold_no_copy_of_the_stack():
     assert peak < rows * (m - 1) * 16  # one (T, m-1) complex array
 
 
+def test_sector_moments_sum_only_sp2():
+    # <S+> and <[S+, Sz]_+> of a sector stack are one shared zeros array, and
+    # <S+^2> is backed by T entries, not by a row of a (3, T) array
+    stack = evolve_large_block(np.random.default_rng(4001))
+    moments = collective_moments(stack)
+    assert moments.sp_mean is moments.anti_sp_sz
+    assert not np.any(moments.sp_mean)
+    sp2 = moments.sp2 if moments.sp2.base is None else moments.sp2.base
+    assert sp2.size == len(stack.entries)
+
+
 def moment_row(m, k):
     return CollectiveMoments(m.n_qubits, **{f: getattr(m, f)[k] for f in MOMENT_FIELDS})
 
