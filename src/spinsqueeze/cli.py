@@ -6,7 +6,8 @@ that closed the output pipe. CSV output is deterministic (LF line endings,
 '.' decimal separator, fixed significant-digit formatting), so identical
 configs produce identical bytes.
 `evolve` and `scan` propagate, analyse and write one block of times at a
-time, so their memory does not grow with the length of the time grid.
+time, so their memory does not grow with the length of the time grid. Only
+`verify` imports the `verify` suites and, through them, the 2^N `oracle`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import tempfile
 
 import numpy as np
 
-from . import verify as verify_mod
 from .dicke import make_dicke_state
 from .errors import NumericalError
 from .evolution import time_grid, trajectory
@@ -83,6 +83,7 @@ SCAN_COLUMNS = (
     "model", "n", *SCAN_AXES, "min_xi2", "t_min_xi2", "mubar_min_xi2",
     "max_concurrence", "t_max_concurrence", "max_xi2", "max_xi2_exceeds_one",
 )
+CSV_CHUNK_ROWS = 64  # rows of a table that write_csv holds as Python objects at once
 
 
 def evolve_rows(times, states) -> dict:
@@ -106,7 +107,8 @@ def write_csv(path, columns, blocks, precision: int):
     A regular file is written whole or not at all: the lines go to a
     temporary file beside it, which replaces it only after the last block.
     The header goes with the first line, and no table is held while the
-    next one is drawn."""
+    next one is drawn. A table's rows become Python objects CSV_CHUNK_ROWS
+    at a time, not all at once."""
     conversions = {"f": f"%.{precision}g", "i": "%d", "U": "%s"}
 
     def table_lines(table):
@@ -116,7 +118,8 @@ def write_csv(path, columns, blocks, precision: int):
                 raise ValueError(
                     f"CSV column {name!r} holds {values.dtype}, not float, int or str")
         template = ",".join(conversions[a.dtype.kind] for a in arrays) + "\n"
-        return (template % row for row in zip(*(a.tolist() for a in arrays)))
+        return (template % row for i in range(0, len(arrays[0]), CSV_CHUNK_ROWS)
+                for row in zip(*(a[i:i + CSV_CHUNK_ROWS].tolist() for a in arrays)))
 
     def lines():
         # chain drops each table's lines before it draws the next table; the
@@ -242,8 +245,10 @@ def cmd_dicke(n_qubits: int, n_excited: int) -> int:
 
 
 def cmd_verify(suite: str, seed: int) -> int:
-    checks = verify_mod.run_suite(suite, seed)
-    print(f"suite: {suite}   rng: {verify_mod.RNG_ALGORITHM}   seed: {seed}")
+    from . import verify
+
+    checks = verify.run_suite(suite, seed)
+    print(f"suite: {suite}   rng: {verify.RNG_ALGORITHM}   seed: {seed}")
     width = max(len(c.name) for c in checks)
     failures = 0
     for check in checks:
@@ -255,6 +260,16 @@ def cmd_verify(suite: str, seed: int) -> int:
         failures += not check.passed
     print(f"{len(checks) - failures}/{len(checks)} checks passed", flush=True)
     return 0 if failures == 0 else 1
+
+
+class _Suites:
+    """The choices of `verify`, read from verify.RUNNERS only when argparse
+    checks or lists them."""
+
+    def __iter__(self):
+        from . import verify
+
+        return iter((*verify.RUNNERS, "all"))
 
 
 def _comma_list(kind, noun: str):
@@ -317,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     dicke.add_argument("--excitations", type=int, required=True)
 
     ver = sub.add_parser("verify", help="run a named verification suite")
-    ver.add_argument("suite", choices=(*verify_mod.RUNNERS, "all"))
+    ver.add_argument("suite", choices=_Suites(), metavar="SUITE",
+                     help="one of %(choices)s")
     ver.add_argument("--seed", type=int, default=0)
 
     return parser

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 NORM_TOL = 1e-12
-WINDOW_ELEMENTS = 2**15  # entries per window of a stack's <S+^2>, and of V in evolution's contracts
+WINDOW_ELEMENTS = 2**12  # entries per window of a stack's <S+^2> and <S+>
 
 
 def squared_norm(amps: np.ndarray):
@@ -147,11 +147,20 @@ def make_all_down(n_qubits: int) -> SymmetricState:
     return make_dicke_state(n_qubits, 0)
 
 
+def _conjugate_into(window: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """conj(window), contiguous at the start of the flat `buffer`: a ufunc
+    given a strided window would allocate a second one beside it."""
+    conj = buffer[:window.size].reshape(window.shape)
+    np.copyto(conj, window)
+    return np.conjugate(conj, out=conj)
+
+
 def _moment_sums(state: SymmetricState):
     """<S+>, <S+^2>, <[S+, Sz]_+>, <Sz> and <Sz^2> of `state`'s entries, from
     its |c_n|^2 array and one buffer of conj(c_(n+1)), reused for conj(c_(n+2)),
-    of a window of whole rows, WINDOW_ELEMENTS entries at most (32 rows at
-    m = 1001). A sector state has no n -> n+1 coupling: its <S+> and
+    of a window of whole rows, WINDOW_ELEMENTS entries at most (4 rows at
+    m = 1001, 157 at m = 26), the one window-sized array, let go before the
+    real sums are made. A sector state has no n -> n+1 coupling: its <S+> and
     <[S+, Sz]_+> are exact zeros, set by parity, that share one array, and
     only its <S+^2> is summed. Every product and sum is an
     einsum, row by row, so a row gives its bits alone in any stack or window (a
@@ -161,21 +170,26 @@ def _moment_sums(state: SymmetricState):
     first, step = (0, 1) if parity is None else (parity, 2)
     m = (np.arange(n_qubits + 1) - n_qubits / 2.0)[first::step]
     a = ladder_coefficients(n_qubits)
-    mean_sz = np.einsum("...i,...i->...", state.probabilities, m)
-    sz2 = np.einsum("...i,...i->...", state.probabilities, m * m)
-    # <S+^2>, then a full state's <S+> and <[S+, Sz]_+>
-    sums = np.zeros((1 if parity is not None else 3,) + c.shape[:-1], dtype=complex)
+    # <S+^2>, then a full state's <S+> and <[S+, Sz]_+>: their weights, cast to
+    # the a + 0j that einsum would otherwise cast into a window-sized buffer
+    weights = [(a[1:] * a[:-1])[first::step]]
+    if parity is None:
+        weights += [a, a * (m[:-1] + m[1:])]
+    weights = [k.astype(complex) for k in weights]
+    sums = np.zeros((len(weights),) + c.shape[:-1], dtype=complex)
     stack, rows = c.reshape(-1, c.shape[-1]), max(1, WINDOW_ELEMENTS // c.shape[-1])
-    buffer = np.empty((min(rows, stack.shape[0]), c.shape[-1] - 1), dtype=complex)
+    buffer = np.empty(min(rows, stack.shape[0]) * (c.shape[-1] - 1), dtype=complex)
     for i in range(0, stack.shape[0], rows):
         w, out = stack[i:i + rows], sums.reshape(len(sums), -1)[:, i:i + rows]
-        conj = np.conjugate(w[:, 1:], out=buffer[:w.shape[0]])  # n -> n+1, or n+2 in a sector
+        conj = _conjugate_into(w[:, 1:], buffer)  # n -> n+1, or n+2 in a sector
+        for k, o in zip(weights[1:], out[1:]):
+            np.einsum("...i,...i,...i->...", conj, w[:, :-1], k, out=o)
         if parity is None:
-            np.einsum("...i,...i,...i->...", conj, w[:, :-1], a, out=out[1])
-            np.einsum("...i,...i,...i->...", conj, w[:, :-1], a * (m[:-1] + m[1:]), out=out[2])
-            conj = np.conjugate(w[:, 2:], out=conj[:, :-1])  # <S+^2> couples n -> n+2
-        np.einsum("...i,...i,...i->...", conj, w[:, :conj.shape[-1]],
-                  (a[1:] * a[:-1])[first::step], out=out[0])
+            conj = _conjugate_into(w[:, 2:], buffer)  # <S+^2> couples n -> n+2
+        np.einsum("...i,...i,...i->...", conj, w[:, :conj.shape[-1]], weights[0], out=out[0])
+    del buffer, conj
+    mean_sz = np.einsum("...i,...i->...", state.probabilities, m)
+    sz2 = np.einsum("...i,...i->...", state.probabilities, m * m)
     if parity is None:
         sp2, sp_mean, anti_sp_sz = sums
     else:
@@ -193,8 +207,8 @@ def collective_moments(state: SymmetricState) -> CollectiveMoments:
     exact zeros, set by parity and not summed.
 
     Besides the result, the kernel holds one window's buffer (WINDOW_ELEMENTS
-    entries, or one row if longer), whatever the stack's length; a long time
-    grid should still come in blocks, as `evolution.evolve_blocks` yields them."""
+    entries, or one row if longer); a long time grid should still come in
+    blocks, as `evolution.evolve_blocks` yields them."""
     n_qubits = state.n_qubits
     sp_mean, sp2, anti_sp_sz, mean_sz, sz2 = _moment_sums(state)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dicke import WINDOW_ELEMENTS, SymmetricState, make_all_down
+from .dicke import SymmetricState, make_all_down
 from .errors import NumericalError
 from .hamiltonians import HamiltonianSpec, SectorBand, sector_bands, tridiagonal
 
@@ -53,7 +53,7 @@ BLOCK_AMPLITUDES = 2**18  # complex amplitudes per block that evolve_blocks prop
 # at most this many times per block: each row also carries about 1 KB of
 # analysis columns and CSV objects, whatever N is
 BLOCK_ROWS = 1024
-CONTRACT_ELEMENTS = WINDOW_ELEMENTS  # entries of V per column window of the contracts
+CONTRACT_ELEMENTS = 2**15  # entries of V per column window of the contracts and the fold's w
 ROOT2 = math.sqrt(2.0)
 
 

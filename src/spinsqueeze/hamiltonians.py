@@ -62,6 +62,15 @@ class HamiltonianSpec:
         return cls(gamma=gamma)
 
 
+def polynomial(coeffs: tuple, x: np.ndarray) -> np.ndarray:
+    """f(x) for ascending `coeffs`: np.polynomial.polynomial.polyval's Horner
+    rule, bit for bit, without importing numpy.polynomial."""
+    value = coeffs[-1] + x * 0
+    for c in reversed(coeffs[:-1]):
+        value = c + value * x
+    return value
+
+
 def build_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
     """Assemble the dense, read-only complex (N+1)x(N+1) matrix of the general
     Hamiltonian from the collective operators; the reference the sector bands
@@ -79,7 +88,7 @@ def build_hamiltonian(spec: HamiltonianSpec, n_qubits: int) -> np.ndarray:
         h += spec.gamma * ((sp @ sp - sm @ sm) / 2j)
     if spec.f_coeffs:
         m = np.arange(dim) - n_qubits / 2.0
-        h += np.diag(np.polynomial.polynomial.polyval(m, spec.f_coeffs))
+        h += np.diag(polynomial(spec.f_coeffs, m))
     residual = np.max(np.abs(h - h.conj().T))
     if not residual <= HERMITICITY_TOL:  # NaN entries fail too
         raise ValueError(f"matrix not Hermitian, residual {residual:.3e}")
@@ -134,7 +143,7 @@ def sector_bands(spec: HamiltonianSpec, n_qubits: int) -> tuple:
         diagonal = 0.25 * (spec.mu + spec.chi) * (a2[:-1] + a2[1:])
         if spec.f_coeffs:
             m = np.arange(n_qubits + 1) - n_qubits / 2.0
-            diagonal = diagonal + np.polynomial.polynomial.polyval(m, spec.f_coeffs)
+            diagonal = diagonal + polynomial(spec.f_coeffs, m)
         c = complex(0.25 * (spec.mu - spec.chi), -0.5 * spec.gamma)
         coupling = abs(c) * (a[:-1] * a[1:])  # n <-> n+2, for n = 0..N-2
     if not (np.all(np.isfinite(diagonal)) and np.all(np.isfinite(coupling))):

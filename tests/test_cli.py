@@ -182,6 +182,32 @@ class TestEvolve:
                               text=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_only_verify_loads_verify_oracle_and_numpy_polynomial(self, tmp_path):
+        # evolve, scan and dicke read neither the suites nor the 2^N oracle, and
+        # f(Sz) is evaluated by Horner's rule, not by numpy.polynomial
+        watched = ("spinsqueeze.verify", "spinsqueeze.oracle", "numpy.polynomial")
+        grid = ["--t-max", "1", "--dt", "0.5"]
+        runs = [
+            ["evolve", "--model", "one-axis-field", "--n", "6", "--omega", "0.7", *grid,
+             "--out", str(tmp_path / "evolve.csv")],
+            ["scan", "--model", "one-axis-field", "--n", "2,3", "--omega", "0.5,2", *grid,
+             "--out", str(tmp_path / "scan.csv")],
+            ["dicke", "--n", "4", "--excitations", "2"],
+        ]
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (
+            "import sys\n"
+            "from spinsqueeze import cli\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            f"    loaded = [m for m in {watched!r} if m in sys.modules]\n"
+            "    assert not loaded, (argv[0], loaded)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_a_closed_pipe_exits_141_quietly(self):
         # as `evolve ... | head -1`: the reader takes one line and closes the pipe
         src = Path(cli.__file__).resolve().parents[1]
@@ -609,6 +635,40 @@ class TestCsvWriter:
         with pytest.raises(ValueError, match="column 'c'"):
             cli.write_csv(str(out), ("c",), [{"c": values}], 17)
         assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [1, cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS,
+                                      cli.CSV_CHUNK_ROWS + 1, 1024])
+    def test_rows_at_chunk_edges_match_format(self, rows):
+        # a table is turned into Python objects CSV_CHUNK_ROWS rows at a time:
+        # no row is lost, repeated or moved at a chunk's edge
+        rng = np.random.default_rng(rows)
+        x = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+        n = rng.integers(-2**63, 2**63 - 1, size=rows)
+        s = np.array([f"r{i}" for i in range(rows)])
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            cli.write_csv("-", ("x", "n", "s"), [{"x": x, "n": n, "s": s}], 17)
+        expected = "".join(f"{format(v, '.17g')},{k},{t}\n"
+                           for v, k, t in zip(x.tolist(), n.tolist(), s.tolist()))
+        assert buffer.getvalue() == "x,n,s\n" + expected
+
+    def test_a_block_is_not_converted_whole(self):
+        # one 1024-row evolve table, 16 float columns: the writer's traced peak
+        # stays under a quarter of what all its columns' tolist() would hold
+        rng = np.random.default_rng(1024)
+        table = {c: rng.normal(size=1024) for c in cli.EVOLVE_COLUMNS}
+
+        def traced_peak(work):
+            tracemalloc.start()
+            try:
+                work()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = traced_peak(lambda: [a.tolist() for a in table.values()])
+        written = traced_peak(lambda: cli.write_csv(os.devnull, cli.EVOLVE_COLUMNS, [table], 17))
+        assert written < whole / 4, (written, whole)
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -11,6 +11,7 @@ from spinsqueeze.hamiltonians import (
     assemble_sectors,
     build_hamiltonian,
     parity_check,
+    polynomial,
     sector_bands,
 )
 
@@ -46,6 +47,18 @@ def test_constant_f_gives_identity():
 def test_linear_f_is_sz_diagonal():
     h = build_hamiltonian(HamiltonianSpec(f_coeffs=(0.0, 2.0)), 4)
     np.testing.assert_allclose(h, np.diag(2.0 * (np.arange(5) - 2)), atol=1e-14)
+
+
+def test_polynomial_is_polyval_bit_for_bit():
+    # Horner's rule in numpy.polynomial's order, signed zeros included
+    rng = np.random.default_rng(6)
+    for _ in range(500):
+        n = int(rng.integers(1, 2002))
+        choices = (0.0, -0.0, rng.uniform(-1e3, 1e3), rng.normal() * 10.0 ** rng.integers(-8, 9))
+        coeffs = tuple(float(choices[rng.integers(4)]) for _ in range(rng.integers(1, 8)))
+        m = np.arange(n + 1) - n / 2.0
+        expected = np.polynomial.polynomial.polyval(m, coeffs)
+        assert polynomial(coeffs, m).tobytes() == expected.tobytes(), (n, coeffs)
 
 
 def test_named_constructors():

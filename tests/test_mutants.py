@@ -65,11 +65,24 @@ def swapped_populations(monkeypatch, reached):
     monkeypatch.setattr(pairwise, "reduced_two_qubit", mutant)
 
 
+def reversed_field(monkeypatch, reached):
+    """`hamiltonians.polynomial` with f's coefficients in reverse order, as
+    if they were read from the highest power down."""
+    polynomial = hamiltonians.polynomial
+
+    def mutant(coeffs, x):
+        reached.append(coeffs)
+        return polynomial(coeffs[::-1], x)
+
+    monkeypatch.setattr(hamiltonians, "polynomial", mutant)
+
+
 MUTANTS = {
     "carry-the-wrong-way": (carry_the_wrong_way, "lemma3"),
     "z-frame-coupling": (z_frame_coupling, "prop3"),
     "conjugated-gauge": (conjugated_gauge, "oracle"),
     "swapped-populations": (swapped_populations, "lemma2"),
+    "reversed-field": (reversed_field, "oracle"),
 }
 
 

@@ -145,12 +145,13 @@ def evolve_large_block(rng):
 
 
 def test_windowed_sector_sp2_of_each_row_is_the_row_alone(monkeypatch):
-    # windows of 32 rows at m = 1001 (the last one 3 rows), of 1 and of 7
-    assert dicke.WINDOW_ELEMENTS // 1001 == 32
+    # windows of 4 rows at m = 1001 (the default, the last one 3 rows), of 32,
+    # of 1 and of 7
+    assert dicke.WINDOW_ELEMENTS // 1001 == 4
     stack = evolve_large_block(np.random.default_rng(4000))
     alone = np.array([collective_moments(SymmetricState(2000, entries, 0)).sp2
                       for entries in stack.entries])
-    for rows in (32, 1, 7):
+    for rows in (4, 32, 1, 7):
         monkeypatch.setattr(dicke, "WINDOW_ELEMENTS", rows * 1001)
         sp2 = collective_moments(stack).sp2
         assert sp2.view(np.uint64).tolist() == alone.view(np.uint64).tolist(), rows
@@ -166,6 +167,22 @@ def test_sector_moments_hold_no_copy_of_the_stack():
         tracemalloc.stop()
     rows, m = stack.entries.shape
     assert peak < rows * (m - 1) * 16  # one (T, m-1) complex array
+
+
+def test_sector_moments_of_an_evolve_long_block_hold_a_small_window():
+    # a (1024, 26) sector block, as at N = 50: the window's buffer and the
+    # results stay under a quarter of one (T, m-1) complex array
+    rng = np.random.default_rng(50)
+    entries = rng.normal(size=(1024, 26)) + 1j * rng.normal(size=(1024, 26))
+    stack = SymmetricState(50, entries / np.linalg.norm(entries, axis=1, keepdims=True), 0)
+    tracemalloc.start()
+    try:
+        collective_moments(stack)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows, m = stack.entries.shape
+    assert peak < rows * (m - 1) * 16 / 4
 
 
 def test_sector_moments_sum_only_sp2():
